@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import cstruct
 from .cstruct import CsaPairing, ComplexStructure, PairingError, canonical_I
-from .liealg import AlgebraRep, DEFAULT_TOL
+from .liealg import AlgebraRep, DEFAULT_TOL, exp_i_hermitian
 from .rootsys import (
     ChainNode,
     Root,
@@ -85,9 +84,9 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
     e = rep.root_vector(theta)
     edag = e.conj().T
     if kind == "J":
-        u = scipy.linalg.expm(1j * np.pi / 4.0 * (e + edag))
-    elif kind == "K":
-        u = scipy.linalg.expm(np.pi / 4.0 * (e - edag))
+        u = exp_i_hermitian(np.pi / 4.0 * (e + edag))
+    elif kind == "K":                     # exp(pi/4 (e - e^dag)) = exp(i h), h Hermitian
+        u = exp_i_hermitian(-1j * np.pi / 4.0 * (e - edag))
     else:
         raise ValueError(f"kind must be 'J' or 'K', got {kind!r}")
     omega = adjoint_action(rep, u)

@@ -35,6 +35,9 @@ EXIT_NOT_ADMISSIBLE = 3
 
 MAX_RANK = {"A": 8, "B": 4, "C": 4, "D": 5}
 
+#: finite-difference step of `verify` when --fd-step is not given
+DEFAULT_FD_STEP = 1e-4
+
 
 class SpecParseError(ValueError):
     pass
@@ -43,14 +46,14 @@ class SpecParseError(ValueError):
 @dataclass
 class CliConfig:
     tolerance: float = 1e-9
-    fd_step: float = 1e-4
+    fd_step: float | None = None      # None: verify uses DEFAULT_FD_STEP, catalog skips
     output_format: str = "text"
     jobs: int = 1
 
     def validate(self):
         if not (0 < self.tolerance <= 1e-3):
             raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {self.tolerance:g}")
-        if not (0 < self.fd_step <= 1e-2):
+        if self.fd_step is not None and not (0 < self.fd_step <= 1e-2):
             raise SpecParseError(f"fd-step must lie in (0, 1e-2], got {self.fd_step:g}")
 
 
@@ -244,7 +247,8 @@ def cmd_verify(args, cfg: CliConfig) -> int:
     spec = parse_space_string(args.space)
     for family, rank in spec.factors:
         _check_rank_range(family, rank)
-    report = spaces.build_coset_triple(spec, tol=cfg.tolerance, fd_step=cfg.fd_step)
+    fd_step = DEFAULT_FD_STEP if cfg.fd_step is None else cfg.fd_step
+    report = spaces.build_coset_triple(spec, tol=cfg.tolerance, fd_step=fd_step)
     _print_report(report, cfg)
     return _verdict_exit(report)
 
@@ -283,6 +287,13 @@ def _spec_to_string(spec: spaces.SpaceSpec) -> str:
     return head
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def cmd_catalog(args, cfg: CliConfig) -> int:
     family = args.family.upper()
     _check_rank_range(family, args.rank)
@@ -290,9 +301,11 @@ def cmd_catalog(args, cfg: CliConfig) -> int:
     rows = []
     reports = None
     if args.verify:
-        payloads = [(_spec_to_string(sp), cfg.tolerance, None) for sp in specs]
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the Nijenhuis check runs on the group-manifold rows only when --fd-step is given
+        payloads = [(_spec_to_string(sp), cfg.tolerance, cfg.fd_step) for sp in specs]
+        workers = min(cfg.jobs, len(payloads), _usable_cpus())
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_verify_one, payloads))
         else:
             reports = [_verify_one(p) for p in payloads]
@@ -331,11 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "group manifolds and homogeneous spaces, and certify them numerically.")
     p.add_argument("--tol", type=float, default=None,
                    help="residual tolerance (default 1e-9; env HKT_TOL)")
-    p.add_argument("--fd-step", type=float, default=1e-4,
-                   help="finite-difference step for the integrability cross-check")
+    p.add_argument("--fd-step", type=float, default=None,
+                   help="finite-difference step for the Nijenhuis cross-check (verify: "
+                        f"default {DEFAULT_FD_STEP:g}; catalog --verify: off unless given)")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
     p.add_argument("--jobs", default="1",
-                   help="parallel verifications for catalog ('auto' or a number)")
+                   help="parallel verifications for catalog ('auto' or a number; "
+                        "at most one per spec and usable CPU)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("roots", help="print a root system and its diagram surgery")

@@ -302,22 +302,41 @@ def structure_field(rep: AlgebraRep, I, x: Sequence[float]) -> np.ndarray:
     return e @ _matrix_of(I) @ np.linalg.inv(e)
 
 
+#: directions per batched solve in _field_differences; bounds its
+#: (block, D, D) temporaries independently of D
+_FD_BLOCK = 16
+
+
+def _field_differences(f: np.ndarray, I: np.ndarray, steps: Sequence[float]) -> list:
+    """d[m] = (field(h e_m) - field(-h e_m)) / 2h of the coordinate field
+    e I e^-1, one (D, D, D) array per step h in `steps`.
+
+    At x = +-h e_m the vielbein of `vielbein_at` is
+    e = 1 -+ (h/2) F_m - (h^2/6) F_m F_m^T with F_m = f[:, m, :], so the field
+    of a block of directions is one batched product and one batched solve,
+    and every step shares F_m and F_m F_m^T.
+    """
+    D = f.shape[0]
+    eye = np.eye(D)
+    out = [np.empty((D, D, D)) for _ in steps]
+    for lo in range(0, D, _FD_BLOCK):
+        F = f[:, lo:lo + _FD_BLOCK, :].transpose(1, 0, 2)
+        n = F.shape[0]
+        quad = F @ F.transpose(0, 2, 1)
+        for h, d in zip(steps, out):
+            e = np.concatenate((eye - h / 2 * F - h * h / 6 * quad,
+                                eye + h / 2 * F - h * h / 6 * quad))
+            # (e I e^-1)^T = e^-T (e I)^T
+            field = np.linalg.solve(e.transpose(0, 2, 1), (e @ I).transpose(0, 2, 1))
+            d[lo:lo + n] = (field[:n] - field[n:]).transpose(0, 2, 1) / (2 * h)
+    return out
+
+
 def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
     """max |N_MN^K| at the identity from Richardson-extrapolated central
     differences of the coordinate field of I."""
     i0 = _matrix_of(I)
-    D = rep.dim
-
-    def fd(h):
-        d = np.empty((D, D, D))
-        for m in range(D):
-            e = np.zeros(D)
-            e[m] = h
-            d[m] = (structure_field(rep, i0, e) - structure_field(rep, i0, -e)) / (2 * h)
-        return d
-
-    d1 = fd(step)
-    d2 = fd(step / 2)
+    d1, d2 = _field_differences(rep.structure_constants().f, i0, (step, step / 2))
     di = (4.0 * d2 - d1) / 3.0
 
     def nijenhuis(d):

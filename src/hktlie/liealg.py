@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .rootsys import (
     Root,
@@ -415,20 +414,26 @@ def _adapted_csa(rs: RootSystem, levels, raw: _Raw):
 # ---------------------------------------------------------------------------
 # Chevalley root vectors
 
+def _flat_transposes(gens: np.ndarray) -> np.ndarray:
+    """(d^2, n) matrix whose column b is t_b^T flattened, so that
+    X.reshape(-1, d^2) @ _flat_transposes(gens) holds the traces Tr(X t_b)."""
+    n = gens.shape[0]
+    return gens.transpose(0, 2, 1).reshape(n, -1).T
+
+
 def _ad_matrices(csa_mats, noncsa, C):
     gens = np.stack(noncsa)
-    out = []
-    for h in csa_mats:
-        comm = h @ gens - gens @ h
-        out.append(np.einsum("qij,pji->pq", comm, gens) / C)
-    return out
+    m = gens.shape[0]
+    gT = _flat_transposes(gens)
+    # ad[p, q] = Tr([h, t_q] t_p) / C
+    return [((h @ gens - gens @ h).reshape(m, -1) @ gT).T / C for h in csa_mats]
 
 
 def _root_eigenvector(ad_mats, target, noncsa):
     m = ad_mats[0].shape[0]
     rows = [ad - t * np.eye(m) for ad, t in zip(ad_mats, target)]
     stack = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stack)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s[-1] > 1e-8:
         raise ConstructionError(f"no root vector found for eigenvalue {target}")
     if m > 1 and s[-2] < 1e-6:
@@ -550,7 +555,7 @@ def _build_matrix_rep(family, rank, u1_count, rep_kind):
         csa_axes.append(CsaAxis(index=idx, kind="u1", level=-1, node_label="u1",
                                 root=None, functional=np.zeros(W.shape[1])))
 
-    gram = np.einsum("aij,bji->ab", gens, gens)
+    gram = gens.reshape(D, -1) @ _flat_transposes(gens)
     dev = np.abs(gram - C * np.eye(D))
     if dev.max() > 1e-9:
         a, b = np.unravel_index(np.argmax(dev), dev.shape)
@@ -567,14 +572,25 @@ def _build_matrix_rep(family, rank, u1_count, rep_kind):
         root_matrices=root_mats, csa_axes=tuple(csa_axes),
         faithful_simply_connected=raw.faithful)
 
-    f = structure_constants(rep)
-    rep._structure = f
-    comm = np.einsum("aij,bjk->abik", gens, gens)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    closure = np.abs(comm - 1j * np.einsum("abc,cij->abij", f.f, gens)).max()
-    if closure > 1e-9:
-        raise ConstructionError(f"algebra does not close on the basis: residual {closure:.2e}")
+    rep._structure = structure_constants(rep)
+    _check_closure(gens, rep._structure.f)
     return rep
+
+
+def _check_closure(gens: np.ndarray, f: np.ndarray, tol: float = 1e-9) -> float:
+    """max |[t_a, t_b] - i f_abc t_c| over all a, b, one row a at a time.
+
+    Raises ConstructionError above `tol`; the working memory is O(D d^2).
+    """
+    D = gens.shape[0]
+    flat = gens.reshape(D, -1)
+    closure = 0.0
+    for a in range(D):
+        comm = (gens[a] @ gens - gens @ gens[a]).reshape(D, -1)
+        closure = max(closure, float(np.abs(comm - 1j * (f[a] @ flat)).max()))
+    if closure > tol:
+        raise ConstructionError(f"algebra does not close on the basis: residual {closure:.2e}")
+    return closure
 
 
 def build_abelian_rep(u1_count: int) -> AlgebraRep:
@@ -598,16 +614,35 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
 
 
 def structure_constants(rep: AlgebraRep) -> StructureConstants:
-    """f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real and antisymmetric."""
+    """f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real and antisymmetric.
+
+    With T_abc = Tr(t_a t_b t_c), cyclicity gives Tr(t_b t_a t_c) = T_acb, so
+    row a of f is -(i/C)(T_a - T_a^T) and only one (D, D) slice of T, plus
+    the (D, d, d) products t_a t_b, is held at a time.
+    """
     g = rep.generators
-    comm = np.einsum("aij,bjk->abik", g, g)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    f = -1j / rep.norm_const * np.einsum("abij,cji->abc", comm, g)
-    if np.abs(f.imag).max() > 1e-11:
+    D = g.shape[0]
+    gT = _flat_transposes(g)
+    f = np.empty((D, D, D))
+    imag = 0.0
+    for a in range(D):
+        t = (g[a] @ g).reshape(D, -1) @ gT
+        row = -1j / rep.norm_const * (t - t.T)
+        imag = max(imag, float(np.abs(row.imag).max()))
+        f[a] = row.real
+    if imag > 1e-11:
         raise ConstructionError("structure constants are not real")
-    out = StructureConstants(f=np.ascontiguousarray(f.real))
+    out = StructureConstants(f=f)
     out.f.setflags(write=False)
     return out
+
+
+def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(i h) for a Hermitian matrix h, from its eigendecomposition."""
+    if np.abs(h - h.conj().T).max() > 1e-12 * max(np.abs(h).max(), 1.0):
+        raise ValueError("exp_i_hermitian needs a Hermitian matrix")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def chevalley_root_vectors(rep: AlgebraRep, rs: RootSystem | None = None) -> dict:
@@ -656,9 +691,9 @@ def coroot_periodicity_check(rep: AlgebraRep, coroot_element: np.ndarray,
             "for the simply connected group; use the defining (A/C) or spinor (B3) one")
     d = coroot_element.shape[0]
     eye = np.eye(d)
-    at_period = np.abs(scipy.linalg.expm(2j * np.pi * coroot_element) - eye).max()
+    at_period = np.abs(exp_i_hermitian(2 * np.pi * coroot_element) - eye).max()
     nontrivial = all(
-        np.abs(scipy.linalg.expm(1j * phi * coroot_element) - eye).max() > 0.1
+        np.abs(exp_i_hermitian(phi * coroot_element) - eye).max() > 0.1
         for phi in (np.pi, np.pi / 2, 3 * np.pi / 2))
     return PeriodicityResult(period_ok=bool(at_period <= tol),
                              min_nontrivial=bool(nontrivial),

@@ -5,6 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from hktlie.cli import MAX_RANK  # noqa: E402  (needs the path above)
+
 #: every algebra the test suite certifies end to end, with its canonical padding
 CATALOG = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("A", 7),
@@ -12,6 +14,11 @@ CATALOG = [
     ("C", 2), ("C", 3), ("C", 4),
     ("D", 3), ("D", 4), ("D", 5),
 ]
+
+#: every family and rank the command line accepts, from the lowest supported
+#: rank up to its cap
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+CLI_RANGE = [(f, r) for f, cap in MAX_RANK.items() for r in range(_MIN_RANK[f], cap + 1)]
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from hktlie import autom as A
 from hktlie import cstruct as C
 from hktlie import liealg as L
 
-from conftest import CATALOG
+from conftest import CATALOG, CLI_RANGE
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,21 @@ def test_hadamard_series_oracle():
         assert np.abs(series - direct).max() < 1e-12
         coeffs = np.einsum("ij,bji->b", series, rep.generators) / rep.norm_const
         assert np.abs(coeffs.real - auto.matrix[:, a]).max() < 1e-10
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE)
+def test_eigh_exponential_matches_expm_on_basic_roots(family, rank):
+    """The J- and K-kind conjugations, exp(i h) from eigh, against scipy's expm."""
+    rep = L.build_matrix_rep(family, rank)
+    for theta in A.basic_roots(rep).thetas:
+        e = rep.root_vector(theta)
+        for h in (np.pi / 4 * (e + e.conj().T), -1j * np.pi / 4 * (e - e.conj().T)):
+            assert np.abs(L.exp_i_hermitian(h) - scipy.linalg.expm(1j * h)).max() <= 1e-14
+
+
+def test_eigh_exponential_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        L.exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("family,rank", CATALOG)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +176,72 @@ def test_catalog_parallel_jobs(capsys):
     code, out, _ = run(capsys, "--jobs", "2", "catalog", "A", "2", "--verify")
     assert code == 0
     assert all("certified" in l for l in out.splitlines() if l.strip())
+
+
+class StubPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        StubPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_catalog_jobs_clamped_to_specs_and_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(StubPool, "created", [])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    code, _, _ = run(capsys, "--jobs", "100000", "catalog", "A", "3", "--verify")
+    assert code == 0 and StubPool.created == [3]        # 4 specs, 3 usable CPUs
+    code, _, _ = run(capsys, "--jobs", "auto", "catalog", "A", "2", "--verify")
+    assert code == 0 and StubPool.created == [3, 2]     # 2 specs
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    code, _, _ = run(capsys, "--jobs", "100000", "catalog", "A", "2", "--verify")
+    assert code == 0 and StubPool.created == [3, 2]     # one CPU: no pool at all
+
+
+def nijenhuis_by_space(out):
+    return {d["name"]: [r["nijenhuis"] for r in d["residuals"].values()]
+            for d in json.loads(out)}
+
+
+def test_catalog_runs_nijenhuis_only_with_explicit_fd_step(capsys):
+    code, out, _ = run(capsys, "--json", "--fd-step", "1e-3", "catalog", "A", "3", "--verify")
+    assert code == 0
+    rows = nijenhuis_by_space(out)
+    group = rows.pop("SU(4) x U(1)")
+    assert all(v is not None and v <= 1e-5 for v in group)
+    assert rows and all(v is None for vals in rows.values() for v in vals)  # quotients
+
+    code, out, _ = run(capsys, "--json", "catalog", "A", "3", "--verify")
+    assert code == 0
+    assert all(v is None for vals in nijenhuis_by_space(out).values() for v in vals)
+
+
+def test_verify_defaults_fd_step(capsys):
+    _, out, _ = run(capsys, "--json", "verify", "A2")
+    default = [r["nijenhuis"] for r in json.loads(out)["residuals"].values()]
+    _, out, _ = run(capsys, "--json", "--fd-step", "1e-4", "verify", "A2")
+    assert default == [r["nijenhuis"] for r in json.loads(out)["residuals"].values()]
+    assert all(v is not None for v in default)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hktlie.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

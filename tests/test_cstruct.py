@@ -211,6 +211,38 @@ def test_nijenhuis_small_for_canonical_su3():
     assert C.nijenhuis_at_origin(rep, I, step=1e-4) < 1e-6
 
 
+def loop_nijenhuis(rep, I, step):
+    """The per-direction finite differences of structure_field that the
+    batched nijenhuis_at_origin replaced."""
+    D = rep.dim
+
+    def fd(h):
+        d = np.empty((D, D, D))
+        for m in range(D):
+            x = np.zeros(D)
+            x[m] = h
+            d[m] = (C.structure_field(rep, I, x) - C.structure_field(rep, I, -x)) / (2 * h)
+        return d
+
+    di = (4.0 * fd(step / 2) - fd(step)) / 3.0
+    t1 = di - di.transpose(1, 0, 2)
+    return float(np.abs(t1 - np.einsum("mp,nq,pqk->mnk", I, I, t1)).max())
+
+
+# D = 8, 24 and 32: below one block of directions, a partial last block, whole blocks
+@pytest.mark.parametrize("family,rank,u1", [("A", 2, 0), ("B", 3, 3), ("D", 4, 4)])
+def test_batched_nijenhuis_matches_direction_loop(family, rank, u1):
+    rep = L.build_matrix_rep(family, rank, u1)
+    triple = A.build_quaternion_triple(rep)
+    for s in (triple.I, triple.J, triple.K):
+        assert abs(C.nijenhuis_at_origin(rep, s, step=1e-4)
+                   - loop_nijenhuis(rep, s.matrix, 1e-4)) <= 1e-12
+    X = C.random_complex_structure(rep.dim, np.random.default_rng(7))
+    batched = C.nijenhuis_at_origin(rep, X, step=1e-4)
+    assert batched > 1e-5
+    assert abs(batched - loop_nijenhuis(rep, X, 1e-4)) <= 1e-12 * batched
+
+
 def test_nijenhuis_zero_for_abelian():
     rep, I = abelian4()
     assert C.nijenhuis_at_origin(rep, I, step=1e-4) < 1e-14

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hktlie import liealg as L
+from hktlie.spaces import required_padding
 
-from conftest import CATALOG
+from conftest import CATALOG, CLI_RANGE
 
 
 def em(d, i, j):
@@ -33,6 +36,52 @@ def test_jacobi_residual_catalog(family, rank):
     f = L.build_matrix_rep(family, rank).structure_constants()
     assert f.jacobi_residual() < 1e-9
     assert f.antisymmetry_residual() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# row-at-a-time kernels against the dense (D, D, d, d) formulas they replaced
+
+def dense_structure_constants(g, C):
+    comm = np.einsum("aij,bjk->abik", g, g)
+    comm = comm - comm.transpose(1, 0, 2, 3)
+    return -1j / C * np.einsum("abij,cji->abc", comm, g)
+
+
+def dense_closure_residual(g, f):
+    comm = np.einsum("aij,bjk->abik", g, g)
+    comm = comm - comm.transpose(1, 0, 2, 3)
+    return np.abs(comm - 1j * np.einsum("abc,cij->abij", f, g)).max()
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE)
+def test_structure_constants_match_dense_einsum(family, rank):
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
+    dense = dense_structure_constants(rep.generators, rep.norm_const)
+    assert np.abs(dense.imag).max() < 1e-14
+    assert np.abs(rep.structure_constants().f - dense.real).max() <= 1e-14
+
+
+def test_closure_check_matches_dense_and_rejects_perturbed_generator():
+    rep = L.build_matrix_rep("A", 3, 1)
+    g, C = rep.generators, rep.norm_const
+    f = rep.structure_constants().f
+    assert abs(L._check_closure(g, f) - dense_closure_residual(g, f)) <= 1e-14
+
+    # mix the u(1) generator with a Hermitian matrix that couples the su(4)
+    # block to the u(1) slot: still orthonormal, but no longer a subalgebra
+    d = rep.matrix_dim
+    x = np.zeros((d, d), dtype=complex)
+    x[0, d - 1] = x[d - 1, 0] = 1.0
+    eps = 1e-3
+    k = rep.u1_indices[0]
+    bad = g.copy()
+    bad[k] = (g[k] + eps * x) / np.sqrt(1.0 + 2.0 * eps ** 2 / C)
+    gram = np.einsum("aij,bji->ab", bad, bad)
+    assert np.abs(gram - C * np.eye(rep.dim)).max() < 1e-12
+    f_bad = L.structure_constants(dataclasses.replace(rep, generators=bad, _structure=None)).f
+    assert dense_closure_residual(bad, f_bad) > 1e-4
+    with pytest.raises(L.ConstructionError, match="does not close"):
+        L._check_closure(bad, f_bad)
 
 
 def test_su2_generators_and_epsilon():
