@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import cstruct
-from .cstruct import CsaPairing, ComplexStructure, PairingError, canonical_I
-from .liealg import AlgebraRep, DEFAULT_TOL, exp_i_hermitian
+from .cstruct import DEFAULT_TOL, CsaPairing, ComplexStructure, PairingError, canonical_I
+from .liealg import AlgebraRep, exp_i_hermitian
 from .rootsys import (
     ChainNode,
     Root,
@@ -283,6 +283,9 @@ def make_csa_pairing(rep: AlgebraRep, remaining: Sequence[ChainNode] | None = No
 
 @dataclass(eq=False)
 class TripleResult:
+    """I, J, K on the whole algebra; every residual, and `dimension`, refers
+    to the directions outside the quotient."""
+
     I: ComplexStructure
     J: ComplexStructure
     K: ComplexStructure
@@ -290,7 +293,15 @@ class TripleResult:
     quaternion_residual: float
     k_mismatch: float
     reports: dict        # "I"/"J"/"K" -> GeometryResidualReport
-    certified: bool
+    dimension: int
+    invariance_leak: float
+    coset_closure: float
+    failure: tuple | None  # (check, value, bound) of the first failed check
+    message: str
+
+    @property
+    def certified(self) -> bool:
+        return self.failure is None
 
 
 def compose(automorphisms: Sequence[Automorphism], dim: int) -> np.ndarray:
@@ -301,39 +312,70 @@ def compose(automorphisms: Sequence[Automorphism], dim: int) -> np.ndarray:
     return total
 
 
-def build_quaternion_triple(rep: AlgebraRep, chain: BasicRootChain | None = None,
-                            pairing: CsaPairing | None = None,
-                            tol: float = DEFAULT_TOL,
-                            fd_step: float | None = None) -> TripleResult:
+def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
+                            fd_step: float | None = None,
+                            quotient: Sequence[int] = ()) -> TripleResult:
     """I, J = Omega I Omega^T, K = I J, with all residuals evaluated.
 
-    Residuals beyond tolerance yield certified=False, not an exception.
+    `quotient` holds the generator indices of the quotiented subalgebra (none
+    for a group manifold); chain nodes whose coroot axis it holds drop out of
+    Omega.  Residuals beyond tolerance yield certified=False, not an exception.
     """
-    chain = chain or basic_roots(rep)
-    pairing = pairing or make_csa_pairing(rep)
-    f = rep.structure_constants()
+    removed = set(quotient)
+    nodes = [n for n in basic_roots(rep).nodes if rep.coroot_axis_index(n.theta) not in removed]
+    pairing = make_csa_pairing(rep, remaining=nodes, removed_axes=sorted(removed))
+    f = rep.structure_constants().f
 
-    I = canonical_I(rep, pairing)
-    autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in chain.nodes)
+    I = canonical_I(rep, pairing, partial=bool(removed))
+    autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in nodes)
     omega = compose(autos, rep.dim)
     Jm = omega @ I.matrix @ omega.T
     Km = I.matrix @ Jm
 
-    autos_k = tuple(automorphism_from_root(rep, n.theta, "K", n.level) for n in chain.nodes)
+    autos_k = tuple(automorphism_from_root(rep, n.theta, "K", n.level) for n in nodes)
     omega_k = compose(autos_k, rep.dim)
     k_mismatch = float(np.abs(Km - omega_k @ I.matrix @ omega_k.T).max())
 
     J = ComplexStructure(Jm, I.blocks).tagged()
     K = ComplexStructure(Km, I.blocks).tagged()
+    structures = {"I": I.matrix, "J": Jm, "K": Km}
 
-    quat = cstruct.quaternion_residual(I, J, K)
-    reports = {name: cstruct.geometry_report(rep, s, tol=tol, fd_step=fd_step)
-               for name, s in (("I", I), ("J", J), ("K", K))}
-    certified = quat <= tol and all(
-        r.integrability <= tol and r.square <= tol and r.bismut <= 1e-12
-        and r.torsion_match <= 10 * tol
-        and (r.nijenhuis is None or r.nijenhuis <= 1e-5)
-        for r in reports.values())
+    leak = closure = 0.0
+    leak_note = ""
+    if removed:
+        qidx = sorted(removed)
+        tangent = sorted(set(range(rep.dim)) - removed)
+        for name, m in structures.items():
+            sub = np.abs(m[np.ix_(qidx, tangent)])
+            if sub.max() > leak:
+                leak = float(sub.max())
+                qi, ti = np.unravel_index(np.argmax(sub), sub.shape)
+                blk = next((b.description for b in I.blocks if tangent[ti] in b.indices),
+                           f"index {tangent[ti]}")
+                leak_note = f"{name} leaks out of {blk} into quotient index {qidx[qi]}"
+            leak = max(leak, float(np.abs(m[np.ix_(tangent, qidx)]).max()))
+        closure = float(np.abs(f[np.ix_(tangent, tangent, qidx)]).max())
+        f = f[np.ix_(tangent, tangent, tangent)]
+        restricted = {k: m[np.ix_(tangent, tangent)] for k, m in structures.items()}
+    else:
+        restricted = structures
+
+    quat = cstruct.quaternion_residual(*restricted.values())
+    reports = {}
+    for name, m in restricted.items():
+        nij = (cstruct.nijenhuis_at_origin(rep, structures[name], fd_step)
+               if fd_step and not removed else None)
+        reports[name] = cstruct.geometry_report(m, f, tol, nijenhuis=nij)
+
+    failure = cstruct.first_failure(
+        [("quaternion", quat), ("invariance_leak", leak)]
+        + [(f"{name}.{check}", value) for name, r in reports.items()
+           for check, value in r.to_json_dict().items()], tol)
+    message = "{} {:.2g} above {:g}".format(*failure) if failure else ""
+    if leak > cstruct.BOUNDS["invariance_leak"](tol):   # then failure is set too
+        message += "; " + leak_note
     return TripleResult(I=I, J=J, K=K, automorphisms=autos,
                         quaternion_residual=quat, k_mismatch=k_mismatch,
-                        reports=reports, certified=certified)
+                        reports=reports, dimension=rep.dim - len(removed),
+                        invariance_leak=leak, coset_closure=closure,
+                        failure=failure, message=message)

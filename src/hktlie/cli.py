@@ -7,7 +7,8 @@ Space grammar: FACTORS ["/" QUOTIENT] where FACTORS is a list of
 family-rank tokens and u(1) factors joined by "x" (e.g. "A2", "A3xU1^1",
 "B3xU1^2"), and QUOTIENT is a comma-separated list of centralizer-summand
 labels plus an optional "u1" marker for the Abelian part (e.g.
-"B3xU1^2/A1:gamma", "A3xU1^1/A1:beta,u1").
+"B3xU1^2/A1:gamma", "A3xU1^1/A1:beta,u1").  Without summands, "u1" is the
+Abelian part at level 1 and "u1@L" the one at level L (e.g. "A5xU1^1/u1@2").
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import spaces
+from .cstruct import DEFAULT_TOL
 from .rootsys import (
     UnsupportedAlgebraError,
     basic_root_chain,
     build_root_system,
+    chain_nodes,
     extended_dynkin_surgery,
 )
 
@@ -45,7 +48,7 @@ class SpecParseError(ValueError):
 
 @dataclass
 class CliConfig:
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOL
     fd_step: float | None = None      # None: verify uses DEFAULT_FD_STEP, catalog skips
     output_format: str = "text"
     jobs: int = 1
@@ -90,6 +93,7 @@ def canonical_json(obj) -> str:
 
 _FACTOR_RE = re.compile(r"^([A-Da-d])(\d+)$")
 _U1_RE = re.compile(r"^[Uu]1(?:\^(\d+))?$")
+_ABELIAN_AT_RE = re.compile(r"^[Uu]1@(\d+)$")
 
 
 def parse_space_string(text: str) -> spaces.SpaceSpec:
@@ -130,35 +134,35 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
         except UnsupportedAlgebraError as exc:
             raise SpecParseError(str(exc))
         include_abelian = False
-        refs = []
+        lvls = set()
+        labels = []
         for item in quot.split(","):
             item = item.strip()
             if not item:
                 raise SpecParseError("empty quotient item")
-            if _U1_RE.match(item):
+            at = _ABELIAN_AT_RE.match(item)
+            if at or _U1_RE.match(item):
                 include_abelian = True
-            else:
-                refs.append(item)
-        resolved = []
-        for ref in refs:
-            hits = [(lv, node.label) for lv in range(1, len(levels))
-                    for node in levels[lv]
-                    if node.label == ref or node.label.split(":")[0] == ref]
+                if at:
+                    lvls.add(int(at.group(1)))
+                continue
+            hits = spaces.match_summands(chain_nodes(levels[1:]), item)
             if not hits:
-                known = [n.label for lv in levels[1:] for n in lv]
-                raise SpecParseError(f"unknown summand {ref!r}; available: {known}")
+                known = [n.label for n in chain_nodes(levels[1:])]
+                raise SpecParseError(f"unknown summand {item!r}; available: {known}")
             if len(hits) > 1:
                 raise SpecParseError(
-                    f"summand {ref!r} is ambiguous; use one of "
-                    f"{[lbl for _, lbl in hits]}")
-            resolved.append(hits[0])
-        lvls = {lv for lv, _ in resolved} or {1}
-        if len(lvls) > 1:
-            raise SpecParseError("all quotient summands must sit at the same level")
-        level = lvls.pop()
+                    f"summand {item!r} is ambiguous; use one of {[n.label for n in hits]}")
+            lvls.add(hits[0].level)
+            labels.append(hits[0].label)
+        level = lvls.pop() if lvls else 1
+        if lvls:
+            raise SpecParseError("all quotient items must sit at the same level")
+        if not 1 <= level <= len(levels):
+            raise SpecParseError(f"no centralizer at level {level}; {family}{rank} has "
+                                 f"levels 1 to {len(levels)}")
         selections = (spaces.LevelSelection(
-            level=level, summands=tuple(lbl for _, lbl in resolved),
-            include_abelian=include_abelian),)
+            level=level, summands=tuple(labels), include_abelian=include_abelian),)
     return spaces.SpaceSpec(tuple(factors), u1, selections)
 
 
@@ -213,6 +217,11 @@ def _verdict_exit(report: spaces.VerificationReport) -> int:
             "not-admissible": EXIT_NOT_ADMISSIBLE}[report.verdict]
 
 
+def _verdict_text(verdict: str, message: str) -> str:
+    """A failed verdict with the check that failed it."""
+    return f"{verdict} ({message})" if verdict == "failed" and message else verdict
+
+
 def _print_report(report: spaces.VerificationReport, cfg: CliConfig) -> None:
     if cfg.output_format == "json":
         print(canonical_json(report.to_json_dict()))
@@ -240,7 +249,7 @@ def _print_report(report: spaces.VerificationReport, cfg: CliConfig) -> None:
     print(f"K-route mismatch: {report.k_mismatch:.3e}")
     print(f"subspace leak: {report.invariance_leak:.3e}")
     print(f"coset closure (reported): {report.coset_closure:.3e}")
-    print(f"verdict: {report.verdict}")
+    print(f"verdict: {_verdict_text(report.verdict, report.message)}")
 
 
 def cmd_verify(args, cfg: CliConfig) -> int:
@@ -270,10 +279,8 @@ def cmd_classify(args, cfg: CliConfig) -> int:
 
 
 def _verify_one(payload):
-    text, tol, fd_step = payload
-    spec = parse_space_string(text)
-    report = spaces.build_coset_triple(spec, tol=tol, fd_step=fd_step)
-    return report
+    spec, tol, fd_step = payload
+    return spaces.build_coset_triple(spec, tol=tol, fd_step=fd_step)
 
 
 def _spec_to_string(spec: spaces.SpaceSpec) -> str:
@@ -282,7 +289,8 @@ def _spec_to_string(spec: spaces.SpaceSpec) -> str:
         head += f"xU1^{spec.u1_count}"
     if spec.selections:
         sel = spec.selections[0]
-        items = list(sel.summands) + (["u1"] if sel.include_abelian else [])
+        abelian = "u1" if sel.summands or sel.level == 1 else f"u1@{sel.level}"
+        items = list(sel.summands) + ([abelian] if sel.include_abelian else [])
         head += "/" + ",".join(items)
     return head
 
@@ -302,7 +310,7 @@ def cmd_catalog(args, cfg: CliConfig) -> int:
     reports = None
     if args.verify:
         # the Nijenhuis check runs on the group-manifold rows only when --fd-step is given
-        payloads = [(_spec_to_string(sp), cfg.tolerance, cfg.fd_step) for sp in specs]
+        payloads = [(sp, cfg.tolerance, cfg.fd_step) for sp in specs]
         workers = min(cfg.jobs, len(payloads), _usable_cpus())
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -313,7 +321,8 @@ def cmd_catalog(args, cfg: CliConfig) -> int:
             worst = max((r.worst() for r in rep.residuals.values()), default=float("inf"))
             rows.append({"space": rep.name, "string": _spec_to_string(sp),
                          "dimension": rep.dimension, "padding": sp.u1_count,
-                         "verdict": rep.verdict, "max_residual": worst})
+                         "verdict": _verdict_text(rep.verdict, rep.message),
+                         "max_residual": worst})
     else:
         for sp in specs:
             rows.append({"space": sp.name, "string": _spec_to_string(sp),
@@ -330,7 +339,7 @@ def cmd_catalog(args, cfg: CliConfig) -> int:
                 line += f" dim={row['dimension']:<3} {row['verdict']}"
                 line += f" (max residual {row['max_residual']:.2e})"
             print(line)
-    if args.verify and any(r["verdict"] != "certified" for r in rows):
+    if args.verify and any(r.verdict != "certified" for r in reports):
         return EXIT_FAILED
     return EXIT_OK
 
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct quaternion triples of complex structures on compact "
                     "group manifolds and homogeneous spaces, and certify them numerically.")
     p.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance (default 1e-9; env HKT_TOL)")
+                   help=f"residual tolerance (default {DEFAULT_TOL:g}; env HKT_TOL)")
     p.add_argument("--fd-step", type=float, default=None,
                    help="finite-difference step for the Nijenhuis cross-check (verify: "
                         f"default {DEFAULT_FD_STEP:g}; catalog --verify: off unless given)")
@@ -381,7 +390,7 @@ def main(argv=None) -> int:
     try:
         tol = args.tol
         if tol is None:
-            tol = float(os.environ.get("HKT_TOL", "1e-9"))
+            tol = float(os.environ.get("HKT_TOL", DEFAULT_TOL))
         jobs = os.cpu_count() if args.jobs == "auto" else int(args.jobs)
         cfg = CliConfig(tolerance=tol, fd_step=args.fd_step,
                         output_format="json" if args.json else "text",

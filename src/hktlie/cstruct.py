@@ -26,6 +26,18 @@ from .rootsys import chain_nodes
 
 DEFAULT_TOL = 1e-9
 
+#: every check of a verdict and its bound as a function of the tolerance, in
+#: the order in which the verdict names the first failure
+BOUNDS = {
+    "quaternion": lambda tol: tol,
+    "invariance_leak": lambda tol: 1e-12,
+    "integrability": lambda tol: tol,
+    "square": lambda tol: tol,
+    "bismut": lambda tol: 1e-12,
+    "torsion_match": lambda tol: 10 * tol,
+    "nijenhuis": lambda tol: 1e-5,
+}
+
 #: 4x4 blocks in the basis (t_A, t_A*, t_B, t_B*) or (t_A, t_A*, t_k, e_k)
 SCRIPT_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
 SCRIPT_J = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
@@ -412,17 +424,26 @@ class GeometryResidualReport:
         return max(vals)
 
 
-def geometry_report(rep: AlgebraRep, I, tol: float = DEFAULT_TOL,
-                    fd_step: float | None = None,
-                    torsion: bool = True) -> GeometryResidualReport:
-    """All residual checks for one structure on a group manifold."""
-    f = rep.structure_constants()
+def geometry_report(I, f, tol: float = DEFAULT_TOL,
+                    nijenhuis: float | None = None) -> GeometryResidualReport:
+    """All residual checks for one structure against the structure constants
+    f; the Nijenhuis value is measured on the whole algebra and passed in."""
     i = _matrix_of(I)
     integ = integrability_residual(i, f)
     sq = float(np.abs(i @ i + np.eye(i.shape[0])).max())
     bis = bismut_residual(i, f)
-    tors = torsion_match_residual(i, f, tol) if (torsion and integ <= tol) else float("inf")
-    nij = nijenhuis_at_origin(rep, i, fd_step) if fd_step else None
+    tors = torsion_match_residual(i, f, tol) if integ <= tol else float("inf")
     return GeometryResidualReport(
         integrability=float(integ), square=sq, bismut=bis,
-        torsion_match=float(tors), nijenhuis=nij)
+        torsion_match=float(tors), nijenhuis=nijenhuis)
+
+
+def first_failure(values: Iterable, tol: float) -> tuple | None:
+    """The first (check, value, bound) of the (check, value) pairs whose value
+    exceeds its bound, or None.  A check is a BOUNDS key, optionally prefixed
+    with a structure ("J.square"); a value of None is a check not run."""
+    for check, value in values:
+        bound = BOUNDS[check.rpartition(".")[2]](tol)
+        if value is not None and not value <= bound:
+            return check, value, bound
+    return None

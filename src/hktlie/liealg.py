@@ -31,8 +31,6 @@ from .rootsys import (
     coroot,
 )
 
-DEFAULT_TOL = 1e-9
-
 #: trace normalization Tr(t_A t_B) = C per family (defining/vector reps)
 NORM_CONST = {"A": 0.5, "B": 2.0, "C": 2.0, "D": 2.0}
 

@@ -14,10 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autom, cstruct
-from .cstruct import PairingError
+from .cstruct import DEFAULT_TOL, PairingError
 from .liealg import build_matrix_rep
 from .rootsys import (
     ChainNode,
@@ -27,9 +25,6 @@ from .rootsys import (
     build_root_system,
     chain_nodes,
 )
-
-DEFAULT_TOL = 1e-9
-LEAK_TOL = 1e-12
 
 GROUP_NAMES = {"A": lambda r: f"SU({r + 1})", "B": lambda r: f"Spin({2 * r + 1})",
                "C": lambda r: f"Sp({r})", "D": lambda r: f"Spin({2 * r})"}
@@ -232,22 +227,26 @@ class VerificationReport:
         }
 
 
+def match_summands(nodes, label: str) -> list:
+    """The chain nodes named `label`, by full label ("A1:gamma") or by shape
+    alone ("A1"); a shape alone may match several nodes."""
+    return [n for n in nodes if n.label == label or n.label.split(":")[0] == label]
+
+
 def _resolve_selections(levels, selections):
     """Map label selections to chain nodes; returns (removed tops, abelian levels)."""
-    nodes_by_level = {k: list(lv) for k, lv in enumerate(levels)}
     tops = []
     abelian_levels = []
     for sel in selections:
         if sel.level < 1 or sel.level >= len(levels) + 1:
             raise ValueError(f"no centralizer at level {sel.level}")
+        nodes = levels[sel.level] if sel.level < len(levels) else ()
         for label in sel.summands:
-            candidates = [n for n in nodes_by_level.get(sel.level, [])
-                          if n.label == label or n.label.split(":")[0] == label]
+            candidates = match_summands(nodes, label)
             if len(candidates) != 1:
-                names = [n.label for n in nodes_by_level.get(sel.level, [])]
                 raise ValueError(
                     f"summand {label!r} at level {sel.level} is "
-                    f"{'ambiguous' if candidates else 'unknown'}; have {names}")
+                    f"{'ambiguous' if candidates else 'unknown'}; have {[n.label for n in nodes]}")
             tops.append(candidates[0])
         if sel.include_abelian:
             abelian_levels.append(sel.level - 1)
@@ -261,92 +260,38 @@ def _resolve_selections(levels, selections):
 
 
 def _verify_factor(family, rank, padding, selections, tol, fd_step):
-    """Build, quotient, restrict and measure one simple factor."""
+    """Resolve the quotient of one simple factor into generator indices and
+    certify it; returns the basic roots used and the TripleResult."""
     rep = build_matrix_rep(family, rank, padding)
-    levels = rep.chain_levels
-    chain = autom.basic_roots(rep)
-    tops, abelian_levels = _resolve_selections(levels, selections)
-
+    tops, abelian_levels = _resolve_selections(rep.chain_levels, selections)
     removed_nodes = [n for t in tops for n in _subtree(t)]
-    removed_set = {id(n) for n in removed_nodes}
-    remaining = [n for n in chain.nodes if id(n) not in removed_set]
 
-    quotient_idx = set()
+    quotient = set()
     for top in tops:
         for root in top.subsystem.positive_roots:
             ent = rep.root_entry(root)
-            quotient_idx.update((ent.re_index, ent.im_index))
+            quotient.update((ent.re_index, ent.im_index))
     for ax in rep.csa_axes:
         if ax.kind == "coroot" and any(ax.root.coords == n.theta.coords for n in removed_nodes):
-            quotient_idx.add(ax.index)
+            quotient.add(ax.index)
         if ax.kind == "abelian" and (
                 any(ax.node_label == n.label and ax.level == n.level for n in removed_nodes)
                 or ax.level in abelian_levels):
-            quotient_idx.add(ax.index)
+            quotient.add(ax.index)
 
-    pairing = autom.make_csa_pairing(rep, remaining=remaining, removed_axes=sorted(quotient_idx))
-    I = cstruct.canonical_I(rep, pairing, partial=bool(quotient_idx))
+    result = autom.build_quaternion_triple(rep, tol, fd_step, quotient=sorted(quotient))
+    labels = {n.theta.coords: n.label for n in chain_nodes(rep.chain_levels)}
+    basic = tuple((labels[a.root.coords], tuple(str(c) for c in a.root.coords), a.level)
+                  for a in result.automorphisms)
+    return basic, result
 
-    autos = tuple(autom.automorphism_from_root(rep, n.theta, "J", n.level) for n in remaining)
-    omega = autom.compose(autos, rep.dim)
-    Jm = omega @ I.matrix @ omega.T
-    Km = I.matrix @ Jm
-    autos_k = tuple(autom.automorphism_from_root(rep, n.theta, "K", n.level) for n in remaining)
-    omega_k = autom.compose(autos_k, rep.dim)
-    k_mismatch = float(np.abs(Km - omega_k @ I.matrix @ omega_k.T).max())
 
-    tangent = sorted(set(range(rep.dim)) - quotient_idx)
-    qidx = sorted(quotient_idx)
-    f = rep.structure_constants().f
-
-    leak = 0.0
-    leak_note = ""
-    structures = {"I": I.matrix, "J": Jm, "K": Km}
-    if qidx:
-        for name, m in structures.items():
-            sub = np.abs(m[np.ix_(qidx, tangent)])
-            if sub.size and sub.max() > leak:
-                leak = float(sub.max())
-                qi, ti = np.unravel_index(np.argmax(sub), sub.shape)
-                blk = next((b.description for b in I.blocks if tangent[ti] in b.indices),
-                           f"index {tangent[ti]}")
-                leak_note = f"{name} leaks out of {blk} into quotient index {qidx[qi]}"
-            leak = max(leak, float(np.abs(m[np.ix_(tangent, qidx)]).max()))
-        closure = float(np.abs(f[np.ix_(tangent, tangent, qidx)]).max())
-    else:
-        closure = 0.0
-
-    ft = f[np.ix_(tangent, tangent, tangent)]
-    restricted = {k: m[np.ix_(tangent, tangent)] for k, m in structures.items()}
-    quat = cstruct.quaternion_residual(*restricted.values())
-
-    reports = {}
-    for name, m in restricted.items():
-        integ = cstruct.integrability_residual(m, ft)
-        sq = float(np.abs(m @ m + np.eye(len(tangent))).max())
-        bis = cstruct.bismut_residual(m, ft)
-        tors = (cstruct.torsion_match_residual(m, ft, tol)
-                if integ <= tol else float("inf"))
-        nij = (cstruct.nijenhuis_at_origin(rep, structures[name], fd_step)
-               if fd_step and not qidx else None)
-        reports[name] = cstruct.GeometryResidualReport(
-            integrability=float(integ), square=sq, bismut=bis,
-            torsion_match=float(tors), nijenhuis=nij)
-
-    blocks = {name: cstruct.classify_blocks(m, I.blocks) for name, m in structures.items()}
-    ok = (quat <= tol and leak <= LEAK_TOL and all(
-        r.integrability <= tol and r.square <= tol and r.bismut <= 1e-12
-        and r.torsion_match <= 10 * tol
-        and (r.nijenhuis is None or r.nijenhuis <= 1e-5)
-        for r in reports.values()))
-
-    dim = len(tangent)
-    basic = tuple((n.label, tuple(str(c) for c in n.theta.coords), n.level)
-                  for n in remaining)
-    autos_out = tuple((tuple(str(c) for c in a.root.coords), a.kind, a.level)
-                      for a in autos)
-    note = leak_note if leak > LEAK_TOL else ""
-    return dim, basic, autos_out, reports, quat, k_mismatch, leak, closure, ok, note
+def _worst_report(reports):
+    """Field-wise maximum of per-factor reports; a check no factor ran stays None."""
+    rows = [r.to_json_dict() for r in reports]
+    return cstruct.GeometryResidualReport(**{
+        key: max((row[key] for row in rows if row[key] is not None), default=None)
+        for key in rows[0]})
 
 
 def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
@@ -373,53 +318,29 @@ def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
                 f"{spec.name}: requires {max(needed, 0)} u(1) factor(s), got {spec.u1_count}",
                 needed)
         if spec.selections:
-            family, rank = spec.factors[0]
-            per_factor = [(family, rank, spec.u1_count, spec.selections)]
+            per_factor = [(*spec.factors[0], spec.u1_count, spec.selections)]
         else:
-            needs = [required_padding([f]) for f in spec.factors]
-            per_factor = [(f, r, n, ()) for (f, r), n in zip(spec.factors, needs)]
-
-        dims, basics, autos, quats, kmis, leaks, closures, oks = 0, [], [], [], [], [], [], []
-        residuals = {}
-        notes = []
-        for family, rank, padding, sels in per_factor:
-            (dim, basic, auto, reports, quat, km, leak, closure, ok, note) = _verify_factor(
-                family, rank, padding, sels, tol, fd_step)
-            dims += dim
-            basics += list(basic)
-            autos += list(auto)
-            quats.append(quat)
-            kmis.append(km)
-            leaks.append(leak)
-            closures.append(closure)
-            oks.append(ok)
-            if note:
-                notes.append(note)
-            for key, rep_ in reports.items():
-                if key in residuals:
-                    residuals[key] = cstruct.GeometryResidualReport(
-                        integrability=max(residuals[key].integrability, rep_.integrability),
-                        square=max(residuals[key].square, rep_.square),
-                        bismut=max(residuals[key].bismut, rep_.bismut),
-                        torsion_match=max(residuals[key].torsion_match, rep_.torsion_match),
-                        nijenhuis=rep_.nijenhuis if residuals[key].nijenhuis is None
-                        else max(residuals[key].nijenhuis, rep_.nijenhuis or 0.0))
-                else:
-                    residuals[key] = rep_
+            per_factor = [(f, r, required_padding([(f, r)]), ()) for f, r in spec.factors]
+        basics, results = [], []
+        for factor in per_factor:
+            basic, result = _verify_factor(*factor, tol, fd_step)
+            basics += basic
+            results.append(result)
     except PairingError as exc:
         return report_failure("not-admissible", f"{spec.name}: {exc}",
                               spec_required_padding(spec))
 
     return VerificationReport(
-        spec=spec, name=spec.name, dimension=dims,
+        spec=spec, name=spec.name, dimension=sum(r.dimension for r in results),
         padding_required=needed,
-        basic_roots_used=tuple(basics), automorphisms=tuple(autos),
-        residuals=residuals, quaternion=max(quats), k_mismatch=max(kmis),
-        invariance_leak=max(leaks), coset_closure=max(closures),
-        verdict="certified" if all(oks) else "failed", tolerance=tol,
-        message="; ".join(notes))
-
-
-def verify_spec(spec: SpaceSpec, tol: float = DEFAULT_TOL,
-                fd_step: float | None = None) -> VerificationReport:
-    return build_coset_triple(spec, tol=tol, fd_step=fd_step)
+        basic_roots_used=tuple(basics),
+        automorphisms=tuple((tuple(str(c) for c in a.root.coords), a.kind, a.level)
+                            for r in results for a in r.automorphisms),
+        residuals={key: _worst_report([r.reports[key] for r in results])
+                   for key in results[0].reports},
+        quaternion=max(r.quaternion_residual for r in results),
+        k_mismatch=max(r.k_mismatch for r in results),
+        invariance_leak=max(r.invariance_leak for r in results),
+        coset_closure=max(r.coset_closure for r in results),
+        verdict="certified" if all(r.certified for r in results) else "failed",
+        tolerance=tol, message="; ".join(r.message for r in results if r.message))

@@ -239,6 +239,15 @@ def test_double_rotation_keeps_complex_structure():
     assert C.integrability_residual(m, rep.structure_constants()) < 1e-9
 
 
+def test_failure_names_first_failed_check():
+    rep = L.build_matrix_rep("A", 2)
+    res = A.build_quaternion_triple(rep, tol=1e-18)
+    assert not res.certified
+    assert res.failure == ("quaternion", res.quaternion_residual, 1e-18)
+    assert res.message == "quaternion 2.3e-15 above 1e-18"
+    assert A.build_quaternion_triple(rep).failure is None
+
+
 def test_k_mismatch_recorded_not_asserted():
     rep = L.build_matrix_rep("B", 3, 3)
     res = A.build_quaternion_triple(rep)

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from hktlie import cli
+from hktlie import cli, spaces
+
+from conftest import CLI_RANGE
 
 
 def run(capsys, *argv):
@@ -264,6 +266,40 @@ def test_parse_space_strings():
     assert spec.selections[0].summands == ()
 
 
+def test_enumerated_specs_round_trip_through_strings():
+    for factor in CLI_RANGE:
+        for spec in spaces.enumerate_quotients(factor):
+            text = cli._spec_to_string(spec)
+            assert cli.parse_space_string(text) == spec, text
+
+
+def test_abelian_quotients_above_level_one_certify():
+    """The specs whose string once lost the level of their Abelian part."""
+    deep = {}
+    for factor in CLI_RANGE:
+        for spec in spaces.enumerate_quotients(factor):
+            sel = spec.selections[0] if spec.selections else None
+            if sel and sel.include_abelian and not sel.summands and sel.level > 1:
+                deep.setdefault(factor, []).append(cli._spec_to_string(spec))
+    assert {f"{f}{r}": len(v) for (f, r), v in deep.items()} == {
+        "A4": 1, "A5": 1, "A6": 2, "A7": 2, "A8": 3, "D5": 1}
+    assert deep[("A", 8)] == ["A8xU1^1/u1@2", "A8xU1^1/u1@3", "A8xU1^1/u1@4"]
+    for texts in deep.values():
+        for text in texts:
+            report = spaces.build_coset_triple(cli.parse_space_string(text))
+            assert report.verdict == "certified", (text, report.message)
+
+
+def test_abelian_level_token():
+    spec = cli.parse_space_string("A5xU1^1/u1@2")
+    assert spec.selections == (spaces.LevelSelection(2, (), True),)
+    assert cli.parse_space_string("A3xU1^1/A1:beta,u1@1") == cli.parse_space_string(
+        "A3xU1^1/A1:beta,u1")
+    for bad in ("A5xU1^1/u1@0", "A5xU1^1/u1@9", "A3xU1^1/A1:beta,u1@2"):
+        with pytest.raises(cli.SpecParseError):
+            cli.parse_space_string(bad)
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "X9", "A2/u1/u1", "A2x", "B3/A1:alpha,A4"):
         with pytest.raises(cli.SpecParseError):
@@ -295,4 +331,7 @@ def test_verify_residual_failure_exit_code(capsys):
     # machine-precision residuals cannot beat a 1e-18 tolerance
     code, out, _ = run(capsys, "--tol", "1e-18", "verify", "A2")
     assert code == 1
-    assert "verdict: failed" in out
+    assert "verdict: failed (quaternion 2.3e-15 above 1e-18)" in out
+    code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A2")
+    assert code == 1
+    assert json.loads(out)["message"] == "quaternion 2.3e-15 above 1e-18"

@@ -338,3 +338,16 @@ def test_spin7_quartet_decompositions_of_theta():
         frozenset(((1, 0, 1), (0, 1, -1))),   # (a+b+2c) + b
     }
     assert got == want
+
+
+def test_bounds_table_and_first_failure():
+    tol = 1e-9
+    assert {k: b(tol) for k, b in C.BOUNDS.items()} == {
+        "quaternion": tol, "invariance_leak": 1e-12, "integrability": tol,
+        "square": tol, "bismut": 1e-12, "torsion_match": 10 * tol, "nijenhuis": 1e-5}
+    values = [("quaternion", 1e-15), ("invariance_leak", 0.0), ("J.nijenhuis", None),
+              ("J.bismut", 2e-12), ("K.square", 1.0)]
+    assert C.first_failure(values, tol) == ("J.bismut", 2e-12, 1e-12)
+    assert C.first_failure(values[:3], tol) is None
+    check, value, bound = C.first_failure([("I.torsion_match", float("nan"))], tol)
+    assert check == "I.torsion_match" and value != value and bound == 10 * tol

@@ -157,16 +157,25 @@ def test_spin7_mod_su2alpha_converts_theta_and_gamma():
 
 
 def test_empty_quotient_matches_group_verification():
-    spec = Spec((("A", 2),), 0)
-    report = S.build_coset_triple(spec)
-    rep = L.build_matrix_rep("A", 2)
-    direct = A.build_quaternion_triple(rep)
-    assert report.verdict == "certified" and direct.certified
-    assert report.quaternion == direct.quaternion_residual
-    for key in ("I", "J", "K"):
-        assert report.residuals[key].integrability == direct.reports[key].integrability
-        assert report.residuals[key].torsion_match == direct.reports[key].torsion_match
-    assert report.coset_closure == 0.0
+    """The coset path with no quotient reproduces the group-manifold triple
+    field by field, on multi-level chains and with the Nijenhuis check."""
+    for family, rank, fd_step in (("A", 2, None), ("B", 3, None), ("D", 4, None),
+                                  ("B", 3, 1e-3)):
+        padding = S.required_padding([(family, rank)])
+        report = S.build_coset_triple(Spec(((family, rank),), padding), fd_step=fd_step)
+        direct = A.build_quaternion_triple(L.build_matrix_rep(family, rank, padding),
+                                           fd_step=fd_step)
+        assert report.verdict == "certified" and direct.certified
+        assert report.quaternion == direct.quaternion_residual
+        assert report.k_mismatch == direct.k_mismatch
+        assert report.dimension == direct.dimension == L.build_matrix_rep(
+            family, rank, padding).dim
+        for key in ("I", "J", "K"):
+            assert report.residuals[key].to_json_dict() == direct.reports[key].to_json_dict()
+            assert (report.residuals[key].nijenhuis is None) == (fd_step is None)
+        assert report.coset_closure == direct.coset_closure == 0.0
+        assert report.invariance_leak == direct.invariance_leak == 0.0
+        assert report.message == direct.message == ""
 
 
 def test_not_admissible_reports_required_padding():
