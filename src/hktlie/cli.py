@@ -93,7 +93,8 @@ def canonical_json(obj) -> str:
 
 _FACTOR_RE = re.compile(r"^([A-Da-d])(\d+)$")
 _U1_RE = re.compile(r"^[Uu]1(?:\^(\d+))?$")
-_ABELIAN_AT_RE = re.compile(r"^[Uu]1@(\d+)$")
+#: the Abelian item of a quotient: "u1" (level 1 or the summands' level) or "u1@L"
+_ABELIAN_RE = re.compile(r"^[Uu]1(?:@(\d+))?$")
 
 
 def parse_space_string(text: str) -> spaces.SpaceSpec:
@@ -140,16 +141,17 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
             item = item.strip()
             if not item:
                 raise SpecParseError("empty quotient item")
-            at = _ABELIAN_AT_RE.match(item)
-            if at or _U1_RE.match(item):
+            ab = _ABELIAN_RE.match(item)
+            if ab:
                 include_abelian = True
-                if at:
-                    lvls.add(int(at.group(1)))
+                if ab.group(1):
+                    lvls.add(int(ab.group(1)))
                 continue
             hits = spaces.match_summands(chain_nodes(levels[1:]), item)
             if not hits:
                 known = [n.label for n in chain_nodes(levels[1:])]
-                raise SpecParseError(f"unknown summand {item!r}; available: {known}")
+                raise SpecParseError(f"unknown summand {item!r}; available: {known}, "
+                                     "or u1 / u1@L for the Abelian part")
             if len(hits) > 1:
                 raise SpecParseError(
                     f"summand {item!r} is ambiguous; use one of {[n.label for n in hits]}")
@@ -305,6 +307,8 @@ def _usable_cpus() -> int:
 def cmd_catalog(args, cfg: CliConfig) -> int:
     family = args.family.upper()
     _check_rank_range(family, args.rank)
+    if args.max_level < 0:
+        raise SpecParseError(f"max_level must be non-negative, got {args.max_level}")
     specs = spaces.enumerate_quotients((family, args.rank), max_level=args.max_level)
     rows = []
     reports = None

@@ -298,14 +298,15 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     if resid > tol:
         raise IntegrabilityError(
             f"torsion formula needs an integrable structure; integrability residual {resid:.3e}")
+    return _hull_torsion(i, ff)
+
+
+def _hull_torsion(i: np.ndarray, ff: np.ndarray) -> np.ndarray:
+    """The formula of `torsion_via_hull`, for a structure already known integrable."""
     di = _di_from_field(i, ff)
     g = (di.transpose(0, 1, 2) + di.transpose(1, 2, 0) + di.transpose(2, 0, 1))
     # indices: g[Q, S, R]; contract with I three times
     return np.einsum("mq,ns,pr,qsr->mnp", i, i, i, g, optimize=True)
-
-
-def torsion_match_residual(I, f, tol: float = DEFAULT_TOL) -> float:
-    return float(np.abs(torsion_via_hull(I, f, tol) - _f_of(f)).max())
 
 
 def structure_field(rep: AlgebraRep, I, x: Sequence[float]) -> np.ndarray:
@@ -429,10 +430,11 @@ def geometry_report(I, f, tol: float = DEFAULT_TOL,
     """All residual checks for one structure against the structure constants
     f; the Nijenhuis value is measured on the whole algebra and passed in."""
     i = _matrix_of(I)
-    integ = integrability_residual(i, f)
+    ff = _f_of(f)
+    integ = integrability_residual(i, ff)
     sq = float(np.abs(i @ i + np.eye(i.shape[0])).max())
-    bis = bismut_residual(i, f)
-    tors = torsion_match_residual(i, f, tol) if integ <= tol else float("inf")
+    bis = bismut_residual(i, ff)
+    tors = float(np.abs(_hull_torsion(i, ff) - ff).max()) if integ <= tol else float("inf")
     return GeometryResidualReport(
         integrability=float(integ), square=sq, bismut=bis,
         torsion_match=float(tors), nijenhuis=nijenhuis)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ class ConstructionError(RuntimeError):
     """Numerical failure while assembling a generator basis."""
 
 
-def _np_coords(coords: Sequence[Fraction]) -> np.ndarray:
+def _np_coords(coords: Sequence[int]) -> np.ndarray:
     return np.array([float(c) for c in coords])
 
 
@@ -447,7 +446,7 @@ def _fix_phase(e, tol=1e-8):
     return e * (lead.conjugate() / abs(lead))
 
 
-def _chevalley_table(rs: RootSystem, csa_axes_raw, raw: _Raw, tol=1e-10):
+def _chevalley_table(rs: RootSystem, csa_axes_raw, raw: _Raw):
     """Chevalley root vectors: eigensolve the simple roots, commutate the rest."""
     C = raw.C
     csa_mats = [a[4] for a in csa_axes_raw]
@@ -464,8 +463,7 @@ def _chevalley_table(rs: RootSystem, csa_axes_raw, raw: _Raw, tol=1e-10):
     ad_mats = _ad_matrices(csa_mats, raw.noncsa, C)
     ev = {}
     for root in rs.positive_roots:
-        h = int(rs.height(root))
-        if h == 1:
+        if rs.height(root) == 1:
             e = _root_eigenvector(ad_mats, eigen(root), raw.noncsa)
             comm = e @ e.conj().T - e.conj().T @ e
             target = coroot_mat(root)

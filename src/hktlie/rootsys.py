@@ -1,9 +1,10 @@
-"""Classical root systems over exact rational coordinates.
+"""Classical root systems over exact integer coordinates.
 
 Families A/B/C/D in their standard orthogonal embeddings: A_n lives in the
-zero-sum hyperplane of Q^(n+1); B_n, C_n and D_n live in Q^n.  Everything in
-this module is exact (fractions.Fraction); floating point only enters in the
-matrix layer built on top.
+zero-sum hyperplane of Z^(n+1); B_n, C_n and D_n live in Z^n.  Every root
+coordinate, coroot, inner product and simple-root coefficient is an integer,
+so everything in this module is exact Python int arithmetic; floating point
+only enters in the matrix layer built on top.
 
 Conventions:
   * simple roots are ordered alpha_1 .. alpha_r in chain order, with the
@@ -16,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -27,21 +27,26 @@ MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 #: greek aliases for simple roots, used in human-readable summand labels
 GREEK = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
 
-Coords = tuple  # tuple[Fraction, ...]
+Coords = tuple  # tuple[int, ...]
 
 
 class UnsupportedAlgebraError(ValueError):
     """Family/rank combination outside the classical tables."""
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _fr(seq) -> Coords:
-    return tuple(Fraction(x) for x in seq)
+def _ints(seq) -> Coords:
+    """Integer coordinates; a non-integral entry is rejected, never rounded."""
+    seq = tuple(seq)
+    coords = tuple(int(x) for x in seq)
+    if coords != seq:
+        raise ValueError(f"root coordinates must be integers, got {seq}")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -57,80 +62,68 @@ class Root:
             raise ValueError("root coordinates must be nonzero")
 
     @property
-    def norm2(self) -> Fraction:
+    def norm2(self) -> int:
         return dot(self.coords, self.coords)
 
     def negated(self) -> "Root":
         sign = "negative" if self.sign == "positive" else "positive"
         return Root(tuple(-c for c in self.coords), self.length_class, sign)
 
-    def dot(self, other: "Root") -> Fraction:
+    def dot(self, other: "Root") -> int:
         return dot(self.coords, other.coords)
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def coroot(root: Root | Sequence[Fraction]) -> Coords:
+def coroot(root: Root | Sequence[int]) -> Coords:
     """Coroot 2*alpha/(alpha, alpha) in the same coordinate system."""
-    coords = root.coords if isinstance(root, Root) else _fr(root)
+    coords = root.coords if isinstance(root, Root) else _ints(root)
     n2 = dot(coords, coords)
-    return tuple(2 * c / n2 for c in coords)
+    if any(2 * c % n2 for c in coords):
+        raise ValueError(f"coroot of {coords} is not integral")
+    return tuple(2 * c // n2 for c in coords)
+
+
+def _vec(dim: int, *entries: tuple[int, int]) -> Coords:
+    """The vector with the given (index, value) entries and zeros elsewhere."""
+    v = [0] * dim
+    for i, c in entries:
+        v[i] = c
+    return tuple(v)
 
 
 def _simple_root_coords(family: str, rank: int) -> list[Coords]:
-    one = Fraction(1)
     if family == "A":
-        dim = rank + 1
-        return [
-            tuple(one if j == i else -one if j == i + 1 else Fraction(0) for j in range(dim))
-            for i in range(rank)
-        ]
-    chain = [
-        tuple(one if j == i else -one if j == i + 1 else Fraction(0) for j in range(rank))
-        for i in range(rank - 1)
-    ]
+        return [_vec(rank + 1, (i, 1), (i + 1, -1)) for i in range(rank)]
+    chain = [_vec(rank, (i, 1), (i + 1, -1)) for i in range(rank - 1)]
     if family == "B":
-        last = tuple(one if j == rank - 1 else Fraction(0) for j in range(rank))
+        last = _vec(rank, (rank - 1, 1))
     elif family == "C":
-        last = tuple(2 * one if j == rank - 1 else Fraction(0) for j in range(rank))
+        last = _vec(rank, (rank - 1, 2))
     elif family == "D":
-        last = tuple(one if j in (rank - 2, rank - 1) else Fraction(0) for j in range(rank))
+        last = _vec(rank, (rank - 2, 1), (rank - 1, 1))
     else:
         raise UnsupportedAlgebraError(f"unknown family {family!r}")
     return chain + [last]
 
 
-def _unit(dim: int, i: int) -> Coords:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-
-
 def _positive_root_coords(family: str, rank: int) -> list[Coords]:
-    out = []
     if family == "A":
         dim = rank + 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                out.append(tuple(
-                    Fraction(1) if k == i else Fraction(-1) if k == j else Fraction(0)
-                    for k in range(dim)))
-        return out
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            for sj in (Fraction(-1), Fraction(1)):
-                out.append(tuple(
-                    Fraction(1) if k == i else sj if k == j else Fraction(0)
-                    for k in range(rank)))
+        return [_vec(dim, (i, 1), (j, -1)) for i in range(dim) for j in range(i + 1, dim)]
+    out = [_vec(rank, (i, 1), (j, sj))
+           for i in range(rank) for j in range(i + 1, rank) for sj in (-1, 1)]
     if family == "B":
-        out += [_unit(rank, i) for i in range(rank)]
+        out += [_vec(rank, (i, 1)) for i in range(rank)]
     elif family == "C":
-        out += [tuple(2 * c for c in _unit(rank, i)) for i in range(rank)]
+        out += [_vec(rank, (i, 2)) for i in range(rank)]
     elif family != "D":
         raise UnsupportedAlgebraError(f"unknown family {family!r}")
     return out
 
 
-def _length_class(family: str, norm2: Fraction) -> str:
+def _length_class(family: str, norm2: int) -> str:
     if family in ("A", "D"):
         return "long"
     if family == "B":
@@ -138,38 +131,29 @@ def _length_class(family: str, norm2: Fraction) -> str:
     return "long" if norm2 == 4 else "short"
 
 
-def _solve_exact(columns: Sequence[Coords], target: Coords) -> Coords | None:
-    """Solve sum_i c_i columns[i] = target exactly; None if inconsistent."""
-    dim, r = len(target), len(columns)
-    aug = [[columns[j][i] for j in range(r)] + [target[i]] for i in range(dim)]
-    pivots = []
-    row = 0
-    for col in range(r):
-        piv = next((k for k in range(row, dim) if aug[k][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for k in range(dim):
-            if k != row and aug[k][col] != 0:
-                fac = aug[k][col]
-                aug[k] = [a - fac * b for a, b in zip(aug[k], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == dim:
-            break
-    sol = [Fraction(0)] * r
-    for rr, col in enumerate(pivots):
-        sol[col] = aug[rr][-1]
-    for k in range(row, dim):
-        if aug[k][-1] != 0:
-            return None
-    # verify (cheap, guards rank-deficient corner cases)
-    for i in range(dim):
-        if sum((sol[j] * columns[j][i] for j in range(r)), Fraction(0)) != target[i]:
-            return None
-    return tuple(sol)
+def _expand(positive: Iterable[Coords], simples: Sequence[Coords]) -> dict:
+    """Coefficients of a closed set of positive roots over its simple roots.
+
+    Every positive root that is not simple is a lower positive root plus one
+    simple root, so walking up from the simple roots one simple root at a time
+    reaches every root with exact integer coefficients.
+    """
+    targets = set(positive)
+    coeffs = {s: _vec(len(simples), (k, 1)) for k, s in enumerate(simples)}
+    frontier = list(coeffs)
+    while frontier:
+        lower, frontier = frontier, []
+        for b in lower:
+            for k, s in enumerate(simples):
+                up = tuple(x + y for x, y in zip(b, s))
+                if up in targets and up not in coeffs:
+                    coeffs[up] = tuple(c + (i == k) for i, c in enumerate(coeffs[b]))
+                    frontier.append(up)
+    missing = targets - coeffs.keys()
+    if missing:
+        raise RuntimeError(f"positive roots {sorted(missing)} are not non-negative integer "
+                           f"combinations of the simple roots {list(simples)}")
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +174,11 @@ class RootSystem:
     def all_roots(self) -> tuple[Root, ...]:
         return self.positive_roots + tuple(r.negated() for r in self.positive_roots)
 
-    def is_root(self, coords: Sequence[Fraction]) -> bool:
+    def is_root(self, coords: Sequence[int]) -> bool:
         return tuple(coords) in self._root_set
 
-    def root(self, coords: Sequence[Fraction]) -> Root:
-        coords = _fr(coords)
+    def root(self, coords: Sequence[int]) -> Root:
+        coords = _ints(coords)
         if coords not in self._root_set:
             raise KeyError(f"{coords} is not a root of {self.family}{self.rank}")
         positive = coords in self._coeffs
@@ -213,7 +197,7 @@ class RootSystem:
             return tuple(-c for c in self._coeffs[neg])
         raise KeyError(f"{key} is not a root of {self.family}{self.rank}")
 
-    def height(self, root: Root) -> Fraction:
+    def height(self, root: Root) -> int:
         return sum(self.coefficients(root))
 
     def root_string_down(self, a: Root, b: Root) -> int:
@@ -231,7 +215,7 @@ class RootSystem:
         nz = [(i, c) for i, c in enumerate(coeffs) if c != 0]
         if len(nz) == 1 and nz[0][1] == 1 and nz[0][0] < len(GREEK):
             return GREEK[nz[0][0]]
-        return "".join(str(int(c)) for c in coeffs)
+        return "".join(str(c) for c in coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,12 +241,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     positives_c = _positive_root_coords(family, rank)
     root_set = frozenset(positives_c) | frozenset(tuple(-c for c in p) for p in positives_c)
 
-    coeffs = {}
-    for p in positives_c:
-        sol = _solve_exact(simples_c, p)
-        if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
-            raise RuntimeError(f"positive root {p} is not a nonneg integer combination of simples")
-        coeffs[p] = sol
+    coeffs = _expand(positives_c, simples_c)
 
     def mkroot(c):
         return Root(c, _length_class(family, dot(c, c)), "positive")
@@ -273,7 +252,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     simples = tuple(mkroot(c) for c in simples_c)
 
     cartan = tuple(
-        tuple(int(2 * dot(a.coords, b.coords) / b.norm2) for b in simples)
+        tuple(2 * a.dot(b) // b.norm2 for b in simples)
         for a in simples)
 
     heights = [sum(coeffs[r.coords]) for r in positives]
@@ -282,7 +261,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     if len(top) != 1:
         raise RuntimeError(f"highest root of {family}{rank} is not unique")
     highest = top[0]
-    labels = tuple(int(c) for c in coeffs[highest.coords])
+    labels = coeffs[highest.coords]
 
     return RootSystem(
         family=family, rank=rank, dim=len(simples_c[0]),
@@ -321,12 +300,6 @@ class RootSubsystem:
     def dimension(self) -> int:
         """Dimension of the subalgebra this subsystem spans."""
         return 2 * len(self.positive_roots) + self.rank
-
-    def coefficients(self, root: Root) -> Coords:
-        sol = _solve_exact([s.coords for s in self.simple_roots], root.coords)
-        if sol is None:
-            raise KeyError(f"{root} is not in subsystem {self.label}")
-        return sol
 
 
 def whole_system_as_subsystem(rs: RootSystem) -> RootSubsystem:
@@ -396,13 +369,8 @@ def split_subsystems(parent: RootSystem, positive: Sequence[Root]) -> tuple[Root
             if not decomposable:
                 simples.append(r)
         simples.sort(key=lambda r: tuple(-c for c in r.coords))
-        cols = [s.coords for s in simples]
-        heights = {}
-        for r in members:
-            sol = _solve_exact(cols, r.coords)
-            if sol is None:
-                raise RuntimeError("subsystem member outside span of its simple roots")
-            heights[r.coords] = sum(sol)
+        coeffs = _expand(coord_set, [s.coords for s in simples])
+        heights = {c: sum(v) for c, v in coeffs.items()}
         members.sort(key=lambda r: (heights[r.coords], tuple(-c for c in r.coords)))
         top = members[-1]
         if sum(1 for r in members if heights[r.coords] == heights[top.coords]) != 1:
@@ -440,7 +408,7 @@ def dynkin_diagram(rs: RootSystem, extended: bool = False) -> DynkinDiagram:
     for i, j in combinations(range(len(nodes)), 2):
         u, v = nodes[i][1], nodes[j][1]
         if dot(u, v) != 0:
-            m = int(4 * dot(u, v) ** 2 / (dot(u, u) * dot(v, v)))
+            m = 4 * dot(u, v) ** 2 // (dot(u, u) * dot(v, v))
             edges.append((i, j, m))
     return DynkinDiagram(
         node_labels=tuple(n[0] for n in nodes),

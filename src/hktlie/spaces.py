@@ -118,20 +118,24 @@ def _subtree(node: ChainNode):
         yield from _subtree(child)
 
 
+def _quotient_padding(levels, tops, abelian_levels) -> int:
+    """u(1) padding of a quotient: twice the basic roots left after removing
+    the chain subtrees under `tops`, minus the Cartan directions left after
+    also removing the Abelian parts of the nodes at `abelian_levels`."""
+    removed = sum(1 for t in tops for _ in _subtree(t))
+    removed_csa = sum(t.subsystem.rank for t in tops)
+    removed_csa += sum(n.abelian_dim for lv in abelian_levels for n in levels[lv])
+    rank = levels[0][0].subsystem.rank
+    return 2 * (len(chain_nodes(levels)) - removed) - (rank - removed_csa)
+
+
 def spec_required_padding(spec: "SpaceSpec") -> int:
     """u(1) factors the spec must carry: twice the remaining basic roots
     minus the remaining Cartan directions."""
     if not spec.selections:
         return required_padding(spec.factors)
-    family, rank = spec.factors[0]
-    rs = build_root_system(family, rank)
-    levels = basic_root_chain(rs)
-    nodes = chain_nodes(levels)
-    tops, abelian_levels = _resolve_selections(levels, spec.selections)
-    removed = [n for t in tops for n in _subtree(t)]
-    removed_csa = sum(t.subsystem.rank for t in tops)
-    removed_csa += sum(n.abelian_dim for lv in abelian_levels for n in levels[lv])
-    return 2 * (len(nodes) - len(removed)) - (rank - removed_csa)
+    levels = basic_root_chain(build_root_system(*spec.factors[0]))
+    return _quotient_padding(levels, *_resolve_selections(levels, spec.selections))
 
 
 def enumerate_quotients(factor, max_level: int = 8) -> list:
@@ -145,7 +149,6 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     family, rank = factor
     rs = build_root_system(family, rank)
     levels = basic_root_chain(rs)
-    nodes = chain_nodes(levels)
 
     specs = [SpaceSpec(((family, rank),), required_padding([(family, rank)]))]
     for k in range(1, max_level + 1):
@@ -159,12 +162,7 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
                 for with_ab in ((False, True) if abelian_dim else (False,)):
                     if not subset and not with_ab:
                         continue
-                    removed = [n for top in subset for n in _subtree(top)]
-                    remaining = len(nodes) - len(removed)
-                    removed_csa = sum(top.subsystem.rank for top in subset)
-                    if with_ab:
-                        removed_csa += abelian_dim
-                    padding = 2 * remaining - (rank - removed_csa)
+                    padding = _quotient_padding(levels, subset, (k - 1,) if with_ab else ())
                     if padding < 0:
                         continue
                     sel = LevelSelection(level=k, summands=tuple(n.label for n in subset),

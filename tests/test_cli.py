@@ -166,6 +166,15 @@ def test_catalog_a3_verify(capsys):
     assert all("certified" in l for l in lines)
 
 
+def test_catalog_rejects_negative_max_level(capsys):
+    code, out, err = run(capsys, "catalog", "A", "8", "-3")
+    assert code == 2 and not out
+    assert "max_level" in err
+    code, out, _ = run(capsys, "catalog", "A", "8", "0")
+    assert code == 0
+    assert out.splitlines() == ["SU(9)                                        [A8]"]
+
+
 def test_catalog_json(capsys):
     code, out, _ = run(capsys, "--json", "catalog", "B", "3")
     assert code == 0
@@ -240,7 +249,8 @@ def test_verify_defaults_fd_step(capsys):
 def test_cli_import_leaves_scipy_out():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, hktlie.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    probe = ("import sys, hktlie.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions')])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
@@ -295,7 +305,8 @@ def test_abelian_level_token():
     assert spec.selections == (spaces.LevelSelection(2, (), True),)
     assert cli.parse_space_string("A3xU1^1/A1:beta,u1@1") == cli.parse_space_string(
         "A3xU1^1/A1:beta,u1")
-    for bad in ("A5xU1^1/u1@0", "A5xU1^1/u1@9", "A3xU1^1/A1:beta,u1@2"):
+    for bad in ("A5xU1^1/u1@0", "A5xU1^1/u1@9", "A3xU1^1/A1:beta,u1@2",
+                "A2xU1^1/U1^7", "A2xU1^1/U1^1"):
         with pytest.raises(cli.SpecParseError):
             cli.parse_space_string(bad)
 

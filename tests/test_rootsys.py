@@ -107,6 +107,15 @@ def test_negation_closure():
         assert r.negated().sign == "negative"
 
 
+def test_non_integral_coordinates_rejected():
+    rs = R.build_root_system("B", 3)
+    assert rs.root((Fraction(1), Fraction(1), Fraction(0))).coords == (1, 1, 0)
+    with pytest.raises(ValueError, match="integers"):
+        rs.root((Fraction(1, 2), 1, 0))
+    with pytest.raises(ValueError, match="not integral"):
+        R.coroot((1, 1, 1))  # 2 v / 3 does not divide exactly
+
+
 def test_root_nonzero_rejected():
     with pytest.raises(ValueError):
         R.Root((Fraction(0), Fraction(0)))
@@ -212,11 +221,24 @@ def test_chain_coroots_orthogonal(family, rank):
 def test_root_system_invariants_property(case):
     family, rank = case
     rs = R.build_root_system(family, rank)
-    # heights positive, coefficient expansion integral
+
+    def ints(xs):
+        return all(type(x) is int for x in xs)
+
+    # heights positive, coefficient expansion integral and exact, and every
+    # number of the layer a plain int
     for r in rs.positive_roots:
         coeffs = rs.coefficients(r)
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
         assert sum(coeffs) >= 1
+        assert ints(r.coords) and ints(R.coroot(r)) and ints(coeffs)
+        assert type(rs.height(r)) is int and type(r.norm2) is int
+        combo = [sum(c * s.coords[k] for c, s in zip(coeffs, rs.simple_roots))
+                 for k in range(rs.dim)]
+        assert tuple(combo) == r.coords
+    assert all(ints(row) for row in rs.cartan_matrix) and ints(rs.dynkin_labels)
+    for sub in R.split_subsystems(rs, rs.positive_roots):
+        assert ints(x for r in sub.positive_roots for x in r.coords)
     # highest root unique among maximal heights
     heights = sorted(rs.height(r) for r in rs.positive_roots)
     assert heights.count(heights[-1]) == 1
