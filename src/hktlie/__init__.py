@@ -33,7 +33,6 @@ from .liealg import (
 )
 from .cstruct import (
     ComplexStructure,
-    CsaPairing,
     GeometryResidualReport,
     IntegrabilityError,
     PairingError,
@@ -48,7 +47,6 @@ from .cstruct import (
 )
 from .autom import (
     Automorphism,
-    BasicRootChain,
     automorphism_from_root,
     basic_roots,
     build_quaternion_triple,

@@ -19,15 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import cstruct
-from .cstruct import DEFAULT_TOL, CsaPairing, ComplexStructure, PairingError, canonical_I
+from .cstruct import DEFAULT_TOL, ComplexStructure, PairingError, canonical_I
 from .liealg import AlgebraRep, exp_i_hermitian
-from .rootsys import (
-    ChainNode,
-    Root,
-    chain_nodes,
-    extended_dynkin_surgery,
-    split_subsystems,
-)
+from .rootsys import Root, chain_nodes, extended_dynkin_surgery, split_subsystems
 
 
 class DecompositionMismatchError(RuntimeError):
@@ -118,8 +112,30 @@ class CentralizerDecomposition:
         return tuple((s.family, s.rank) for s in self.summands)
 
 
-def centralizer(rep: AlgebraRep, thetas: Iterable[Root],
-                tol: float = 1e-9) -> CentralizerDecomposition:
+def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Root]) -> list:
+    """The roots whose generators commute with E_{+-theta} for every theta.
+
+    The numerical commutator test must agree with the exact one, orthogonality
+    to every theta; a disagreement raises DecompositionMismatchError.
+    """
+    evs = [rep.root_vector(t) for t in thetas]
+    evs += [e.conj().T for e in evs]
+    bound = 1e-7 * max(np.abs(e).max() for e in evs)
+    commuting = []
+    for root in roots:
+        ent = rep.root_entry(root)
+        ok = all(np.abs(rep.generators[idx] @ e - e @ rep.generators[idx]).max() <= bound
+                 for idx in (ent.re_index, ent.im_index) for e in evs)
+        if ok != all(root.dot(t) == 0 for t in thetas):
+            raise DecompositionMismatchError(
+                f"root {root} against {', '.join(map(str, thetas))}: "
+                "commutator test and orthogonality disagree")
+        if ok:
+            commuting.append(root)
+    return commuting
+
+
+def centralizer(rep: AlgebraRep, thetas: Iterable[Root]) -> CentralizerDecomposition:
     """All semisimple-part generators X with [X, E_{+-theta}] = 0 for every theta.
 
     Cross-checked against the root combinatorics: the commuting root pairs
@@ -127,26 +143,10 @@ def centralizer(rep: AlgebraRep, thetas: Iterable[Root],
     highest root the summand shapes must match the extended-diagram surgery.
     """
     thetas = list(thetas)
-    evs = [rep.root_vector(t) for t in thetas]
-    evs += [e.conj().T for e in evs]
-    scale = max(np.abs(e).max() for e in evs)
-
-    def commutes(mat):
-        return all(np.abs(mat @ e - e @ mat).max() <= 100 * tol * scale for e in evs)
-
     rs = rep.root_system
-    commuting_roots = []
-    indices = []
-    for root in rs.positive_roots:
-        ent = rep.root_entry(root)
-        ok = commutes(rep.generators[ent.re_index]) and commutes(rep.generators[ent.im_index])
-        expected = all(root.dot(t) == 0 for t in thetas)
-        if ok != expected:
-            raise DecompositionMismatchError(
-                f"root {root}: commutator test says {ok}, orthogonality says {expected}")
-        if ok:
-            commuting_roots.append(root)
-            indices += [ent.re_index, ent.im_index]
+    commuting_roots = _commuting_roots(rep, rs.positive_roots, thetas)
+    indices = [i for root in commuting_roots
+               for i in (rep.root_entry(root).re_index, rep.root_entry(root).im_index)]
 
     summands = split_subsystems(rs, tuple(commuting_roots))
     if len(thetas) == 1 and thetas[0].coords == rs.highest_root.coords:
@@ -186,77 +186,40 @@ def centralizer(rep: AlgebraRep, thetas: Iterable[Root],
         summands=summands, abelian_vectors=abelian, generator_indices=tuple(sorted(indices)))
 
 
-@dataclass(eq=False)
-class BasicRootChain:
-    """Levels of iterated highest roots; each entry carries its subsystem."""
-
-    levels: tuple        # tuple of tuples of ChainNode
-    rep: AlgebraRep
-
-    @property
-    def nodes(self) -> tuple:
-        return chain_nodes(self.levels)
-
-    @property
-    def thetas(self) -> tuple:
-        return tuple(n.theta for n in self.nodes)
-
-    def coroot_orthogonality_residual(self) -> float:
-        vecs = [self.rep.eigen_coords(t) for t in self.thetas]
-        worst = 0.0
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                worst = max(worst, abs(float(vecs[i] @ vecs[j])))
-        return worst
-
-
-def basic_roots(rep: AlgebraRep) -> BasicRootChain:
-    """The iterated highest-root chain, numerically cross-checked level by level.
+def basic_roots(rep: AlgebraRep) -> tuple:
+    """The nodes of the iterated highest-root chain, numerically cross-checked
+    level by level.
 
     For every node, the roots of its subsystem whose generators commute with
-    E_{+-theta} (a numerical test) must decompose into exactly the child
-    subsystems found combinatorially.
+    E_{+-theta} must decompose into exactly the child subsystems found
+    combinatorially, and the basic coroots must be mutually orthogonal.
     """
-    chain = BasicRootChain(levels=rep.chain_levels, rep=rep)
+    nodes = chain_nodes(rep.chain_levels)
     rs = rep.root_system
-    for node in chain.nodes:
-        e = rep.root_vector(node.theta)
-        edag = e.conj().T
-        scale = np.abs(e).max()
-        commuting = []
-        for mu in node.subsystem.positive_roots:
-            if mu.coords == node.theta.coords:
-                continue
-            ent = rep.root_entry(mu)
-            ok = all(
-                np.abs(rep.generators[idx] @ v - v @ rep.generators[idx]).max() <= 1e-7 * scale
-                for idx in (ent.re_index, ent.im_index) for v in (e, edag))
-            if ok != (mu.dot(node.theta) == 0):
-                raise DecompositionMismatchError(
-                    f"node {node.label}, root {mu}: commutator test and orthogonality disagree")
-            if ok:
-                commuting.append(mu)
+    for node in nodes:
+        commuting = _commuting_roots(rep, node.subsystem.positive_roots, [node.theta])
         got = sorted(s.highest_root.coords for s in split_subsystems(rs, tuple(commuting)))
         want = sorted(c.theta.coords for c in node.children)
         if got != want:
             raise DecompositionMismatchError(
                 f"chain node {node.label}: children {want} vs centralizer result {got}")
-    resid = chain.coroot_orthogonality_residual()
+    w = np.array([rep.eigen_coords(n.theta) for n in nodes])
+    gram = w @ w.T
+    resid = float(np.abs(gram - np.diag(np.diag(gram))).max())
     if resid > 1e-9:
         raise DecompositionMismatchError(f"basic coroots are not orthogonal: {resid:.2e}")
-    return chain
+    return nodes
 
 
-def make_csa_pairing(rep: AlgebraRep, remaining: Sequence[ChainNode] | None = None,
-                     removed_axes: Sequence[int] = ()) -> CsaPairing:
-    """Pair unit basic-coroot axes with the leftover Cartan/u(1) axes.
+def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
+    """(t, e) generator-index pairs: the coroot axis of each basic root outside
+    the quotient, in chain order, with one leftover Cartan/u(1) axis outside it.
 
-    `remaining` restricts to a subset of chain nodes (for quotients);
-    `removed_axes` drops Cartan axes that belong to a quotiented subalgebra.
+    `quotient` holds the generator indices of a quotiented subalgebra.
     """
-    nodes = list(remaining if remaining is not None else chain_nodes(rep.chain_levels))
-    removed = set(removed_axes)
-    t_idx = [rep.coroot_axis_index(n.theta) for n in nodes]
+    removed = set(quotient)
+    t_idx = [rep.coroot_axis_index(n.theta) for n in chain_nodes(rep.chain_levels)]
+    t_idx = [i for i in t_idx if i not in removed]
     e_idx = [ax.index for ax in rep.csa_axes
              if ax.kind in ("abelian", "u1")
              and ax.index not in removed and ax.index not in t_idx]
@@ -264,18 +227,7 @@ def make_csa_pairing(rep: AlgebraRep, remaining: Sequence[ChainNode] | None = No
         raise PairingError(
             f"cannot pair {len(t_idx)} basic coroot(s) with {len(e_idx)} leftover "
             f"Cartan/u(1) direction(s); requires {len(t_idx) - len(e_idx)} more u(1) factor(s)")
-
-    def unit(idx):
-        v = np.zeros(rep.dim)
-        v[idx] = 1.0
-        return v
-
-    pairing = CsaPairing(
-        t_vectors=tuple(unit(i) for i in t_idx),
-        e_vectors=tuple(unit(i) for i in e_idx),
-        t_indices=tuple(t_idx), e_indices=tuple(e_idx))
-    pairing.validate()
-    return pairing
+    return tuple(zip(t_idx, e_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +274,10 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     Omega.  Residuals beyond tolerance yield certified=False, not an exception.
     """
     removed = set(quotient)
-    nodes = [n for n in basic_roots(rep).nodes if rep.coroot_axis_index(n.theta) not in removed]
-    pairing = make_csa_pairing(rep, remaining=nodes, removed_axes=sorted(removed))
+    nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
     f = rep.structure_constants().f
 
-    I = canonical_I(rep, pairing, partial=bool(removed))
+    I = canonical_I(rep, make_csa_pairing(rep, quotient))
     autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in nodes)
     omega = compose(autos, rep.dim)
     Jm = omega @ I.matrix @ omega.T

@@ -122,6 +122,7 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
             raise SpecParseError(
                 f"cannot parse factor {token!r}; expected e.g. A2, B3 or U1^2")
         factors.append((m.group(1).upper(), int(m.group(2))))
+        _check_rank_range(*factors[-1])
     if not factors:
         raise SpecParseError("need at least one simple factor")
 
@@ -256,8 +257,6 @@ def _print_report(report: spaces.VerificationReport, cfg: CliConfig) -> None:
 
 def cmd_verify(args, cfg: CliConfig) -> int:
     spec = parse_space_string(args.space)
-    for family, rank in spec.factors:
-        _check_rank_range(family, rank)
     fd_step = DEFAULT_FD_STEP if cfg.fd_step is None else cfg.fd_step
     report = spaces.build_coset_triple(spec, tol=cfg.tolerance, fd_step=fd_step)
     _print_report(report, cfg)

@@ -57,25 +57,6 @@ class PairingError(ValueError):
     """The Cartan/u(1) directions cannot be paired off; padding is wrong."""
 
 
-@dataclass(frozen=True, eq=False)
-class CsaPairing:
-    """Unit Cartan directions along basic coroots paired with leftover ones."""
-
-    t_vectors: tuple     # unit coefficient vectors along the basic coroots
-    e_vectors: tuple     # matching unit vectors in the leftover CSA + u(1) space
-    t_indices: tuple     # generator indices when a vector is axis-aligned, else -1
-    e_indices: tuple
-
-    def __len__(self):
-        return len(self.t_vectors)
-
-    def validate(self, tol: float = 1e-9) -> None:
-        vecs = list(self.t_vectors) + list(self.e_vectors)
-        g = np.array([[u @ v for v in vecs] for u in vecs])
-        if np.abs(g - np.eye(len(vecs))).max() > tol:
-            raise PairingError("pairing vectors are not orthonormal")
-
-
 @dataclass(frozen=True)
 class Block:
     """One 4x4 block of a complex structure, with a shape tag."""
@@ -125,26 +106,21 @@ def _f_of(x) -> np.ndarray:
     return x.f if isinstance(x, StructureConstants) else np.asarray(x, dtype=float)
 
 
-def canonical_blocks(rep: AlgebraRep, pairing: CsaPairing) -> tuple:
+def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
     """Partition of generator indices into theta blocks and root quartets."""
     if rep.root_system is None:
         return ()
     blocks = []
-    paired_roots = {}
-    for k, ti in enumerate(pairing.t_indices):
-        ax = next((a for a in rep.csa_axes if a.index == ti and a.root is not None), None)
-        if ax is not None:
-            paired_roots[ax.root.coords] = (k, ax)
+    partner = dict(pairs)
     order = {r.coords: i for i, r in enumerate(rep.root_system.positive_roots)}
     for node in chain_nodes(rep.chain_levels):
         theta = node.theta
         ent = rep.root_entry(theta)
         node_pos = {r.coords for r in node.subsystem.positive_roots}
-        if theta.coords in paired_roots:
-            k, _ = paired_roots[theta.coords]
+        t = rep.coroot_axis_index(theta)
+        if t in partner:
             blocks.append(Block(
-                indices=(ent.re_index, ent.im_index,
-                         pairing.t_indices[k], pairing.e_indices[k]),
+                indices=(ent.re_index, ent.im_index, t, partner[t]),
                 kind="theta", level=node.level,
                 description=f"theta block {node.label}"))
         seen = set()
@@ -166,29 +142,22 @@ def canonical_blocks(rep: AlgebraRep, pairing: CsaPairing) -> tuple:
     return tuple(blocks)
 
 
-def canonical_I(rep: AlgebraRep, pairing: CsaPairing, partial: bool = False) -> ComplexStructure:
+def canonical_I(rep: AlgebraRep, pairs: Sequence[tuple]) -> ComplexStructure:
     """The canonical complex structure: -i on every positive root vector,
-    t_k -> e_k on the paired Cartan directions."""
+    t -> e on each (t, e) pair of Cartan/u(1) generator indices."""
+    used = [i for pair in pairs for i in pair]
+    if not set(used) <= set(rep.csa_indices + rep.u1_indices) or len(set(used)) != len(used):
+        raise PairingError(f"pairs {list(pairs)} must use distinct Cartan/u(1) axes")
     D = rep.dim
     m = np.zeros((D, D))
     for entry in rep.root_table.values():
         m[entry.im_index, entry.re_index] = 1.0
         m[entry.re_index, entry.im_index] = -1.0
-    for t, e in zip(pairing.t_vectors, pairing.e_vectors):
-        m += np.outer(e, t) - np.outer(t, e)
-    if not partial:
-        n_csa = len(rep.csa_indices) + len(rep.u1_indices)
-        if 2 * len(pairing) != n_csa:
-            raise PairingError(
-                f"pairing must cover the Cartan/u(1) space: got {len(pairing)} pairs "
-                f"for {n_csa} directions ({n_csa - len(pairing)} pairs required)")
+    for t, e in pairs:
+        m[e, t] = 1.0
+        m[t, e] = -1.0
     m.setflags(write=False)
-    struct = ComplexStructure(m, canonical_blocks(rep, pairing))
-    if not partial:
-        sq = struct.square_residual()
-        if sq > 1e-12:
-            raise PairingError(f"canonical structure does not square to -1: residual {sq:.2e}")
-    return struct.tagged()
+    return ComplexStructure(m, canonical_blocks(rep, pairs)).tagged()
 
 
 # ---------------------------------------------------------------------------

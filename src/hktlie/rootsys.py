@@ -420,7 +420,6 @@ def dynkin_diagram(rs: RootSystem, extended: bool = False) -> DynkinDiagram:
 class SurgeryResult:
     """Non-Abelian summands commuting with the highest root vectors."""
 
-    summands: tuple[RootSystem, ...]
     shapes: tuple[tuple[str, int], ...]
     abelian_rank: int
     subsystems: tuple[RootSubsystem, ...]
@@ -429,9 +428,8 @@ class SurgeryResult:
 def extended_dynkin_surgery(rs: RootSystem) -> SurgeryResult:
     """Cross out the lowest-root node and its neighbours; classify the rest.
 
-    Returns the irreducible summands (as fresh canonical root systems) of the
-    subalgebra commuting with E_{+-theta}, plus the number of leftover
-    commuting Cartan directions.
+    Returns the irreducible summands of the subalgebra commuting with
+    E_{+-theta}, plus the number of leftover commuting Cartan directions.
     """
     theta = rs.highest_root
     subs = split_subsystems(rs, orthogonal_positive_roots(rs.positive_roots, theta))
@@ -444,10 +442,8 @@ def extended_dynkin_surgery(rs: RootSystem) -> SurgeryResult:
             f"surgery mismatch for {rs.family}{rs.rank}: diagram gives {sorted(survivors)}, "
             f"root decomposition gives {sorted(from_subs)}")
 
-    shapes = tuple((s.family, s.rank) for s in subs)
     return SurgeryResult(
-        summands=tuple(build_root_system(f, r) for f, r in shapes),
-        shapes=shapes,
+        shapes=tuple((s.family, s.rank) for s in subs),
         abelian_rank=rs.rank - 1 - sum(s.rank for s in subs),
         subsystems=subs)
 
@@ -502,7 +498,3 @@ def basic_root_chain(rs: RootSystem) -> tuple[tuple[ChainNode, ...], ...]:
 
 def chain_nodes(levels) -> tuple[ChainNode, ...]:
     return tuple(node for level in levels for node in level)
-
-
-def basic_root_count(rs: RootSystem) -> int:
-    return len(chain_nodes(basic_root_chain(rs)))

@@ -21,7 +21,6 @@ from .rootsys import (
     ChainNode,
     UnsupportedAlgebraError,
     basic_root_chain,
-    basic_root_count,
     build_root_system,
     chain_nodes,
 )
@@ -72,11 +71,10 @@ class SpaceSpec:
 
 
 def required_padding(factors) -> int:
-    """u(1) factors needed so the Cartan space pairs off: 2 n_b - rank, summed."""
-    total = 0
-    for family, rank in factors:
-        total += 2 * basic_root_count(build_root_system(family, rank)) - rank
-    return total
+    """u(1) factors needed so the Cartan space pairs off: 2 n_b - rank, summed
+    over the factors; each one is the padding of its empty quotient."""
+    return sum(_quotient_padding(basic_root_chain(build_root_system(f, r)), (), ())
+               for f, r in factors)
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,11 @@ def classify_family(family: str, max_rank: int) -> list:
     family = family.upper()
     if family not in GROUP_NAMES:
         raise UnsupportedAlgebraError(f"unknown family {family!r}")
-    rows = []
     start = 3 if family == "D" else 1
+    if max_rank < start:
+        raise ValueError(f"max_rank {max_rank} is below the first classified rank "
+                         f"of family {family} ({start})")
+    rows = []
     for rank in range(start, max_rank + 1):
         if family in ("B", "C") and rank == 1:
             p = required_padding([("A", 1)])

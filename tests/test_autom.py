@@ -71,7 +71,7 @@ def test_hadamard_series_oracle():
 def test_eigh_exponential_matches_expm_on_basic_roots(family, rank):
     """The J- and K-kind conjugations, exp(i h) from eigh, against scipy's expm."""
     rep = L.build_matrix_rep(family, rank)
-    for theta in A.basic_roots(rep).thetas:
+    for theta in (n.theta for n in A.basic_roots(rep)):
         e = rep.root_vector(theta)
         for h in (np.pi / 4 * (e + e.conj().T), -1j * np.pi / 4 * (e - e.conj().T)):
             assert np.abs(L.exp_i_hermitian(h) - scipy.linalg.expm(1j * h)).max() <= 1e-14
@@ -148,15 +148,17 @@ def test_centralizer_of_two_roots():
 ])
 def test_basic_roots(family, rank, expected):
     rep = L.build_matrix_rep(family, rank)
-    chain = A.basic_roots(rep)
-    assert [t.coords for t in chain.thetas] == expected
-    assert chain.coroot_orthogonality_residual() < 1e-12
+    nodes = A.basic_roots(rep)
+    assert [n.theta.coords for n in nodes] == expected
+    vecs = [rep.eigen_coords(n.theta) for n in nodes]
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            assert abs(float(vecs[i] @ vecs[j])) < 1e-12
 
 
 @pytest.mark.parametrize("family,rank", CATALOG)
 def test_chain_cross_checks_numerically(family, rank):
-    chain = A.basic_roots(L.build_matrix_rep(family, rank))
-    assert len(chain.thetas) >= 1
+    assert len(A.basic_roots(L.build_matrix_rep(family, rank))) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +266,7 @@ def test_triple_reports_torsion_match():
 
 def test_d4_three_level1_automorphisms_commute():
     rep = L.build_matrix_rep("D", 4, 4)
-    chain = A.basic_roots(rep)
-    level1 = [n for n in chain.nodes if n.level == 1]
+    level1 = [n for n in A.basic_roots(rep) if n.level == 1]
     assert len(level1) == 3
     autos = [A.automorphism_from_root(rep, n.theta, "J", 1) for n in level1]
     for x in autos:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hktlie import cli, spaces
 
@@ -156,6 +160,13 @@ def test_classify_c1(capsys):
 def test_classify_out_of_range(capsys):
     code, _, err = run(capsys, "classify", "D", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize("family,max_rank,first", [("A", "-3", 1), ("D", "2", 3)])
+def test_classify_below_first_rank(capsys, family, max_rank, first):
+    code, out, err = run(capsys, "classify", family, max_rank)
+    assert code == 2 and not out
+    assert f"first classified rank of family {family} ({first})" in err
 
 
 def test_catalog_a3_verify(capsys):
@@ -315,6 +326,36 @@ def test_parse_rejects_garbage():
     for bad in ("", "X9", "A2/u1/u1", "A2x", "B3/A1:alpha,A4"):
         with pytest.raises(cli.SpecParseError):
             cli.parse_space_string(bad)
+
+
+def test_rank_cap_checked_before_any_chain(monkeypatch):
+    """A factor above the cap is refused before its root system is built."""
+    def refuse(*args):
+        raise AssertionError("root system built for a factor above the cap")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    for text in ("A60/u1", "A60", "A2xD9"):
+        with pytest.raises(cli.SpecParseError, match="outside the supported range"):
+            cli.parse_space_string(text)
+
+
+#: the grammar's tokens: factors up to rank 4 (B1 and D2 below their family's
+#: first rank), one factor far above the cap, u(1) factors, the separators,
+#: summand labels and the Abelian items
+GRAMMAR_TOKENS = (
+    "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4",
+    "A60", "U1", "U1^1", "U1^3", "u1^9", "x", "/", ",",
+    "A1", "A1:alpha", "A1:beta", "A1:gamma", "A2:11", "A3", "B2", "C3", "A4:011110",
+    "u1", "u1@1", "u1@2", "u1@9",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=7).map("".join))
+def test_verify_any_token_string_ends_in_an_exit_code(text):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", text])
+    assert code in (cli.EXIT_OK, cli.EXIT_FAILED, cli.EXIT_USAGE, cli.EXIT_NOT_ADMISSIBLE)
 
 
 def test_ambiguous_summand_needs_label():

@@ -17,10 +17,7 @@ def canonical(family, rank, u1=0):
 
 def abelian4():
     rep = L.build_abelian_rep(4)
-    unit = lambda i: np.eye(4)[i]
-    pairing = C.CsaPairing(t_vectors=(unit(0), unit(2)), e_vectors=(unit(1), unit(3)),
-                           t_indices=(0, 2), e_indices=(1, 3))
-    return rep, C.canonical_I(rep, pairing)
+    return rep, C.canonical_I(rep, ((0, 1), (2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +76,15 @@ def test_pairing_dimension_mismatch_raises():
     rep = L.build_matrix_rep("A", 3)      # needs one u(1), none appended
     with pytest.raises(C.PairingError, match="u\\(1\\)"):
         A.make_csa_pairing(rep)
+
+
+@pytest.mark.parametrize("pairs", [((0, 4),), ((6, 7), (6, 8)), ((6, 99),)])
+def test_canonical_I_rejects_pairs_off_the_cartan_axes(pairs):
+    """A2 x U(1): generators 0-5 are root parts, 6-7 Cartan, 8 the u(1)."""
+    rep = L.build_matrix_rep("A", 2, 1)
+    assert rep.csa_indices + rep.u1_indices == (6, 7, 8)
+    with pytest.raises(C.PairingError, match="distinct Cartan/u\\(1\\) axes"):
+        C.canonical_I(rep, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +320,11 @@ def test_pairing_counts_and_orthonormality(family, rank, u1, pairs):
     rep = L.build_matrix_rep(family, rank, u1)
     pairing = A.make_csa_pairing(rep)
     assert len(pairing) == pairs
-    pairing.validate()
-    # every t vector sits along one basic-coroot axis
-    for t_idx in pairing.t_indices:
+    # the pairs use distinct axes, so their unit vectors are orthonormal
+    used = [i for pair in pairing for i in pair]
+    assert len(set(used)) == len(used)
+    # every t index sits on one basic-coroot axis
+    for t_idx, _ in pairing:
         ax = next(a for a in rep.csa_axes if a.index == t_idx)
         assert ax.kind == "coroot"
 

@@ -1,7 +1,12 @@
-"""Golden root data: `hkt --json roots` and `hkt --json catalog` over CLI_RANGE.
+"""Golden outputs over CLI_RANGE.
 
-Regenerate with `PYTHONPATH=src python tests/test_golden.py` and say in the
-change why the file moved.
+`rootdata.json` holds `hkt --json roots` and `hkt --json catalog`;
+`certificates.json` holds the exit code of `hkt --json catalog F r --verify`
+and the exact, BLAS-independent fields of each certificate it prints (the
+float residuals are left out).
+
+Regenerate both with `PYTHONPATH=src python tests/test_golden.py` and say in
+the change why a file moved.
 """
 
 import contextlib
@@ -12,14 +17,26 @@ import os
 from conftest import CLI_RANGE
 from hktlie import cli
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "rootdata.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+ROOTDATA = os.path.join(GOLDEN_DIR, "rootdata.json")
+CERTIFICATES = os.path.join(GOLDEN_DIR, "certificates.json")
+
+#: the certificate fields that do not depend on floating-point rounding
+EXACT_FIELDS = ("name", "factors", "u1_count", "quotient", "dimension", "padding_required",
+                "basic_roots", "automorphisms", "verdict", "message")
+
+
+def _run(*argv) -> tuple:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, buf.getvalue()
 
 
 def _hkt(*argv) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli.main(list(argv)) == cli.EXIT_OK, argv
-    return buf.getvalue()
+    code, out = _run(*argv)
+    assert code == cli.EXIT_OK, argv
+    return out
 
 
 def rootdata() -> dict:
@@ -28,16 +45,34 @@ def rootdata() -> dict:
             for f, r in CLI_RANGE}
 
 
-def test_root_data_matches_golden():
-    with open(GOLDEN) as fh:
+def certificates() -> dict:
+    out = {}
+    for f, r in CLI_RANGE:
+        code, text = _run("--json", "catalog", f, str(r), "--verify")
+        out[f"{f}{r}"] = {"exit": code,
+                          "certificates": [{k: doc[k] for k in EXACT_FIELDS}
+                                           for doc in json.loads(text)]}
+    return out
+
+
+def _check(path, fresh):
+    with open(path) as fh:
         golden = json.load(fh)
-    fresh = rootdata()
     assert fresh.keys() == golden.keys()
     for name, outputs in fresh.items():
         assert outputs == golden[name], name
 
 
+def test_root_data_matches_golden():
+    _check(ROOTDATA, rootdata())
+
+
+def test_certificates_match_golden():
+    _check(CERTIFICATES, certificates())
+
+
 if __name__ == "__main__":
-    with open(GOLDEN, "w") as fh:
-        json.dump(rootdata(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, build in ((ROOTDATA, rootdata), (CERTIFICATES, certificates)):
+        with open(path, "w") as fh:
+            json.dump(build(), fh, indent=1, sort_keys=True)
+            fh.write("\n")

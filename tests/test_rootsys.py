@@ -161,9 +161,9 @@ def test_extended_dynkin_surgery(family, rank, shapes, abelian):
     res = R.extended_dynkin_surgery(R.build_root_system(family, rank))
     assert sorted(res.shapes) == sorted(shapes)
     assert res.abelian_rank == abelian
-    for summand, (f, r) in zip(res.summands, res.shapes):
-        assert (summand.family, summand.rank) == (f, r)
-        assert len(summand.positive_roots) == count_formula(f, r)
+    assert res.shapes == tuple((sub.family, sub.rank) for sub in res.subsystems)
+    for sub in res.subsystems:
+        assert len(sub.positive_roots) == count_formula(sub.family, sub.rank)
 
 
 @pytest.mark.parametrize("family,rank", SUPPORTED)
