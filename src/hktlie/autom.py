@@ -275,7 +275,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     """
     removed = set(quotient)
     nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
-    f = rep.structure_constants().f
+    f = rep.structure_constants().coo
 
     I = canonical_I(rep, make_csa_pairing(rep, quotient))
     autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in nodes)
@@ -305,8 +305,11 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
                            f"index {tangent[ti]}")
                 leak_note = f"{name} leaks out of {blk} into quotient index {qidx[qi]}"
             leak = max(leak, float(np.abs(m[np.ix_(tangent, qidx)]).max()))
-        closure = float(np.abs(f[np.ix_(tangent, tangent, qidx)]).max())
-        f = f[np.ix_(tangent, tangent, tangent)]
+        inside = np.zeros(rep.dim, dtype=bool)
+        inside[tangent] = True
+        a, b, c = f.index.T
+        closure = float(np.abs(f.value[inside[a] & inside[b] & ~inside[c]]).max(initial=0.0))
+        f = f.restrict(tangent)
         restricted = {k: m[np.ix_(tangent, tangent)] for k, m in structures.items()}
     else:
         restricted = structures

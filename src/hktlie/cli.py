@@ -164,6 +164,11 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
         if not 1 <= level <= len(levels):
             raise SpecParseError(f"no centralizer at level {level}; {family}{rank} has "
                                  f"levels 1 to {len(levels)}")
+        if include_abelian:
+            try:
+                spaces.require_abelian_part(levels, level)
+            except ValueError as exc:
+                raise SpecParseError(str(exc))
         selections = (spaces.LevelSelection(
             level=level, summands=tuple(labels), include_abelian=include_abelian),)
     return spaces.SpaceSpec(tuple(factors), u1, selections)
@@ -245,7 +250,7 @@ def _print_report(report: spaces.VerificationReport, cfg: CliConfig) -> None:
     for name in sorted(report.residuals):
         r = report.residuals[name]
         nij = "n/a" if r.nijenhuis is None else f"{r.nijenhuis:.3e}"
-        print(f"residuals[{name}]: integrability={r.integrability:.3e} "
+        print(f"residuals[{name}]: snap={r.snap:.3e} integrability={r.integrability:.3e} "
               f"square={r.square:.3e} bismut={r.bismut:.3e} "
               f"torsion_match={r.torsion_match:.3e} nijenhuis={nij}")
     print(f"quaternion residual: {report.quaternion:.3e}")

@@ -130,6 +130,16 @@ def _quotient_padding(levels, tops, abelian_levels) -> int:
     return 2 * (len(chain_nodes(levels)) - removed) - (rank - removed_csa)
 
 
+def require_abelian_part(levels, level: int) -> None:
+    """Raise ValueError unless the chain nodes one level up leave commuting
+    Cartan directions, the Abelian part a quotient item at `level` removes;
+    without them the "quotient" is the group manifold under another name."""
+    nodes = levels[level - 1]
+    if sum(n.abelian_dim for n in nodes) == 0:
+        raise ValueError(f"no Abelian part at level {level}: the centralizer at chain "
+                         f"node(s) {', '.join(n.label for n in nodes)} is semisimple")
+
+
 def spec_required_padding(spec: "SpaceSpec") -> int:
     """u(1) factors the spec must carry: twice the remaining basic roots
     minus the remaining Cartan directions."""
@@ -248,6 +258,7 @@ def _resolve_selections(levels, selections):
                     f"{'ambiguous' if candidates else 'unknown'}; have {[n.label for n in nodes]}")
             tops.append(candidates[0])
         if sel.include_abelian:
+            require_abelian_part(levels, sel.level)
             abelian_levels.append(sel.level - 1)
     seen = set()
     for t in tops:

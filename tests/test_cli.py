@@ -267,6 +267,19 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
+def test_certificate_path_leaves_numpy_ma_out():
+    """np.unique imports numpy.ma (15 ms, 2 MB per process); the kernels sort instead."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import contextlib, io, sys; from hktlie import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['--json', 'verify', 'A3xU1^1/A1:beta,u1'])\n"
+             "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "0 False"
+
+
 # ---------------------------------------------------------------------------
 # spec-string grammar details
 
@@ -317,7 +330,7 @@ def test_abelian_level_token():
     assert cli.parse_space_string("A3xU1^1/A1:beta,u1@1") == cli.parse_space_string(
         "A3xU1^1/A1:beta,u1")
     for bad in ("A5xU1^1/u1@0", "A5xU1^1/u1@9", "A3xU1^1/A1:beta,u1@2",
-                "A2xU1^1/U1^7", "A2xU1^1/U1^1"):
+                "A2xU1^1/U1^7", "A2xU1^1/U1^1", "D4xU1^4/u1", "A1xU1^1/u1"):
         with pytest.raises(cli.SpecParseError):
             cli.parse_space_string(bad)
 

@@ -7,6 +7,7 @@ from hktlie import autom as A
 from hktlie import cstruct as C
 from hktlie import liealg as L
 
+import oracles
 from conftest import CATALOG
 
 
@@ -67,7 +68,7 @@ def test_nijenhuis_agrees_with_algebraic_check(family, rank):
     f = rep.structure_constants()
     samples = [I.matrix, C.random_complex_structure(rep.dim, np.random.default_rng(1))]
     for m in samples:
-        alg_small = C.integrability_residual(m, f) <= 1e-9
+        alg_small = oracles.integrability_residual(m, f) <= 1e-9
         fd_small = C.nijenhuis_at_origin(rep, m, step=1e-4) <= 1e-5
         assert alg_small == fd_small
 
@@ -107,7 +108,7 @@ def test_integrability_random_controls():
     rng = np.random.default_rng(11)
     for _ in range(20):
         I = C.random_complex_structure(rep.dim, rng)
-        assert C.integrability_residual(I, f) > 0.1
+        assert oracles.integrability_residual(I, f) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_bismut_zero_for_random_antisymmetric():
     for _ in range(10):
         raw = rng.standard_normal((rep.dim, rep.dim))
         anti = raw - raw.T            # any antisymmetric matrix, not just orthogonal
-        assert C.bismut_residual(anti, f) < 1e-12
+        assert oracles.bismut_residual(anti, f) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_torsion_refuses_non_integrable():
     f = rep.structure_constants()
     I = C.random_complex_structure(rep.dim, np.random.default_rng(5))
     with pytest.raises(C.IntegrabilityError, match="residual"):
-        C.torsion_via_hull(I, f)
+        oracles.torsion_via_hull(I, f)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_nijenhuis_large_for_random():
         I = C.random_complex_structure(rep.dim, rng)
         n = C.nijenhuis_at_origin(rep, I, step=1e-4)
         assert n > 0.05
-        assert C.integrability_residual(I, rep.structure_constants()) > 0.05
+        assert oracles.integrability_residual(I, rep.structure_constants()) > 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +352,158 @@ def test_spin7_quartet_decompositions_of_theta():
 def test_bounds_table_and_first_failure():
     tol = 1e-9
     assert {k: b(tol) for k, b in C.BOUNDS.items()} == {
-        "quaternion": tol, "invariance_leak": 1e-12, "integrability": tol,
+        "quaternion": tol, "invariance_leak": 1e-12, "snap": 1e-12, "integrability": tol,
         "square": tol, "bismut": 1e-12, "torsion_match": 10 * tol, "nijenhuis": 1e-5}
+    assert list(C.BOUNDS)[:3] == ["quaternion", "invariance_leak", "snap"]
     values = [("quaternion", 1e-15), ("invariance_leak", 0.0), ("J.nijenhuis", None),
               ("J.bismut", 2e-12), ("K.square", 1.0)]
     assert C.first_failure(values, tol) == ("J.bismut", 2e-12, 1e-12)
     assert C.first_failure(values[:3], tol) is None
     check, value, bound = C.first_failure([("I.torsion_match", float("nan"))], tol)
     assert check == "I.torsion_match" and value != value and bound == 10 * tol
+
+
+# ---------------------------------------------------------------------------
+# signed-permutation kernels against the dense oracles
+
+def random_signed_permutation_structure(dim, rng):
+    """A complex structure that pairs the generators at random, t_a -> +-t_b."""
+    m = np.zeros((dim, dim))
+    for a, b in rng.permutation(dim).reshape(-1, 2):
+        s = rng.choice((-1.0, 1.0))
+        m[b, a], m[a, b] = s, -s
+    return m
+
+
+def dense_of(coo):
+    out = np.zeros((coo.dim,) * 3)
+    out[tuple(coo.index.T)] = coo.value
+    return out
+
+
+def assert_report_matches_oracles(matrix, coo, tol, report):
+    """The kernels and the dense oracles on the float matrix agree to 1e-13,
+    and each check falls on the same side of its bound."""
+    f = dense_of(coo)
+    integ = oracles.integrability_residual(matrix, f)
+    want = {"integrability": integ, "bismut": oracles.bismut_residual(matrix, f),
+            "torsion_match": oracles.torsion_match(matrix, f) if integ <= tol else np.inf}
+    assert report.snap <= C.BOUNDS["snap"](tol)
+    for check, value in want.items():
+        got = getattr(report, check)
+        assert got == value or abs(got - value) <= 1e-13, (check, got, value)
+        bound = C.BOUNDS[check](tol)
+        assert (got <= bound) == (value <= bound), check
+
+
+@pytest.fixture
+def recorded_reports(monkeypatch):
+    """Every geometry_report call of the certificate path, with its inputs."""
+    calls = []
+    real = C.geometry_report
+
+    def record(I, f, tol=C.DEFAULT_TOL, nijenhuis=None):
+        report = real(I, f, tol, nijenhuis)
+        calls.append((C._matrix_of(I), f, tol, report))
+        return report
+
+    monkeypatch.setattr(C, "geometry_report", record)
+    return calls
+
+
+def test_kernels_match_oracles_on_every_catalog_certificate(recorded_reports):
+    from conftest import CLI_RANGE
+    from hktlie import spaces
+    certificates = 0
+    for factor in CLI_RANGE:
+        for spec in spaces.enumerate_quotients(factor):
+            certificates += spaces.build_coset_triple(spec).verdict == "certified"
+    assert certificates == 87
+    assert len(recorded_reports) == 3 * 87
+    for call in recorded_reports:
+        assert_report_matches_oracles(*call)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 9), ("A", 10), ("B", 6), ("C", 6), ("D", 7)])
+def test_kernels_match_oracles_above_the_rank_caps(family, rank, recorded_reports):
+    from hktlie.spaces import required_padding
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
+    assert A.build_quaternion_triple(rep).certified
+    assert len(recorded_reports) == 3
+    for call in recorded_reports:
+        assert_report_matches_oracles(*call)
+
+
+@pytest.mark.parametrize("family,rank,u1", [("A", 4, 0), ("B", 3, 3), ("D", 4, 4)])
+def test_random_signed_permutations_are_not_integrable(family, rank, u1):
+    rep = L.build_matrix_rep(family, rank, u1)
+    f = rep.structure_constants()
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        m = random_signed_permutation_structure(rep.dim, rng)
+        structure = C.ComplexStructure(m)
+        assert structure.snap == 0.0
+        assert np.array_equal(structure.matrix[structure.perm, np.arange(rep.dim)],
+                              structure.sign)
+        ours = C.integrability_residual(m, f)
+        assert ours > 0.1 and oracles.integrability_residual(m, f) > 0.1
+        assert abs(ours - oracles.integrability_residual(m, f)) <= 1e-13
+        assert abs(C.bismut_residual(m, f) - oracles.bismut_residual(m, f)) <= 1e-13
+        with pytest.raises(C.IntegrabilityError, match="residual"):
+            C.torsion_via_hull(m, f)
+        assert C.geometry_report(m, f).torsion_match == np.inf
+
+
+def test_rotated_structure_is_refused():
+    """A canonical structure turned by a small rotation is no signed
+    permutation: the kernels refuse it and the report's snap says why."""
+    rep, I = canonical("A", 2)
+    f = rep.structure_constants()
+    angle = 1e-6
+    rot = np.eye(rep.dim)
+    rot[0, 0] = rot[2, 2] = np.cos(angle)
+    rot[2, 0], rot[0, 2] = np.sin(angle), -np.sin(angle)
+    m = rot @ I.matrix @ rot.T
+    for kernel in (C.integrability_residual, C.bismut_residual, C.torsion_via_hull):
+        with pytest.raises(ValueError, match="from the nearest signed permutation"):
+            kernel(m, f)
+    report = C.geometry_report(m, f)
+    assert 1e-12 < report.snap < 1e-5
+    assert report.square < 1e-12
+    assert report.integrability == report.bismut == report.torsion_match == np.inf
+    failure = C.first_failure(report.to_json_dict().items(), C.DEFAULT_TOL)
+    assert failure == ("snap", report.snap, 1e-12)
+
+
+def test_snap_of_repeated_rows_is_at_least_one_half():
+    m = np.zeros((4, 4))
+    m[0, 0] = m[0, 1] = 1.0       # two columns peak in row 0
+    m[2, 3], m[3, 2] = -1.0, 1.0
+    perm, sign, snap = C.signed_permutation(m)
+    assert snap >= 0.5
+    assert C.signed_permutation(np.eye(4)[[1, 0, 3, 2]] * -1.0)[2] == 0.0
+
+
+def test_sparse_torsion_matches_dense_oracle():
+    for family, rank, u1 in (("A", 2, 0), ("B", 3, 3), ("C", 3, 3)):
+        rep = L.build_matrix_rep(family, rank, u1)
+        f = rep.structure_constants()
+        triple = A.build_quaternion_triple(rep)
+        for s in (triple.I, triple.J, triple.K):
+            assert np.abs(C.torsion_via_hull(s, f) - oracles.hull_torsion(s, f)).max() <= 1e-13
+
+
+def test_geometry_report_memory_stays_below_the_dense_temporaries():
+    """A10, D = 120: one dense (D, D, D) temporary is 13.8 MB."""
+    import tracemalloc
+    rep = L.build_matrix_rep("A", 10)
+    triple = A.build_quaternion_triple(rep)
+    f = rep.structure_constants()
+    tracemalloc.start()
+    try:
+        for s in (triple.I, triple.J, triple.K):
+            C.geometry_report(s.matrix, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20

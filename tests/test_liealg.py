@@ -61,6 +61,27 @@ def test_structure_constants_match_dense_einsum(family, rank):
     assert np.abs(rep.structure_constants().f - dense.real).max() <= 1e-14
 
 
+@pytest.mark.parametrize("family,rank", CLI_RANGE)
+def test_structure_constant_support_is_exact(family, rank):
+    """Every stored f_ABC != 0 obeys the root-weight selection rule
+    +-w_A +- w_B +- w_C = 0, with weight 0 on the Cartan and u(1) axes, and
+    the COO form lists exactly those entries."""
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
+    sc = rep.structure_constants()
+    weight = np.zeros((rep.dim, len(next(iter(rep.root_table)))), dtype=int)
+    for coords, entry in rep.root_table.items():
+        weight[[entry.re_index, entry.im_index]] = coords
+    a, b, c = np.nonzero(sc.f)
+    wa, wb, wc = weight[a], weight[b], weight[c]
+    selected = np.zeros(a.size, dtype=bool)
+    for sb, sc_ in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        selected |= ~(wa + sb * wb + sc_ * wc).any(axis=1)
+    assert selected.all(), np.abs(sc.f[a[~selected], b[~selected], c[~selected]]).max()
+    assert np.array_equal(sc.coo.index, np.stack((a, b, c), axis=1))
+    assert np.array_equal(sc.coo.value, sc.f[a, b, c])
+    assert np.abs(sc.coo.value).min() > L.F_ZERO
+
+
 def test_closure_check_matches_dense_and_rejects_perturbed_generator():
     rep = L.build_matrix_rep("A", 3, 1)
     g, C = rep.generators, rep.norm_const

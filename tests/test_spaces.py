@@ -221,3 +221,12 @@ def test_coset_restricted_structures_are_complex_structures():
         for r in report.residuals.values():
             assert r.square < 1e-9
         assert report.quaternion < 1e-9
+
+
+def test_abelian_item_without_abelian_part_is_refused():
+    """D4 and A1 have no level-1 Abelian part: such a spec would certify the
+    group manifold under a quotient name."""
+    for factor, u1 in ((("D", 4), 4), (("A", 1), 1)):
+        spec = Spec((factor,), u1, (Sel(1, (), True),))
+        with pytest.raises(ValueError, match="no Abelian part at level 1"):
+            S.build_coset_triple(spec)
