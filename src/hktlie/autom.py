@@ -84,12 +84,14 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
     else:
         raise ValueError(f"kind must be 'J' or 'K', got {kind!r}")
     omega = adjoint_action(rep, u)
-    auto = Automorphism(matrix=omega, root=theta, kind=kind, level=level)
-    ortho = auto.orthogonality_residual()
+    ortho = Automorphism(omega, theta, kind, level).orthogonality_residual()
     if ortho > tol:
         raise RuntimeError(
             f"automorphism for {theta} lost orthogonality: residual {ortho:.2e}")
-    return auto
+    # one Newton-Schulz step towards the nearest orthogonal matrix takes out
+    # the rounding that J = Omega I Omega^T would otherwise carry
+    omega = 1.5 * omega - 0.5 * omega @ (omega.T @ omega)
+    return Automorphism(matrix=omega, root=theta, kind=kind, level=level)
 
 
 # ---------------------------------------------------------------------------

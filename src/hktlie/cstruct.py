@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .liealg import AlgebraRep, CooTensor, StructureConstants
+from .liealg import AlgebraRep, CooTensor, StructureConstants, sum_by_key
 from .rootsys import chain_nodes
 
 DEFAULT_TOL = 1e-9
@@ -221,17 +221,9 @@ def _signed_of(I) -> tuple:
 
 def _sum_by_key(dim: int, terms) -> tuple:
     """The distinct flat keys of the (a, b, c, value) terms of a (dim, dim, dim)
-    tensor and the sum of the values at each.
-
-    Sorted with argsort, not np.unique: numpy 2.4's np.unique imports
-    numpy.ma, about 15 ms and 2 MB for every process.
-    """
-    keys = np.concatenate([(a * dim + b) * dim + c for a, b, c, _ in terms])
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    values = np.concatenate([v for *_, v in terms])[order]
-    return keys[starts], np.add.reduceat(values, starts)
+    tensor and the sum of the values at each."""
+    return sum_by_key(np.concatenate([(a * dim + b) * dim + c for a, b, c, _ in terms]),
+                      np.concatenate([v for *_, v in terms]))
 
 
 def _max_abs(dim: int, terms) -> float:

@@ -63,8 +63,9 @@ class CsaAxis:
     functional: np.ndarray    # w with alpha(h) = w . alpha_std; zeros for u1
 
 
-#: entries of f_ABC at or below this magnitude are rounding: up to A10, B6,
-#: C6 and D7 the rounding stays below 2e-15 and the smallest true entry is 0.126
+#: entries of f_ABC and of the generators at or below this magnitude are
+#: rounding: up to A13 and D10 it stays below 1e-15 in both, and the smallest
+#: true entry of f is 0.091
 F_ZERO = 1e-12
 
 
@@ -94,15 +95,21 @@ class CooTensor:
 
 @dataclass(eq=False)
 class StructureConstants:
-    """Totally antisymmetric f_ABC with [t_A, t_B] = i f_ABC t_C, dense and as
-    its non-zero entries."""
+    """Totally antisymmetric f_ABC with [t_A, t_B] = i f_ABC t_C, held as its
+    non-zero entries; `f` is the dense (D, D, D) view, built on first read."""
 
-    f: np.ndarray
     coo: CooTensor
 
     @property
     def dim(self) -> int:
-        return self.f.shape[0]
+        return self.coo.dim
+
+    @functools.cached_property
+    def f(self) -> np.ndarray:
+        f = np.zeros((self.dim,) * 3)
+        f[tuple(self.coo.index.T)] = self.coo.value
+        f.setflags(write=False)
+        return f
 
     def antisymmetry_residual(self) -> float:
         f = self.f
@@ -121,12 +128,8 @@ class StructureConstants:
         return worst
 
     def u1_residual(self, u1_indices: Sequence[int]) -> float:
-        idx = list(u1_indices)
-        if not idx:
-            return 0.0
-        return max(np.abs(self.f[idx, :, :]).max(),
-                   np.abs(self.f[:, idx, :]).max(),
-                   np.abs(self.f[:, :, idx]).max())
+        touches = np.isin(self.coo.index, list(u1_indices)).any(axis=1)
+        return float(np.abs(self.coo.value[touches]).max(initial=0.0))
 
 
 @dataclass(eq=False)
@@ -458,15 +461,22 @@ def _ad_matrices(csa_mats, noncsa, C):
 
 
 def _root_eigenvector(ad_mats, target, noncsa):
+    """The root vector sum_q v_q t_q with ad_k v = target_k v on every Cartan
+    axis k.
+
+    With S the (rank m, m) stack of the ad_k - target_k, v is the null vector
+    of S^H S = sum_k (ad_k - target_k)^H (ad_k - target_k), from one (m, m)
+    eigh.  Refused when |S v| is above 1e-8 (no root vector) or when the
+    second eigenvalue is below 1e-12 (a degenerate root space).
+    """
     m = ad_mats[0].shape[0]
-    rows = [ad - t * np.eye(m) for ad, t in zip(ad_mats, target)]
-    stack = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s[-1] > 1e-8:
+    stack = np.concatenate([ad - t * np.eye(m) for ad, t in zip(ad_mats, target)])
+    w, vecs = np.linalg.eigh(stack.conj().T @ stack)
+    v = vecs[:, 0]
+    if np.linalg.norm(stack @ v) > 1e-8:
         raise ConstructionError(f"no root vector found for eigenvalue {target}")
-    if m > 1 and s[-2] < 1e-6:
+    if m > 1 and w[1] < 1e-12:
         raise ConstructionError(f"degenerate root space for eigenvalue {target}")
-    v = vh[-1].conj()
     return sum(vk * g for vk, g in zip(v, noncsa))
 
 
@@ -582,6 +592,7 @@ def _build_matrix_rep(family, rank, u1_count, rep_kind):
         csa_axes.append(CsaAxis(index=idx, kind="u1", level=-1, node_label="u1",
                                 root=None, functional=np.zeros(W.shape[1])))
 
+    _snap_to_zero(gens)
     gram = gens.reshape(D, -1) @ _flat_transposes(gens)
     dev = np.abs(gram - C * np.eye(D))
     if dev.max() > 1e-9:
@@ -599,22 +610,77 @@ def _build_matrix_rep(family, rank, u1_count, rep_kind):
         root_matrices=root_mats, csa_axes=tuple(csa_axes),
         faithful_simply_connected=raw.faithful)
 
-    rep._structure = structure_constants(rep)
-    _check_closure(gens, rep._structure.f)
+    comm = _commutator_entries(gens)
+    rep._structure = _structure_constants(gens, C, comm)
+    _check_closure(gens, rep._structure.coo, comm)
     return rep
 
 
-def _check_closure(gens: np.ndarray, f: np.ndarray, tol: float = 1e-9) -> float:
-    """max |[t_a, t_b] - i f_abc t_c| over all a, b, one row a at a time.
+def _snap_to_zero(gens: np.ndarray) -> None:
+    """Set the real and imaginary parts at or below F_ZERO to exact zero, so
+    the generators carry their sparsity exactly."""
+    for part in (gens.real, gens.imag):
+        part[np.abs(part) <= F_ZERO] = 0.0
 
-    Raises ConstructionError above `tol`; the working memory is O(D d^2).
+
+def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """The distinct integer keys, sorted, and the sum of `values` at each.
+
+    Sorted with argsort, not np.unique: numpy 2.4's np.unique imports
+    numpy.ma, about 15 ms and 2 MB for every process.
     """
-    D = gens.shape[0]
-    flat = gens.reshape(D, -1)
-    closure = 0.0
-    for a in range(D):
-        comm = (gens[a] @ gens - gens @ gens[a]).reshape(D, -1)
-        closure = max(closure, float(np.abs(comm - 1j * (f[a] @ flat)).max()))
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple:
+    """All index pairs (l, r) with left[l] == right[r]."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    count = np.searchsorted(ordered, left, "right") - lo
+    l = np.repeat(np.arange(left.size), count)
+    offset = np.arange(l.size) - np.repeat(np.cumsum(count) - count, count)
+    return l, order[lo[l] + offset]
+
+
+def _entries(gens: np.ndarray) -> tuple:
+    """(a, i, j, value) of the non-zero generator entries (t_a)_ij."""
+    a, i, j = np.nonzero(gens)
+    return a, i, j, gens[a, i, j]
+
+
+def _commutator_entries(gens: np.ndarray) -> tuple:
+    """Flat keys ((a D + b) d + i) d + k and values of ([t_a, t_b])_ik, from
+    the products (t_a)_ij (t_b)_jk of non-zero entries joined on j."""
+    D, d, _ = gens.shape
+    a, i, j, v = _entries(gens)
+    l, r = _join(j, i)
+    p = v[l] * v[r]
+    ik = i[l] * d + j[r]
+    keys = np.concatenate(((a[l] * D + a[r]) * d * d + ik, (a[r] * D + a[l]) * d * d + ik))
+    return sum_by_key(keys, np.concatenate((p, -p)))
+
+
+def _check_closure(gens: np.ndarray, f: CooTensor, comm: tuple,
+                   tol: float = 1e-9) -> float:
+    """max |[t_a, t_b] - i f_abc t_c| over all a, b and matrix entries, with
+    `comm` the `_commutator_entries` of `gens`.
+
+    The f terms join the COO entries of f on c with the generator entries;
+    both sides are summed by (a, b, i, k).  Raises ConstructionError above
+    `tol`.
+    """
+    D, d, _ = gens.shape
+    keys, comm = comm
+    c, i, k, v = _entries(gens)
+    l, r = _join(f.index[:, 2], c)
+    ab = f.index[l, 0] * D + f.index[l, 1]
+    _, resid = sum_by_key(np.concatenate((keys, (ab * d + i[r]) * d + k[r])),
+                          np.concatenate((comm, -1j * f.value[l] * v[r])))
+    closure = float(np.abs(resid).max(initial=0.0))
     if closure > tol:
         raise ConstructionError(f"algebra does not close on the basis: residual {closure:.2e}")
     return closure
@@ -641,34 +707,31 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
 
 
 def structure_constants(rep: AlgebraRep) -> StructureConstants:
-    """f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real and antisymmetric.
+    """f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real.
 
-    With T_abc = Tr(t_a t_b t_c), cyclicity gives Tr(t_b t_a t_c) = T_acb, so
-    row a of f is -(i/C)(T_a - T_a^T) and only one (D, D) slice of T, plus
-    the (D, d, d) products t_a t_b, is held at a time.  Entries at or below
-    F_ZERO are set to exact zero, and the non-zero ones are gathered row by
-    row into the COO form.
+    The commutator entries ([t_A, t_B])_ik are joined on (i, k) with the
+    generator entries (t_C)_ki and summed by (A, B, C), so the cost follows
+    the non-zero entries of the generators, not D^3.  Entries at or below
+    F_ZERO are set to exact zero; the rest form the COO form.
     """
-    g = rep.generators
-    D = g.shape[0]
-    gT = _flat_transposes(g)
-    f = np.empty((D, D, D))
-    index, value = [], []
-    imag = 0.0
-    for a in range(D):
-        t = (g[a] @ g).reshape(D, -1) @ gT
-        row = -1j / rep.norm_const * (t - t.T)
-        imag = max(imag, float(np.abs(row.imag).max()))
-        real = row.real
-        real[np.abs(real) <= F_ZERO] = 0.0
-        f[a] = real
-        b, c = np.nonzero(real)
-        index.append(np.stack((np.full_like(b, a), b, c), axis=1))
-        value.append(real[b, c])
-    if imag > 1e-11:
+    return _structure_constants(rep.generators, rep.norm_const,
+                                _commutator_entries(rep.generators))
+
+
+def _structure_constants(g: np.ndarray, norm_const: float, comm: tuple) -> StructureConstants:
+    """`structure_constants` from the `_commutator_entries` of the generators."""
+    D, d, _ = g.shape
+    keys, comm = comm
+    c, i, k, v = _entries(g)
+    l, r = _join(keys % (d * d), k * d + i)
+    keys, trace = sum_by_key(keys[l] // (d * d) * D + c[r], comm[l] * v[r])
+    f = -1j / norm_const * trace
+    if np.abs(f.imag).max(initial=0.0) > 1e-11:
         raise ConstructionError("structure constants are not real")
-    out = StructureConstants(f=f, coo=CooTensor(np.concatenate(index), np.concatenate(value), D))
-    for array in (out.f, out.coo.index, out.coo.value):
+    keep = np.abs(f.real) > F_ZERO
+    index = np.stack(np.unravel_index(keys[keep], (D, D, D)), axis=1)
+    out = StructureConstants(CooTensor(index, f.real[keep], D))
+    for array in (out.coo.index, out.coo.value):
         array.setflags(write=False)
     return out
 

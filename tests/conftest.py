@@ -20,6 +20,10 @@ CATALOG = [
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 CLI_RANGE = [(f, r) for f, cap in MAX_RANK.items() for r in range(_MIN_RANK[f], cap + 1)]
 
+#: algebras above the command-line rank caps that the library still builds,
+#: the `highrank` benchmark set
+ABOVE_CAPS = [("A", 9), ("A", 10), ("B", 6), ("C", 6), ("D", 7)]
+
 
 @pytest.fixture(scope="session")
 def catalog_algebras():

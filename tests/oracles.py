@@ -1,17 +1,77 @@
-"""Dense einsum forms of the certificate residuals, kept as test oracles.
+"""Dense forms of the construction and certificate kernels, kept as test oracles.
 
+`hktlie.liealg` computes f_ABC and the closure check by sparse joins over the
+non-zero generator entries, and each simple-root vector from one small eigh.
 `hktlie.cstruct` evaluates integrability, Bismut constancy and the hull
 torsion on the signed permutation of a structure over the non-zero entries
-of f.  These are the same formulas contracted densely on any float matrix,
-with (D, D, D) temporaries: the reference the sparse kernels must match, and
-the only way to evaluate the checks on structures that are not signed
-permutations (random negative controls, arbitrary antisymmetric matrices).
+of f.  These are the same formulas computed densely: row-at-a-time products
+and an SVD for the construction, (D, D, D) einsum temporaries for the
+residuals on any float matrix.  They are the reference the fast kernels must
+match, and the only way to evaluate the checks on structures that are not
+signed permutations (random negative controls, arbitrary antisymmetric
+matrices).
 """
 
 import numpy as np
 
 from hktlie.cstruct import DEFAULT_TOL, IntegrabilityError, _matrix_of
-from hktlie.liealg import StructureConstants
+from hktlie.liealg import F_ZERO, ConstructionError, StructureConstants, _flat_transposes
+
+
+# ---------------------------------------------------------------------------
+# construction kernels
+
+def structure_constants_rows(gens: np.ndarray, norm_const: float) -> np.ndarray:
+    """Dense f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real.
+
+    With T_abc = Tr(t_a t_b t_c), cyclicity gives Tr(t_b t_a t_c) = T_acb, so
+    row a of f is -(i/C)(T_a - T_a^T); one (D, D) slice of T and the
+    (D, d, d) products t_a t_b are held at a time.  Entries at or below
+    F_ZERO are set to exact zero.
+    """
+    D = gens.shape[0]
+    gT = _flat_transposes(gens)
+    f = np.empty((D, D, D))
+    imag = 0.0
+    for a in range(D):
+        t = (gens[a] @ gens).reshape(D, -1) @ gT
+        row = -1j / norm_const * (t - t.T)
+        imag = max(imag, float(np.abs(row.imag).max()))
+        real = row.real
+        real[np.abs(real) <= F_ZERO] = 0.0
+        f[a] = real
+    if imag > 1e-11:
+        raise ConstructionError("structure constants are not real")
+    return f
+
+
+def closure_residual_rows(gens: np.ndarray, f: np.ndarray) -> float:
+    """max |[t_a, t_b] - i f_abc t_c| over all a, b, one row a at a time."""
+    D = gens.shape[0]
+    flat = gens.reshape(D, -1)
+    closure = 0.0
+    for a in range(D):
+        comm = (gens[a] @ gens - gens @ gens[a]).reshape(D, -1)
+        closure = max(closure, float(np.abs(comm - 1j * (f[a] @ flat)).max()))
+    return closure
+
+
+def root_eigenvector_svd(ad_mats, target, noncsa) -> np.ndarray:
+    """The root vector of eigenvalue `target` from the SVD of the stacked
+    (rank m, m) matrix of ad_k - target_k, with the same two refusals."""
+    m = ad_mats[0].shape[0]
+    stack = np.vstack([ad - t * np.eye(m) for ad, t in zip(ad_mats, target)])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    if s[-1] > 1e-8:
+        raise ConstructionError(f"no root vector found for eigenvalue {target}")
+    if m > 1 and s[-2] < 1e-6:
+        raise ConstructionError(f"degenerate root space for eigenvalue {target}")
+    v = vh[-1].conj()
+    return sum(vk * g for vk, g in zip(v, noncsa))
+
+
+# ---------------------------------------------------------------------------
+# certificate residuals
 
 
 def _f_of(x) -> np.ndarray:

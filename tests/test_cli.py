@@ -396,7 +396,7 @@ def test_verify_residual_failure_exit_code(capsys):
     # machine-precision residuals cannot beat a 1e-18 tolerance
     code, out, _ = run(capsys, "--tol", "1e-18", "verify", "A2")
     assert code == 1
-    assert "verdict: failed (quaternion 2.3e-15 above 1e-18)" in out
+    assert "verdict: failed (quaternion 9.3e-16 above 1e-18)" in out
     code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A2")
     assert code == 1
-    assert json.loads(out)["message"] == "quaternion 2.3e-15 above 1e-18"
+    assert json.loads(out)["message"] == "quaternion 9.3e-16 above 1e-18"

@@ -8,7 +8,7 @@ from hktlie import cstruct as C
 from hktlie import liealg as L
 
 import oracles
-from conftest import CATALOG
+from conftest import ABOVE_CAPS, CATALOG
 
 
 def canonical(family, rank, u1=0):
@@ -424,7 +424,7 @@ def test_kernels_match_oracles_on_every_catalog_certificate(recorded_reports):
         assert_report_matches_oracles(*call)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 9), ("A", 10), ("B", 6), ("C", 6), ("D", 7)])
+@pytest.mark.parametrize("family,rank", ABOVE_CAPS)
 def test_kernels_match_oracles_above_the_rank_caps(family, rank, recorded_reports):
     from hktlie.spaces import required_padding
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))

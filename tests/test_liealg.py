@@ -1,12 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hktlie import liealg as L
+from hktlie.autom import build_quaternion_triple
 from hktlie.spaces import required_padding
 
-from conftest import CATALOG, CLI_RANGE
+import oracles
+from conftest import ABOVE_CAPS, CATALOG, CLI_RANGE
 
 
 def em(d, i, j):
@@ -39,7 +42,7 @@ def test_jacobi_residual_catalog(family, rank):
 
 
 # ---------------------------------------------------------------------------
-# row-at-a-time kernels against the dense (D, D, d, d) formulas they replaced
+# sparse construction kernels against the dense oracles
 
 def dense_structure_constants(g, C):
     comm = np.einsum("aij,bjk->abik", g, g)
@@ -53,15 +56,27 @@ def dense_closure_residual(g, f):
     return np.abs(comm - 1j * np.einsum("abc,cij->abij", f, g)).max()
 
 
-@pytest.mark.parametrize("family,rank", CLI_RANGE)
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
 def test_structure_constants_match_dense_einsum(family, rank):
+    """The index joins give the support of the row-at-a-time oracle, its
+    values within 1e-14 and its closure residual within 1e-14; up to the rank
+    caps the full (D, D, d, d) einsum agrees as well."""
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
-    dense = dense_structure_constants(rep.generators, rep.norm_const)
-    assert np.abs(dense.imag).max() < 1e-14
-    assert np.abs(rep.structure_constants().f - dense.real).max() <= 1e-14
+    g, C = rep.generators, rep.norm_const
+    sc = rep.structure_constants()
+    rows = oracles.structure_constants_rows(g, C)
+    assert np.array_equal(sc.coo.index, np.argwhere(rows))
+    assert np.abs(sc.f - rows).max() <= 1e-14
+    closure = L._check_closure(g, sc.coo, L._commutator_entries(g))
+    assert abs(closure - oracles.closure_residual_rows(g, rows)) <= 1e-14
+    if (family, rank) in CLI_RANGE:
+        dense = dense_structure_constants(g, C)
+        assert np.abs(dense.imag).max() < 1e-14
+        assert np.abs(sc.f - dense.real).max() <= 1e-14
+        assert abs(closure - dense_closure_residual(g, sc.f)) <= 1e-14
 
 
-@pytest.mark.parametrize("family,rank", CLI_RANGE)
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
 def test_structure_constant_support_is_exact(family, rank):
     """Every stored f_ABC != 0 obeys the root-weight selection rule
     +-w_A +- w_B +- w_C = 0, with weight 0 on the Cartan and u(1) axes, and
@@ -85,8 +100,9 @@ def test_structure_constant_support_is_exact(family, rank):
 def test_closure_check_matches_dense_and_rejects_perturbed_generator():
     rep = L.build_matrix_rep("A", 3, 1)
     g, C = rep.generators, rep.norm_const
-    f = rep.structure_constants().f
-    assert abs(L._check_closure(g, f) - dense_closure_residual(g, f)) <= 1e-14
+    sc = rep.structure_constants()
+    closure = L._check_closure(g, sc.coo, L._commutator_entries(g))
+    assert abs(closure - dense_closure_residual(g, sc.f)) <= 1e-14
 
     # mix the u(1) generator with a Hermitian matrix that couples the su(4)
     # block to the u(1) slot: still orthonormal, but no longer a subalgebra
@@ -99,10 +115,92 @@ def test_closure_check_matches_dense_and_rejects_perturbed_generator():
     bad[k] = (g[k] + eps * x) / np.sqrt(1.0 + 2.0 * eps ** 2 / C)
     gram = np.einsum("aij,bji->ab", bad, bad)
     assert np.abs(gram - C * np.eye(rep.dim)).max() < 1e-12
-    f_bad = L.structure_constants(dataclasses.replace(rep, generators=bad, _structure=None)).f
-    assert dense_closure_residual(bad, f_bad) > 1e-4
+    f_bad = L.structure_constants(dataclasses.replace(rep, generators=bad, _structure=None))
+    assert dense_closure_residual(bad, f_bad.f) > 1e-4
     with pytest.raises(L.ConstructionError, match="does not close"):
-        L._check_closure(bad, f_bad)
+        L._check_closure(bad, f_bad.coo, L._commutator_entries(bad))
+
+
+def test_check_closure_of_abelian_generators_is_zero():
+    rep = L.build_abelian_rep(3)
+    sc = L.structure_constants(rep)
+    assert sc.coo.value.size == 0
+    assert L._check_closure(rep.generators, sc.coo,
+                            L._commutator_entries(rep.generators)) == 0.0
+
+
+def _simple_root_inputs(family, rank):
+    rs = L.build_root_system(family, rank)
+    raw = L._raw_basis(family, rank, "defining" if family in "AC" else "vector")
+    csa = [axis[4] for axis in L._adapted_csa(rs, L.basic_root_chain(rs), raw)]
+    w = np.stack([raw.extract(h) for h in csa])
+    targets = [w @ L._np_coords(a.coords) for a in rs.simple_roots]
+    return L._ad_matrices(csa, raw.noncsa, raw.C), targets, raw.noncsa
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_simple_root_vectors_match_svd_oracle(family, rank):
+    """One eigh per simple root spans the same root space as the SVD of the
+    stacked (rank m, m) matrix."""
+    ad, targets, noncsa = _simple_root_inputs(family, rank)
+    for target in targets:
+        e = L._root_eigenvector(ad, target, noncsa)
+        ref = oracles.root_eigenvector_svd(ad, target, noncsa)
+        overlap = abs(np.vdot(ref, e)) / (np.linalg.norm(ref) * np.linalg.norm(e))
+        assert abs(overlap - 1.0) < 1e-13
+
+
+def test_root_eigenvector_refuses_non_roots_and_degenerate_spaces():
+    ad, targets, noncsa = _simple_root_inputs("A", 2)
+    # half a root is no eigenvalue of the Cartan action
+    with pytest.raises(L.ConstructionError, match="no root vector"):
+        L._root_eigenvector(ad, targets[0] / 2, noncsa)
+    with pytest.raises(L.ConstructionError, match="no root vector"):
+        oracles.root_eigenvector_svd(ad, targets[0] / 2, noncsa)
+    # on the first Cartan axis alone both simple roots of su(3) take 1/2
+    assert targets[0][0] == targets[1][0] == 0.5
+    with pytest.raises(L.ConstructionError, match="degenerate"):
+        L._root_eigenvector(ad[:1], targets[0][:1], noncsa)
+    with pytest.raises(L.ConstructionError, match="degenerate"):
+        oracles.root_eigenvector_svd(ad[:1], targets[0][:1], noncsa)
+
+
+@pytest.mark.parametrize("family,rank,u1", [
+    (f, r, required_padding([(f, r)])) for f, r in CLI_RANGE + ABOVE_CAPS]
+    + [("A", 13, 1), ("D", 10, 10)])
+def test_generator_snap_zeroes_only_rounding(family, rank, u1, monkeypatch):
+    """The entries that the snap to exact zero removes are below 1e-15, and
+    no generator entry is left at or below F_ZERO but not zero."""
+    zeroed = []
+    snap = L._snap_to_zero
+
+    def recording(gens):
+        before = gens.copy()
+        snap(gens)
+        for old, new in ((before.real, gens.real), (before.imag, gens.imag)):
+            zeroed.append(np.abs(old[(new == 0) & (old != 0)]).max(initial=0.0))
+
+    monkeypatch.setattr(L, "_snap_to_zero", recording)
+    rep = L._build_matrix_rep(family, rank, u1, "defining" if family in "AC" else "vector")
+    assert len(zeroed) == 2 and max(zeroed) < 1e-15
+    parts = np.abs(np.stack((rep.generators.real, rep.generators.imag)))
+    assert not ((parts > 0) & (parts <= L.F_ZERO)).any()
+
+
+def test_high_rank_certificate_path_builds_no_dense_f():
+    """The tracemalloc peak of the D10xU1^10 build (uncached, as
+    build_matrix_rep runs it) and its triple stays below 32 MB, half the
+    64 MB of a dense f at D = 200."""
+    L.build_matrix_rep("A", 2)                  # numpy's own first-use buffers
+    tracemalloc.start()
+    try:
+        rep = L._build_matrix_rep("D", 10, 10, "vector")
+        assert build_quaternion_triple(rep).certified
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == 200
+    assert peak < 32e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_su2_generators_and_epsilon():
