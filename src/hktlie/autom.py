@@ -58,20 +58,6 @@ def adjoint_action(rep: AlgebraRep, u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(omega.real)
 
 
-def hadamard_adjoint(r: np.ndarray, x: np.ndarray, tol: float = 1e-16,
-                     max_terms: int = 80) -> np.ndarray:
-    """e^R X e^-R summed term by term; the series oracle for adjoint_action."""
-    out = x.copy()
-    term = x.copy()
-    scale = max(np.abs(x).max(), 1.0)
-    for n in range(1, max_terms):
-        term = (r @ term - term @ r) / n
-        out = out + term
-        if np.abs(term).max() < tol * scale:
-            return out
-    raise RuntimeError("commutator series did not converge")
-
-
 def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
                            level: int = 0, tol: float = 1e-10) -> Automorphism:
     """The orthogonal generator action induced by the theta rotation."""

@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import spaces
 from .cstruct import DEFAULT_TOL
@@ -44,20 +43,6 @@ DEFAULT_FD_STEP = 1e-4
 
 class SpecParseError(ValueError):
     pass
-
-
-@dataclass
-class CliConfig:
-    tolerance: float = DEFAULT_TOL
-    fd_step: float | None = None      # None: verify uses DEFAULT_FD_STEP, catalog skips
-    output_format: str = "text"
-    jobs: int = 1
-
-    def validate(self):
-        if not (0 < self.tolerance <= 1e-3):
-            raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {self.tolerance:g}")
-        if self.fd_step is not None and not (0 < self.fd_step <= 1e-2):
-            raise SpecParseError(f"fd-step must lie in (0, 1e-2], got {self.fd_step:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +115,8 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
     if quot:
         if len(factors) != 1:
             raise SpecParseError("quotients are only supported for a single simple factor")
-        family, rank = factors[0]
         try:
-            levels = basic_root_chain(build_root_system(family, rank))
+            levels = basic_root_chain(build_root_system(*factors[0]))
         except UnsupportedAlgebraError as exc:
             raise SpecParseError(str(exc))
         include_abelian = False
@@ -161,16 +145,12 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
         level = lvls.pop() if lvls else 1
         if lvls:
             raise SpecParseError("all quotient items must sit at the same level")
-        if not 1 <= level <= len(levels):
-            raise SpecParseError(f"no centralizer at level {level}; {family}{rank} has "
-                                 f"levels 1 to {len(levels)}")
-        if include_abelian:
-            try:
-                spaces.require_abelian_part(levels, level)
-            except ValueError as exc:
-                raise SpecParseError(str(exc))
         selections = (spaces.LevelSelection(
             level=level, summands=tuple(labels), include_abelian=include_abelian),)
+        try:
+            spaces._resolve_selections(levels, selections)
+        except ValueError as exc:
+            raise SpecParseError(str(exc))
     return spaces.SpaceSpec(tuple(factors), u1, selections)
 
 
@@ -186,7 +166,7 @@ def _check_rank_range(family: str, rank: int) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_roots(args, cfg: CliConfig) -> int:
+def cmd_roots(args) -> int:
     m = _FACTOR_RE.match(args.system.strip())
     if not m:
         raise SpecParseError(f"cannot parse root system {args.system!r}; expected e.g. B3")
@@ -194,7 +174,7 @@ def cmd_roots(args, cfg: CliConfig) -> int:
     _check_rank_range(family, rank)
     rs = build_root_system(family, rank)
     surgery = extended_dynkin_surgery(rs)
-    if cfg.output_format == "json":
+    if args.json:
         doc = rs.to_json_dict()
         doc["surgery"] = {
             "summands": [f"{f}{r}" for f, r in surgery.shapes],
@@ -230,8 +210,8 @@ def _verdict_text(verdict: str, message: str) -> str:
     return f"{verdict} ({message})" if verdict == "failed" and message else verdict
 
 
-def _print_report(report: spaces.VerificationReport, cfg: CliConfig) -> None:
-    if cfg.output_format == "json":
+def _print_report(report: spaces.VerificationReport, as_json: bool) -> None:
+    if as_json:
         print(canonical_json(report.to_json_dict()))
         return
     print(f"space: {report.name}")
@@ -260,19 +240,19 @@ def _print_report(report: spaces.VerificationReport, cfg: CliConfig) -> None:
     print(f"verdict: {_verdict_text(report.verdict, report.message)}")
 
 
-def cmd_verify(args, cfg: CliConfig) -> int:
+def cmd_verify(args) -> int:
     spec = parse_space_string(args.space)
-    fd_step = DEFAULT_FD_STEP if cfg.fd_step is None else cfg.fd_step
-    report = spaces.build_coset_triple(spec, tol=cfg.tolerance, fd_step=fd_step)
-    _print_report(report, cfg)
+    fd_step = DEFAULT_FD_STEP if args.fd_step is None else args.fd_step
+    report = spaces.build_coset_triple(spec, tol=args.tol, fd_step=fd_step)
+    _print_report(report, args.json)
     return _verdict_exit(report)
 
 
-def cmd_classify(args, cfg: CliConfig) -> int:
+def cmd_classify(args) -> int:
     family = args.family.upper()
     _check_rank_range(family, args.max_rank)
     rows = spaces.classify_family(family, args.max_rank)
-    if cfg.output_format == "json":
+    if args.json:
         print(canonical_json([{
             "family": r.family, "rank": r.rank, "name": r.name,
             "group_dim": r.group_dim, "padding": r.padding, "total_dim": r.total_dim,
@@ -308,7 +288,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def cmd_catalog(args, cfg: CliConfig) -> int:
+def cmd_catalog(args) -> int:
     family = args.family.upper()
     _check_rank_range(family, args.rank)
     if args.max_level < 0:
@@ -318,8 +298,8 @@ def cmd_catalog(args, cfg: CliConfig) -> int:
     reports = None
     if args.verify:
         # the Nijenhuis check runs on the group-manifold rows only when --fd-step is given
-        payloads = [(sp, cfg.tolerance, cfg.fd_step) for sp in specs]
-        workers = min(cfg.jobs, len(payloads), _usable_cpus())
+        payloads = [(sp, args.tol, args.fd_step) for sp in specs]
+        workers = min(args.jobs, len(payloads), _usable_cpus())
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_verify_one, payloads))
@@ -335,7 +315,7 @@ def cmd_catalog(args, cfg: CliConfig) -> int:
         for sp in specs:
             rows.append({"space": sp.name, "string": _spec_to_string(sp),
                          "padding": sp.u1_count})
-    if cfg.output_format == "json":
+    if args.json:
         if reports is not None:
             print(canonical_json([r.to_json_dict() for r in reports]))
         else:
@@ -396,15 +376,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = args.tol
-        if tol is None:
-            tol = float(os.environ.get("HKT_TOL", DEFAULT_TOL))
-        jobs = os.cpu_count() if args.jobs == "auto" else int(args.jobs)
-        cfg = CliConfig(tolerance=tol, fd_step=args.fd_step,
-                        output_format="json" if args.json else "text",
-                        jobs=max(1, jobs))
-        cfg.validate()
-        return args.func(args, cfg)
+        if args.tol is None:
+            args.tol = float(os.environ.get("HKT_TOL", DEFAULT_TOL))
+        args.jobs = max(1, os.cpu_count() if args.jobs == "auto" else int(args.jobs))
+        if not (0 < args.tol <= 1e-3):
+            raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {args.tol:g}")
+        if args.fd_step is not None and not (0 < args.fd_step <= 1e-2):
+            raise SpecParseError(f"fd-step must lie in (0, 1e-2], got {args.fd_step:g}")
+        return args.func(args)
     except (SpecParseError, UnsupportedAlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

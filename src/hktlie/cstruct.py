@@ -328,27 +328,6 @@ def vielbein_at(rep: AlgebraRep, x: Sequence[float]) -> np.ndarray:
     return np.eye(rep.dim) + lin + quad
 
 
-def killing_metric_exact(rep: AlgebraRep, x: Sequence[float], step: float = 1e-5) -> np.ndarray:
-    """Killing metric (1/C) Tr(d_M w d_N w^-1) by central differences of the
-    exact exponential map; the independent oracle for metric_at."""
-    import scipy.linalg
-    g = rep.generators
-    x = np.asarray(x, dtype=float)
-
-    def omega(y):
-        return scipy.linalg.expm(1j * np.einsum("a,aij->ij", y, g))
-
-    D = rep.dim
-    dw = np.empty((D, rep.matrix_dim, rep.matrix_dim), dtype=complex)
-    dwinv = np.empty_like(dw)
-    for m in range(D):
-        e = np.zeros(D)
-        e[m] = step
-        dw[m] = (omega(x + e) - omega(x - e)) / (2 * step)
-        dwinv[m] = (np.linalg.inv(omega(x + e)) - np.linalg.inv(omega(x - e))) / (2 * step)
-    return np.real(np.einsum("mij,nji->mn", dw, dwinv)) / rep.norm_const
-
-
 def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Totally antisymmetric Bismut torsion from the complex structure,
     C_MNP = I_M^Q I_N^S I_P^R (d_Q I_SR + d_S I_RQ + d_R I_QS) at the origin,
@@ -367,12 +346,6 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     out = np.zeros(coo.dim ** 3)
     out[keys] = sums
     return out.reshape((coo.dim,) * 3)
-
-
-def structure_field(rep: AlgebraRep, I, x: Sequence[float]) -> np.ndarray:
-    """Mixed-index coordinate field I_M^N(x) = e_MA I_AB (e^-1)_B^N."""
-    e = vielbein_at(rep, x)
-    return e @ _matrix_of(I) @ np.linalg.inv(e)
 
 
 #: directions per batched solve in _field_differences; bounds its
@@ -423,40 +396,6 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
             f"Richardson extrapolation diverged (step {step:g}): {n_coarse:.2e} -> {n_extrap:.2e}; "
             "the step size is probably too small or too large", RuntimeWarning)
     return n_extrap
-
-
-def random_complex_structure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A random antisymmetric orthogonal matrix squaring to -1 (not adapted
-    to any root structure); the negative control for the residual checks."""
-    if dim % 2:
-        raise ValueError("complex structures need even dimension")
-    rot = np.zeros((dim, dim))
-    for k in range(dim // 2):
-        rot[2 * k, 2 * k + 1] = -1.0
-        rot[2 * k + 1, 2 * k] = 1.0
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.sign(np.diag(r))
-    return q @ rot @ q.T
-
-
-def self_duality_residual(X, eps_sign: float = 1.0) -> float:
-    """||X_AB - 1/2 eps_ABCD X_CD|| for a 4x4 block, with eps_0123 = eps_sign."""
-    x = _matrix_of(X)
-    if x.shape != (4, 4):
-        raise ValueError("self-duality is a 4x4 check")
-    eps = np.zeros((4, 4, 4, 4))
-    from itertools import permutations
-    base = (0, 1, 2, 3)
-    for perm in permutations(range(4)):
-        sign = 1.0
-        p = list(perm)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if p[a] > p[b]:
-                    sign = -sign
-        eps[perm] = sign * eps_sign
-    dual = 0.5 * np.einsum("abcd,cd->ab", eps, x)
-    return float(np.abs(x - dual).max())
 
 
 @dataclass

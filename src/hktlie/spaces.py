@@ -130,25 +130,6 @@ def _quotient_padding(levels, tops, abelian_levels) -> int:
     return 2 * (len(chain_nodes(levels)) - removed) - (rank - removed_csa)
 
 
-def require_abelian_part(levels, level: int) -> None:
-    """Raise ValueError unless the chain nodes one level up leave commuting
-    Cartan directions, the Abelian part a quotient item at `level` removes;
-    without them the "quotient" is the group manifold under another name."""
-    nodes = levels[level - 1]
-    if sum(n.abelian_dim for n in nodes) == 0:
-        raise ValueError(f"no Abelian part at level {level}: the centralizer at chain "
-                         f"node(s) {', '.join(n.label for n in nodes)} is semisimple")
-
-
-def spec_required_padding(spec: "SpaceSpec") -> int:
-    """u(1) factors the spec must carry: twice the remaining basic roots
-    minus the remaining Cartan directions."""
-    if not spec.selections:
-        return required_padding(spec.factors)
-    levels = basic_root_chain(build_root_system(*spec.factors[0]))
-    return _quotient_padding(levels, *_resolve_selections(levels, spec.selections))
-
-
 def enumerate_quotients(factor, max_level: int = 8) -> list:
     """All quotient specs of one simple factor up to the given chain level.
 
@@ -161,7 +142,7 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     rs = build_root_system(family, rank)
     levels = basic_root_chain(rs)
 
-    specs = [SpaceSpec(((family, rank),), required_padding([(family, rank)]))]
+    specs = [SpaceSpec(((family, rank),), _quotient_padding(levels, (), ()))]
     for k in range(1, max_level + 1):
         summands = levels[k] if k < len(levels) else ()
         parents = levels[k - 1] if k - 1 < len(levels) else ()
@@ -243,12 +224,18 @@ def match_summands(nodes, label: str) -> list:
 
 
 def _resolve_selections(levels, selections):
-    """Map label selections to chain nodes; returns (removed tops, abelian levels)."""
+    """Map the label selections of a quotient to chain nodes; returns (removed
+    tops, Abelian levels).  The only home of the quotient rules: one level,
+    inside the chain; each label names one node there; an Abelian item needs
+    an Abelian part; no two removed subtrees overlap."""
+    if len(selections) > 1:
+        raise ValueError(f"a quotient sits at one level; got {len(selections)} selections")
     tops = []
     abelian_levels = []
     for sel in selections:
-        if sel.level < 1 or sel.level >= len(levels) + 1:
-            raise ValueError(f"no centralizer at level {sel.level}")
+        if not 1 <= sel.level <= len(levels):
+            raise ValueError(f"no centralizer at level {sel.level}; {levels[0][0].label} "
+                             f"has levels 1 to {len(levels)}")
         nodes = levels[sel.level] if sel.level < len(levels) else ()
         for label in sel.summands:
             candidates = match_summands(nodes, label)
@@ -258,7 +245,13 @@ def _resolve_selections(levels, selections):
                     f"{'ambiguous' if candidates else 'unknown'}; have {[n.label for n in nodes]}")
             tops.append(candidates[0])
         if sel.include_abelian:
-            require_abelian_part(levels, sel.level)
+            # without commuting Cartan directions one level up, the
+            # "quotient" is the group manifold under another name
+            parents = levels[sel.level - 1]
+            if sum(n.abelian_dim for n in parents) == 0:
+                raise ValueError(
+                    f"no Abelian part at level {sel.level}: the centralizer at chain "
+                    f"node(s) {', '.join(n.label for n in parents)} is semisimple")
             abelian_levels.append(sel.level - 1)
     seen = set()
     for t in tops:
@@ -269,25 +262,46 @@ def _resolve_selections(levels, selections):
     return tops, abelian_levels
 
 
-def _verify_factor(family, rank, padding, selections, tol, fd_step):
-    """Resolve the quotient of one simple factor into generator indices and
-    certify it; returns the basic roots used and the TripleResult."""
-    rep = build_matrix_rep(family, rank, padding)
-    tops, abelian_levels = _resolve_selections(rep.chain_levels, selections)
-    removed_nodes = [n for t in tops for n in _subtree(t)]
+@dataclass(frozen=True)
+class _Factor:
+    """One simple factor of a resolved spec; a group factor is the empty quotient."""
 
-    quotient = set()
-    for top in tops:
+    family: str
+    rank: int
+    tops: tuple             # removed chain subtrees
+    abelian_levels: tuple   # chain levels whose nodes lose their Abelian parts
+    padding: int            # u(1) factors this factor needs
+
+
+def _resolve_spec(spec: SpaceSpec) -> list:
+    """Each factor of `spec` with its quotient and padding, one chain build per factor."""
+    if not spec.factors:
+        raise ValueError("need at least one simple factor")
+    if spec.selections and len(spec.factors) != 1:
+        raise ValueError("quotient selections are only supported for a single simple factor")
+    factors = []
+    for family, rank in spec.factors:
+        levels = basic_root_chain(build_root_system(family, rank))
+        tops, abelian_levels = _resolve_selections(levels, spec.selections)
+        factors.append(_Factor(family, rank, tuple(tops), tuple(abelian_levels),
+                               _quotient_padding(levels, tops, abelian_levels)))
+    return factors
+
+
+def _verify_factor(factor: _Factor, tol, fd_step):
+    """Map the quotient of one resolved factor to generator indices and
+    certify it; returns the basic roots used and the TripleResult."""
+    rep = build_matrix_rep(factor.family, factor.rank, factor.padding)
+    removed = [n for t in factor.tops for n in _subtree(t)]
+    removed_nodes = {(n.level, n.label) for n in removed}
+
+    quotient = {rep.coroot_axis_index(n.theta) for n in removed}
+    for top in factor.tops:
         for root in top.subsystem.positive_roots:
             ent = rep.root_entry(root)
             quotient.update((ent.re_index, ent.im_index))
-    for ax in rep.csa_axes:
-        if ax.kind == "coroot" and any(ax.root.coords == n.theta.coords for n in removed_nodes):
-            quotient.add(ax.index)
-        if ax.kind == "abelian" and (
-                any(ax.node_label == n.label and ax.level == n.level for n in removed_nodes)
-                or ax.level in abelian_levels):
-            quotient.add(ax.index)
+    quotient.update(ax.index for ax in rep.csa_axes if ax.kind == "abelian" and (
+        (ax.level, ax.node_label) in removed_nodes or ax.level in factor.abelian_levels))
 
     result = autom.build_quaternion_triple(rep, tol, fd_step, quotient=sorted(quotient))
     labels = {n.theta.coords: n.label for n in chain_nodes(rep.chain_levels)}
@@ -306,39 +320,32 @@ def _worst_report(reports):
 
 def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
                        fd_step: float | None = None) -> VerificationReport:
-    """Certify a (quotiented, padded) space; never raises on residual failure."""
-    if spec.selections and len(spec.factors) != 1:
-        raise ValueError("quotient selections are only supported for a single simple factor")
+    """Certify a (quotiented, padded) space; never raises on residual failure.
 
-    def report_failure(verdict, message, padding_required):
+    Raises ValueError for a spec that breaks the quotient rules."""
+    factors = _resolve_spec(spec)
+    # each simple factor takes exactly its own padding (no cross-factor pairing)
+    needed = sum(f.padding for f in factors)
+
+    def report_failure(message):
         return VerificationReport(
-            spec=spec, name=spec.name, dimension=0, padding_required=padding_required,
+            spec=spec, name=spec.name, dimension=0, padding_required=needed,
             basic_roots_used=(), automorphisms=(), residuals={},
             quaternion=float("inf"), k_mismatch=float("inf"),
             invariance_leak=float("inf"), coset_closure=float("inf"),
-            verdict=verdict, tolerance=tol, message=message)
+            verdict="not-admissible", tolerance=tol, message=message)
 
-    # distribute the declared u(1) factors: each simple factor takes exactly
-    # its own requirement (no cross-factor pairing)
+    if needed != spec.u1_count or needed < 0:
+        return report_failure(
+            f"{spec.name}: requires {max(needed, 0)} u(1) factor(s), got {spec.u1_count}")
+    basics, results = [], []
     try:
-        needed = spec_required_padding(spec)
-        if needed != spec.u1_count or needed < 0:
-            return report_failure(
-                "not-admissible",
-                f"{spec.name}: requires {max(needed, 0)} u(1) factor(s), got {spec.u1_count}",
-                needed)
-        if spec.selections:
-            per_factor = [(*spec.factors[0], spec.u1_count, spec.selections)]
-        else:
-            per_factor = [(f, r, required_padding([(f, r)]), ()) for f, r in spec.factors]
-        basics, results = [], []
-        for factor in per_factor:
-            basic, result = _verify_factor(*factor, tol, fd_step)
+        for factor in factors:
+            basic, result = _verify_factor(factor, tol, fd_step)
             basics += basic
             results.append(result)
     except PairingError as exc:
-        return report_failure("not-admissible", f"{spec.name}: {exc}",
-                              spec_required_padding(spec))
+        return report_failure(f"{spec.name}: {exc}")
 
     return VerificationReport(
         spec=spec, name=spec.name, dimension=sum(r.dimension for r in results),

@@ -9,13 +9,18 @@ and an SVD for the construction, (D, D, D) einsum temporaries for the
 residuals on any float matrix.  They are the reference the fast kernels must
 match, and the only way to evaluate the checks on structures that are not
 signed permutations (random negative controls, arbitrary antisymmetric
-matrices).
+matrices).  The last section holds the references that only the tests use:
+the Hadamard series, the exact Killing metric, the coordinate field of a
+structure, random complex structures and the 4x4 self-duality check.
 """
+
+from typing import Sequence
 
 import numpy as np
 
-from hktlie.cstruct import DEFAULT_TOL, IntegrabilityError, _matrix_of
-from hktlie.liealg import F_ZERO, ConstructionError, StructureConstants, _flat_transposes
+from hktlie.cstruct import DEFAULT_TOL, IntegrabilityError, _matrix_of, vielbein_at
+from hktlie.liealg import (
+    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _flat_transposes)
 
 
 # ---------------------------------------------------------------------------
@@ -124,3 +129,81 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
 def torsion_match(I, f) -> float:
     """max |C - f| of the hull torsion."""
     return float(np.abs(hull_torsion(I, f) - _f_of(f)).max())
+
+
+# ---------------------------------------------------------------------------
+# series, exact-exponential and random references for the library's checks
+
+def hadamard_adjoint(r: np.ndarray, x: np.ndarray, tol: float = 1e-16,
+                     max_terms: int = 80) -> np.ndarray:
+    """e^R X e^-R summed term by term; the series oracle for adjoint_action."""
+    out = x.copy()
+    term = x.copy()
+    scale = max(np.abs(x).max(), 1.0)
+    for n in range(1, max_terms):
+        term = (r @ term - term @ r) / n
+        out = out + term
+        if np.abs(term).max() < tol * scale:
+            return out
+    raise RuntimeError("commutator series did not converge")
+
+
+def killing_metric_exact(rep: AlgebraRep, x: Sequence[float], step: float = 1e-5) -> np.ndarray:
+    """Killing metric (1/C) Tr(d_M w d_N w^-1) by central differences of the
+    exact exponential map; the independent oracle for metric_at."""
+    import scipy.linalg
+    g = rep.generators
+    x = np.asarray(x, dtype=float)
+
+    def omega(y):
+        return scipy.linalg.expm(1j * np.einsum("a,aij->ij", y, g))
+
+    D = rep.dim
+    dw = np.empty((D, rep.matrix_dim, rep.matrix_dim), dtype=complex)
+    dwinv = np.empty_like(dw)
+    for m in range(D):
+        e = np.zeros(D)
+        e[m] = step
+        dw[m] = (omega(x + e) - omega(x - e)) / (2 * step)
+        dwinv[m] = (np.linalg.inv(omega(x + e)) - np.linalg.inv(omega(x - e))) / (2 * step)
+    return np.real(np.einsum("mij,nji->mn", dw, dwinv)) / rep.norm_const
+
+
+def structure_field(rep: AlgebraRep, I, x: Sequence[float]) -> np.ndarray:
+    """Mixed-index coordinate field I_M^N(x) = e_MA I_AB (e^-1)_B^N."""
+    e = vielbein_at(rep, x)
+    return e @ _matrix_of(I) @ np.linalg.inv(e)
+
+
+def random_complex_structure(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random antisymmetric orthogonal matrix squaring to -1 (not adapted
+    to any root structure); the negative control for the residual checks."""
+    if dim % 2:
+        raise ValueError("complex structures need even dimension")
+    rot = np.zeros((dim, dim))
+    for k in range(dim // 2):
+        rot[2 * k, 2 * k + 1] = -1.0
+        rot[2 * k + 1, 2 * k] = 1.0
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    return q @ rot @ q.T
+
+
+def self_duality_residual(X, eps_sign: float = 1.0) -> float:
+    """||X_AB - 1/2 eps_ABCD X_CD|| for a 4x4 block, with eps_0123 = eps_sign."""
+    x = _matrix_of(X)
+    if x.shape != (4, 4):
+        raise ValueError("self-duality is a 4x4 check")
+    eps = np.zeros((4, 4, 4, 4))
+    from itertools import permutations
+    base = (0, 1, 2, 3)
+    for perm in permutations(range(4)):
+        sign = 1.0
+        p = list(perm)
+        for a in range(4):
+            for b in range(a + 1, 4):
+                if p[a] > p[b]:
+                    sign = -sign
+        eps[perm] = sign * eps_sign
+    dual = 0.5 * np.einsum("abcd,cd->ab", eps, x)
+    return float(np.abs(x - dual).max())

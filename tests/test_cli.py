@@ -371,6 +371,38 @@ def test_verify_any_token_string_ends_in_an_exit_code(text):
     assert code in (cli.EXIT_OK, cli.EXIT_FAILED, cli.EXIT_USAGE, cli.EXIT_NOT_ADMISSIBLE)
 
 
+#: GRAMMAR_TOKENS by the place they take in a space string
+SIMPLE_TOKENS = tuple(t for t in GRAMMAR_TOKENS if cli._FACTOR_RE.match(t))
+CIRCLE_TOKENS = tuple(t for t in GRAMMAR_TOKENS if cli._U1_RE.match(t))
+QUOTIENT_TOKENS = GRAMMAR_TOKENS[GRAMMAR_TOKENS.index(",") + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SIMPLE_TOKENS), min_size=1, max_size=2),
+       st.lists(st.sampled_from(CIRCLE_TOKENS), max_size=2),
+       st.lists(st.sampled_from(QUOTIENT_TOKENS), max_size=2))
+def test_accepted_strings_round_trip_through_canonical_strings(simple, circles, quotient):
+    text = "x".join(simple + circles) + ("/" + ",".join(quotient) if quotient else "")
+    try:
+        spec = cli.parse_space_string(text)
+    except cli.SpecParseError:
+        return
+    assert cli.parse_space_string(cli._spec_to_string(spec)) == spec, text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("A5xU1^1/u1@0", "no centralizer at level 0; A5 has levels 1 to 3"),
+    ("A5xU1^1/u1@9", "no centralizer at level 9; A5 has levels 1 to 3"),
+    ("D4xU1^4/u1",
+     "no Abelian part at level 1: the centralizer at chain node(s) D4 is semisimple"),
+    ("A3xU1^1/A1:gamma", "unknown summand 'A1:gamma'; available: ['A1:beta'], "
+                         "or u1 / u1@L for the Abelian part"),
+])
+def test_rejected_quotient_error_texts(capsys, text, message):
+    code, out, err = run(capsys, "verify", text)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_ambiguous_summand_needs_label():
     with pytest.raises(cli.SpecParseError, match="ambiguous"):
         cli.parse_space_string("B3xU1^2/A1")

@@ -66,7 +66,7 @@ def test_nijenhuis_agrees_with_algebraic_check(family, rank):
     from hktlie.spaces import required_padding
     rep, I = canonical(family, rank, required_padding([(family, rank)]))
     f = rep.structure_constants()
-    samples = [I.matrix, C.random_complex_structure(rep.dim, np.random.default_rng(1))]
+    samples = [I.matrix, oracles.random_complex_structure(rep.dim, np.random.default_rng(1))]
     for m in samples:
         alg_small = oracles.integrability_residual(m, f) <= 1e-9
         fd_small = C.nijenhuis_at_origin(rep, m, step=1e-4) <= 1e-5
@@ -107,7 +107,7 @@ def test_integrability_random_controls():
     f = rep.structure_constants()
     rng = np.random.default_rng(11)
     for _ in range(20):
-        I = C.random_complex_structure(rep.dim, rng)
+        I = oracles.random_complex_structure(rep.dim, rng)
         assert oracles.integrability_residual(I, f) > 0.1
 
 
@@ -149,7 +149,7 @@ def test_metric_matches_exact_killing_su2():
     rep = L.build_matrix_rep("A", 1)
     x = np.array([0.05, 0.0, 0.0])
     approx = C.metric_at(rep, x)
-    exact = C.killing_metric_exact(rep, x)
+    exact = oracles.killing_metric_exact(rep, x)
     assert np.abs(approx - exact).max() < 1e-5
 
 
@@ -205,7 +205,7 @@ def test_torsion_zero_for_abelian():
 def test_torsion_refuses_non_integrable():
     rep = L.build_matrix_rep("A", 2)
     f = rep.structure_constants()
-    I = C.random_complex_structure(rep.dim, np.random.default_rng(5))
+    I = oracles.random_complex_structure(rep.dim, np.random.default_rng(5))
     with pytest.raises(C.IntegrabilityError, match="residual"):
         oracles.torsion_via_hull(I, f)
 
@@ -228,7 +228,7 @@ def loop_nijenhuis(rep, I, step):
         for m in range(D):
             x = np.zeros(D)
             x[m] = h
-            d[m] = (C.structure_field(rep, I, x) - C.structure_field(rep, I, -x)) / (2 * h)
+            d[m] = (oracles.structure_field(rep, I, x) - oracles.structure_field(rep, I, -x)) / (2 * h)
         return d
 
     di = (4.0 * fd(step / 2) - fd(step)) / 3.0
@@ -244,7 +244,7 @@ def test_batched_nijenhuis_matches_direction_loop(family, rank, u1):
     for s in (triple.I, triple.J, triple.K):
         assert abs(C.nijenhuis_at_origin(rep, s, step=1e-4)
                    - loop_nijenhuis(rep, s.matrix, 1e-4)) <= 1e-12
-    X = C.random_complex_structure(rep.dim, np.random.default_rng(7))
+    X = oracles.random_complex_structure(rep.dim, np.random.default_rng(7))
     batched = C.nijenhuis_at_origin(rep, X, step=1e-4)
     assert batched > 1e-5
     assert abs(batched - loop_nijenhuis(rep, X, 1e-4)) <= 1e-12 * batched
@@ -259,7 +259,7 @@ def test_nijenhuis_large_for_random():
     rep = L.build_matrix_rep("A", 2)
     rng = np.random.default_rng(13)
     for _ in range(3):
-        I = C.random_complex_structure(rep.dim, rng)
+        I = oracles.random_complex_structure(rep.dim, rng)
         n = C.nijenhuis_at_origin(rep, I, step=1e-4)
         assert n > 0.05
         assert oracles.integrability_residual(I, rep.structure_constants()) > 0.05
@@ -303,12 +303,12 @@ def test_self_duality_su2_u1_triple():
     rep = L.build_matrix_rep("A", 1, 1)
     res = A.build_quaternion_triple(rep)
     for X in (res.I, res.J, res.K):
-        assert C.self_duality_residual(X.matrix) < 1e-12
+        assert oracles.self_duality_residual(X.matrix) < 1e-12
 
 
 def test_self_duality_needs_4x4():
     with pytest.raises(ValueError):
-        C.self_duality_residual(np.zeros((6, 6)))
+        oracles.self_duality_residual(np.zeros((6, 6)))
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,32 @@ def test_abelian_item_without_abelian_part_is_refused():
         spec = Spec((factor,), u1, (Sel(1, (), True),))
         with pytest.raises(ValueError, match="no Abelian part at level 1"):
             S.build_coset_triple(spec)
+
+
+def test_quotient_at_two_levels_is_refused():
+    """The grammar puts every quotient item at one level; a spec with two
+    selections would print as a different space (here A7xU1^1/u1)."""
+    spec = Spec((("A", 7),), 1, (Sel(1, (), True), Sel(3, ("A1:delta",), False)))
+    with pytest.raises(ValueError, match="one level; got 2 selections"):
+        S.build_coset_triple(spec)
+
+
+def test_spec_without_simple_factor_is_refused():
+    with pytest.raises(ValueError, match="need at least one simple factor"):
+        S.build_coset_triple(Spec((), 0))
+
+
+def test_product_builds_each_chain_once(monkeypatch):
+    """One chain build per factor: the padding check and the certification
+    read the same resolved factors."""
+    built = []
+
+    def counting_chain(rs):
+        built.append(f"{rs.family}{rs.rank}")
+        return chain(rs)
+
+    chain = S.basic_root_chain
+    monkeypatch.setattr(S, "basic_root_chain", counting_chain)
+    report = S.build_coset_triple(Spec((("A", 2), ("B", 3)), 3))
+    assert report.verdict == "certified"
+    assert built == ["A2", "B3"]
