@@ -1,11 +1,12 @@
 """Quaternion triples of complex structures on compact group manifolds.
 
 The package constructs classical root systems, compact-algebra matrix
-representations in a root-adapted orthonormal basis, the canonical complex
-structure and its automorphism-rotated partners J and K, and certifies
-numerically that the triple satisfies the quaternion algebra, the
-integrability identity and the torsion conditions, for group manifolds and
-their centralizer quotients.
+representations in a root-adapted orthonormal basis and their structure
+constants f, then, from f and the root table alone, the canonical complex
+structure and its partners J and K, rotated by closed-form Lie-algebra
+automorphisms.  It certifies numerically that the triple satisfies the
+quaternion algebra, the integrability identity and the torsion conditions,
+for group manifolds and their centralizer quotients.
 """
 
 from .rootsys import (

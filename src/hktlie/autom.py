@@ -1,14 +1,17 @@
-"""Algebra automorphisms from group conjugation and the quaternion triple.
+"""Algebra automorphisms read from the structure constants, and the quaternion triple.
 
-For a root theta with Chevalley vectors E_{+-theta}, conjugation by
+For a root theta with E_theta = nu (t_re + i t_im), conjugation by
 
-    U = exp(i pi/4 (E_theta + E_-theta))        (J-kind)
-    U = exp(  pi/4 (E_theta - E_-theta))        (K-kind)
+    U = exp(i pi/4 (E_theta + E_-theta)) = exp(i pi/2 nu t_re)     (J-kind)
+    U = exp(  pi/4 (E_theta - E_-theta)) = exp(i pi/2 nu t_im)     (K-kind)
 
-induces an orthogonal matrix Omega on generator coefficients that preserves
-the structure constants.  Composing the J-kind automorphisms of all basic
-roots (outer level first) rotates the canonical complex structure I into an
-anticommuting partner J; K = I J closes the quaternion algebra.
+acts on generator coefficients as Omega = exp(pi/4 B), B = 2 nu f[t]^T
+(Spindel, Sevrin, Troost and Van Proeyen, Nucl. Phys. B308, 1988).  B has
+the spectrum {0, +-i, +-2i}, so Omega is a fixed quartic polynomial in B,
+with exact entries in {0, +-1/2, +-1/sqrt2, +-1}: f alone determines it.
+Composing the J-kind automorphisms of all basic roots (outer level first)
+rotates the canonical complex structure I into an anticommuting partner J;
+K = I J closes the quaternion algebra.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import cstruct
-from .cstruct import DEFAULT_TOL, ComplexStructure, PairingError, canonical_I
-from .liealg import AlgebraRep, exp_i_hermitian
+from .cstruct import BOUNDS, DEFAULT_TOL, ComplexStructure, PairingError, canonical_I
+from .liealg import AlgebraRep
 from .rootsys import Root, chain_nodes, extended_dynkin_surgery, split_subsystems
 
 
@@ -48,35 +51,48 @@ class Automorphism:
         return float(np.abs(rotated - ff).max())
 
 
-def adjoint_action(rep: AlgebraRep, u: np.ndarray) -> np.ndarray:
-    """Omega_BA = Tr((U^dag t_A U) t_B) / C, the coefficient action of X -> U^dag X U."""
-    g = rep.generators
-    rotated = np.einsum("ij,ajk,kl->ail", u.conj().T, g, u, optimize=True)
-    omega = np.einsum("aij,bji->ba", rotated, g, optimize=True) / rep.norm_const
-    if np.abs(omega.imag).max() > 1e-10:
-        raise RuntimeError("adjoint action is not real on the Hermitian basis")
-    return np.ascontiguousarray(omega.real)
+#: the magnitudes of the entries of every Omega
+OMEGA_ENTRIES = np.array([0.0, 0.5, np.sqrt(0.5), 1.0])
+
+#: exp(pi/4 x) = sum_k c_k x^k at x = 0, +-i, +-2i: the Lagrange polynomial
+#: of the exponential on the spectrum of B, in real form
+_S = np.sqrt(0.5)
+_EXP_COEFFS = (1.0, (8 * _S - 1) / 6, (15 - 16 * _S) / 12, (2 * _S - 1) / 6, (3 - 4 * _S) / 12)
 
 
 def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
                            level: int = 0, tol: float = 1e-10) -> Automorphism:
-    """The orthogonal generator action induced by the theta rotation."""
-    e = rep.root_vector(theta)
-    edag = e.conj().T
-    if kind == "J":
-        u = exp_i_hermitian(np.pi / 4.0 * (e + edag))
-    elif kind == "K":                     # exp(pi/4 (e - e^dag)) = exp(i h), h Hermitian
-        u = exp_i_hermitian(-1j * np.pi / 4.0 * (e - edag))
-    else:
+    """The orthogonal generator action induced by the theta rotation: the
+    polynomial of B on the indices that f[t] touches, the identity elsewhere.
+    Refused more than `tol` off orthogonal, or above the snap bound from its
+    exact entries."""
+    if kind not in ("J", "K"):
         raise ValueError(f"kind must be 'J' or 'K', got {kind!r}")
-    omega = adjoint_action(rep, u)
-    ortho = Automorphism(omega, theta, kind, level).orthogonality_residual()
+    ent = rep.root_entry(theta)
+    coo = rep.structure_constants().coo
+    row = coo.index[:, 0] == (ent.re_index if kind == "J" else ent.im_index)
+    _, b, c = coo.index[row].T
+    touched = np.zeros(coo.dim, dtype=bool)
+    touched[b] = touched[c] = True
+    support = np.flatnonzero(touched)
+    pos = np.cumsum(touched) - 1
+    # E_-theta - E_theta = -(E_theta - E_-theta): the K rotation turns back
+    sign = -1.0 if kind == "K" and theta.sign != "positive" else 1.0
+    B = np.zeros((support.size, support.size))
+    B[pos[c], pos[b]] = 2.0 * sign * ent.scale * coo.value[row]
+    block = np.zeros_like(B)
+    for coeff in _EXP_COEFFS[::-1]:                  # Horner's rule
+        block = block @ B + coeff * np.eye(support.size)
+    ortho = float(np.abs(block @ block.T - np.eye(support.size)).max(initial=0.0))
     if ortho > tol:
-        raise RuntimeError(
-            f"automorphism for {theta} lost orthogonality: residual {ortho:.2e}")
-    # one Newton-Schulz step towards the nearest orthogonal matrix takes out
-    # the rounding that J = Omega I Omega^T would otherwise carry
-    omega = 1.5 * omega - 0.5 * omega @ (omega.T @ omega)
+        raise RuntimeError(f"automorphism for {theta} lost orthogonality: residual {ortho:.2e}")
+    nearest = np.abs(np.abs(block)[..., None] - OMEGA_ENTRIES).argmin(axis=-1)
+    exact = np.copysign(OMEGA_ENTRIES[nearest], block)
+    snap = float(np.abs(block - exact).max(initial=0.0))
+    if snap > BOUNDS["snap"](DEFAULT_TOL):
+        raise RuntimeError(f"automorphism for {theta} is {snap:.2e} from its exact entries")
+    omega = np.eye(coo.dim)
+    omega[np.ix_(support, support)] = exact
     return Automorphism(matrix=omega, root=theta, kind=kind, level=level)
 
 
@@ -101,19 +117,22 @@ class CentralizerDecomposition:
 
 
 def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Root]) -> list:
-    """The roots whose generators commute with E_{+-theta} for every theta.
+    """The roots whose basis elements commute with E_{+-theta} for every theta.
 
-    The numerical commutator test must agree with the exact one, orthogonality
-    to every theta; a disagreement raises DecompositionMismatchError.
-    """
-    evs = [rep.root_vector(t) for t in thetas]
-    evs += [e.conj().T for e in evs]
-    bound = 1e-7 * max(np.abs(e).max() for e in evs)
+    t_A commutes with E_{+-theta} when f[A, t, :] = 0 for both basis indices
+    t of theta.  This test on f must agree with the exact one, orthogonality
+    to every theta; a disagreement raises DecompositionMismatchError."""
+    coo = rep.structure_constants().coo
+    of_theta = np.zeros(coo.dim, dtype=bool)
+    for t in thetas:
+        ent = rep.root_entry(t)
+        of_theta[[ent.re_index, ent.im_index]] = True
+    moved = np.zeros(coo.dim, dtype=bool)
+    moved[coo.index[of_theta[coo.index[:, 1]], 0]] = True
     commuting = []
     for root in roots:
         ent = rep.root_entry(root)
-        ok = all(np.abs(rep.generators[idx] @ e - e @ rep.generators[idx]).max() <= bound
-                 for idx in (ent.re_index, ent.im_index) for e in evs)
+        ok = not (moved[ent.re_index] or moved[ent.im_index])
         if ok != all(root.dot(t) == 0 for t in thetas):
             raise DecompositionMismatchError(
                 f"root {root} against {', '.join(map(str, thetas))}: "
@@ -124,7 +143,7 @@ def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Ro
 
 
 def centralizer(rep: AlgebraRep, thetas: Iterable[Root]) -> CentralizerDecomposition:
-    """All semisimple-part generators X with [X, E_{+-theta}] = 0 for every theta.
+    """All semisimple-part basis elements X with [X, E_{+-theta}] = 0 for every theta.
 
     Cross-checked against the root combinatorics: the commuting root pairs
     must be exactly the roots orthogonal to every theta, and for a single
@@ -144,32 +163,22 @@ def centralizer(rep: AlgebraRep, thetas: Iterable[Root]) -> CentralizerDecomposi
                 f"centralizer shapes {[(s.family, s.rank) for s in summands]} disagree "
                 f"with diagram surgery {surgery.shapes}")
 
-    # commuting Cartan directions: theta(h) = 0, i.e. orthogonal to the
-    # coroot directions of all thetas; exclude the summand Cartan spans
-    csa_idx = list(rep.csa_indices)
-    rows = []
-    for t in thetas:
-        a = rep.eigen_coords(t)
-        rows.append(a[:len(csa_idx)])
-    for s in summands:
-        for simple in s.simple_roots:
-            rows.append(rep.eigen_coords(simple)[:len(csa_idx)])
-    rows = np.array(rows) if rows else np.zeros((0, len(csa_idx)))
-    basis = []
-    for k in range(len(csa_idx)):
-        v = np.eye(len(csa_idx))[k]
-        for r in rows:
-            rn = r / np.linalg.norm(r)
-            v = v - (rn @ v) * rn
-        for b in basis:
+    # commuting Cartan directions: orthogonal to every theta and summand
+    # Cartan span, by one Gram-Schmidt pass over those and then the unit axes
+    n = len(rep.csa_indices)
+    rows = [rep.eigen_coords(r)[:n] for r in thetas + [
+        simple for s in summands for simple in s.simple_roots]]
+    span, leftover = [], []
+    for k, v in enumerate(rows + list(np.eye(n))):
+        for b in span:
             v = v - (b @ v) * b
-        n = np.linalg.norm(v)
-        if n > 1e-9:
-            basis.append(v / n)
-    abelian = np.zeros((len(basis), rep.dim))
-    for i, v in enumerate(basis):
-        for c, idx in zip(v, csa_idx):
-            abelian[i, idx] = c
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            span.append(v / norm)
+            if k >= len(rows):
+                leftover.append(span[-1])
+    abelian = np.zeros((len(leftover), rep.dim))
+    abelian[:, list(rep.csa_indices)] = np.reshape(leftover, (-1, n))
     return CentralizerDecomposition(
         summands=summands, abelian_vectors=abelian, generator_indices=tuple(sorted(indices)))
 
@@ -178,11 +187,14 @@ def basic_roots(rep: AlgebraRep) -> tuple:
     """The nodes of the iterated highest-root chain, numerically cross-checked
     level by level.
 
-    For every node, the roots of its subsystem whose generators commute with
+    For every node, the roots of its subsystem whose basis elements commute with
     E_{+-theta} must decompose into exactly the child subsystems found
     combinatorially, and the basic coroots must be mutually orthogonal.
     """
     nodes = chain_nodes(rep.chain_levels)
+    if not nodes:
+        raise PairingError(f"no basic roots: the algebra is {rep.u1_count} u(1) factor(s) "
+                           "and no simple factor")
     rs = rep.root_system
     for node in nodes:
         commuting = _commuting_roots(rep, node.subsystem.positive_roots, [node.theta])
@@ -192,8 +204,7 @@ def basic_roots(rep: AlgebraRep) -> tuple:
             raise DecompositionMismatchError(
                 f"chain node {node.label}: children {want} vs centralizer result {got}")
     w = np.array([rep.eigen_coords(n.theta) for n in nodes])
-    gram = w @ w.T
-    resid = float(np.abs(gram - np.diag(np.diag(gram))).max())
+    resid = float(np.abs(np.triu(w @ w.T, 1)).max())
     if resid > 1e-9:
         raise DecompositionMismatchError(f"basic coroots are not orthogonal: {resid:.2e}")
     return nodes
@@ -211,10 +222,13 @@ def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
     e_idx = [ax.index for ax in rep.csa_axes
              if ax.kind in ("abelian", "u1")
              and ax.index not in removed and ax.index not in t_idx]
-    if len(e_idx) != len(t_idx):
+    missing = len(t_idx) - len(e_idx)
+    if missing:
+        need = (f"requires {missing} more u(1) factor(s)" if missing > 0
+                else f"{-missing} u(1) factor(s) too many")
         raise PairingError(
             f"cannot pair {len(t_idx)} basic coroot(s) with {len(e_idx)} leftover "
-            f"Cartan/u(1) direction(s); requires {len(t_idx) - len(e_idx)} more u(1) factor(s)")
+            f"Cartan/u(1) direction(s); {need}")
     return tuple(zip(t_idx, e_idx))
 
 

@@ -5,6 +5,8 @@ is adapted to the root structure: every positive root alpha owns a pair of
 generators with E_alpha = nu_alpha (t_A + i t_A*), and the Cartan directions
 are aligned with the iterated-highest-root construction (unit vectors along
 the basic coroots first, the leftover commuting directions after them).
+Each simple algebra is built once; u(1) factors zero-extend it, f unchanged.
+Nothing above this module reads a matrix, only f and the root table.
 
 Representations used: defining for A_n (dim n+1) and C_n (dim 2n), vector for
 B_n (dim 2n+1) and D_n (dim 2n).  For B_3 an 8-dimensional spinor
@@ -14,6 +16,7 @@ periodicity checks.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -148,46 +151,33 @@ class AlgebraRep:
     root_system: RootSystem
     chain_levels: tuple
     root_table: dict                 # positive-root coords -> RootVectorEntry
-    root_matrices: dict              # positive-root coords -> (d, d) ndarray
     csa_axes: tuple[CsaAxis, ...]
     faithful_simply_connected: bool
     _structure: StructureConstants | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.generators.shape[0]
-
-    @property
-    def semisimple_dim(self) -> int:
-        return self.dim - self.u1_count
-
-    def generator(self, i: int) -> np.ndarray:
-        return self.generators[i]
+        return self.structure_constants().dim
 
     def root_entry(self, root: Root) -> RootVectorEntry:
         key = root.coords if root.sign == "positive" else tuple(-c for c in root.coords)
         return self.root_table[key]
 
     def root_vector(self, root: Root) -> np.ndarray:
-        """Chevalley root vector E_root in the representation."""
-        key = root.coords if root.sign == "positive" else tuple(-c for c in root.coords)
-        e = self.root_matrices[key]
+        """Chevalley root vector E_root = nu (t_re + i t_im) in the representation."""
+        ent = self.root_entry(root)
+        e = ent.scale * (self.generators[ent.re_index] + 1j * self.generators[ent.im_index])
         return e if root.sign == "positive" else e.conj().T
 
     def eigen_coords(self, root: Root) -> np.ndarray:
         """Root coordinates with respect to the orthonormal Cartan basis."""
-        std = _np_coords(root.coords)
-        w = np.stack([ax.functional for ax in self.csa_axes])
-        return w @ std
+        return np.stack([ax.functional for ax in self.csa_axes]) @ _np_coords(root.coords)
 
     def coroot_matrix(self, root: Root) -> np.ndarray:
         """Coroot as a matrix in this representation."""
         a = self.eigen_coords(root)
-        c = 2.0 * a / (a @ a)
-        h = np.zeros((self.matrix_dim, self.matrix_dim), dtype=complex)
-        for ck, ax in zip(c, self.csa_axes):
-            h += ck * self.generators[ax.index]
-        return h
+        return np.tensordot(2.0 * a / (a @ a),
+                            self.generators[[ax.index for ax in self.csa_axes]], 1)
 
     def coroot_axis_index(self, root: Root) -> int:
         for ax in self.csa_axes:
@@ -202,9 +192,6 @@ class AlgebraRep:
 
     def to_json_dict(self) -> dict:
         """Debug/fixture export: matrices as row-major [re, im] pairs."""
-        def cplx(m):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
         return {
             "family": self.family,
             "rank": self.rank,
@@ -212,7 +199,8 @@ class AlgebraRep:
             "rep_kind": self.rep_kind,
             "matrix_dim": self.matrix_dim,
             "norm_const": self.norm_const,
-            "generators": [cplx(g) for g in self.generators],
+            "generators": np.stack((self.generators.real, self.generators.imag),
+                                   axis=-1).tolist(),
             "csa_indices": list(self.csa_indices),
             "u1_indices": list(self.u1_indices),
             "root_table": [
@@ -535,62 +523,69 @@ def _chevalley_table(rs: RootSystem, csa_axes_raw, raw: _Raw):
 # public constructors
 
 @functools.lru_cache(maxsize=64)
-def _cached_rep(family, rank, u1_count, rep_kind):
-    return _build_matrix_rep(family, rank, u1_count, rep_kind)
+def _cached_rep(family, rank, rep_kind):
+    return _build_matrix_rep(family, rank, rep_kind)
 
 
 def build_matrix_rep(family: str, rank: int, u1_count: int = 0,
                      rep_kind: str = "auto") -> AlgebraRep:
-    """Orthonormal root-adapted generator basis for family/rank, plus u(1)s."""
+    """Orthonormal root-adapted generator basis for family/rank, plus u(1)s:
+    one build per (family, rank, rep_kind) and process, zero-extended."""
     family = family.upper()
     if u1_count < 0:
         raise ValueError("u1_count must be non-negative")
     if rep_kind == "auto":
         rep_kind = "defining" if family in ("A", "C") else "vector"
-    return _cached_rep(family, rank, u1_count, rep_kind)
+    rep = _cached_rep(family, rank, rep_kind)
+    return _zero_extend(rep, u1_count) if u1_count else rep
 
 
-def _build_matrix_rep(family, rank, u1_count, rep_kind):
+def _zero_extend(rep: AlgebraRep, u: int) -> AlgebraRep:
+    """`rep` times u more u(1) factors: every generator gains u zero rows and
+    columns, u(1) number k is sqrt(C) on the new diagonal slot k, and f keeps
+    its entries at dimension D + u."""
+    D, d = rep.dim, rep.matrix_dim
+    gens = np.zeros((D + u, d + u, d + u), dtype=complex)
+    gens[:D, :d, :d] = rep.generators
+    gens[range(D, D + u), range(d, d + u), range(d, d + u)] = np.sqrt(rep.norm_const)
+    gens.setflags(write=False)
+    zero = np.zeros(rep.csa_axes[0].functional.size if rep.csa_axes else 0)
+    coo = rep.structure_constants().coo
+    return dataclasses.replace(
+        rep, u1_count=rep.u1_count + u, matrix_dim=d + u, generators=gens,
+        u1_indices=rep.u1_indices + tuple(range(D, D + u)),
+        csa_axes=rep.csa_axes + tuple(CsaAxis(index=i, kind="u1", level=-1, node_label="u1",
+                                              root=None, functional=zero)
+                                      for i in range(D, D + u)),
+        _structure=StructureConstants(CooTensor(coo.index, coo.value, D + u)))
+
+
+def _build_matrix_rep(family, rank, rep_kind):
     rs = build_root_system(family, rank)
     levels = basic_root_chain(rs)
     raw = _raw_basis(family, rank, rep_kind)
     csa_axes_raw = _adapted_csa(rs, levels, raw)
     ev = _chevalley_table(rs, csa_axes_raw, raw)
 
-    C = raw.C
-    d0 = raw.d
-    d = d0 + u1_count
+    C, d = raw.C, raw.d
     npos = len(rs.positive_roots)
-    D = 2 * npos + rank + u1_count
+    D = 2 * npos + rank
 
     gens = np.zeros((D, d, d), dtype=complex)
     table = {}
-    root_mats = {}
     W = np.stack([raw.extract(ax[4]) for ax in csa_axes_raw])
 
     for i, root in enumerate(rs.positive_roots):
-        e0 = ev[root.coords]
+        e = ev[root.coords]
         a = W @ _np_coords(root.coords)
         nu = 1.0 / np.sqrt(a @ a)
-        gens[2 * i, :d0, :d0] = (e0 + e0.conj().T) / (2 * nu)
-        gens[2 * i + 1, :d0, :d0] = -1j * (e0 - e0.conj().T) / (2 * nu)
+        gens[2 * i] = (e + e.conj().T) / (2 * nu)
+        gens[2 * i + 1] = -1j * (e - e.conj().T) / (2 * nu)
         table[root.coords] = RootVectorEntry(2 * i, 2 * i + 1, nu)
-        e_full = np.zeros((d, d), dtype=complex)
-        e_full[:d0, :d0] = e0
-        e_full.setflags(write=False)
-        root_mats[root.coords] = e_full
 
-    csa_axes = []
-    for k, (kind, level, label, root, h) in enumerate(csa_axes_raw):
-        idx = 2 * npos + k
-        gens[idx, :d0, :d0] = h
-        csa_axes.append(CsaAxis(index=idx, kind=kind, level=level, node_label=label,
-                                root=root, functional=W[k]))
-    for k in range(u1_count):
-        idx = 2 * npos + rank + k
-        gens[idx, d0 + k, d0 + k] = np.sqrt(C)
-        csa_axes.append(CsaAxis(index=idx, kind="u1", level=-1, node_label="u1",
-                                root=None, functional=np.zeros(W.shape[1])))
+    gens[2 * npos:] = [ax[4] for ax in csa_axes_raw]
+    csa_axes = tuple(CsaAxis(2 * npos + k, kind, level, label, root, W[k])
+                     for k, (kind, level, label, root, _) in enumerate(csa_axes_raw))
 
     _snap_to_zero(gens)
     gram = gens.reshape(D, -1) @ _flat_transposes(gens)
@@ -601,19 +596,16 @@ def _build_matrix_rep(family, rank, u1_count, rep_kind):
             f"generator basis not orthonormal: Tr(t_{a} t_{b}) deviates by {dev[a, b]:.2e}")
 
     gens.setflags(write=False)
-    rep = AlgebraRep(
-        family=family, rank=rank, u1_count=u1_count, rep_kind=rep_kind,
-        matrix_dim=d, norm_const=C, generators=gens,
-        csa_indices=tuple(2 * npos + k for k in range(rank)),
-        u1_indices=tuple(2 * npos + rank + k for k in range(u1_count)),
-        root_system=rs, chain_levels=levels, root_table=table,
-        root_matrices=root_mats, csa_axes=tuple(csa_axes),
-        faithful_simply_connected=raw.faithful)
-
     comm = _commutator_entries(gens)
-    rep._structure = _structure_constants(gens, C, comm)
-    _check_closure(gens, rep._structure.coo, comm)
-    return rep
+    structure = _structure_constants(gens, C, comm)
+    _check_closure(gens, structure.coo, comm)
+    return AlgebraRep(
+        family=family, rank=rank, u1_count=0, rep_kind=rep_kind,
+        matrix_dim=d, norm_const=C, generators=gens,
+        csa_indices=tuple(2 * npos + k for k in range(rank)), u1_indices=(),
+        root_system=rs, chain_levels=levels, root_table=table,
+        csa_axes=csa_axes, faithful_simply_connected=raw.faithful,
+        _structure=structure)
 
 
 def _snap_to_zero(gens: np.ndarray) -> None:
@@ -690,20 +682,13 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
     """A pure product of u(1) factors (useful as a degenerate test algebra)."""
     if u1_count < 1:
         raise ValueError("need at least one u(1) factor")
-    d = u1_count
-    gens = np.zeros((u1_count, d, d), dtype=complex)
-    for k in range(u1_count):
-        gens[k, k, k] = 1.0
-    gens.setflags(write=False)
-    return AlgebraRep(
-        family="U1", rank=0, u1_count=u1_count, rep_kind="diagonal",
-        matrix_dim=d, norm_const=1.0, generators=gens,
-        csa_indices=(), u1_indices=tuple(range(u1_count)),
-        root_system=None, chain_levels=(), root_table={}, root_matrices={},
-        csa_axes=tuple(CsaAxis(index=k, kind="u1", level=-1, node_label="u1",
-                               root=None, functional=np.zeros(0))
-                       for k in range(u1_count)),
-        faithful_simply_connected=True)
+    zero = AlgebraRep(
+        family="U1", rank=0, u1_count=0, rep_kind="diagonal", matrix_dim=0, norm_const=1.0,
+        generators=np.zeros((0, 0, 0), dtype=complex), csa_indices=(), u1_indices=(),
+        root_system=None, chain_levels=(), root_table={}, csa_axes=(),
+        faithful_simply_connected=True,
+        _structure=StructureConstants(CooTensor(np.zeros((0, 3), dtype=int), np.zeros(0), 0)))
+    return _zero_extend(zero, u1_count)
 
 
 def structure_constants(rep: AlgebraRep) -> StructureConstants:
@@ -788,8 +773,7 @@ def coroot_periodicity_check(rep: AlgebraRep, coroot_element: np.ndarray,
         raise ValueError(
             f"the {rep.rep_kind} representation of {rep.family}{rep.rank} is not faithful "
             "for the simply connected group; use the defining (A/C) or spinor (B3) one")
-    d = coroot_element.shape[0]
-    eye = np.eye(d)
+    eye = np.eye(coroot_element.shape[0])
     at_period = np.abs(exp_i_hermitian(2 * np.pi * coroot_element) - eye).max()
     nontrivial = all(
         np.abs(exp_i_hermitian(phi * coroot_element) - eye).max() > 0.1

@@ -9,9 +9,12 @@ and an SVD for the construction, (D, D, D) einsum temporaries for the
 residuals on any float matrix.  They are the reference the fast kernels must
 match, and the only way to evaluate the checks on structures that are not
 signed permutations (random negative controls, arbitrary antisymmetric
-matrices).  The last section holds the references that only the tests use:
-the Hadamard series, the exact Killing metric, the coordinate field of a
-structure, random complex structures and the 4x4 self-duality check.
+matrices).  The automorphisms Omega, which `hktlie.autom` reads from f in
+closed form, are computed here by conjugation in the representation and a
+trace projection.  The last section holds the references that only the
+tests use: the Hadamard series, the exact Killing metric, the coordinate
+field of a structure, random complex structures and the 4x4 self-duality
+check.
 """
 
 from typing import Sequence
@@ -20,7 +23,8 @@ import numpy as np
 
 from hktlie.cstruct import DEFAULT_TOL, IntegrabilityError, _matrix_of, vielbein_at
 from hktlie.liealg import (
-    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _flat_transposes)
+    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _flat_transposes,
+    exp_i_hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +133,28 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
 def torsion_match(I, f) -> float:
     """max |C - f| of the hull torsion."""
     return float(np.abs(hull_torsion(I, f) - _f_of(f)).max())
+
+
+# ---------------------------------------------------------------------------
+# automorphisms by conjugation in the representation
+
+def adjoint_action(rep: AlgebraRep, u: np.ndarray) -> np.ndarray:
+    """Omega_BA = Tr((U^dag t_A U) t_B) / C, the coefficient action of X -> U^dag X U."""
+    g = rep.generators
+    rotated = np.einsum("ij,ajk,kl->ail", u.conj().T, g, u, optimize=True)
+    omega = np.einsum("aij,bji->ba", rotated, g, optimize=True) / rep.norm_const
+    if np.abs(omega.imag).max() > 1e-10:
+        raise RuntimeError("adjoint action is not real on the Hermitian basis")
+    return np.ascontiguousarray(omega.real)
+
+
+def conjugation_omega(rep: AlgebraRep, theta, kind: str) -> np.ndarray:
+    """Omega of the theta rotation by group conjugation: U = exp(i pi/4
+    (E + E^dag)) for J, exp(pi/4 (E - E^dag)) for K, from an eigh
+    exponential of the root vector in the representation."""
+    e = rep.root_vector(theta)
+    h = e + e.conj().T if kind == "J" else -1j * (e - e.conj().T)
+    return adjoint_action(rep, exp_i_hermitian(np.pi / 4.0 * h))
 
 
 # ---------------------------------------------------------------------------

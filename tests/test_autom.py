@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,7 +55,7 @@ def test_su3_root_vector_mixing():
 
 
 def test_hadamard_series_oracle():
-    """Trace-projected adjoint action agrees with the commutator series."""
+    """The commutator series, trace-projected, agrees with Omega read from f."""
     rep = L.build_matrix_rep("A", 2)
     theta = rep.root_system.highest_root
     e = rep.root_vector(theta)
@@ -95,20 +97,37 @@ def test_automorphism_orthogonality_and_invariance(family, rank):
         assert auto.invariance_residual(f) < 1e-9
 
 
-def test_orthogonality_is_checked_before_the_newton_schulz_step(monkeypatch):
-    """A computed Omega 1e-8 off orthogonal is refused, although the step
-    would bring it back within rounding."""
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_closed_form_omega_matches_conjugation_oracle(family, rank):
+    """At every chain node, Omega read from f equals Omega by conjugation in
+    the representation within 1e-13, and every entry is exactly one of
+    0, +-1/2, +-1/sqrt2, +-1."""
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
+    for node in A.basic_roots(rep):
+        for kind in ("J", "K"):
+            omega = A.automorphism_from_root(rep, node.theta, kind).matrix
+            assert np.abs(omega - oracles.conjugation_omega(rep, node.theta, kind)).max() <= 1e-13
+            assert np.isin(np.abs(omega), A.OMEGA_ENTRIES).all()
+
+
+def test_perturbed_f_row_is_refused():
+    """Omega from an f whose theta row is 1e-8 off is refused, not snapped
+    back onto exact entries."""
     rep = L.build_matrix_rep("A", 2)
-    exact = A.adjoint_action
-    monkeypatch.setattr(A, "adjoint_action", lambda rep, u: exact(rep, u) * (1.0 + 1e-8))
-    with pytest.raises(RuntimeError, match="lost orthogonality"):
-        A.automorphism_from_root(rep, rep.root_system.highest_root, "J")
+    theta = rep.root_system.highest_root
+    coo = rep.structure_constants().coo
+    off = np.where(coo.index[:, 0] == rep.root_entry(theta).re_index, 1.0 + 1e-8, 1.0)
+    bad = dataclasses.replace(rep, _structure=L.StructureConstants(
+        L.CooTensor(coo.index, coo.value * off, coo.dim)))
+    with pytest.raises(RuntimeError, match="lost orthogonality|exact entries"):
+        A.automorphism_from_root(bad, theta, "J")
 
 
 @pytest.mark.parametrize("family,rank", ABOVE_CAPS)
 def test_quaternion_residual_stays_at_rounding_above_the_rank_caps(family, rank):
-    """Without the Newton-Schulz step on each Omega the residual reads
-    2.6e-14 (C6) to 1.7e-13 (D7); with it, at most 8.6e-15."""
+    """Each Omega is read from f and snapped to its exact entries, so it is
+    orthogonal to rounding with no Newton-Schulz step, and the residual
+    reads at most 8.2e-15 (A10)."""
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
     res = A.build_quaternion_triple(rep)
     assert res.quaternion_residual < 2e-14
@@ -149,6 +168,22 @@ def test_su2_centralizer_empty():
     dec = A.centralizer(rep, [rep.root_system.highest_root])
     assert dec.dimension == 0
     assert dec.summands == ()
+
+
+@pytest.mark.parametrize("family,rank", CATALOG)
+def test_centralizer_abelian_part_is_orthonormal_complement(family, rank):
+    """The Abelian directions are orthonormal, orthogonal to theta and to
+    every summand's simple roots, and span all that is left (at A4 and up
+    the former sequential projection kept directions that fail this)."""
+    rep = L.build_matrix_rep(family, rank)
+    theta = rep.root_system.highest_root
+    dec = A.centralizer(rep, [theta])
+    rows = np.array([rep.eigen_coords(r) for r in [theta] + [
+        simple for s in dec.summands for simple in s.simple_roots]])
+    ab = dec.abelian_vectors[:, list(rep.csa_indices)]
+    assert np.abs(ab @ rows.T).max(initial=0.0) < 1e-12
+    assert np.abs(ab @ ab.T - np.eye(len(ab))).max(initial=0.0) < 1e-12
+    assert len(ab) == rank - np.linalg.matrix_rank(rows)
 
 
 def test_centralizer_of_two_roots():
@@ -269,7 +304,7 @@ def test_failure_names_first_failed_check():
     res = A.build_quaternion_triple(rep, tol=1e-18)
     assert not res.certified
     assert res.failure == ("quaternion", res.quaternion_residual, 1e-18)
-    assert res.message == "quaternion 9.3e-16 above 1e-18"
+    assert res.message == "quaternion 9e-16 above 1e-18"
     assert A.build_quaternion_triple(rep).failure is None
 
 
@@ -295,3 +330,18 @@ def test_d4_three_level1_automorphisms_commute():
     for x in autos:
         for y in autos:
             assert np.abs(x.matrix @ y.matrix - y.matrix @ x.matrix).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# refusals with a reason
+
+def test_surplus_padding_is_named():
+    with pytest.raises(C.PairingError, match=r"; 1 u\(1\) factor\(s\) too many$"):
+        A.build_quaternion_triple(L.build_matrix_rep("A", 1, 2))
+    with pytest.raises(C.PairingError, match=r"requires 1 more u\(1\) factor\(s\)$"):
+        A.build_quaternion_triple(L.build_matrix_rep("A", 1))
+
+
+def test_abelian_algebra_has_no_basic_roots():
+    with pytest.raises(C.PairingError, match="no basic roots: the algebra is 3 u"):
+        A.basic_roots(L.build_abelian_rep(3))

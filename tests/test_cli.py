@@ -268,16 +268,19 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_certificate_path_leaves_numpy_ma_out():
-    """np.unique imports numpy.ma (15 ms, 2 MB per process); the kernels sort instead."""
+    """np.unique imports numpy.ma (15 ms, 2 MB per process); the kernels sort
+    instead, on the quotient path, the Nijenhuis path and a verified catalog."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import contextlib, io, sys; from hktlie import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = cli.main(['--json', 'verify', 'A3xU1^1/A1:beta,u1'])\n"
-             "print(code, 'numpy.ma' in sys.modules)")
+             "for argv in (['verify', 'A3xU1^1/A1:beta,u1'], ['verify', 'A3xU1^1'],\n"
+             "             ['catalog', 'B', '3', '--verify']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = cli.main(['--json'] + argv)\n"
+             "    print(code, 'numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "0 False"
+    assert out.split("\n") == ["0 False"] * 3 + [""]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +431,7 @@ def test_verify_residual_failure_exit_code(capsys):
     # machine-precision residuals cannot beat a 1e-18 tolerance
     code, out, _ = run(capsys, "--tol", "1e-18", "verify", "A2")
     assert code == 1
-    assert "verdict: failed (quaternion 9.3e-16 above 1e-18)" in out
+    assert "verdict: failed (quaternion 9e-16 above 1e-18)" in out
     code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A2")
     assert code == 1
-    assert json.loads(out)["message"] == "quaternion 9.3e-16 above 1e-18"
+    assert json.loads(out)["message"] == "quaternion 9e-16 above 1e-18"

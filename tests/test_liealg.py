@@ -181,7 +181,8 @@ def test_generator_snap_zeroes_only_rounding(family, rank, u1, monkeypatch):
             zeroed.append(np.abs(old[(new == 0) & (old != 0)]).max(initial=0.0))
 
     monkeypatch.setattr(L, "_snap_to_zero", recording)
-    rep = L._build_matrix_rep(family, rank, u1, "defining" if family in "AC" else "vector")
+    rep = L._zero_extend(
+        L._build_matrix_rep(family, rank, "defining" if family in "AC" else "vector"), u1)
     assert len(zeroed) == 2 and max(zeroed) < 1e-15
     parts = np.abs(np.stack((rep.generators.real, rep.generators.imag)))
     assert not ((parts > 0) & (parts <= L.F_ZERO)).any()
@@ -194,7 +195,7 @@ def test_high_rank_certificate_path_builds_no_dense_f():
     L.build_matrix_rep("A", 2)                  # numpy's own first-use buffers
     tracemalloc.start()
     try:
-        rep = L._build_matrix_rep("D", 10, 10, "vector")
+        rep = L._zero_extend(L._build_matrix_rep("D", 10, "vector"), 10)
         assert build_quaternion_triple(rep).certified
         peak = tracemalloc.get_traced_memory()[1]
     finally:
