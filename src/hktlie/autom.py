@@ -24,7 +24,7 @@ import numpy as np
 from . import cstruct
 from .cstruct import BOUNDS, DEFAULT_TOL, ComplexStructure, PairingError, canonical_I
 from .liealg import AlgebraRep
-from .rootsys import Root, chain_nodes, extended_dynkin_surgery, split_subsystems
+from .rootsys import Root, RootSystem, chain_nodes, extended_dynkin_surgery, split_subsystems
 
 
 class DecompositionMismatchError(RuntimeError):
@@ -109,19 +109,33 @@ class CentralizerDecomposition:
 
     @property
     def dimension(self) -> int:
-        return len(self.generator_indices) + self.abelian_vectors.shape[0]
+        """The summands' root pairs and Cartan directions, and the Abelian ones."""
+        return sum(s.dimension for s in self.summands) + self.abelian_vectors.shape[0]
 
     @property
     def shapes(self) -> tuple:
         return tuple((s.family, s.rank) for s in self.summands)
 
 
+def _commutes_exactly(rs: RootSystem, root: Root, theta: Root) -> bool:
+    """[E_{+-root}, E_{+-theta}] = 0: root +- theta is neither a root nor 0.
+
+    A non-zero inner product makes root - theta or root + theta a root or 0
+    (the theta-string through root), so only orthogonal roots are looked up.
+    """
+    if root.dot(theta):
+        return False
+    return not any(rs.is_root(tuple(a + sgn * b for a, b in zip(root.coords, theta.coords)))
+                   for sgn in (1, -1))
+
+
 def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Root]) -> list:
     """The roots whose basis elements commute with E_{+-theta} for every theta.
 
     t_A commutes with E_{+-theta} when f[A, t, :] = 0 for both basis indices
-    t of theta.  This test on f must agree with the exact one, orthogonality
-    to every theta; a disagreement raises DecompositionMismatchError."""
+    t of theta.  This test on f must agree with the exact one, that
+    root +- theta is neither a root nor 0 for every theta; a disagreement
+    raises DecompositionMismatchError."""
     coo = rep.structure_constants().coo
     of_theta = np.zeros(coo.dim, dtype=bool)
     for t in thetas:
@@ -129,14 +143,15 @@ def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Ro
         of_theta[[ent.re_index, ent.im_index]] = True
     moved = np.zeros(coo.dim, dtype=bool)
     moved[coo.index[of_theta[coo.index[:, 1]], 0]] = True
+    rs = rep.root_system
     commuting = []
     for root in roots:
         ent = rep.root_entry(root)
         ok = not (moved[ent.re_index] or moved[ent.im_index])
-        if ok != all(root.dot(t) == 0 for t in thetas):
+        if ok != all(_commutes_exactly(rs, root, t) for t in thetas):
             raise DecompositionMismatchError(
                 f"root {root} against {', '.join(map(str, thetas))}: "
-                "commutator test and orthogonality disagree")
+                "commutator test and root combinatorics disagree")
         if ok:
             commuting.append(root)
     return commuting
@@ -146,8 +161,9 @@ def centralizer(rep: AlgebraRep, thetas: Iterable[Root]) -> CentralizerDecomposi
     """All semisimple-part basis elements X with [X, E_{+-theta}] = 0 for every theta.
 
     Cross-checked against the root combinatorics: the commuting root pairs
-    must be exactly the roots orthogonal to every theta, and for a single
-    highest root the summand shapes must match the extended-diagram surgery.
+    must be exactly the roots whose sum and difference with every theta are
+    neither roots nor 0, and for a single highest root the summand shapes
+    must match the extended-diagram surgery.
     """
     thetas = list(thetas)
     rs = rep.root_system
@@ -318,9 +334,13 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
 
     quat = cstruct.quaternion_residual(*restricted.values())
     reports = {}
-    for name, m in restricted.items():
-        nij = (cstruct.nijenhuis_at_origin(rep, structures[name], fd_step)
-               if fd_step and not removed else None)
+    for (name, m), whole in zip(restricted.items(), (I, J, K)):
+        nij = None
+        if fd_step and not removed:
+            try:
+                nij = cstruct.nijenhuis_at_origin(rep, whole, fd_step)
+            except ValueError:      # above the snap bound, which the snap check reports
+                nij = float("inf")
         reports[name] = cstruct.geometry_report(m, f, tol, nijenhuis=nij)
 
     failure = cstruct.first_failure(

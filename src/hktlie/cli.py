@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import spaces
 from .cstruct import DEFAULT_TOL
@@ -301,6 +300,8 @@ def cmd_catalog(args) -> int:
         payloads = [(sp, args.tol, args.fd_step) for sp in specs]
         workers = min(args.jobs, len(payloads), _usable_cpus())
         if workers > 1:
+            # imported here: it costs every other hkt process 17-33 ms
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_verify_one, payloads))
         else:

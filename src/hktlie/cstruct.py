@@ -9,19 +9,26 @@ tensor contractions:
   * integrability:  f_ABC - (IIf)_ABC - (IIf)_BCA - (IIf)_CAB = 0,
   * Bismut constancy at the origin (an identity for any antisymmetric I),
   * the torsion of the Bismut connection equals f itself,
-  * the Nijenhuis tensor, evaluated by finite differences of the
-    coordinate field I_M^N(x) built from the second-order vielbein.
+  * the Nijenhuis tensor, evaluated by Richardson-extrapolated central
+    differences of the coordinate field I_M^N(x) = (e I e^-1)_M^N built
+    from the second-order vielbein e, along every direction x = +-h e_m.
 
 The constructed I, J and K are signed permutations of the generator basis
-up to rounding.  The first three checks therefore run on the exact signed
-permutation (its distance from the matrix is the `snap` check) over the
-non-zero entries of f: each term of a contraction is a relabelled, re-signed
-copy of those entries, and the terms are summed by index triple.  Their cost
-and memory are O(nnz f), with no (D, D, D) temporary.
+up to rounding.  Every check but the quaternion and square ones therefore
+runs on the exact signed permutation (its distance from the matrix is the
+`snap` check) over the non-zero entries of f: each term of a contraction is
+a relabelled, re-signed copy of those entries, and the terms are summed by
+index triple.  The first three checks cost O(nnz f) time and memory, with
+no (D, D, D) temporary.  The Nijenhuis check reads f as COO too: along e_m
+the vielbein differs from 1 only on the support of f[:, m, :], block by
+block, so e - 1 and e^-1 - 1 are small exact blocks, computed once per f
+and step for I, J and K, and the differences of e I e^-1 and N are sums of
+relabelled copies of their non-zero entries.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -348,49 +355,136 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     return out.reshape((coo.dim,) * 3)
 
 
-#: directions per batched solve in _field_differences; bounds its
-#: (block, D, D) temporaries independently of D
-_FD_BLOCK = 16
+#: weights of the vielbein variants x = +h e_m, -h e_m, +h' e_m, -h' e_m
+#: (h = step, h' = h/2) in 2h d[m]: the real part for d at the step h, the
+#: imaginary part for its Richardson extrapolation (4 d' - d)/3, with d' the
+#: same difference at h', (field(h' e_m) - field(-h' e_m)) / 2h'.  Carrying
+#: both in one complex value sums them with one sort.
+_WEIGHTS = np.array([1 - 1j / 3, -1 + 1j / 3, 8j / 3, -8j / 3])
 
 
-def _field_differences(f: np.ndarray, I: np.ndarray, steps: Sequence[float]) -> list:
-    """d[m] = (field(h e_m) - field(-h e_m)) / 2h of the coordinate field
-    e I e^-1, one (D, D, D) array per step h in `steps`.
+def _nonzeros(m: np.ndarray, support: np.ndarray, plus: np.ndarray) -> tuple:
+    """(variant, m, row, col, value) of the non-zeros of n blocks of offsets
+    at x = +h e_m, h = step and step/2, stacked as (n, 2, s, s), and of
+    their transposes, the offsets at -h e_m; block g belongs to direction
+    m[g] and sits on the indices support[g]."""
+    flat = np.flatnonzero(plus)
+    g, j, r, c = np.unravel_index(flat, plus.shape)
+    rows, cols, value = support[g, r], support[g, c], plus.reshape(-1)[flat]
+    return (np.concatenate((2 * j, 2 * j + 1)), np.tile(m[g], 2),
+            np.concatenate((rows, cols)), np.concatenate((cols, rows)), np.tile(value, 2))
+
+
+def _components(node: np.ndarray, other: np.ndarray, size: int) -> tuple:
+    """The connected components of the graph on range(size) whose edge list
+    (node, other) holds every edge both ways round: the nodes that have an
+    edge, grouped by component in ascending order, and the start of each
+    component among them."""
+    label = np.arange(size)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, node, label[other])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    touched = np.zeros(size, dtype=bool)
+    touched[node] = True
+    nodes = np.flatnonzero(touched)
+    members = nodes[np.argsort(label[nodes], kind="stable")]
+    return members, np.flatnonzero(np.diff(label[members], prepend=-1))
+
+
+@functools.lru_cache(maxsize=1)
+def _vielbein_offsets(coo: CooTensor, step: float) -> tuple:
+    """The non-zeros of X = e - 1 and of Y = e^-1 - 1 for every direction m
+    and every variant of `_WEIGHTS`: X as (variant, m, row, col, value)
+    arrays; Y as (start, col, value), its entries sorted by row key
+    (variant * D + m) * D + row, with those of a key from start[key] to
+    start[key + 1]; and Y weighted by `_WEIGHTS` / 2h and summed by
+    (m, row, col) key.
 
     At x = +-h e_m the vielbein of `vielbein_at` is
-    e = 1 -+ (h/2) F_m - (h^2/6) F_m F_m^T with F_m = f[:, m, :], so the field
-    of a block of directions is one batched product and one batched solve,
-    and every step shares F_m and F_m F_m^T.
+    e = 1 -+ (h/2) F_m - (h^2/6) F_m F_m^T with F_m = f[:, m, :].  F_m is
+    antisymmetric, so X lives on S_m x S_m, S_m the support of F_m, and is
+    block diagonal over the connected components of F_m's graph (2 to 9
+    indices up to A13), and so is Y = -(1 + X)^-1 X: Y is exact from one
+    small solve per component, batched over the components of one size.
+    X and Y depend on f and the step alone, so I, J and K share them.
     """
-    D = f.shape[0]
-    eye = np.eye(D)
-    out = [np.empty((D, D, D)) for _ in steps]
-    for lo in range(0, D, _FD_BLOCK):
-        F = f[:, lo:lo + _FD_BLOCK, :].transpose(1, 0, 2)
-        n = F.shape[0]
+    dim = coo.dim
+    a, m, c = coo.index.T
+    node, other = m * dim + a, m * dim + c
+    members, starts = _components(node, other, dim * dim)
+    sizes = np.diff(starts, append=members.size)
+    # component and position within it of every node (m, a) with m * dim + a
+    component, position = np.zeros(dim * dim, dtype=int), np.zeros(dim * dim, dtype=int)
+    component[members] = np.repeat(np.arange(starts.size), sizes)
+    position[members] = np.arange(members.size) - np.repeat(starts, sizes)
+    empty = _nonzeros(np.zeros(0, dtype=int), np.zeros((0, 0), dtype=int), np.zeros((0, 2, 0, 0)))
+    xs, ys = [empty], [empty]
+    for s in np.flatnonzero(np.bincount(sizes)):
+        blocks = np.flatnonzero(sizes == s)
+        block = np.full(starts.size, -1)
+        block[blocks] = np.arange(blocks.size)
+        inside = block[component[node]] >= 0
+        F = np.zeros((blocks.size, s, s))
+        F[block[component[node[inside]]], position[node[inside]],
+          position[other[inside]]] = coo.value[inside]
         quad = F @ F.transpose(0, 2, 1)
-        for h, d in zip(steps, out):
-            e = np.concatenate((eye - h / 2 * F - h * h / 6 * quad,
-                                eye + h / 2 * F - h * h / 6 * quad))
-            # (e I e^-1)^T = e^-T (e I)^T
-            field = np.linalg.solve(e.transpose(0, 2, 1), (e @ I).transpose(0, 2, 1))
-            d[lo:lo + n] = (field[:n] - field[n:]).transpose(0, 2, 1) / (2 * h)
-    return out
+        plus = np.stack([-h / 2 * F - h * h / 6 * quad for h in (step, step / 2)], axis=1)
+        nodes = members[starts[blocks][:, None] + np.arange(s)]
+        direction, support = nodes[:, 0] // dim, nodes % dim
+        xs.append(_nonzeros(direction, support, plus))
+        ys.append(_nonzeros(direction, support, -np.linalg.solve(np.eye(s) + plus, plus)))
+    X, (yk, ym, yr, yc, yv) = (tuple(np.concatenate(col) for col in zip(*chunks))
+                               for chunks in (xs, ys))
+    key = (yk * dim + ym) * dim + yr
+    order = np.argsort(key)
+    start = np.searchsorted(key[order], np.arange(len(_WEIGHTS) * dim * dim + 1))
+    keys, sums = _sum_by_key(dim, [(ym, yr, yc, yv * _WEIGHTS[yk] / (2 * step))])
+    return (X, (start, yc[order], yv[order]),
+            (keys // (dim * dim), keys // dim % dim, keys % dim, sums))
+
+
+def _nijenhuis_max(perm, sign, dim: int, d_terms) -> tuple:
+    """max |N_MNK| of N = t1 - I t1 I^T, t1 = d - d.transpose(1, 0, 2), for
+    the real and the imaginary part of the (m, n, k, value) terms of d."""
+    keys, v = _sum_by_key(dim, d_terms)
+    m, n, k = keys // (dim * dim), keys // dim % dim, keys % dim
+    t1 = [(m, n, k, v), (n, m, k, -v)]
+    _, sums = _sum_by_key(dim, t1 + [(perm[p], perm[q], r, -sign[p] * sign[q] * w)
+                                     for p, q, r, w in t1])
+    return tuple(float(np.abs(part).max(initial=0.0)) for part in (sums.real, sums.imag))
 
 
 def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
     """max |N_MN^K| at the identity from Richardson-extrapolated central
-    differences of the coordinate field of I."""
-    i0 = _matrix_of(I)
-    d1, d2 = _field_differences(rep.structure_constants().f, i0, (step, step / 2))
-    di = (4.0 * d2 - d1) / 3.0
+    differences d[m] = (field(h e_m) - field(-h e_m)) / 2h of the coordinate
+    field e I e^-1, on the signed permutation of I.
 
-    def nijenhuis(d):
-        t1 = d - d.transpose(1, 0, 2)
-        return t1 - np.einsum("mp,nq,pqk->mnk", i0, i0, t1, optimize=True)
-
-    n_extrap = float(np.abs(nijenhuis(di)).max())
-    n_coarse = float(np.abs(nijenhuis(d1)).max())
+    field - I = X I + I Y + X I Y with the offsets of `_vielbein_offsets`;
+    I relabels them, so d and N are sums of relabelled COO terms.
+    """
+    perm, sign = _signed_of(I)
+    coo = rep.structure_constants().coo
+    dim = coo.dim
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(dim)
+    (xk, xm, xr, xc, xv), (start, yc, yv), (wm, wr, wc, wv) = _vielbein_offsets(coo, step)
+    # X I: (X_+ - X_-) I / 2h = -F_m I / 2 exactly, the same at both steps
+    a, m, c = coo.index.T
+    fixed = (m, a, inv[c], -0.5 * (1 + 1j) * sign[inv[c]] * coo.value)
+    # X I Y: each entry of X in column c = perm[d] meets the entries r of Y's row d
+    d = inv[xc]
+    row = (xk * dim + xm) * dim + d
+    count = start[row + 1] - start[row]
+    l = np.repeat(np.arange(row.size), count)
+    r = np.repeat(start[row] - np.cumsum(count) + count, count) + np.arange(l.size)
+    xiy = (xm[l], xr[l], yc[r], xv[l] * sign[d[l]] * yv[r] * _WEIGHTS[xk[l]] / (2 * step))
+    # I Y, on Y's variants already weighted and summed
+    iy = (wm, perm[wr], wc, sign[wr] * wv)
+    n_coarse, n_extrap = _nijenhuis_max(perm, sign, dim, [fixed, iy, xiy])
     if n_extrap > 10.0 * max(n_coarse, 1e-12) and n_extrap > 1e-8:
         warnings.warn(
             f"Richardson extrapolation diverged (step {step:g}): {n_coarse:.2e} -> {n_extrap:.2e}; "

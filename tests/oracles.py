@@ -2,21 +2,23 @@
 
 `hktlie.liealg` computes f_ABC and the closure check by sparse joins over the
 non-zero generator entries, and each simple-root vector from one small eigh.
-`hktlie.cstruct` evaluates integrability, Bismut constancy and the hull
-torsion on the signed permutation of a structure over the non-zero entries
-of f.  These are the same formulas computed densely: row-at-a-time products
-and an SVD for the construction, (D, D, D) einsum temporaries for the
-residuals on any float matrix.  They are the reference the fast kernels must
-match, and the only way to evaluate the checks on structures that are not
-signed permutations (random negative controls, arbitrary antisymmetric
-matrices).  The automorphisms Omega, which `hktlie.autom` reads from f in
-closed form, are computed here by conjugation in the representation and a
-trace projection.  The last section holds the references that only the
-tests use: the Hadamard series, the exact Killing metric, the coordinate
-field of a structure, random complex structures and the 4x4 self-duality
-check.
+`hktlie.cstruct` evaluates integrability, Bismut constancy, the hull
+torsion and the finite-difference Nijenhuis check on the signed permutation
+of a structure over the non-zero entries of f.  These are the same formulas
+computed densely: row-at-a-time products and an SVD for the construction,
+(D, D, D) einsum temporaries for the residuals, and D x D solves of the
+whole vielbein for the Nijenhuis check, on any float matrix.  They are the
+reference the fast kernels must match, and the only way to evaluate the
+checks on structures that are not signed permutations (random negative
+controls, arbitrary antisymmetric matrices).  The automorphisms Omega,
+which `hktlie.autom` reads from f in closed form, are computed here by
+conjugation in the representation and a trace projection.  The last
+section holds the references that only the tests use: the Hadamard series,
+the exact Killing metric, the coordinate field of a structure, random
+complex structures and the 4x4 self-duality check.
 """
 
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -133,6 +135,59 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
 def torsion_match(I, f) -> float:
     """max |C - f| of the hull torsion."""
     return float(np.abs(hull_torsion(I, f) - _f_of(f)).max())
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference Nijenhuis check on dense (D, D, D) arrays
+
+#: directions per batched solve in _field_differences; bounds its
+#: (block, D, D) temporaries independently of D
+_FD_BLOCK = 16
+
+
+def _field_differences(f: np.ndarray, I: np.ndarray, steps: Sequence[float]) -> list:
+    """d[m] = (field(h e_m) - field(-h e_m)) / 2h of the coordinate field
+    e I e^-1, one (D, D, D) array per step h in `steps`.
+
+    At x = +-h e_m the vielbein of `vielbein_at` is
+    e = 1 -+ (h/2) F_m - (h^2/6) F_m F_m^T with F_m = f[:, m, :], so the field
+    of a block of directions is one batched product and one batched solve,
+    and every step shares F_m and F_m F_m^T.
+    """
+    D = f.shape[0]
+    eye = np.eye(D)
+    out = [np.empty((D, D, D)) for _ in steps]
+    for lo in range(0, D, _FD_BLOCK):
+        F = f[:, lo:lo + _FD_BLOCK, :].transpose(1, 0, 2)
+        n = F.shape[0]
+        quad = F @ F.transpose(0, 2, 1)
+        for h, d in zip(steps, out):
+            e = np.concatenate((eye - h / 2 * F - h * h / 6 * quad,
+                                eye + h / 2 * F - h * h / 6 * quad))
+            # (e I e^-1)^T = e^-T (e I)^T
+            field = np.linalg.solve(e.transpose(0, 2, 1), (e @ I).transpose(0, 2, 1))
+            d[lo:lo + n] = (field[:n] - field[n:]).transpose(0, 2, 1) / (2 * h)
+    return out
+
+
+def nijenhuis_dense(rep: AlgebraRep, I, step: float = 1e-4) -> float:
+    """max |N_MN^K| at the identity from Richardson-extrapolated central
+    differences of the coordinate field of I."""
+    i0 = _matrix_of(I)
+    d1, d2 = _field_differences(rep.structure_constants().f, i0, (step, step / 2))
+    di = (4.0 * d2 - d1) / 3.0
+
+    def nijenhuis(d):
+        t1 = d - d.transpose(1, 0, 2)
+        return t1 - np.einsum("mp,nq,pqk->mnk", i0, i0, t1, optimize=True)
+
+    n_extrap = float(np.abs(nijenhuis(di)).max())
+    n_coarse = float(np.abs(nijenhuis(d1)).max())
+    if n_extrap > 10.0 * max(n_coarse, 1e-12) and n_extrap > 1e-8:
+        warnings.warn(
+            f"Richardson extrapolation diverged (step {step:g}): {n_coarse:.2e} -> {n_extrap:.2e}; "
+            "the step size is probably too small or too large", RuntimeWarning)
+    return n_extrap
 
 
 # ---------------------------------------------------------------------------

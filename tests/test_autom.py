@@ -186,6 +186,22 @@ def test_centralizer_abelian_part_is_orthonormal_complement(family, rank):
     assert len(ab) == rank - np.linalg.matrix_rank(rows)
 
 
+@pytest.mark.parametrize("rank", [r for f, r in CLI_RANGE if f == "A"])
+def test_centralizer_dimension_of_highest_root(rank):
+    """su(n-1) + u(1) in su(n+1): (n-1)^2, Cartan directions included."""
+    rep = L.build_matrix_rep("A", rank)
+    assert A.centralizer(rep, [rep.root_system.highest_root]).dimension == (rank - 1) ** 2
+
+
+def test_centralizer_of_short_root():
+    """In spin(7), e1 is orthogonal to e3 but e1 +- e3 are roots: E_e1 does
+    not commute with E_e3, and the centralizer is so(4) on e1 +- e2."""
+    rep = L.build_matrix_rep("B", 3)
+    dec = A.centralizer(rep, [rep.root_system.root((0, 0, 1))])
+    assert {s.highest_root.coords for s in dec.summands} == {(1, 1, 0), (1, -1, 0)}
+    assert dec.dimension == 6
+
+
 def test_centralizer_of_two_roots():
     """Only the highest root of spin(7) commutes with both level-1 roots."""
     rep = L.build_matrix_rep("B", 3)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -219,7 +220,7 @@ class StubPool:
 
 
 def test_catalog_jobs_clamped_to_specs_and_cpus(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(StubPool, "created", [])
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     code, _, _ = run(capsys, "--jobs", "100000", "catalog", "A", "3", "--verify")
@@ -269,7 +270,8 @@ def test_cli_import_leaves_scipy_out():
 
 def test_certificate_path_leaves_numpy_ma_out():
     """np.unique imports numpy.ma (15 ms, 2 MB per process); the kernels sort
-    instead, on the quotient path, the Nijenhuis path and a verified catalog."""
+    instead, on the quotient path, the Nijenhuis path and a verified catalog.
+    A catalog without --jobs imports no process pool either."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import contextlib, io, sys; from hktlie import cli\n"
@@ -277,10 +279,11 @@ def test_certificate_path_leaves_numpy_ma_out():
              "             ['catalog', 'B', '3', '--verify']):\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        code = cli.main(['--json'] + argv)\n"
-             "    print(code, 'numpy.ma' in sys.modules)")
+             "    print(code, 'numpy.ma' in sys.modules,\n"
+             "          'concurrent.futures.process' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.split("\n") == ["0 False"] * 3 + [""]
+    assert out.split("\n") == ["0 False False"] * 3 + [""]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hktlie import cstruct as C
 from hktlie import liealg as L
 
 import oracles
-from conftest import ABOVE_CAPS, CATALOG
+from conftest import ABOVE_CAPS, CATALOG, CLI_RANGE
 
 
 def canonical(family, rank, u1=0):
@@ -66,10 +66,12 @@ def test_nijenhuis_agrees_with_algebraic_check(family, rank):
     from hktlie.spaces import required_padding
     rep, I = canonical(family, rank, required_padding([(family, rank)]))
     f = rep.structure_constants()
-    samples = [I.matrix, oracles.random_complex_structure(rep.dim, np.random.default_rng(1))]
-    for m in samples:
+    samples = [(I.matrix, C.nijenhuis_at_origin),
+               (oracles.random_complex_structure(rep.dim, np.random.default_rng(1)),
+                oracles.nijenhuis_dense)]
+    for m, nijenhuis in samples:
         alg_small = oracles.integrability_residual(m, f) <= 1e-9
-        fd_small = C.nijenhuis_at_origin(rep, m, step=1e-4) <= 1e-5
+        fd_small = nijenhuis(rep, m, step=1e-4) <= 1e-5
         assert alg_small == fd_small
 
 
@@ -219,8 +221,8 @@ def test_nijenhuis_small_for_canonical_su3():
 
 
 def loop_nijenhuis(rep, I, step):
-    """The per-direction finite differences of structure_field that the
-    batched nijenhuis_at_origin replaced."""
+    """The per-direction finite differences of structure_field, one dense
+    D x D inverse per direction."""
     D = rep.dim
 
     def fd(h):
@@ -236,7 +238,8 @@ def loop_nijenhuis(rep, I, step):
     return float(np.abs(t1 - np.einsum("mp,nq,pqk->mnk", I, I, t1)).max())
 
 
-# D = 8, 24 and 32: below one block of directions, a partial last block, whole blocks
+# D = 8, 24 and 32: below one block of the dense oracle's directions, a
+# partial last block, whole blocks
 @pytest.mark.parametrize("family,rank,u1", [("A", 2, 0), ("B", 3, 3), ("D", 4, 4)])
 def test_batched_nijenhuis_matches_direction_loop(family, rank, u1):
     rep = L.build_matrix_rep(family, rank, u1)
@@ -245,7 +248,7 @@ def test_batched_nijenhuis_matches_direction_loop(family, rank, u1):
         assert abs(C.nijenhuis_at_origin(rep, s, step=1e-4)
                    - loop_nijenhuis(rep, s.matrix, 1e-4)) <= 1e-12
     X = oracles.random_complex_structure(rep.dim, np.random.default_rng(7))
-    batched = C.nijenhuis_at_origin(rep, X, step=1e-4)
+    batched = oracles.nijenhuis_dense(rep, X, step=1e-4)
     assert batched > 1e-5
     assert abs(batched - loop_nijenhuis(rep, X, 1e-4)) <= 1e-12 * batched
 
@@ -260,9 +263,71 @@ def test_nijenhuis_large_for_random():
     rng = np.random.default_rng(13)
     for _ in range(3):
         I = oracles.random_complex_structure(rep.dim, rng)
-        n = C.nijenhuis_at_origin(rep, I, step=1e-4)
+        n = oracles.nijenhuis_dense(rep, I, step=1e-4)
         assert n > 0.05
         assert oracles.integrability_residual(I, rep.structure_constants()) > 0.05
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_nijenhuis_matches_dense_oracle(family, rank):
+    """The kernel on the support of each direction equals the dense finite
+    differences; above the rank caps on J alone, to keep the suite short."""
+    from hktlie.spaces import required_padding
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
+    triple = A.build_quaternion_triple(rep)
+    structures = (triple.J,) if (family, rank) in ABOVE_CAPS else (triple.I, triple.J, triple.K)
+    for s in structures:
+        got = C.nijenhuis_at_origin(rep, s, step=1e-4)
+        assert got < 1e-5
+        assert abs(got - oracles.nijenhuis_dense(rep, s, step=1e-4)) <= 1e-13
+
+
+def test_nijenhuis_refuses_non_permutation():
+    """Away from a signed permutation the kernel raises and names the snap
+    distance; the certificate then reports an infinite Nijenhuis value."""
+    rep, I = canonical("A", 2)
+    for m in (oracles.random_complex_structure(rep.dim, np.random.default_rng(3)),
+              I.matrix + 1e-9):
+        snap = C.ComplexStructure(m).snap
+        with pytest.raises(ValueError, match=f"{snap:.3e} from the nearest signed permutation"):
+            C.nijenhuis_at_origin(rep, m, step=1e-4)
+
+
+def test_refused_nijenhuis_is_reported_infinite(monkeypatch):
+    def refuse(rep, I, step=1e-4):
+        raise ValueError("structure is 1.000e-06 from the nearest signed permutation")
+
+    monkeypatch.setattr(C, "nijenhuis_at_origin", refuse)
+    result = A.build_quaternion_triple(L.build_matrix_rep("A", 2), fd_step=1e-4)
+    assert [r.nijenhuis for r in result.reports.values()] == [np.inf] * 3
+    assert result.failure == ("I.nijenhuis", np.inf, 1e-5)
+
+
+def test_nijenhuis_memory_stays_below_two_dense_tensors():
+    """A11xU1^1, D = 144: the three calls peak below 2 D^3 float64 (47.8 MB);
+    the dense oracle peaks at 7 D^3 per call."""
+    import tracemalloc
+    rep = L.build_matrix_rep("A", 11, 1)
+    triple = A.build_quaternion_triple(rep)
+    C._vielbein_offsets.cache_clear()
+    tracemalloc.start()
+    try:
+        for s in (triple.I, triple.J, triple.K):
+            assert C.nijenhuis_at_origin(rep, s, step=1e-4) < 1e-5
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * rep.dim ** 3, peak / 1e6
+
+
+def test_nijenhuis_path_builds_no_dense_f():
+    from hktlie import spaces
+    from hktlie.cli import parse_space_string
+    L._cached_rep.cache_clear()
+    report = spaces.build_coset_triple(parse_space_string("A8"), fd_step=1e-4)
+    assert report.verdict == "certified"
+    rep = L.build_matrix_rep("A", 8)
+    assert "f" not in vars(rep.structure_constants())
 
 
 # ---------------------------------------------------------------------------
