@@ -19,6 +19,7 @@ from .rootsys import (
     dynkin_diagram,
     extended_dynkin_surgery,
     highest_root,
+    root_chain,
 )
 from .liealg import (
     AlgebraRep,

@@ -23,10 +23,10 @@ from . import spaces
 from .cstruct import DEFAULT_TOL
 from .rootsys import (
     UnsupportedAlgebraError,
-    basic_root_chain,
     build_root_system,
     chain_nodes,
     extended_dynkin_surgery,
+    root_chain,
 )
 
 EXIT_OK = 0
@@ -38,6 +38,11 @@ MAX_RANK = {"A": 8, "B": 4, "C": 4, "D": 5}
 
 #: finite-difference step of `verify` when --fd-step is not given
 DEFAULT_FD_STEP = 1e-4
+
+#: the smallest --fd-step, 2.98e-154: below it (step/2)**2, the vielbein's
+#: second-order term at the half step, is no longer a normal float, and a
+#: subnormal step ends in a Nijenhuis value of nan or 1
+MIN_FD_STEP = 2 * sys.float_info.min ** 0.5
 
 
 class SpecParseError(ValueError):
@@ -115,7 +120,7 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
         if len(factors) != 1:
             raise SpecParseError("quotients are only supported for a single simple factor")
         try:
-            levels = basic_root_chain(build_root_system(*factors[0]))
+            _, levels = root_chain(*factors[0])
         except UnsupportedAlgebraError as exc:
             raise SpecParseError(str(exc))
         include_abelian = False
@@ -382,8 +387,9 @@ def main(argv=None) -> int:
         args.jobs = max(1, os.cpu_count() if args.jobs == "auto" else int(args.jobs))
         if not (0 < args.tol <= 1e-3):
             raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {args.tol:g}")
-        if args.fd_step is not None and not (0 < args.fd_step <= 1e-2):
-            raise SpecParseError(f"fd-step must lie in (0, 1e-2], got {args.fd_step:g}")
+        if args.fd_step is not None and not (MIN_FD_STEP <= args.fd_step <= 1e-2):
+            raise SpecParseError(f"fd-step must lie in [{MIN_FD_STEP:.3g}, 1e-2], so that "
+                                 f"(step/2)**2 stays a normal float; got {args.fd_step:g}")
         return args.func(args)
     except (SpecParseError, UnsupportedAlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,8 @@ no (D, D, D) temporary.  The Nijenhuis check reads f as COO too: along e_m
 the vielbein differs from 1 only on the support of f[:, m, :], block by
 block, so e - 1 and e^-1 - 1 are small exact blocks, computed once per f
 and step for I, J and K, and the differences of e I e^-1 and N are sums of
-relabelled copies of their non-zero entries.
+relabelled copies of their non-zero entries, one block of N's third index
+at a time, so the check's working set does not grow with D^3.
 """
 
 from __future__ import annotations
@@ -362,17 +363,74 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
 #: both in one complex value sums them with one sort.
 _WEIGHTS = np.array([1 - 1j / 3, -1 + 1j / 3, 8j / 3, -8j / 3])
 
+#: entries of Y = e^-1 - 1 per block of columns, the third index k of d, t1
+#: and N; the terms of a block, a few per entry, exist one block at a time
+_BLOCK = 1 << 11
 
-def _nonzeros(m: np.ndarray, support: np.ndarray, plus: np.ndarray) -> tuple:
-    """(variant, m, row, col, value) of the non-zeros of n blocks of offsets
-    at x = +h e_m, h = step and step/2, stacked as (n, 2, s, s), and of
-    their transposes, the offsets at -h e_m; block g belongs to direction
-    m[g] and sits on the indices support[g]."""
-    flat = np.flatnonzero(plus)
-    g, j, r, c = np.unravel_index(flat, plus.shape)
-    rows, cols, value = support[g, r], support[g, c], plus.reshape(-1)[flat]
-    return (np.concatenate((2 * j, 2 * j + 1)), np.tile(m[g], 2),
-            np.concatenate((rows, cols)), np.concatenate((cols, rows)), np.tile(value, 2))
+
+def _offset_blocks(coo: CooTensor, step: float) -> list:
+    """One (m, support, X, Y) per size s of the components: X and Y at
+    x = +h e_m for h = step and step/2 on the n components of that size,
+    stacked as (n, 2, s, s), block g of the direction m[g] on the indices
+    support[g] (see `_vielbein_offsets`)."""
+    dim = coo.dim
+    a, m, c = coo.index.T
+    node, other = m * dim + a, m * dim + c
+    members, starts = _components(node, other, dim * dim)
+    sizes = np.diff(starts, append=members.size)
+    # component and position within it of every node (m, a) with m * dim + a
+    component, position = np.zeros(dim * dim, dtype=int), np.zeros(dim * dim, dtype=int)
+    component[members] = np.repeat(np.arange(starts.size), sizes)
+    position[members] = np.arange(members.size) - np.repeat(starts, sizes)
+    out = []
+    for s in np.flatnonzero(np.bincount(sizes)):
+        blocks = np.flatnonzero(sizes == s)
+        block = np.full(starts.size, -1)
+        block[blocks] = np.arange(blocks.size)
+        inside = block[component[node]] >= 0
+        F = np.zeros((blocks.size, s, s))
+        F[block[component[node[inside]]], position[node[inside]],
+          position[other[inside]]] = coo.value[inside]
+        quad = F @ F.transpose(0, 2, 1)
+        plus = np.stack([-h / 2 * F - h * h / 6 * quad for h in (step, step / 2)], axis=1)
+        nodes = members[starts[blocks][:, None] + np.arange(s)]
+        out.append((nodes[:, 0] // dim, nodes % dim, plus,
+                    -np.linalg.solve(np.eye(s) + plus, plus)))
+    return out
+
+
+def _sites(blocks, dim: int, itype) -> tuple:
+    """(m * D + row, m * D + col, values) of the entries of offset blocks
+    where one of the four variants is non-zero, with the (n, 4) values in
+    the order of `_WEIGHTS`.  Each of `blocks` is (m, support, plus), plus
+    the offsets at x = +h e_m as in `_offset_blocks`; those at -h e_m are
+    their transposes."""
+    patterns = [(plus != 0).any(axis=1) for _, _, plus in blocks]
+    patterns = [p | p.transpose(0, 2, 1) for p in patterns]
+    n = sum(int(p.sum()) for p in patterns)
+    rows, cols = np.empty(n, dtype=itype), np.empty(n, dtype=itype)
+    values = np.empty((n, len(_WEIGHTS)))
+    at = 0
+    for (m, support, plus), pattern in zip(blocks, patterns):
+        g, r, c = np.nonzero(pattern)
+        part = slice(at, at + g.size)
+        rows[part] = m[g] * dim + support[g, r]
+        cols[part] = m[g] * dim + support[g, c]
+        minus = plus.transpose(0, 1, 3, 2)
+        for v, offsets in enumerate((plus[:, 0], minus[:, 0], plus[:, 1], minus[:, 1])):
+            values[part, v] = offsets[g, r, c]
+        at += g.size
+    return rows, cols, values
+
+
+def _grouped(group: np.ndarray, count: int, index: np.ndarray, value: np.ndarray) -> tuple:
+    """(start, index, value) with the entries ordered by their group in
+    range(count), those of group g from start[g] to start[g + 1]; `start`
+    takes the integer type of `index`."""
+    order = np.argsort(group, kind="stable")
+    start = np.zeros(count + 1, dtype=index.dtype)
+    np.cumsum(np.bincount(group, minlength=count), out=start[1:])
+    return start, index[order], value[order]
 
 
 def _components(node: np.ndarray, other: np.ndarray, size: int) -> tuple:
@@ -397,12 +455,11 @@ def _components(node: np.ndarray, other: np.ndarray, size: int) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _vielbein_offsets(coo: CooTensor, step: float) -> tuple:
-    """The non-zeros of X = e - 1 and of Y = e^-1 - 1 for every direction m
-    and every variant of `_WEIGHTS`: X as (variant, m, row, col, value)
-    arrays; Y as (start, col, value), its entries sorted by row key
-    (variant * D + m) * D + row, with those of a key from start[key] to
-    start[key + 1]; and Y weighted by `_WEIGHTS` / 2h and summed by
-    (m, row, col) key.
+    """X = e - 1 and Y = e^-1 - 1 for every direction m and every variant of
+    `_WEIGHTS`, as the (start, index, values) of `_grouped` over the entries
+    (m, row, col) where a variant is non-zero, `values` one column per
+    variant: X grouped by m * D + col, with the row as index; Y grouped by
+    col, with m * D + row as index.
 
     At x = +-h e_m the vielbein of `vielbein_at` is
     e = 1 -+ (h/2) F_m - (h^2/6) F_m F_m^T with F_m = f[:, m, :].  F_m is
@@ -410,52 +467,47 @@ def _vielbein_offsets(coo: CooTensor, step: float) -> tuple:
     block diagonal over the connected components of F_m's graph (2 to 9
     indices up to A13), and so is Y = -(1 + X)^-1 X: Y is exact from one
     small solve per component, batched over the components of one size.
-    X and Y depend on f and the step alone, so I, J and K share them.
+    The offsets at -h e_m are the transposes of those at +h e_m, so the
+    four variants share one pattern of entries.  X and Y depend on f and
+    the step alone, so I, J and K share them.  Indices and starts, all
+    below D^3, are int32 where that fits.
     """
     dim = coo.dim
-    a, m, c = coo.index.T
-    node, other = m * dim + a, m * dim + c
-    members, starts = _components(node, other, dim * dim)
-    sizes = np.diff(starts, append=members.size)
-    # component and position within it of every node (m, a) with m * dim + a
-    component, position = np.zeros(dim * dim, dtype=int), np.zeros(dim * dim, dtype=int)
-    component[members] = np.repeat(np.arange(starts.size), sizes)
-    position[members] = np.arange(members.size) - np.repeat(starts, sizes)
-    empty = _nonzeros(np.zeros(0, dtype=int), np.zeros((0, 0), dtype=int), np.zeros((0, 2, 0, 0)))
-    xs, ys = [empty], [empty]
-    for s in np.flatnonzero(np.bincount(sizes)):
-        blocks = np.flatnonzero(sizes == s)
-        block = np.full(starts.size, -1)
-        block[blocks] = np.arange(blocks.size)
-        inside = block[component[node]] >= 0
-        F = np.zeros((blocks.size, s, s))
-        F[block[component[node[inside]]], position[node[inside]],
-          position[other[inside]]] = coo.value[inside]
-        quad = F @ F.transpose(0, 2, 1)
-        plus = np.stack([-h / 2 * F - h * h / 6 * quad for h in (step, step / 2)], axis=1)
-        nodes = members[starts[blocks][:, None] + np.arange(s)]
-        direction, support = nodes[:, 0] // dim, nodes % dim
-        xs.append(_nonzeros(direction, support, plus))
-        ys.append(_nonzeros(direction, support, -np.linalg.solve(np.eye(s) + plus, plus)))
-    X, (yk, ym, yr, yc, yv) = (tuple(np.concatenate(col) for col in zip(*chunks))
-                               for chunks in (xs, ys))
-    key = (yk * dim + ym) * dim + yr
-    order = np.argsort(key)
-    start = np.searchsorted(key[order], np.arange(len(_WEIGHTS) * dim * dim + 1))
-    keys, sums = _sum_by_key(dim, [(ym, yr, yc, yv * _WEIGHTS[yk] / (2 * step))])
-    return (X, (start, yc[order], yv[order]),
-            (keys // (dim * dim), keys // dim % dim, keys % dim, sums))
+    itype = np.int32 if dim ** 3 <= np.iinfo(np.int32).max else np.int64
+    blocks = _offset_blocks(coo, step)
+    rows, cols, values = _sites([(m, support, x) for m, support, x, _ in blocks], dim, itype)
+    X = _grouped(cols, dim * dim, rows % dim, values)
+    del rows, cols, values      # freed before Y's sites are made: the build's peak
+    rows, cols, values = _sites([(m, support, y) for m, support, _, y in blocks], dim, itype)
+    return X, _grouped(cols % dim, dim, rows, values)
+
+
+def _upper(m: np.ndarray, n: np.ndarray, k: np.ndarray, value: np.ndarray) -> tuple:
+    """The term (m, n, k, value) of a tensor antisymmetric in (m, n) moved to
+    m <= n: (n, m, k, -value) when m > n, and value 0 when m = n."""
+    return np.minimum(m, n), np.maximum(m, n), k, np.sign(n - m) * value
 
 
 def _nijenhuis_max(perm, sign, dim: int, d_terms) -> tuple:
     """max |N_MNK| of N = t1 - I t1 I^T, t1 = d - d.transpose(1, 0, 2), for
-    the real and the imaginary part of the (m, n, k, value) terms of d."""
-    keys, v = _sum_by_key(dim, d_terms)
+    the real and the imaginary part of the (m, n, k, value) terms of d.  t1
+    and N are antisymmetric in (m, n), so both are summed for m < n only."""
+    keys, t1 = _sum_by_key(dim, [_upper(*term) for term in d_terms])
     m, n, k = keys // (dim * dim), keys // dim % dim, keys % dim
-    t1 = [(m, n, k, v), (n, m, k, -v)]
-    _, sums = _sum_by_key(dim, t1 + [(perm[p], perm[q], r, -sign[p] * sign[q] * w)
-                                     for p, q, r, w in t1])
+    _, sums = _sum_by_key(dim, [(m, n, k, t1),
+                                _upper(perm[m], perm[n], k, -sign[m] * sign[n] * t1)])
     return tuple(float(np.abs(part).max(initial=0.0)) for part in (sums.real, sums.imag))
+
+
+def _column_blocks(start: np.ndarray, size: int):
+    """Ranges [lo, hi) of columns, each holding at most `size` entries of a
+    grouping by column with starts `start`, or else one column."""
+    lo, dim = 0, start.size - 1
+    while lo < dim:
+        hi = int(np.searchsorted(start, start[lo] + size, "right")) - 1
+        hi = min(max(hi, lo + 1), dim)
+        yield lo, hi
+        lo = hi
 
 
 def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
@@ -464,27 +516,46 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
     field e I e^-1, on the signed permutation of I.
 
     field - I = X I + I Y + X I Y with the offsets of `_vielbein_offsets`;
-    I relabels them, so d and N are sums of relabelled COO terms.
+    I relabels them, so d and N are sums of relabelled COO terms.  No term
+    mixes the third index k, so they are summed one block of k at a time.
     """
     perm, sign = _signed_of(I)
     coo = rep.structure_constants().coo
     dim = coo.dim
     inv = np.empty_like(perm)
     inv[perm] = np.arange(dim)
-    (xk, xm, xr, xc, xv), (start, yc, yv), (wm, wr, wc, wv) = _vielbein_offsets(coo, step)
-    # X I: (X_+ - X_-) I / 2h = -F_m I / 2 exactly, the same at both steps
-    a, m, c = coo.index.T
-    fixed = (m, a, inv[c], -0.5 * (1 + 1j) * sign[inv[c]] * coo.value)
-    # X I Y: each entry of X in column c = perm[d] meets the entries r of Y's row d
-    d = inv[xc]
-    row = (xk * dim + xm) * dim + d
-    count = start[row + 1] - start[row]
-    l = np.repeat(np.arange(row.size), count)
-    r = np.repeat(start[row] - np.cumsum(count) + count, count) + np.arange(l.size)
-    xiy = (xm[l], xr[l], yc[r], xv[l] * sign[d[l]] * yv[r] * _WEIGHTS[xk[l]] / (2 * step))
-    # I Y, on Y's variants already weighted and summed
-    iy = (wm, perm[wr], wc, sign[wr] * wv)
-    n_coarse, n_extrap = _nijenhuis_max(perm, sign, dim, [fixed, iy, xiy])
+    (xstart, xrow, xval), (ystart, yrow, yval) = _vielbein_offsets(coo, step)
+    # (values @ weights).view(complex) sums the variants as weighted in 2h d
+    weights = np.stack([_WEIGHTS.real, _WEIGHTS.imag], axis=1) / (2 * step)
+    # the entries f[a, m, c] of X I by their column inv[c]
+    fk = inv[coo.index[:, 2]]
+    forder = np.argsort(fk, kind="stable")
+    fstart = np.searchsorted(fk[forder], np.arange(dim + 1))
+
+    def block_terms(lo: int, hi: int) -> list:
+        """The (m, n, k, value) terms of d for the columns k in [lo, hi)."""
+        # X I: (X_+ - X_-) I / 2h = -F_m I / 2 exactly, the same at both steps
+        f = forder[fstart[lo]:fstart[hi]]
+        a, m, _ = coo.index[f].T
+        fixed = (m, a, fk[f], -0.5 * (1 + 1j) * sign[fk[f]] * coo.value[f])
+        # I Y: the entry (q, k) of Y moves to row perm[q]
+        y = slice(ystart[lo], ystart[hi])
+        ym, q = np.divmod(yrow[y].astype(np.int64), dim)
+        yk = np.repeat(np.arange(lo, hi), np.diff(ystart[lo:hi + 1]))
+        signed = sign[q, None] * yval[y]
+        iy = (ym, perm[q], yk, (signed @ weights).view(complex)[:, 0])
+        # X I Y: the entry (q, k) of Y meets the run of X's column perm[q]
+        key = ym * dim + perm[q]
+        count = xstart[key + 1] - xstart[key]
+        l = np.repeat(np.arange(key.size), count)
+        x = np.repeat(xstart[key] - np.cumsum(count) + count, count) + np.arange(l.size)
+        xiy = (ym[l], xrow[x], yk[l], ((xval[x] * signed[l]) @ weights).view(complex)[:, 0])
+        return [fixed, iy, xiy]
+
+    n_coarse = n_extrap = 0.0
+    for lo, hi in _column_blocks(ystart, _BLOCK):
+        coarse, extrap = _nijenhuis_max(perm, sign, dim, block_terms(lo, hi))
+        n_coarse, n_extrap = max(n_coarse, coarse), max(n_extrap, extrap)
     if n_extrap > 10.0 * max(n_coarse, 1e-12) and n_extrap > 1e-8:
         warnings.warn(
             f"Richardson extrapolation diverged (step {step:g}): {n_coarse:.2e} -> {n_extrap:.2e}; "

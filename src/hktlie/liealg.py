@@ -27,10 +27,9 @@ from .rootsys import (
     Root,
     RootSystem,
     UnsupportedAlgebraError,
-    basic_root_chain,
-    build_root_system,
     chain_nodes,
     coroot,
+    root_chain,
 )
 
 #: trace normalization Tr(t_A t_B) = C per family (defining/vector reps)
@@ -561,8 +560,7 @@ def _zero_extend(rep: AlgebraRep, u: int) -> AlgebraRep:
 
 
 def _build_matrix_rep(family, rank, rep_kind):
-    rs = build_root_system(family, rank)
-    levels = basic_root_chain(rs)
+    rs, levels = root_chain(family, rank)
     raw = _raw_basis(family, rank, rep_kind)
     csa_axes_raw = _adapted_csa(rs, levels, raw)
     ev = _chevalley_table(rs, csa_axes_raw, raw)

@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -494,6 +495,14 @@ def basic_root_chain(rs: RootSystem) -> tuple[tuple[ChainNode, ...], ...]:
         levels.append(frontier)
         frontier = tuple(c for node in frontier for c in node.children)
     return tuple(levels)
+
+
+@functools.lru_cache(maxsize=64)
+def root_chain(family: str, rank: int) -> tuple:
+    """(root system, basic-root chain) of one simple algebra, built once per
+    (family, rank) and process; both are immutable, so callers share them."""
+    rs = build_root_system(family, rank)
+    return rs, basic_root_chain(rs)
 
 
 def chain_nodes(levels) -> tuple[ChainNode, ...]:

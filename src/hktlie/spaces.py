@@ -20,9 +20,8 @@ from .liealg import build_matrix_rep
 from .rootsys import (
     ChainNode,
     UnsupportedAlgebraError,
-    basic_root_chain,
-    build_root_system,
     chain_nodes,
+    root_chain,
 )
 
 GROUP_NAMES = {"A": lambda r: f"SU({r + 1})", "B": lambda r: f"Spin({2 * r + 1})",
@@ -73,7 +72,7 @@ class SpaceSpec:
 def required_padding(factors) -> int:
     """u(1) factors needed so the Cartan space pairs off: 2 n_b - rank, summed
     over the factors; each one is the padding of its empty quotient."""
-    return sum(_quotient_padding(basic_root_chain(build_root_system(f, r)), (), ())
+    return sum(_quotient_padding(root_chain(f, r)[1], (), ())
                for f, r in factors)
 
 
@@ -139,8 +138,7 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     Cartan directions pair off with the remaining basic roots.
     """
     family, rank = factor
-    rs = build_root_system(family, rank)
-    levels = basic_root_chain(rs)
+    _, levels = root_chain(family, rank)
 
     specs = [SpaceSpec(((family, rank),), _quotient_padding(levels, (), ()))]
     for k in range(1, max_level + 1):
@@ -274,14 +272,15 @@ class _Factor:
 
 
 def _resolve_spec(spec: SpaceSpec) -> list:
-    """Each factor of `spec` with its quotient and padding, one chain build per factor."""
+    """Each factor of `spec` with its quotient and padding, from the shared
+    root chain of its algebra."""
     if not spec.factors:
         raise ValueError("need at least one simple factor")
     if spec.selections and len(spec.factors) != 1:
         raise ValueError("quotient selections are only supported for a single simple factor")
     factors = []
     for family, rank in spec.factors:
-        levels = basic_root_chain(build_root_system(family, rank))
+        _, levels = root_chain(family, rank)
         tops, abelian_levels = _resolve_selections(levels, spec.selections)
         factors.append(_Factor(family, rank, tuple(tops), tuple(abelian_levels),
                                _quotient_padding(levels, tops, abelian_levels)))

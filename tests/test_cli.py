@@ -137,6 +137,23 @@ def test_tolerance_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("step", ["1e-320", "5e-324", "2.9e-154", "0", "-1e-4", "nan"])
+def test_fd_step_below_the_normal_floats_is_refused(capsys, step):
+    """A subnormal step gave nijenhuis "nan" (1e-320) or 1.41 (5e-324): the
+    step must keep (step/2)**2 a normal float."""
+    code, out, err = run(capsys, "--json", f"--fd-step={step}", "verify", "A2xB3xU1^3")
+    assert code == 2
+    assert out == ""
+    assert "fd-step must lie in [2.98e-154, 1e-2]" in err and "normal float" in err
+
+
+def test_fd_step_at_the_minimum_certifies(capsys):
+    code, out, _ = run(capsys, "--json", "--fd-step", repr(cli.MIN_FD_STEP), "verify", "A2xB3xU1^3")
+    assert code == 0
+    residuals = json.loads(out)["residuals"].values()
+    assert all(r["nijenhuis"] <= 1e-5 for r in residuals)
+
+
 # ---------------------------------------------------------------------------
 # classify / catalog
 
@@ -353,6 +370,7 @@ def test_rank_cap_checked_before_any_chain(monkeypatch):
         raise AssertionError("root system built for a factor above the cap")
 
     monkeypatch.setattr(cli, "build_root_system", refuse)
+    monkeypatch.setattr(cli, "root_chain", refuse)
     for text in ("A60/u1", "A60", "A2xD9"):
         with pytest.raises(cli.SpecParseError, match="outside the supported range"):
             cli.parse_space_string(text)

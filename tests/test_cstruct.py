@@ -303,21 +303,43 @@ def test_refused_nijenhuis_is_reported_infinite(monkeypatch):
     assert result.failure == ("I.nijenhuis", np.inf, 1e-5)
 
 
-def test_nijenhuis_memory_stays_below_two_dense_tensors():
-    """A11xU1^1, D = 144: the three calls peak below 2 D^3 float64 (47.8 MB);
-    the dense oracle peaks at 7 D^3 per call."""
+def test_nijenhuis_memory_stays_within_a_fixed_budget():
+    """The three calls with the offsets built afresh trace at most 3 MB at A8
+    (D = 80) and 10 MB at A13xU1^1 (D = 196): the offsets and the terms of
+    one block of k, where summing all of N at once took 10.2 and 40.7 MB
+    (2.5 and 0.7 D^3 float64) and the dense oracle takes 7 D^3 per call."""
     import tracemalloc
-    rep = L.build_matrix_rep("A", 11, 1)
+    for family, rank, u1, budget in (("A", 8, 0, 3e6), ("A", 13, 1, 10e6)):
+        rep = L.build_matrix_rep(family, rank, u1)
+        triple = A.build_quaternion_triple(rep)
+        C._vielbein_offsets.cache_clear()
+        tracemalloc.start()
+        try:
+            for s in (triple.I, triple.J, triple.K):
+                assert C.nijenhuis_at_origin(rep, s, step=1e-4) < 1e-5
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (family, rank, peak / 1e6)
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE)
+def test_block_split_cannot_move_the_nijenhuis_value(family, rank, monkeypatch):
+    """One block of k for all of N, one block per column, and the default
+    split give the same maxima within 1e-15, and the dense oracle's within
+    1e-13."""
+    from hktlie.spaces import required_padding
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
     triple = A.build_quaternion_triple(rep)
-    C._vielbein_offsets.cache_clear()
-    tracemalloc.start()
-    try:
-        for s in (triple.I, triple.J, triple.K):
-            assert C.nijenhuis_at_origin(rep, s, step=1e-4) < 1e-5
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * rep.dim ** 3, peak / 1e6
+    for s in (triple.I, triple.J, triple.K):
+        default = C.nijenhuis_at_origin(rep, s, step=1e-4)
+        split = []
+        for block in (rep.dim ** 3, 1):
+            monkeypatch.setattr(C, "_BLOCK", block)
+            split.append(C.nijenhuis_at_origin(rep, s, step=1e-4))
+        monkeypatch.undo()
+        assert max(abs(v - default) for v in split) <= 1e-15, (default, split)
+        assert abs(split[1] - oracles.nijenhuis_dense(rep, s, step=1e-4)) <= 1e-13
 
 
 def test_nijenhuis_path_builds_no_dense_f():

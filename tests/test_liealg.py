@@ -130,9 +130,9 @@ def test_check_closure_of_abelian_generators_is_zero():
 
 
 def _simple_root_inputs(family, rank):
-    rs = L.build_root_system(family, rank)
+    rs, levels = L.root_chain(family, rank)
     raw = L._raw_basis(family, rank, "defining" if family in "AC" else "vector")
-    csa = [axis[4] for axis in L._adapted_csa(rs, L.basic_root_chain(rs), raw)]
+    csa = [axis[4] for axis in L._adapted_csa(rs, levels, raw)]
     w = np.stack([raw.extract(h) for h in csa])
     targets = [w @ L._np_coords(a.coords) for a in rs.simple_roots]
     return L._ad_matrices(csa, raw.noncsa, raw.C), targets, raw.noncsa

@@ -2,6 +2,7 @@ import pytest
 
 from hktlie import autom as A
 from hktlie import liealg as L
+from hktlie import rootsys as R
 from hktlie import spaces as S
 
 Sel = S.LevelSelection
@@ -245,17 +246,44 @@ def test_spec_without_simple_factor_is_refused():
         S.build_coset_triple(Spec((), 0))
 
 
+def counting_builds(monkeypatch):
+    """The (family, rank) of every root system and chain built from now on."""
+    built = []
+    build, chain = R.build_root_system, R.basic_root_chain
+
+    def counted_build(family, rank):
+        built.append(("build_root_system", f"{family}{rank}"))
+        return build(family, rank)
+
+    def counted_chain(rs):
+        built.append(("basic_root_chain", f"{rs.family}{rs.rank}"))
+        return chain(rs)
+
+    monkeypatch.setattr(R, "build_root_system", counted_build)
+    monkeypatch.setattr(R, "basic_root_chain", counted_chain)
+    R.root_chain.cache_clear()
+    return built
+
+
 def test_product_builds_each_chain_once(monkeypatch):
     """One chain build per factor: the padding check and the certification
     read the same resolved factors."""
-    built = []
-
-    def counting_chain(rs):
-        built.append(f"{rs.family}{rs.rank}")
-        return chain(rs)
-
-    chain = S.basic_root_chain
-    monkeypatch.setattr(S, "basic_root_chain", counting_chain)
+    built = counting_builds(monkeypatch)
     report = S.build_coset_triple(Spec((("A", 2), ("B", 3)), 3))
     assert report.verdict == "certified"
-    assert built == ["A2", "B3"]
+    assert [algebra for name, algebra in built if name == "basic_root_chain"] == ["A2", "B3"]
+
+
+def test_root_data_is_built_once_per_algebra(monkeypatch, capsys):
+    """A repeated factor, the padding table, a catalog and the parser share
+    one root system and chain per (family, rank); `catalog A 8 --verify`
+    made 13 builds of each for its 11 specs."""
+    from hktlie import cli
+    built = counting_builds(monkeypatch)
+    assert S.build_coset_triple(Spec((("A", 2),) * 4, 0)).verdict == "certified"
+    assert S.required_padding([("A", 2), ("A", 2)]) == 0
+    assert cli.main(["catalog", "A", "8", "--verify"]) == 0
+    cli.parse_space_string("A8xU1^1/u1")
+    capsys.readouterr()
+    assert sorted(built) == [("basic_root_chain", "A2"), ("basic_root_chain", "A8"),
+                             ("build_root_system", "A2"), ("build_root_system", "A8")]
