@@ -51,6 +51,9 @@ class Automorphism:
         return float(np.abs(rotated - ff).max())
 
 
+#: the largest |Omega Omega^T - 1| of an automorphism before it is refused
+ORTHOGONALITY_TOL = 1e-10
+
 #: the magnitudes of the entries of every Omega
 OMEGA_ENTRIES = np.array([0.0, 0.5, np.sqrt(0.5), 1.0])
 
@@ -61,11 +64,11 @@ _EXP_COEFFS = (1.0, (8 * _S - 1) / 6, (15 - 16 * _S) / 12, (2 * _S - 1) / 6, (3 
 
 
 def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
-                           level: int = 0, tol: float = 1e-10) -> Automorphism:
+                           level: int = 0) -> Automorphism:
     """The orthogonal generator action induced by the theta rotation: the
     polynomial of B on the indices that f[t] touches, the identity elsewhere.
-    Refused more than `tol` off orthogonal, or above the snap bound from its
-    exact entries."""
+    Refused more than ORTHOGONALITY_TOL off orthogonal, or above the snap
+    bound from its exact entries."""
     if kind not in ("J", "K"):
         raise ValueError(f"kind must be 'J' or 'K', got {kind!r}")
     ent = rep.root_entry(theta)
@@ -84,7 +87,7 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
     for coeff in _EXP_COEFFS[::-1]:                  # Horner's rule
         block = block @ B + coeff * np.eye(support.size)
     ortho = float(np.abs(block @ block.T - np.eye(support.size)).max(initial=0.0))
-    if ortho > tol:
+    if ortho > ORTHOGONALITY_TOL:
         raise RuntimeError(f"automorphism for {theta} lost orthogonality: residual {ortho:.2e}")
     nearest = np.abs(np.abs(block)[..., None] - OMEGA_ENTRIES).argmin(axis=-1)
     exact = np.copysign(OMEGA_ENTRIES[nearest], block)
@@ -289,8 +292,11 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
 
     `quotient` holds the generator indices of the quotiented subalgebra (none
     for a group manifold); chain nodes whose coroot axis it holds drop out of
-    Omega.  Residuals beyond tolerance yield certified=False, not an exception.
+    Omega.  Residuals beyond tolerance yield certified=False, not an exception;
+    an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP] raises ValueError.
     """
+    if fd_step:
+        cstruct._check_fd_step(fd_step)
     removed = set(quotient)
     nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
     f = rep.structure_constants().coo

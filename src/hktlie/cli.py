@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import spaces
-from .cstruct import DEFAULT_TOL
+from .cstruct import DEFAULT_TOL, _check_fd_step
 from .rootsys import (
     UnsupportedAlgebraError,
     build_root_system,
@@ -38,11 +38,6 @@ MAX_RANK = {"A": 8, "B": 4, "C": 4, "D": 5}
 
 #: finite-difference step of `verify` when --fd-step is not given
 DEFAULT_FD_STEP = 1e-4
-
-#: the smallest --fd-step, 2.98e-154: below it (step/2)**2, the vielbein's
-#: second-order term at the half step, is no longer a normal float, and a
-#: subnormal step ends in a Nijenhuis value of nan or 1
-MIN_FD_STEP = 2 * sys.float_info.min ** 0.5
 
 
 class SpecParseError(ValueError):
@@ -387,9 +382,8 @@ def main(argv=None) -> int:
         args.jobs = max(1, os.cpu_count() if args.jobs == "auto" else int(args.jobs))
         if not (0 < args.tol <= 1e-3):
             raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {args.tol:g}")
-        if args.fd_step is not None and not (MIN_FD_STEP <= args.fd_step <= 1e-2):
-            raise SpecParseError(f"fd-step must lie in [{MIN_FD_STEP:.3g}, 1e-2], so that "
-                                 f"(step/2)**2 stays a normal float; got {args.fd_step:g}")
+        if args.fd_step is not None:
+            _check_fd_step(args.fd_step)
         return args.func(args)
     except (SpecParseError, UnsupportedAlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

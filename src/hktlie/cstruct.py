@@ -30,13 +30,14 @@ at a time, so the check's working set does not grow with D^3.
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .liealg import AlgebraRep, CooTensor, StructureConstants, sum_by_key
+from .liealg import AlgebraRep, CooTensor, StructureConstants, _reduce_by_key
 from .rootsys import chain_nodes
 
 DEFAULT_TOL = 1e-9
@@ -230,8 +231,8 @@ def _signed_of(I) -> tuple:
 def _sum_by_key(dim: int, terms) -> tuple:
     """The distinct flat keys of the (a, b, c, value) terms of a (dim, dim, dim)
     tensor and the sum of the values at each."""
-    return sum_by_key(np.concatenate([(a * dim + b) * dim + c for a, b, c, _ in terms]),
-                      np.concatenate([v for *_, v in terms]))
+    return _reduce_by_key(np.concatenate([(a * dim + b) * dim + c for a, b, c, _ in terms]),
+                          np.concatenate([v for *_, v in terms]))
 
 
 def _max_abs(dim: int, terms) -> float:
@@ -354,6 +355,22 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     out = np.zeros(coo.dim ** 3)
     out[keys] = sums
     return out.reshape((coo.dim,) * 3)
+
+
+#: the finite-difference steps of the Nijenhuis check: below 2.98e-154,
+#: (step/2)**2, the vielbein's second-order term at the half step, is no longer
+#: a normal float, and a subnormal step ends in a Nijenhuis value of nan or 1
+MIN_FD_STEP = 2 * sys.float_info.min ** 0.5
+MAX_FD_STEP = 1e-2
+
+
+def _check_fd_step(step: float) -> None:
+    """Raise ValueError unless MIN_FD_STEP <= step <= MAX_FD_STEP."""
+    if not MIN_FD_STEP <= step <= MAX_FD_STEP:
+        sci = functools.partial(np.format_float_scientific, precision=2, trim="-",
+                                exp_digits=1)
+        raise ValueError(f"fd-step must lie in [{sci(MIN_FD_STEP)}, {sci(MAX_FD_STEP)}], "
+                         f"so that (step/2)**2 stays a normal float; got {step:g}")
 
 
 #: weights of the vielbein variants x = +h e_m, -h e_m, +h' e_m, -h' e_m
@@ -518,7 +535,9 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
     field - I = X I + I Y + X I Y with the offsets of `_vielbein_offsets`;
     I relabels them, so d and N are sums of relabelled COO terms.  No term
     mixes the third index k, so they are summed one block of k at a time.
+    Raises ValueError for a step outside [MIN_FD_STEP, MAX_FD_STEP].
     """
+    _check_fd_step(step)
     perm, sign = _signed_of(I)
     coo = rep.structure_constants().coo
     dim = coo.dim

@@ -8,6 +8,11 @@ the basic coroots first, the leftover commuting directions after them).
 Each simple algebra is built once; u(1) factors zero-extend it, f unchanged.
 Nothing above this module reads a matrix, only f and the root table.
 
+Nothing is solved for: each Chevalley root vector is a closed form in its
+root's integer coordinates (Fulton and Harris, Representation Theory,
+sections 15-20), and the Cartan axes are orthonormalised as rank-sized
+functionals, since Tr(h(u) h(v)) / C = kappa u . v in every representation.
+
 Representations used: defining for A_n (dim n+1) and C_n (dim 2n), vector for
 B_n (dim 2n+1) and D_n (dim 2n).  For B_3 an 8-dimensional spinor
 representation is available as well; it is the faithful choice for coroot
@@ -32,7 +37,7 @@ from .rootsys import (
     root_chain,
 )
 
-#: trace normalization Tr(t_A t_B) = C per family (defining/vector reps)
+#: trace normalization Tr(t_A t_B) = C per family, in every representation
 NORM_CONST = {"A": 0.5, "B": 2.0, "C": 2.0, "D": 2.0}
 
 
@@ -69,6 +74,9 @@ class CsaAxis:
 #: rounding: up to A13 and D10 it stays below 1e-15 in both, and the smallest
 #: true entry of f is 0.091
 F_ZERO = 1e-12
+
+#: the largest |[t_a, t_b] - i f_abc t_c| of a built algebra
+CLOSURE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +218,7 @@ class AlgebraRep:
 
 
 # ---------------------------------------------------------------------------
-# family-specific raw material
+# closed forms in the standard representations
 
 def _pauli():
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -227,31 +235,24 @@ def _eij(d, i, j):
 
 @dataclass(eq=False)
 class _Raw:
-    """Initial spanning data for one family/representation."""
+    """One family/representation: the Cartan matrix of a functional and the
+    Chevalley root vectors in closed form."""
 
     d: int
-    C: float
-    noncsa: list            # orthonormal Hermitian generators outside the CSA
-    embed: callable         # std functional vector -> Cartan matrix
-    extract: callable       # Cartan matrix -> std functional vector
+    embed: callable         # functional w -> Cartan matrix h, alpha(h) = w . alpha
+    root_vector: callable   # positive-root coords -> E_alpha up to a positive scale
     std_candidates: list    # deterministic seeds for the leftover Cartan axes
-    faithful: bool
 
 
 def _raw_basis(family: str, rank: int, rep_kind: str) -> _Raw:
     if family == "A":
         d = rank + 1
-        noncsa = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                noncsa.append((_eij(d, i, j) + _eij(d, j, i)) / 2.0)
-                noncsa.append(-1j * (_eij(d, i, j) - _eij(d, j, i)) / 2.0)
 
         def embed(w):
             return np.diag(np.asarray(w, dtype=complex))
 
-        def extract(h):
-            return np.real(np.diag(h)).copy()
+        def root_vector(a):             # e_i - e_j -> E_ij
+            return _eij(d, a.index(1), a.index(-1))
 
         cands = []
         for k in range(1, d):
@@ -259,90 +260,69 @@ def _raw_basis(family: str, rank: int, rep_kind: str) -> _Raw:
             v[:k] = 1.0
             v[k] = -float(k)
             cands.append(v)
-        return _Raw(d, NORM_CONST["A"], noncsa, embed, extract, cands, faithful=True)
-
-    if family in ("B", "D") and rep_kind == "vector":
-        # rotation generators T_jk = i(E_jk - E_kj); same bracket signs as the
-        # spinor T_jk = i gamma_j gamma_k / 2, so both reps share conventions
-        d = 2 * rank + 1 if family == "B" else 2 * rank
-        csa_pairs = {(2 * k, 2 * k + 1) for k in range(rank)}
-        noncsa = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                if (i, j) in csa_pairs:
-                    continue
-                noncsa.append(1j * (_eij(d, i, j) - _eij(d, j, i)))
-
-        def embed(w):
-            h = np.zeros((d, d), dtype=complex)
-            for k, wk in enumerate(w):
-                h += wk * 1j * (_eij(d, 2 * k, 2 * k + 1) - _eij(d, 2 * k + 1, 2 * k))
-            return h
-
-        def extract(h):
-            return np.array([np.imag(h[2 * k, 2 * k + 1]) for k in range(rank)])
-
-        cands = [np.eye(rank)[k] for k in range(rank)]
-        return _Raw(d, NORM_CONST[family], noncsa, embed, extract, cands, faithful=False)
-
-    if family == "B" and rep_kind == "spinor":
-        if rank != 3:
-            raise UnsupportedAlgebraError("spinor representation only provided for B3")
-        cliff = build_clifford(7)
-        t = {}
-        for i in range(7):
-            for j in range(i + 1, 7):
-                t[(i, j)] = cliff.spin_generators[(i, j)]
-        csa_pairs = {(0, 1), (2, 3), (4, 5)}
-        noncsa = [t[p] for p in sorted(t) if p not in csa_pairs]
-
-        def embed(w):
-            return sum(wk * t[(2 * k, 2 * k + 1)] for k, wk in enumerate(w))
-
-        def extract(h):
-            return np.array([np.real(np.trace(h @ t[(2 * k, 2 * k + 1)])) / 2.0
-                             for k in range(3)])
-
-        cands = [np.eye(3)[k] for k in range(3)]
-        return _Raw(8, 2.0, noncsa, embed, extract, cands, faithful=True)
+        return _Raw(d, embed, root_vector, cands)
 
     if family == "C":
         n = rank
         d = 2 * n
-        noncsa = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for a in ((_eij(n, i, j) + _eij(n, j, i)) / np.sqrt(2),
-                          -1j * (_eij(n, i, j) - _eij(n, j, i)) / np.sqrt(2)):
-                    x = np.zeros((d, d), dtype=complex)
-                    x[:n, :n] = a
-                    x[n:, n:] = -a.T
-                    noncsa.append(x)
-        for i in range(n):
-            for j in range(i, n):
-                b0 = _eij(n, i, j) + _eij(n, j, i) if i != j else _eij(n, i, i)
-                if i != j:
-                    b0 = b0 / np.sqrt(2)
-                for b in (b0, 1j * b0):
-                    x = np.zeros((d, d), dtype=complex)
-                    x[:n, n:] = b
-                    x[n:, :n] = b.conj().T
-                    noncsa.append(x)
 
         def embed(w):
-            h = np.zeros((d, d), dtype=complex)
-            for k, wk in enumerate(w):
-                h[k, k] = wk
-                h[n + k, n + k] = -wk
-            return h
+            return np.diag(np.concatenate((w, np.negative(w))).astype(complex))
 
-        def extract(h):
-            return np.real(np.diag(h)[:n]).copy()
+        def root_vector(a):
+            i, j = np.flatnonzero(a)[[0, -1]]
+            if a[i] == 2:               # 2 e_i
+                return _eij(d, i, n + i)
+            if a[j] < 0:                # e_i - e_j
+                return _eij(d, i, j) - _eij(d, n + j, n + i)
+            return _eij(d, i, n + j) + _eij(d, j, n + i)
 
-        cands = [np.eye(n)[k] for k in range(n)]
-        return _Raw(d, NORM_CONST["C"], noncsa, embed, extract, cands, faithful=True)
+        return _Raw(d, embed, root_vector, list(np.eye(n)))
+
+    if family in ("B", "D") and rep_kind == "vector":
+        n = 2 * rank + 1 if family == "B" else 2 * rank
+        rotations = {(a, b): 1j * (_eij(n, a, b) - _eij(n, b, a))
+                     for a in range(n) for b in range(a + 1, n)}
+        return _rotation_basis(rank, n, rotations)
+
+    if family == "B" and rep_kind == "spinor":
+        if rank != 3:
+            raise UnsupportedAlgebraError("spinor representation only provided for B3")
+        return _rotation_basis(3, 7, build_clifford(7).spin_generators)
 
     raise UnsupportedAlgebraError(f"no representation {rep_kind!r} for family {family!r}")
+
+
+def _rotation_basis(rank: int, n: int, rotations: dict) -> _Raw:
+    """so(n) in the representation whose rotation generators T_ab (a < b) are
+    `rotations`: i(E_ab - E_ba) in the vector representation, i gamma_a
+    gamma_b / 2 in the spinor one, with the same brackets.
+
+    The root vector of e_k +- e_l is v w^T - w v^T for the weight vectors
+    (e_2k -+ i e_2k+1)/sqrt2 of +-e_k, and w = e_(2 rank), the zero weight,
+    for B's short root e_k; an antisymmetric c stands for
+    -i sum_{a<b} c_ab T_ab.
+    """
+    pairs = np.array(list(rotations)).T
+    stack = np.stack(list(rotations.values()))
+    cartan = np.stack([rotations[(2 * k, 2 * k + 1)] for k in range(rank)])
+
+    def embed(w):
+        return np.tensordot(w, cartan, 1)
+
+    def weight(k, s):
+        u = np.zeros(n, dtype=complex)
+        u[2 * k], u[2 * k + 1] = np.sqrt(0.5), -1j * s * np.sqrt(0.5)
+        return u
+
+    def root_vector(a):
+        k, l = np.flatnonzero(a)[[0, -1]]
+        v = weight(k, 1)
+        w = weight(l, a[l]) if l != k else np.eye(n)[2 * rank]
+        c = np.outer(v, w) - np.outer(w, v)
+        return -1j * np.tensordot(c[tuple(pairs)], stack, 1)
+
+    return _Raw(stack.shape[-1], embed, root_vector, list(np.eye(rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,148 +354,74 @@ def build_clifford(dimension: int) -> CliffordRep:
 
 
 # ---------------------------------------------------------------------------
-# adapted Cartan basis
+# adapted Cartan axes and Chevalley root vectors
 
-def _gram_schmidt_matrices(mats, inner, tol=1e-10):
-    """Orthonormalize a list of matrices under `inner`, dropping null vectors."""
+def _gram_schmidt(vectors, kappa: float) -> list:
+    """Orthonormalize functionals under kappa u . v, dropping null vectors."""
     basis = []
-    for m in mats:
-        v = m.copy()
+    for v in vectors:
         for b in basis:
-            v = v - inner(b, v) * b
-        n = np.sqrt(abs(inner(v, v)))
-        if n > tol:
-            basis.append(v / n)
+            v = v - kappa * (b @ v) * b
+        norm = np.sqrt(kappa * (v @ v))
+        if norm > 1e-10:
+            basis.append(v / norm)
     return basis
 
 
-def _adapted_csa(rs: RootSystem, levels, raw: _Raw):
-    """Cartan matrices: unit basic-coroot axes, then leftover axes per node."""
-    C = raw.C
-
-    def inner(x, y):
-        return np.real(np.trace(x.conj().T @ y)) / C
-
+def _adapted_csa(levels, raw: _Raw, C: float, first_index: int) -> tuple:
+    """Cartan axes numbered from `first_index`, their functionals orthonormal
+    under Tr(embed(u) embed(v)) / C = kappa u . v: unit basic-coroot axes,
+    then leftover axes per node."""
+    h = raw.embed(np.eye(raw.std_candidates[0].size)[0])
+    kappa = np.real(np.trace(h @ h)) / C
     nodes = chain_nodes(levels)
-    axes = []  # (kind, level, node_label, root_or_None, matrix)
-    for node in nodes:
-        h = raw.embed(_np_coords(coroot(node.theta)))
-        h = h / np.sqrt(abs(inner(h, h)))
-        axes.append(("coroot", node.level, node.label, node.theta, h))
+    axes = []
 
-    used = [a[4] for a in axes]
+    def add(kind, node, root, w):
+        axes.append(CsaAxis(first_index + len(axes), kind, node.level, node.label, root,
+                            w / np.sqrt(kappa * (w @ w))))
+
     for node in nodes:
-        span = _gram_schmidt_matrices(
-            [raw.embed(_np_coords(s.coords)) for s in node.subsystem.simple_roots], inner)
-        forbidden = [raw.embed(_np_coords(coroot(node.theta)))]
+        add("coroot", node, node.theta, _np_coords(coroot(node.theta)))
+    for node in nodes:
+        span = _gram_schmidt([_np_coords(s.coords) for s in node.subsystem.simple_roots], kappa)
+        forbidden = [_np_coords(coroot(node.theta))]
         for child in node.children:
-            forbidden += [raw.embed(_np_coords(s.coords)) for s in child.subsystem.simple_roots]
-        forbidden = _gram_schmidt_matrices(forbidden, inner)
-        found = 0
+            forbidden += [_np_coords(s.coords) for s in child.subsystem.simple_roots]
+        forbidden = _gram_schmidt(forbidden, kappa)
+        before = len(axes)
         for cand in raw.std_candidates:
-            v = raw.embed(cand).astype(complex)
-            w = sum((inner(b, v) * b for b in span), np.zeros_like(v))
-            for b in forbidden + used:
-                w = w - inner(b, w) * b
-            n = np.sqrt(abs(inner(w, w)))
-            if n > 1e-9:
-                w = w / n
-                axes.append(("abelian", node.level, node.label, None, w))
-                used.append(w)
-                found += 1
-        if found != node.abelian_dim:
-            raise ConstructionError(
-                f"expected {node.abelian_dim} leftover Cartan directions at {node.label}, found {found}")
-    return axes
+            w = sum((kappa * (b @ cand) * b for b in span), np.zeros_like(cand))
+            for b in forbidden + [ax.functional for ax in axes]:
+                w = w - kappa * (b @ w) * b
+            if np.sqrt(kappa * (w @ w)) > 1e-9:
+                add("abelian", node, None, w)
+        if len(axes) - before != node.abelian_dim:
+            raise ConstructionError(f"expected {node.abelian_dim} leftover Cartan directions "
+                                    f"at {node.label}, found {len(axes) - before}")
+    return tuple(axes)
 
 
-# ---------------------------------------------------------------------------
-# Chevalley root vectors
+def _chevalley_vector(raw: _Raw, root: Root) -> np.ndarray:
+    """The closed-form root vector, scaled so that [E, E^dag] is the coroot."""
+    e = raw.root_vector(root.coords)
+    target = raw.embed(_np_coords(coroot(root)))
+    comm = e @ e.conj().T - e.conj().T @ e
+    c = np.real(np.trace(comm @ target)) / np.real(np.trace(target @ target))
+    if c <= 0:
+        raise ConstructionError(f"negative Chevalley normalization at root {root}")
+    resid = np.abs(comm / c - target).max()
+    if resid > 1e-8:
+        raise ConstructionError(
+            f"Chevalley normalization failed at root {root}: residual {resid:.2e}")
+    return e / np.sqrt(c)
+
 
 def _flat_transposes(gens: np.ndarray) -> np.ndarray:
     """(d^2, n) matrix whose column b is t_b^T flattened, so that
     X.reshape(-1, d^2) @ _flat_transposes(gens) holds the traces Tr(X t_b)."""
     n = gens.shape[0]
     return gens.transpose(0, 2, 1).reshape(n, -1).T
-
-
-def _ad_matrices(csa_mats, noncsa, C):
-    gens = np.stack(noncsa)
-    m = gens.shape[0]
-    gT = _flat_transposes(gens)
-    # ad[p, q] = Tr([h, t_q] t_p) / C
-    return [((h @ gens - gens @ h).reshape(m, -1) @ gT).T / C for h in csa_mats]
-
-
-def _root_eigenvector(ad_mats, target, noncsa):
-    """The root vector sum_q v_q t_q with ad_k v = target_k v on every Cartan
-    axis k.
-
-    With S the (rank m, m) stack of the ad_k - target_k, v is the null vector
-    of S^H S = sum_k (ad_k - target_k)^H (ad_k - target_k), from one (m, m)
-    eigh.  Refused when |S v| is above 1e-8 (no root vector) or when the
-    second eigenvalue is below 1e-12 (a degenerate root space).
-    """
-    m = ad_mats[0].shape[0]
-    stack = np.concatenate([ad - t * np.eye(m) for ad, t in zip(ad_mats, target)])
-    w, vecs = np.linalg.eigh(stack.conj().T @ stack)
-    v = vecs[:, 0]
-    if np.linalg.norm(stack @ v) > 1e-8:
-        raise ConstructionError(f"no root vector found for eigenvalue {target}")
-    if m > 1 and w[1] < 1e-12:
-        raise ConstructionError(f"degenerate root space for eigenvalue {target}")
-    return sum(vk * g for vk, g in zip(v, noncsa))
-
-
-def _fix_phase(e, tol=1e-8):
-    flat = e.ravel()
-    scale = np.abs(flat).max()
-    lead = flat[np.argmax(np.abs(flat) > tol * scale)]
-    return e * (lead.conjugate() / abs(lead))
-
-
-def _chevalley_table(rs: RootSystem, csa_axes_raw, raw: _Raw):
-    """Chevalley root vectors: eigensolve the simple roots, commutate the rest."""
-    C = raw.C
-    csa_mats = [a[4] for a in csa_axes_raw]
-    W = np.stack([raw.extract(h) for h in csa_mats])
-
-    def eigen(root):
-        return W @ _np_coords(root.coords)
-
-    def coroot_mat(root):
-        a = eigen(root)
-        c = 2.0 * a / (a @ a)
-        return sum(ck * h for ck, h in zip(c, csa_mats))
-
-    ad_mats = _ad_matrices(csa_mats, raw.noncsa, C)
-    ev = {}
-    for root in rs.positive_roots:
-        if rs.height(root) == 1:
-            e = _root_eigenvector(ad_mats, eigen(root), raw.noncsa)
-            comm = e @ e.conj().T - e.conj().T @ e
-            target = coroot_mat(root)
-            c = np.real(np.trace(comm @ target)) / np.real(np.trace(target @ target))
-            if c <= 0:
-                raise ConstructionError(f"negative Chevalley normalization at root {root}")
-            e = _fix_phase(e / np.sqrt(c))
-        else:
-            for i, a in enumerate(rs.simple_roots):
-                rest = tuple(x - y for x, y in zip(root.coords, a.coords))
-                if rest in ev:
-                    break
-            else:
-                raise ConstructionError(f"no decomposition for root {root}")
-            lower = rs.root(rest)
-            q = rs.root_string_down(a, lower)
-            e = (ev[a.coords] @ ev[rest] - ev[rest] @ ev[a.coords]) / (q + 1)
-        target = coroot_mat(root)
-        resid = np.abs(e @ e.conj().T - e.conj().T @ e - target).max()
-        if resid > 1e-8:
-            raise ConstructionError(
-                f"Chevalley normalization failed at root {root}: residual {resid:.2e}")
-        ev[root.coords] = e
-    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -562,29 +468,24 @@ def _zero_extend(rep: AlgebraRep, u: int) -> AlgebraRep:
 def _build_matrix_rep(family, rank, rep_kind):
     rs, levels = root_chain(family, rank)
     raw = _raw_basis(family, rank, rep_kind)
-    csa_axes_raw = _adapted_csa(rs, levels, raw)
-    ev = _chevalley_table(rs, csa_axes_raw, raw)
-
-    C, d = raw.C, raw.d
+    C, d = NORM_CONST[family], raw.d
     npos = len(rs.positive_roots)
     D = 2 * npos + rank
+    csa_axes = _adapted_csa(levels, raw, C, 2 * npos)
+    W = np.stack([ax.functional for ax in csa_axes])
 
     gens = np.zeros((D, d, d), dtype=complex)
     table = {}
-    W = np.stack([raw.extract(ax[4]) for ax in csa_axes_raw])
 
     for i, root in enumerate(rs.positive_roots):
-        e = ev[root.coords]
+        e = _chevalley_vector(raw, root)
         a = W @ _np_coords(root.coords)
         nu = 1.0 / np.sqrt(a @ a)
         gens[2 * i] = (e + e.conj().T) / (2 * nu)
         gens[2 * i + 1] = -1j * (e - e.conj().T) / (2 * nu)
         table[root.coords] = RootVectorEntry(2 * i, 2 * i + 1, nu)
 
-    gens[2 * npos:] = [ax[4] for ax in csa_axes_raw]
-    csa_axes = tuple(CsaAxis(2 * npos + k, kind, level, label, root, W[k])
-                     for k, (kind, level, label, root, _) in enumerate(csa_axes_raw))
-
+    gens[2 * npos:] = [raw.embed(w) for w in W]
     _snap_to_zero(gens)
     gram = gens.reshape(D, -1) @ _flat_transposes(gens)
     dev = np.abs(gram - C * np.eye(D))
@@ -602,7 +503,7 @@ def _build_matrix_rep(family, rank, rep_kind):
         matrix_dim=d, norm_const=C, generators=gens,
         csa_indices=tuple(2 * npos + k for k in range(rank)), u1_indices=(),
         root_system=rs, chain_levels=levels, root_table=table,
-        csa_axes=csa_axes, faithful_simply_connected=raw.faithful,
+        csa_axes=csa_axes, faithful_simply_connected=rep_kind != "vector",
         _structure=structure)
 
 
@@ -613,7 +514,7 @@ def _snap_to_zero(gens: np.ndarray) -> None:
         part[np.abs(part) <= F_ZERO] = 0.0
 
 
-def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
+def _reduce_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     """The distinct integer keys, sorted, and the sum of `values` at each.
 
     Sorted with argsort, not np.unique: numpy 2.4's np.unique imports
@@ -651,27 +552,26 @@ def _commutator_entries(gens: np.ndarray) -> tuple:
     p = v[l] * v[r]
     ik = i[l] * d + j[r]
     keys = np.concatenate(((a[l] * D + a[r]) * d * d + ik, (a[r] * D + a[l]) * d * d + ik))
-    return sum_by_key(keys, np.concatenate((p, -p)))
+    return _reduce_by_key(keys, np.concatenate((p, -p)))
 
 
-def _check_closure(gens: np.ndarray, f: CooTensor, comm: tuple,
-                   tol: float = 1e-9) -> float:
+def _check_closure(gens: np.ndarray, f: CooTensor, comm: tuple) -> float:
     """max |[t_a, t_b] - i f_abc t_c| over all a, b and matrix entries, with
     `comm` the `_commutator_entries` of `gens`.
 
     The f terms join the COO entries of f on c with the generator entries;
     both sides are summed by (a, b, i, k).  Raises ConstructionError above
-    `tol`.
+    CLOSURE_TOL.
     """
     D, d, _ = gens.shape
     keys, comm = comm
     c, i, k, v = _entries(gens)
     l, r = _join(f.index[:, 2], c)
     ab = f.index[l, 0] * D + f.index[l, 1]
-    _, resid = sum_by_key(np.concatenate((keys, (ab * d + i[r]) * d + k[r])),
+    _, resid = _reduce_by_key(np.concatenate((keys, (ab * d + i[r]) * d + k[r])),
                           np.concatenate((comm, -1j * f.value[l] * v[r])))
     closure = float(np.abs(resid).max(initial=0.0))
-    if closure > tol:
+    if closure > CLOSURE_TOL:
         raise ConstructionError(f"algebra does not close on the basis: residual {closure:.2e}")
     return closure
 
@@ -707,7 +607,7 @@ def _structure_constants(g: np.ndarray, norm_const: float, comm: tuple) -> Struc
     keys, comm = comm
     c, i, k, v = _entries(g)
     l, r = _join(keys % (d * d), k * d + i)
-    keys, trace = sum_by_key(keys[l] // (d * d) * D + c[r], comm[l] * v[r])
+    keys, trace = _reduce_by_key(keys[l] // (d * d) * D + c[r], comm[l] * v[r])
     f = -1j / norm_const * trace
     if np.abs(f.imag).max(initial=0.0) > 1e-11:
         raise ConstructionError("structure constants are not real")

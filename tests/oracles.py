@@ -1,16 +1,17 @@
 """Dense forms of the construction and certificate kernels, kept as test oracles.
 
 `hktlie.liealg` computes f_ABC and the closure check by sparse joins over the
-non-zero generator entries, and each simple-root vector from one small eigh.
+non-zero generator entries, and writes each root vector in closed form.
 `hktlie.cstruct` evaluates integrability, Bismut constancy, the hull
 torsion and the finite-difference Nijenhuis check on the signed permutation
-of a structure over the non-zero entries of f.  These are the same formulas
-computed densely: row-at-a-time products and an SVD for the construction,
-(D, D, D) einsum temporaries for the residuals, and D x D solves of the
-whole vielbein for the Nijenhuis check, on any float matrix.  They are the
-reference the fast kernels must match, and the only way to evaluate the
-checks on structures that are not signed permutations (random negative
-controls, arbitrary antisymmetric matrices).  The automorphisms Omega,
+of a structure over the non-zero entries of f.  These are the same results
+computed densely: row-at-a-time products for f and the closure, an SVD of
+the Cartan action for a root vector, (D, D, D) einsum temporaries for the
+residuals, and D x D solves of the whole vielbein for the Nijenhuis check,
+on any float matrix.  They are the reference the fast kernels and closed
+forms must match, and the only way to evaluate the checks on structures
+that are not signed permutations (random negative controls, arbitrary
+antisymmetric matrices).  The automorphisms Omega,
 which `hktlie.autom` reads from f in closed form, are computed here by
 conjugation in the representation and a trace projection.  The last
 section holds the references that only the tests use: the Hadamard series,
@@ -69,7 +70,8 @@ def closure_residual_rows(gens: np.ndarray, f: np.ndarray) -> float:
 
 def root_eigenvector_svd(ad_mats, target, noncsa) -> np.ndarray:
     """The root vector of eigenvalue `target` from the SVD of the stacked
-    (rank m, m) matrix of ad_k - target_k, with the same two refusals."""
+    (rank m, m) matrix of ad_k - target_k; refused when no vector has that
+    eigenvalue or its root space is degenerate."""
     m = ad_mats[0].shape[0]
     stack = np.vstack([ad - t * np.eye(m) for ad, t in zip(ad_mats, target)])
     _, s, vh = np.linalg.svd(stack, full_matrices=False)

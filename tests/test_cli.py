@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hktlie import cli, spaces
+from hktlie.cstruct import MIN_FD_STEP
 
 from conftest import CLI_RANGE
 
@@ -148,7 +149,7 @@ def test_fd_step_below_the_normal_floats_is_refused(capsys, step):
 
 
 def test_fd_step_at_the_minimum_certifies(capsys):
-    code, out, _ = run(capsys, "--json", "--fd-step", repr(cli.MIN_FD_STEP), "verify", "A2xB3xU1^3")
+    code, out, _ = run(capsys, "--json", "--fd-step", repr(MIN_FD_STEP), "verify", "A2xB3xU1^3")
     assert code == 0
     residuals = json.loads(out)["residuals"].values()
     assert all(r["nijenhuis"] <= 1e-5 for r in residuals)

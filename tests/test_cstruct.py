@@ -293,6 +293,17 @@ def test_nijenhuis_refuses_non_permutation():
             C.nijenhuis_at_origin(rep, m, step=1e-4)
 
 
+@pytest.mark.parametrize("step", [1e-320, 5e-324])
+def test_subnormal_fd_step_is_refused_by_the_library(step):
+    """Both library entry points refuse a subnormal step, which gave 0 or 1
+    with RuntimeWarnings, before any snap refusal could turn it into inf."""
+    rep, I = canonical("A", 2)
+    with pytest.raises(ValueError, match=r"fd-step must lie in \[2.98e-154, 1e-2\]"):
+        C.nijenhuis_at_origin(rep, I, step)
+    with pytest.raises(ValueError, match=r"fd-step must lie in \[2.98e-154, 1e-2\]"):
+        A.build_quaternion_triple(rep, fd_step=step)
+
+
 def test_refused_nijenhuis_is_reported_infinite(monkeypatch):
     def refuse(rep, I, step=1e-4):
         raise ValueError("structure is 1.000e-06 from the nearest signed permutation")

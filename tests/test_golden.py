@@ -3,10 +3,12 @@
 `rootdata.json` holds `hkt --json roots` and `hkt --json catalog`;
 `certificates.json` holds the exit code of `hkt --json catalog F r --verify`
 and the exact, BLAS-independent fields of each certificate it prints (the
-float residuals are left out).
+float residuals are left out).  `structure_constants.json` holds the COO
+index triples and values of f_ABC for A3, B3 (vector and spinor), C3 and
+D4, so that f is pinned with its signs, not only up to a change of basis.
 
-Regenerate both with `PYTHONPATH=src python tests/test_golden.py` and say in
-the change why a file moved.
+Regenerate all three with `PYTHONPATH=src python tests/test_golden.py` and
+say in the change why a file moved.
 """
 
 import contextlib
@@ -14,12 +16,19 @@ import io
 import json
 import os
 
+import numpy as np
+
 from conftest import CLI_RANGE
-from hktlie import cli
+from hktlie import cli, liealg
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 ROOTDATA = os.path.join(GOLDEN_DIR, "rootdata.json")
 CERTIFICATES = os.path.join(GOLDEN_DIR, "certificates.json")
+STRUCTURE = os.path.join(GOLDEN_DIR, "structure_constants.json")
+
+#: the representations whose f_ABC is pinned entry by entry
+STRUCTURE_REPS = (("A", 3, "defining"), ("B", 3, "vector"), ("B", 3, "spinor"),
+                  ("C", 3, "defining"), ("D", 4, "vector"))
 
 #: the certificate fields that do not depend on floating-point rounding
 EXACT_FIELDS = ("name", "factors", "u1_count", "quotient", "dimension", "padding_required",
@@ -55,6 +64,14 @@ def certificates() -> dict:
     return out
 
 
+def structure_constants() -> dict:
+    out = {}
+    for f, r, kind in STRUCTURE_REPS:
+        coo = liealg.build_matrix_rep(f, r, rep_kind=kind).structure_constants().coo
+        out[f"{f}{r}_{kind}"] = {"index": coo.index.tolist(), "value": coo.value.tolist()}
+    return out
+
+
 def _check(path, fresh):
     with open(path) as fh:
         golden = json.load(fh)
@@ -71,8 +88,20 @@ def test_certificates_match_golden():
     _check(CERTIFICATES, certificates())
 
 
+def test_structure_constants_match_golden():
+    """The same non-zero entries, and values within 1e-14."""
+    with open(STRUCTURE) as fh:
+        golden = json.load(fh)
+    fresh = structure_constants()
+    assert fresh.keys() == golden.keys()
+    for name, sc in fresh.items():
+        assert sc["index"] == golden[name]["index"], name
+        assert np.abs(np.subtract(sc["value"], golden[name]["value"])).max() <= 1e-14, name
+
+
 if __name__ == "__main__":
-    for path, build in ((ROOTDATA, rootdata), (CERTIFICATES, certificates)):
+    for path, build in ((ROOTDATA, rootdata), (CERTIFICATES, certificates),
+                        (STRUCTURE, structure_constants)):
         with open(path, "w") as fh:
             json.dump(build(), fh, indent=1, sort_keys=True)
             fh.write("\n")

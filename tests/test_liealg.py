@@ -129,40 +129,56 @@ def test_check_closure_of_abelian_generators_is_zero():
                             L._commutator_entries(rep.generators)) == 0.0
 
 
-def _simple_root_inputs(family, rank):
-    rs, levels = L.root_chain(family, rank)
-    raw = L._raw_basis(family, rank, "defining" if family in "AC" else "vector")
-    csa = [axis[4] for axis in L._adapted_csa(rs, levels, raw)]
-    w = np.stack([raw.extract(h) for h in csa])
-    targets = [w @ L._np_coords(a.coords) for a in rs.simple_roots]
-    return L._ad_matrices(csa, raw.noncsa, raw.C), targets, raw.noncsa
+def _cartan_action(rep):
+    """The Cartan matrices ad[p, q] = Tr([h, t_q] t_p) / C on a random
+    orthogonal mix t of the generators outside the Cartan subalgebra."""
+    g, m = rep.generators, rep.dim - rep.rank
+    mix, _ = np.linalg.qr(np.random.default_rng(m).standard_normal((m, m)))
+    noncsa = np.tensordot(mix, g[:m], 1)
+    gT = L._flat_transposes(noncsa)
+    return [((h @ noncsa - noncsa @ h).reshape(m, -1) @ gT).T / rep.norm_const
+            for h in g[m:]], noncsa
 
 
 @pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
 def test_simple_root_vectors_match_svd_oracle(family, rank):
-    """One eigh per simple root spans the same root space as the SVD of the
-    stacked (rank m, m) matrix."""
-    ad, targets, noncsa = _simple_root_inputs(family, rank)
-    for target in targets:
-        e = L._root_eigenvector(ad, target, noncsa)
-        ref = oracles.root_eigenvector_svd(ad, target, noncsa)
+    """Each closed-form simple-root vector spans the root space that the SVD
+    of the Cartan action finds."""
+    rep = L.build_matrix_rep(family, rank)
+    ad, noncsa = _cartan_action(rep)
+    for a in rep.root_system.simple_roots:
+        e = rep.root_vector(a)
+        ref = oracles.root_eigenvector_svd(ad, rep.eigen_coords(a), noncsa)
         overlap = abs(np.vdot(ref, e)) / (np.linalg.norm(ref) * np.linalg.norm(e))
         assert abs(overlap - 1.0) < 1e-13
 
 
 def test_root_eigenvector_refuses_non_roots_and_degenerate_spaces():
-    ad, targets, noncsa = _simple_root_inputs("A", 2)
+    rep = L.build_matrix_rep("A", 2)
+    ad, noncsa = _cartan_action(rep)
+    targets = [rep.eigen_coords(a) for a in rep.root_system.simple_roots]
     # half a root is no eigenvalue of the Cartan action
-    with pytest.raises(L.ConstructionError, match="no root vector"):
-        L._root_eigenvector(ad, targets[0] / 2, noncsa)
     with pytest.raises(L.ConstructionError, match="no root vector"):
         oracles.root_eigenvector_svd(ad, targets[0] / 2, noncsa)
     # on the first Cartan axis alone both simple roots of su(3) take 1/2
     assert targets[0][0] == targets[1][0] == 0.5
     with pytest.raises(L.ConstructionError, match="degenerate"):
-        L._root_eigenvector(ad[:1], targets[0][:1], noncsa)
-    with pytest.raises(L.ConstructionError, match="degenerate"):
         oracles.root_eigenvector_svd(ad[:1], targets[0][:1], noncsa)
+
+
+@pytest.mark.parametrize("family,rank,rep_kind", [
+    ("A", 4, "defining"), ("B", 4, "vector"), ("C", 4, "defining"), ("D", 5, "vector"),
+    ("B", 3, "spinor")])
+def test_build_runs_no_eigensolver(family, rank, rep_kind, monkeypatch):
+    """The root vectors are closed forms: an uncached build calls no eigh,
+    eig or svd."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called while building the algebra")
+
+    for name in ("eigh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep = L._build_matrix_rep(family, rank, rep_kind)
+    assert rep.generators.shape[0] == len(rep.root_system.positive_roots) * 2 + rank
 
 
 @pytest.mark.parametrize("family,rank,u1", [
@@ -256,9 +272,11 @@ def test_su3_frozen_structure_constants():
     assert abs(f[th.re_index, th.im_index, h2]) < 1e-12
 
 
-@pytest.mark.parametrize("family,rank", CATALOG)
-def test_chevalley_normalization(family, rank):
-    rep = L.build_matrix_rep(family, rank)
+@pytest.mark.parametrize(
+    "family,rank,rep_kind", [(f, r, "auto") for f, r in CLI_RANGE + ABOVE_CAPS]
+    + [("B", 3, "spinor")], ids=[f"{f}-{r}" for f, r in CLI_RANGE + ABOVE_CAPS] + ["B-3-spinor"])
+def test_chevalley_normalization(family, rank, rep_kind):
+    rep = L.build_matrix_rep(family, rank, rep_kind=rep_kind)
     table = L.chevalley_root_vectors(rep)       # revalidates eigenvalues + norms
     assert set(table) == {r.coords for r in rep.root_system.positive_roots}
 
