@@ -307,36 +307,35 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     Jm = omega @ I.matrix @ omega.T
     Km = I.matrix @ Jm
 
+    # every number below reads the tangent directions: all indices outside
+    # the quotient, and for a group manifold all of them
+    inside = np.ones(rep.dim, dtype=bool)
+    inside[list(removed)] = False
+    tangent, qidx = np.flatnonzero(inside), np.flatnonzero(~inside)
+    on_tangent = np.ix_(tangent, tangent)
     autos_k = tuple(automorphism_from_root(rep, n.theta, "K", n.level) for n in nodes)
     omega_k = compose(autos_k, rep.dim)
-    k_mismatch = float(np.abs(Km - omega_k @ I.matrix @ omega_k.T).max())
+    k_mismatch = float(np.abs(Km - omega_k @ I.matrix @ omega_k.T)[on_tangent].max())
 
     J = ComplexStructure(Jm, I.blocks).tagged()
     K = ComplexStructure(Km, I.blocks).tagged()
     structures = {"I": I.matrix, "J": Jm, "K": Km}
 
-    leak = closure = 0.0
+    leak = 0.0
     leak_note = ""
-    if removed:
-        qidx = sorted(removed)
-        tangent = sorted(set(range(rep.dim)) - removed)
-        for name, m in structures.items():
-            sub = np.abs(m[np.ix_(qidx, tangent)])
-            if sub.max() > leak:
-                leak = float(sub.max())
-                qi, ti = np.unravel_index(np.argmax(sub), sub.shape)
-                blk = next((b.description for b in I.blocks if tangent[ti] in b.indices),
-                           f"index {tangent[ti]}")
-                leak_note = f"{name} leaks out of {blk} into quotient index {qidx[qi]}"
-            leak = max(leak, float(np.abs(m[np.ix_(tangent, qidx)]).max()))
-        inside = np.zeros(rep.dim, dtype=bool)
-        inside[tangent] = True
-        a, b, c = f.index.T
-        closure = float(np.abs(f.value[inside[a] & inside[b] & ~inside[c]]).max(initial=0.0))
-        f = f.restrict(tangent)
-        restricted = {k: m[np.ix_(tangent, tangent)] for k, m in structures.items()}
-    else:
-        restricted = structures
+    for name, m in structures.items():
+        sub = np.abs(m[np.ix_(qidx, tangent)])
+        if sub.max(initial=0.0) > leak:
+            leak = float(sub.max())
+            qi, ti = np.unravel_index(np.argmax(sub), sub.shape)
+            blk = next((b.description for b in I.blocks if tangent[ti] in b.indices),
+                       f"index {tangent[ti]}")
+            leak_note = f"{name} leaks out of {blk} into quotient index {qidx[qi]}"
+        leak = max(leak, float(np.abs(m[np.ix_(tangent, qidx)]).max(initial=0.0)))
+    a, b, c = f.index.T
+    closure = float(np.abs(f.value[inside[a] & inside[b] & ~inside[c]]).max(initial=0.0))
+    f = f.restrict(tangent)
+    restricted = {k: m[on_tangent] for k, m in structures.items()}
 
     quat = cstruct.quaternion_residual(*restricted.values())
     reports = {}
@@ -358,6 +357,6 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
         message += "; " + leak_note
     return TripleResult(I=I, J=J, K=K, automorphisms=autos,
                         quaternion_residual=quat, k_mismatch=k_mismatch,
-                        reports=reports, dimension=rep.dim - len(removed),
+                        reports=reports, dimension=len(tangent),
                         invariance_leak=leak, coset_closure=closure,
                         failure=failure, message=message)

@@ -21,13 +21,7 @@ import sys
 
 from . import spaces
 from .cstruct import DEFAULT_TOL, _check_fd_step
-from .rootsys import (
-    UnsupportedAlgebraError,
-    build_root_system,
-    chain_nodes,
-    extended_dynkin_surgery,
-    root_chain,
-)
+from .rootsys import build_root_system, extended_dynkin_surgery, root_chain
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -114,42 +108,32 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
     if quot:
         if len(factors) != 1:
             raise SpecParseError("quotients are only supported for a single simple factor")
-        try:
-            _, levels = root_chain(*factors[0])
-        except UnsupportedAlgebraError as exc:
-            raise SpecParseError(str(exc))
         include_abelian = False
         lvls = set()
         labels = []
-        for item in quot.split(","):
-            item = item.strip()
-            if not item:
-                raise SpecParseError("empty quotient item")
-            ab = _ABELIAN_RE.match(item)
-            if ab:
-                include_abelian = True
-                if ab.group(1):
-                    lvls.add(int(ab.group(1)))
-                continue
-            hits = spaces.match_summands(chain_nodes(levels[1:]), item)
-            if not hits:
-                known = [n.label for n in chain_nodes(levels[1:])]
-                raise SpecParseError(f"unknown summand {item!r}; available: {known}, "
-                                     "or u1 / u1@L for the Abelian part")
-            if len(hits) > 1:
-                raise SpecParseError(
-                    f"summand {item!r} is ambiguous; use one of {[n.label for n in hits]}")
-            lvls.add(hits[0].level)
-            labels.append(hits[0].label)
-        level = lvls.pop() if lvls else 1
-        if lvls:
-            raise SpecParseError("all quotient items must sit at the same level")
-        selections = (spaces.LevelSelection(
-            level=level, summands=tuple(labels), include_abelian=include_abelian),)
         try:
+            _, levels = root_chain(*factors[0])
+            for item in quot.split(","):
+                item = item.strip()
+                if not item:
+                    raise SpecParseError("empty quotient item")
+                ab = _ABELIAN_RE.match(item)
+                if ab:
+                    include_abelian = True
+                    if ab.group(1):
+                        lvls.add(int(ab.group(1)))
+                    continue
+                node = spaces._summand(levels, item)
+                lvls.add(node.level)
+                labels.append(node.label)
+            level = lvls.pop() if lvls else 1
+            if lvls:
+                raise SpecParseError("all quotient items must sit at the same level")
+            selections = (spaces.LevelSelection(
+                level=level, summands=tuple(labels), include_abelian=include_abelian),)
             spaces._resolve_selections(levels, selections)
-        except ValueError as exc:
-            raise SpecParseError(str(exc))
+        except ValueError as exc:       # UnsupportedAlgebraError included
+            raise SpecParseError(str(exc)) from None
     return spaces.SpaceSpec(tuple(factors), u1, selections)
 
 
@@ -379,13 +363,17 @@ def main(argv=None) -> int:
     try:
         if args.tol is None:
             args.tol = float(os.environ.get("HKT_TOL", DEFAULT_TOL))
-        args.jobs = max(1, os.cpu_count() if args.jobs == "auto" else int(args.jobs))
+        try:
+            args.jobs = max(1, os.cpu_count() if args.jobs == "auto" else int(args.jobs))
+        except ValueError:
+            raise SpecParseError(
+                f"--jobs takes 'auto' or a whole number, got {args.jobs!r}") from None
         if not (0 < args.tol <= 1e-3):
             raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {args.tol:g}")
         if args.fd_step is not None:
             _check_fd_step(args.fd_step)
         return args.func(args)
-    except (SpecParseError, UnsupportedAlgebraError, ValueError) as exc:
+    except ValueError as exc:       # SpecParseError and UnsupportedAlgebraError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

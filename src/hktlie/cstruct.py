@@ -621,7 +621,7 @@ def geometry_report(I, f, tol: float = DEFAULT_TOL,
     """
     s = _structure_of(I)
     coo = _coo_of(f)
-    sq = float(np.abs(s.matrix @ s.matrix + np.eye(s.dim)).max())
+    sq = s.square_residual()
     integ = bis = tors = float("inf")
     if s.snap <= BOUNDS["snap"](tol):
         integ = _max_abs(coo.dim, _integrability_terms(s.perm, s.sign, coo))

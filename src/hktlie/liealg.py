@@ -160,7 +160,7 @@ class AlgebraRep:
     root_table: dict                 # positive-root coords -> RootVectorEntry
     csa_axes: tuple[CsaAxis, ...]
     faithful_simply_connected: bool
-    _structure: StructureConstants | None = field(default=None, repr=False)
+    _structure: StructureConstants = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -193,8 +193,6 @@ class AlgebraRep:
         raise KeyError(f"{root} is not a basic root of this algebra")
 
     def structure_constants(self) -> StructureConstants:
-        if self._structure is None:
-            self._structure = structure_constants(self)
         return self._structure
 
     def to_json_dict(self) -> dict:

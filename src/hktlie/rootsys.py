@@ -172,9 +172,6 @@ class RootSystem:
     _root_set: frozenset
     _coeffs: dict
 
-    def all_roots(self) -> tuple[Root, ...]:
-        return self.positive_roots + tuple(r.negated() for r in self.positive_roots)
-
     def is_root(self, coords: Sequence[int]) -> bool:
         return tuple(coords) in self._root_set
 

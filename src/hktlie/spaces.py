@@ -27,9 +27,6 @@ from .rootsys import (
 GROUP_NAMES = {"A": lambda r: f"SU({r + 1})", "B": lambda r: f"Spin({2 * r + 1})",
                "C": lambda r: f"Sp({r})", "D": lambda r: f"Spin({2 * r})"}
 
-GROUP_DIMS = {"A": lambda r: (r + 1) ** 2 - 1, "B": lambda r: r * (2 * r + 1),
-              "C": lambda r: r * (2 * r + 1), "D": lambda r: r * (2 * r - 1)}
-
 
 def group_name(family: str, rank: int) -> str:
     return GROUP_NAMES[family](rank)
@@ -101,12 +98,9 @@ def classify_family(family: str, max_rank: int) -> list:
                          f"of family {family} ({start})")
     rows = []
     for rank in range(start, max_rank + 1):
-        if family in ("B", "C") and rank == 1:
-            p = required_padding([("A", 1)])
-            dim = 3
-        else:
-            p = required_padding([(family, rank)])
-            dim = GROUP_DIMS[family](rank)
+        algebra = ("A", 1) if family in ("B", "C") and rank == 1 else (family, rank)
+        dim = root_chain(*algebra)[1][0][0].subsystem.dimension
+        p = required_padding([algebra])
         rows.append(ClassRow(family=family, rank=rank, name=group_name(family, rank),
                              group_dim=dim, padding=p, total_dim=dim + p))
     return rows
@@ -132,35 +126,34 @@ def _quotient_padding(levels, tops, abelian_levels) -> int:
 def enumerate_quotients(factor, max_level: int = 8) -> list:
     """All quotient specs of one simple factor up to the given chain level.
 
-    Level 0 is the padded group manifold itself; at level k every subset of
-    the level-k centralizer summands may be quotiented, with or without the
-    centralizer's Abelian part, and the result is re-padded so the remaining
-    Cartan directions pair off with the remaining basic roots.
+    Level 0 is the padded group manifold itself; at level k, each subset of
+    the level-k centralizer summands, with or without the centralizer's
+    Abelian part, that the quotient rules of `_resolve_selections` accept,
+    re-padded so the remaining Cartan directions pair off with the remaining
+    basic roots; a selection that would need negative padding is left out.
     """
     family, rank = factor
     _, levels = root_chain(family, rank)
+    group_dim = levels[0][0].subsystem.dimension
 
     specs = [SpaceSpec(((family, rank),), _quotient_padding(levels, (), ()))]
-    for k in range(1, max_level + 1):
+    for k in range(1, min(max_level, len(levels)) + 1):
         summands = levels[k] if k < len(levels) else ()
-        parents = levels[k - 1] if k - 1 < len(levels) else ()
-        abelian_dim = sum(n.abelian_dim for n in parents)
-        if not summands and abelian_dim == 0:
-            break
         for count in range(len(summands) + 1):
             for subset in itertools.combinations(summands, count):
-                for with_ab in ((False, True) if abelian_dim else (False,)):
-                    if not subset and not with_ab:
-                        continue
-                    padding = _quotient_padding(levels, subset, (k - 1,) if with_ab else ())
-                    if padding < 0:
-                        continue
+                for with_ab in (False, True):
                     sel = LevelSelection(level=k, summands=tuple(n.label for n in subset),
                                          include_abelian=with_ab)
+                    try:
+                        tops, abelian_levels = _resolve_selections(levels, (sel,))
+                    except ValueError:
+                        continue
+                    padding = _quotient_padding(levels, tops, abelian_levels)
+                    if padding < 0:
+                        continue
                     spec = SpaceSpec(((family, rank),), padding, (sel,))
-                    dim = (GROUP_DIMS[family](rank) + padding
-                           - sum(top.subsystem.dimension for top in subset)
-                           - (abelian_dim if with_ab else 0))
+                    dim = (group_dim + padding - sum(t.subsystem.dimension for t in tops)
+                           - sum(n.abelian_dim for lv in abelian_levels for n in levels[lv]))
                     if dim % 4:
                         raise RuntimeError(f"tangent dimension {dim} of {spec.name} is not 4k")
                     specs.append(spec)
@@ -215,17 +208,25 @@ class VerificationReport:
         }
 
 
-def match_summands(nodes, label: str) -> list:
-    """The chain nodes named `label`, by full label ("A1:gamma") or by shape
-    alone ("A1"); a shape alone may match several nodes."""
-    return [n for n in nodes if n.label == label or n.label.split(":")[0] == label]
+def _summand(levels, label: str) -> ChainNode:
+    """The chain node below the top named `label`, by full label ("A1:gamma")
+    or by shape alone ("A1"); either must name one node of the whole chain."""
+    nodes = chain_nodes(levels[1:])
+    hits = [n for n in nodes if label in (n.label, n.label.split(":")[0])]
+    if not hits:
+        raise ValueError(f"unknown summand {label!r}; available: {[n.label for n in nodes]}, "
+                         "or u1 / u1@L for the Abelian part")
+    if len(hits) > 1:
+        raise ValueError(f"summand {label!r} is ambiguous; use one of {[n.label for n in hits]}")
+    return hits[0]
 
 
 def _resolve_selections(levels, selections):
     """Map the label selections of a quotient to chain nodes; returns (removed
     tops, Abelian levels).  The only home of the quotient rules: one level,
-    inside the chain; each label names one node there; an Abelian item needs
-    an Abelian part; no two removed subtrees overlap."""
+    inside the chain; each label names one node of the chain, at that level;
+    a selection removes something; an Abelian item needs an Abelian part; no
+    two removed subtrees overlap."""
     if len(selections) > 1:
         raise ValueError(f"a quotient sits at one level; got {len(selections)} selections")
     tops = []
@@ -234,14 +235,14 @@ def _resolve_selections(levels, selections):
         if not 1 <= sel.level <= len(levels):
             raise ValueError(f"no centralizer at level {sel.level}; {levels[0][0].label} "
                              f"has levels 1 to {len(levels)}")
-        nodes = levels[sel.level] if sel.level < len(levels) else ()
+        if not sel.summands and not sel.include_abelian:
+            raise ValueError(f"the selection at level {sel.level} removes nothing")
         for label in sel.summands:
-            candidates = match_summands(nodes, label)
-            if len(candidates) != 1:
+            node = _summand(levels, label)
+            if node.level != sel.level:
                 raise ValueError(
-                    f"summand {label!r} at level {sel.level} is "
-                    f"{'ambiguous' if candidates else 'unknown'}; have {[n.label for n in nodes]}")
-            tops.append(candidates[0])
+                    f"summand {node.label!r} sits at level {node.level}, not {sel.level}")
+            tops.append(node)
         if sel.include_abelian:
             # without commuting Cartan directions one level up, the
             # "quotient" is the group manifold under another name

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hktlie.cli import MAX_RANK  # noqa: E402  (needs the path above)
+from hktlie.rootsys import MIN_RANK  # noqa: E402
 
 #: every algebra the test suite certifies end to end, with its canonical padding
 CATALOG = [
@@ -17,8 +18,7 @@ CATALOG = [
 
 #: every family and rank the command line accepts, from the lowest supported
 #: rank up to its cap
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-CLI_RANGE = [(f, r) for f, cap in MAX_RANK.items() for r in range(_MIN_RANK[f], cap + 1)]
+CLI_RANGE = [(f, r) for f, cap in MAX_RANK.items() for r in range(MIN_RANK[f], cap + 1)]
 
 #: algebras above the command-line rank caps that the library still builds,
 #: the `highrank` benchmark set

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlie import cli, spaces
+from hktlie import cli, rootsys, spaces
 from hktlie.cstruct import MIN_FD_STEP
 
 from conftest import CLI_RANGE
@@ -250,6 +250,13 @@ def test_catalog_jobs_clamped_to_specs_and_cpus(capsys, monkeypatch):
     assert code == 0 and StubPool.created == [3, 2]     # one CPU: no pool at all
 
 
+@pytest.mark.parametrize("jobs", ["1e3", "two", ""])
+def test_catalog_jobs_not_a_number_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "--jobs", jobs, "catalog", "A", "2", "--verify")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: --jobs takes 'auto' or a whole number, got {jobs!r}\n"
+
+
 def nijenhuis_by_space(out):
     return {d["name"]: [r["nijenhuis"] for r in d["residuals"].values()]
             for d in json.loads(out)}
@@ -431,6 +438,44 @@ def test_rejected_quotient_error_texts(capsys, text, message):
 def test_ambiguous_summand_needs_label():
     with pytest.raises(cli.SpecParseError, match="ambiguous"):
         cli.parse_space_string("B3xU1^2/A1")
+
+
+def _parsed(family, rank, label):
+    """The node label that the parser reads `label` as, or its error text."""
+    try:
+        return cli.parse_space_string(f"{family}{rank}/{label}").selections[0].summands[0]
+    except cli.SpecParseError as exc:
+        return str(exc)
+
+
+def _resolved(levels, level, label):
+    """The node label that the library resolves `label` at `level` to, or its error text."""
+    try:
+        tops, _ = spaces._resolve_selections(levels, (spaces.LevelSelection(level, (label,)),))
+        return tops[0].label
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE)
+def test_parser_and_library_read_every_label_alike(family, rank):
+    """Each node's full label, its shape alone and an unknown label, at each
+    level: the same node both ways, or the same error text both ways."""
+    _, levels = rootsys.root_chain(family, rank)
+    for level, nodes in enumerate(levels[1:], start=1):
+        for node in nodes:
+            for label in (node.label, node.label.split(":")[0], f"{node.label}x"):
+                assert _parsed(family, rank, label) == _resolved(levels, level, label), label
+            assert _resolved(levels, level, node.label) == node.label
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE)
+def test_catalog_certificates_agree_on_the_k_route(capsys, family, rank):
+    """K = I J and the K-kind automorphisms give the same K on the tangent
+    directions of every catalog space, quotients included."""
+    code, out, _ = run(capsys, "--json", "catalog", family, str(rank), "--verify")
+    assert code == cli.EXIT_OK
+    assert max(doc["k_mismatch"] for doc in json.loads(out)) <= 1e-12
 
 
 def test_canonical_json_formatting():

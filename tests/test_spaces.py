@@ -37,11 +37,18 @@ PADDINGS = {
 }
 
 
+#: the classical group dimensions, the oracle for the root-system count
+#: 2 |positive roots| + rank
+GROUP_DIMS = {"A": lambda r: (r + 1) ** 2 - 1, "B": lambda r: r * (2 * r + 1),
+              "C": lambda r: r * (2 * r + 1), "D": lambda r: r * (2 * r - 1)}
+
+
 @pytest.mark.parametrize("family,max_rank", [("A", 8), ("B", 4), ("C", 4), ("D", 5)])
 def test_classification_tables(family, max_rank):
     rows = S.classify_family(family, max_rank)
     for row in rows:
         assert row.padding == PADDINGS[(family, row.rank)]
+        assert row.group_dim == GROUP_DIMS[family](row.rank)
         assert (row.group_dim + row.padding) % 4 == 0
 
 
@@ -97,7 +104,7 @@ def test_spin7_quotient_dimensions():
 @pytest.mark.parametrize("factor", [("A", 2), ("A", 3), ("A", 6), ("B", 3), ("C", 2), ("D", 4)])
 def test_enumerated_dimensions_multiple_of_four(factor):
     family, rank = factor
-    group_dim = S.GROUP_DIMS[family](rank)
+    group_dim = GROUP_DIMS[family](rank)
     for spec in S.enumerate_quotients(factor):
         report = S.build_coset_triple(spec)
         assert report.verdict != "not-admissible"
@@ -231,6 +238,15 @@ def test_abelian_item_without_abelian_part_is_refused():
         spec = Spec((factor,), u1, (Sel(1, (), True),))
         with pytest.raises(ValueError, match="no Abelian part at level 1"):
             S.build_coset_triple(spec)
+
+
+def test_selection_must_remove_something_at_its_own_level():
+    """An empty selection would certify the group manifold under a quotient
+    name; a summand is found in the whole chain, then held to its level."""
+    with pytest.raises(ValueError, match="selection at level 1 removes nothing"):
+        S.build_coset_triple(Spec((("A", 3),), 1, (Sel(1, (), False),)))
+    with pytest.raises(ValueError, match="summand 'A1:gamma' sits at level 2, not 1"):
+        S.build_coset_triple(Spec((("B", 4),), 4, (Sel(1, ("A1:gamma",), False),)))
 
 
 def test_quotient_at_two_levels_is_refused():
