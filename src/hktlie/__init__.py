@@ -29,23 +29,17 @@ from .liealg import (
     build_abelian_rep,
     build_clifford,
     build_matrix_rep,
-    chevalley_root_vectors,
-    coroot_periodicity_check,
     structure_constants,
 )
 from .cstruct import (
     ComplexStructure,
     GeometryResidualReport,
-    IntegrabilityError,
     PairingError,
     bismut_residual,
     canonical_I,
     integrability_residual,
-    metric_at,
     nijenhuis_at_origin,
     quaternion_residual,
-    torsion_via_hull,
-    vielbein_at,
 )
 from .autom import (
     Automorphism,

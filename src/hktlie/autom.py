@@ -9,9 +9,11 @@ acts on generator coefficients as Omega = exp(pi/4 B), B = 2 nu f[t]^T
 (Spindel, Sevrin, Troost and Van Proeyen, Nucl. Phys. B308, 1988).  B has
 the spectrum {0, +-i, +-2i}, so Omega is a fixed quartic polynomial in B,
 with exact entries in {0, +-1/2, +-1/sqrt2, +-1}: f alone determines it.
-Composing the J-kind automorphisms of all basic roots (outer level first)
-rotates the canonical complex structure I into an anticommuting partner J;
-K = I J closes the quaternion algebra.
+Omega is the identity outside the indices that f[t] touches, so it is kept
+as that block alone.  Conjugating by the J-kind automorphisms of all basic
+roots (outer level first), block by block, rotates the canonical complex
+structure I into an anticommuting partner J; K = I J closes the quaternion
+algebra.
 """
 
 from __future__ import annotations
@@ -33,22 +35,14 @@ class DecompositionMismatchError(RuntimeError):
 
 @dataclass(eq=False)
 class Automorphism:
-    """Orthogonal action on generator coefficients, Omega t_A = sum_B Omega_BA t_B."""
+    """Orthogonal action on generator coefficients, Omega t_A = sum_B Omega_BA t_B:
+    `block` on the generator indices `support`, the identity elsewhere."""
 
-    matrix: np.ndarray
+    support: np.ndarray
+    block: np.ndarray
     root: Root
     kind: str            # "J" | "K"
     level: int
-
-    def orthogonality_residual(self) -> float:
-        m = self.matrix
-        return float(np.abs(m @ m.T - np.eye(m.shape[0])).max())
-
-    def invariance_residual(self, f) -> float:
-        ff = f.f if hasattr(f, "f") else np.asarray(f)
-        m = self.matrix
-        rotated = np.einsum("da,eb,fc,def->abc", m, m, m, ff, optimize=True)
-        return float(np.abs(rotated - ff).max())
 
 
 #: the largest |Omega Omega^T - 1| of an automorphism before it is refused
@@ -94,9 +88,7 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
     snap = float(np.abs(block - exact).max(initial=0.0))
     if snap > BOUNDS["snap"](DEFAULT_TOL):
         raise RuntimeError(f"automorphism for {theta} is {snap:.2e} from its exact entries")
-    omega = np.eye(coo.dim)
-    omega[np.ix_(support, support)] = exact
-    return Automorphism(matrix=omega, root=theta, kind=kind, level=level)
+    return Automorphism(support=support, block=exact, root=theta, kind=kind, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +199,21 @@ def basic_roots(rep: AlgebraRep) -> tuple:
     level by level.
 
     For every node, the roots of its subsystem whose basis elements commute with
-    E_{+-theta} must decompose into exactly the child subsystems found
+    E_{+-theta} must be exactly the positive roots of the child subsystems found
     combinatorially, and the basic coroots must be mutually orthogonal.
     """
     nodes = chain_nodes(rep.chain_levels)
     if not nodes:
         raise PairingError(f"no basic roots: the algebra is {rep.u1_count} u(1) factor(s) "
                            "and no simple factor")
-    rs = rep.root_system
     for node in nodes:
-        commuting = _commuting_roots(rep, node.subsystem.positive_roots, [node.theta])
-        got = sorted(s.highest_root.coords for s in split_subsystems(rs, tuple(commuting)))
-        want = sorted(c.theta.coords for c in node.children)
+        got = {r.coords for r in _commuting_roots(rep, node.subsystem.positive_roots,
+                                                  [node.theta])}
+        want = {r.coords for c in node.children for r in c.subsystem.positive_roots}
         if got != want:
             raise DecompositionMismatchError(
-                f"chain node {node.label}: children {want} vs centralizer result {got}")
+                f"chain node {node.label}: centralizer and children differ on roots "
+                f"{sorted(got ^ want)}")
     w = np.array([rep.eigen_coords(n.theta) for n in nodes])
     resid = float(np.abs(np.triu(w @ w.T, 1)).max())
     if resid > 1e-9:
@@ -277,12 +269,16 @@ class TripleResult:
         return self.failure is None
 
 
-def compose(automorphisms: Sequence[Automorphism], dim: int) -> np.ndarray:
-    """Ordered product, outermost level first (applied first)."""
-    total = np.eye(dim)
+def _conjugate(m: np.ndarray, automorphisms: Sequence[Automorphism]) -> np.ndarray:
+    """Omega m Omega^T for Omega the ordered product of `automorphisms`,
+    outermost level first (applied first), one block at a time: each touches
+    only the rows and columns of its support."""
+    m = m.copy()
     for a in sorted(automorphisms, key=lambda a: a.level):
-        total = a.matrix @ total
-    return total
+        s, b = a.support, a.block
+        m[s] = b @ m[s]
+        m[:, s] = m[:, s] @ b.T
+    return m
 
 
 def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
@@ -303,8 +299,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
 
     I = canonical_I(rep, make_csa_pairing(rep, quotient))
     autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in nodes)
-    omega = compose(autos, rep.dim)
-    Jm = omega @ I.matrix @ omega.T
+    Jm = _conjugate(I.matrix, autos)
     Km = I.matrix @ Jm
 
     # every number below reads the tangent directions: all indices outside
@@ -314,8 +309,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     tangent, qidx = np.flatnonzero(inside), np.flatnonzero(~inside)
     on_tangent = np.ix_(tangent, tangent)
     autos_k = tuple(automorphism_from_root(rep, n.theta, "K", n.level) for n in nodes)
-    omega_k = compose(autos_k, rep.dim)
-    k_mismatch = float(np.abs(Km - omega_k @ I.matrix @ omega_k.T)[on_tangent].max())
+    k_mismatch = float(np.abs(Km - _conjugate(I.matrix, autos_k))[on_tangent].max())
 
     J = ComplexStructure(Jm, I.blocks).tagged()
     K = ComplexStructure(Km, I.blocks).tagged()

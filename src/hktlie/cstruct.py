@@ -66,10 +66,6 @@ _BLOCK_TAGS = (
 )
 
 
-class IntegrabilityError(ValueError):
-    """A torsion computation was requested for a non-integrable structure."""
-
-
 class PairingError(ValueError):
     """The Cartan/u(1) directions cannot be paired off; padding is wrong."""
 
@@ -320,43 +316,6 @@ def bismut_residual(I, f) -> float:
     return _max_abs(coo.dim, _bismut_terms(*_signed_of(I), coo))
 
 
-def metric_at(rep: AlgebraRep, x: Sequence[float]) -> np.ndarray:
-    """Bi-invariant metric near the identity, to second order in x."""
-    f = rep.structure_constants().f
-    x = np.asarray(x, dtype=float)
-    quad = np.einsum("mpq,npr,q,r->mn", f, f, x, x, optimize=True)
-    return np.eye(rep.dim) - quad / 12.0
-
-
-def vielbein_at(rep: AlgebraRep, x: Sequence[float]) -> np.ndarray:
-    """Frame e_MA with e e^T = metric_at, to second order in x."""
-    f = rep.structure_constants().f
-    x = np.asarray(x, dtype=float)
-    lin = -0.5 * np.einsum("mpa,p->ma", f, x, optimize=True)
-    quad = -np.einsum("mpq,arq,p,r->ma", f, f, x, x, optimize=True) / 6.0
-    return np.eye(rep.dim) + lin + quad
-
-
-def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Totally antisymmetric Bismut torsion from the complex structure,
-    C_MNP = I_M^Q I_N^S I_P^R (d_Q I_SR + d_S I_RQ + d_R I_QS) at the origin,
-    as a dense (D, D, D) array.
-
-    Requires an integrable structure; for the canonical ones the result must
-    reproduce f itself.
-    """
-    perm, sign = _signed_of(I)
-    coo = _coo_of(f)
-    resid = _max_abs(coo.dim, _integrability_terms(perm, sign, coo))
-    if resid > tol:
-        raise IntegrabilityError(
-            f"torsion formula needs an integrable structure; integrability residual {resid:.3e}")
-    keys, sums = _sum_by_key(coo.dim, _hull_terms(perm, sign, coo))
-    out = np.zeros(coo.dim ** 3)
-    out[keys] = sums
-    return out.reshape((coo.dim,) * 3)
-
-
 #: the finite-difference steps of the Nijenhuis check: below 2.98e-154,
 #: (step/2)**2, the vielbein's second-order term at the half step, is no longer
 #: a normal float, and a subnormal step ends in a Nijenhuis value of nan or 1
@@ -478,7 +437,8 @@ def _vielbein_offsets(coo: CooTensor, step: float) -> tuple:
     variant: X grouped by m * D + col, with the row as index; Y grouped by
     col, with m * D + row as index.
 
-    At x = +-h e_m the vielbein of `vielbein_at` is
+    At x = +-h e_m the second-order vielbein
+    e_MA(x) = delta_MA - (1/2) f_MPA x_P - (1/6) f_MPQ f_ARQ x_P x_R is
     e = 1 -+ (h/2) F_m - (h^2/6) F_m F_m^T with F_m = f[:, m, :].  F_m is
     antisymmetric, so X lives on S_m x S_m, S_m the support of F_m, and is
     block diagonal over the connected components of F_m's graph (2 to 9

@@ -159,7 +159,6 @@ class AlgebraRep:
     chain_levels: tuple
     root_table: dict                 # positive-root coords -> RootVectorEntry
     csa_axes: tuple[CsaAxis, ...]
-    faithful_simply_connected: bool
     _structure: StructureConstants = field(repr=False)
 
     @property
@@ -501,8 +500,7 @@ def _build_matrix_rep(family, rank, rep_kind):
         matrix_dim=d, norm_const=C, generators=gens,
         csa_indices=tuple(2 * npos + k for k in range(rank)), u1_indices=(),
         root_system=rs, chain_levels=levels, root_table=table,
-        csa_axes=csa_axes, faithful_simply_connected=rep_kind != "vector",
-        _structure=structure)
+        csa_axes=csa_axes, _structure=structure)
 
 
 def _snap_to_zero(gens: np.ndarray) -> None:
@@ -582,7 +580,6 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
         family="U1", rank=0, u1_count=0, rep_kind="diagonal", matrix_dim=0, norm_const=1.0,
         generators=np.zeros((0, 0, 0), dtype=complex), csa_indices=(), u1_indices=(),
         root_system=None, chain_levels=(), root_table={}, csa_axes=(),
-        faithful_simply_connected=True,
         _structure=StructureConstants(CooTensor(np.zeros((0, 3), dtype=int), np.zeros(0), 0)))
     return _zero_extend(zero, u1_count)
 
@@ -615,65 +612,3 @@ def _structure_constants(g: np.ndarray, norm_const: float, comm: tuple) -> Struc
     for array in (out.coo.index, out.coo.value):
         array.setflags(write=False)
     return out
-
-
-def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for a Hermitian matrix h, from its eigendecomposition."""
-    if np.abs(h - h.conj().T).max() > 1e-12 * max(np.abs(h).max(), 1.0):
-        raise ValueError("exp_i_hermitian needs a Hermitian matrix")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def chevalley_root_vectors(rep: AlgebraRep, rs: RootSystem | None = None) -> dict:
-    """Validate and return the stored root-vector table.
-
-    Re-checks, for every positive root, the eigenvalue property
-    [h, E_alpha] = alpha(h) E_alpha and the normalization
-    [E_alpha, E_-alpha] = coroot(alpha).
-    """
-    rs = rs or rep.root_system
-    if rs is not rep.root_system and (rs.family, rs.rank) != (rep.family, rep.rank):
-        raise ValueError("root system does not match the representation")
-    for root in rs.positive_roots:
-        e = rep.root_vector(root)
-        a = rep.eigen_coords(root)
-        for ax, ak in zip(rep.csa_axes, a):
-            if ax.kind == "u1":
-                continue
-            h = rep.generators[ax.index]
-            if np.abs(h @ e - e @ h - ak * e).max() > 1e-8:
-                raise ConstructionError(f"E_{root} is not an eigenvector of the Cartan action")
-        resid = np.abs(e @ e.conj().T - e.conj().T @ e - rep.coroot_matrix(root)).max()
-        if resid > 1e-8:
-            raise ConstructionError(f"E_{root} violates the Chevalley normalization")
-    return dict(rep.root_table)
-
-
-@dataclass(frozen=True)
-class PeriodicityResult:
-    period_ok: bool
-    min_nontrivial: bool
-    max_dev_at_period: float
-
-
-def coroot_periodicity_check(rep: AlgebraRep, coroot_element: np.ndarray,
-                             tol: float = 1e-9) -> PeriodicityResult:
-    """exp(2 pi i h) = 1 and exp(i phi h) != 1 for phi in {pi/2, pi, 3pi/2}.
-
-    Requires a representation that is faithful for the simply connected
-    group; the vector representation of B/D would report a spurious period
-    pi for the short coroots.
-    """
-    if not rep.faithful_simply_connected:
-        raise ValueError(
-            f"the {rep.rep_kind} representation of {rep.family}{rep.rank} is not faithful "
-            "for the simply connected group; use the defining (A/C) or spinor (B3) one")
-    eye = np.eye(coroot_element.shape[0])
-    at_period = np.abs(exp_i_hermitian(2 * np.pi * coroot_element) - eye).max()
-    nontrivial = all(
-        np.abs(exp_i_hermitian(phi * coroot_element) - eye).max() > 0.1
-        for phi in (np.pi, np.pi / 2, 3 * np.pi / 2))
-    return PeriodicityResult(period_ok=bool(at_period <= tol),
-                             min_nontrivial=bool(nontrivial),
-                             max_dev_at_period=float(at_period))

@@ -11,23 +11,28 @@ residuals, and D x D solves of the whole vielbein for the Nijenhuis check,
 on any float matrix.  They are the reference the fast kernels and closed
 forms must match, and the only way to evaluate the checks on structures
 that are not signed permutations (random negative controls, arbitrary
-antisymmetric matrices).  The automorphisms Omega,
-which `hktlie.autom` reads from f in closed form, are computed here by
+antisymmetric matrices).  The automorphisms Omega, which `hktlie.autom`
+reads from f in closed form and keeps as one block on its support, are
+embedded here as D x D matrices, composed densely, and computed afresh by
 conjugation in the representation and a trace projection.  The last
-section holds the references that only the tests use: the Hadamard series,
-the exact Killing metric, the coordinate field of a structure, random
-complex structures and the 4x4 self-duality check.
+sections hold the references that only the tests use: the Chevalley and
+coroot-periodicity checks in the representation, the Hadamard series, the
+second-order metric and vielbein with the exact Killing metric, the
+coordinate field of a structure, random complex structures and the 4x4
+self-duality check.
 """
 
 import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from hktlie.cstruct import DEFAULT_TOL, IntegrabilityError, _matrix_of, vielbein_at
+from hktlie.cstruct import (
+    DEFAULT_TOL, _coo_of, _hull_terms, _integrability_terms, _matrix_of, _max_abs,
+    _signed_of, _sum_by_key)
 from hktlie.liealg import (
-    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _flat_transposes,
-    exp_i_hermitian)
+    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _flat_transposes)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +130,10 @@ def hull_torsion(I, f) -> np.ndarray:
     return np.einsum("mq,ns,pr,qsr->mnp", i, i, i, g, optimize=True)
 
 
+class IntegrabilityError(ValueError):
+    """A torsion computation was requested for a non-integrable structure."""
+
+
 def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     """`hull_torsion`, refused for a structure that is not integrable."""
     resid = integrability_residual(I, f)
@@ -137,6 +146,22 @@ def torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
 def torsion_match(I, f) -> float:
     """max |C - f| of the hull torsion."""
     return float(np.abs(hull_torsion(I, f) - _f_of(f)).max())
+
+
+def coo_torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """`torsion_via_hull` from the COO kernel of `hktlie.cstruct`: the hull
+    terms of the signed permutation of I over the non-zero entries of f,
+    summed by index triple into a dense (D, D, D) array."""
+    perm, sign = _signed_of(I)
+    coo = _coo_of(f)
+    resid = _max_abs(coo.dim, _integrability_terms(perm, sign, coo))
+    if resid > tol:
+        raise IntegrabilityError(
+            f"torsion formula needs an integrable structure; integrability residual {resid:.3e}")
+    keys, sums = _sum_by_key(coo.dim, _hull_terms(perm, sign, coo))
+    out = np.zeros(coo.dim ** 3)
+    out[keys] = sums
+    return out.reshape((coo.dim,) * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +218,48 @@ def nijenhuis_dense(rep: AlgebraRep, I, step: float = 1e-4) -> float:
 
 
 # ---------------------------------------------------------------------------
+# automorphisms as dense D x D matrices
+
+def dense_omega(auto, dim: int) -> np.ndarray:
+    """The D x D matrix of an automorphism: its block on its support, the
+    identity elsewhere."""
+    omega = np.eye(dim)
+    omega[np.ix_(auto.support, auto.support)] = auto.block
+    return omega
+
+
+def compose(automorphisms, dim: int) -> np.ndarray:
+    """Ordered product of the dense matrices, outermost level first (applied first)."""
+    total = np.eye(dim)
+    for a in sorted(automorphisms, key=lambda a: a.level):
+        total = dense_omega(a, dim) @ total
+    return total
+
+
+def orthogonality_residual(auto, dim: int) -> float:
+    """max |Omega Omega^T - 1| of the dense matrix."""
+    m = dense_omega(auto, dim)
+    return float(np.abs(m @ m.T - np.eye(dim)).max())
+
+
+def invariance_residual(auto, f) -> float:
+    """max |Omega_DA Omega_EB Omega_FC f_DEF - f_ABC|: Omega preserves f."""
+    ff = _f_of(f)
+    m = dense_omega(auto, ff.shape[0])
+    rotated = np.einsum("da,eb,fc,def->abc", m, m, m, ff, optimize=True)
+    return float(np.abs(rotated - ff).max())
+
+
+# ---------------------------------------------------------------------------
 # automorphisms by conjugation in the representation
+
+def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(i h) for a Hermitian matrix h, from its eigendecomposition."""
+    if np.abs(h - h.conj().T).max() > 1e-12 * max(np.abs(h).max(), 1.0):
+        raise ValueError("exp_i_hermitian needs a Hermitian matrix")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
 
 def adjoint_action(rep: AlgebraRep, u: np.ndarray) -> np.ndarray:
     """Omega_BA = Tr((U^dag t_A U) t_B) / C, the coefficient action of X -> U^dag X U."""
@@ -215,6 +281,60 @@ def conjugation_omega(rep: AlgebraRep, theta, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# root vectors and coroot periodicity in the representation
+
+def chevalley_root_vectors(rep: AlgebraRep) -> dict:
+    """Validate and return the stored root-vector table.
+
+    Re-checks, for every positive root, the eigenvalue property
+    [h, E_alpha] = alpha(h) E_alpha and the normalization
+    [E_alpha, E_-alpha] = coroot(alpha).
+    """
+    for root in rep.root_system.positive_roots:
+        e = rep.root_vector(root)
+        a = rep.eigen_coords(root)
+        for ax, ak in zip(rep.csa_axes, a):
+            if ax.kind == "u1":
+                continue
+            h = rep.generators[ax.index]
+            if np.abs(h @ e - e @ h - ak * e).max() > 1e-8:
+                raise ConstructionError(f"E_{root} is not an eigenvector of the Cartan action")
+        resid = np.abs(e @ e.conj().T - e.conj().T @ e - rep.coroot_matrix(root)).max()
+        if resid > 1e-8:
+            raise ConstructionError(f"E_{root} violates the Chevalley normalization")
+    return dict(rep.root_table)
+
+
+@dataclass(frozen=True)
+class PeriodicityResult:
+    period_ok: bool
+    min_nontrivial: bool
+    max_dev_at_period: float
+
+
+def coroot_periodicity_check(rep: AlgebraRep, coroot_element: np.ndarray,
+                             tol: float = 1e-9) -> PeriodicityResult:
+    """exp(2 pi i h) = 1 and exp(i phi h) != 1 for phi in {pi/2, pi, 3pi/2}.
+
+    Requires a representation that is faithful for the simply connected
+    group; the vector representation of B/D would report a spurious period
+    pi for the short coroots.
+    """
+    if rep.rep_kind == "vector":
+        raise ValueError(
+            f"the {rep.rep_kind} representation of {rep.family}{rep.rank} is not faithful "
+            "for the simply connected group; use the defining (A/C) or spinor (B3) one")
+    eye = np.eye(coroot_element.shape[0])
+    at_period = np.abs(exp_i_hermitian(2 * np.pi * coroot_element) - eye).max()
+    nontrivial = all(
+        np.abs(exp_i_hermitian(phi * coroot_element) - eye).max() > 0.1
+        for phi in (np.pi, np.pi / 2, 3 * np.pi / 2))
+    return PeriodicityResult(period_ok=bool(at_period <= tol),
+                             min_nontrivial=bool(nontrivial),
+                             max_dev_at_period=float(at_period))
+
+
+# ---------------------------------------------------------------------------
 # series, exact-exponential and random references for the library's checks
 
 def hadamard_adjoint(r: np.ndarray, x: np.ndarray, tol: float = 1e-16,
@@ -229,6 +349,23 @@ def hadamard_adjoint(r: np.ndarray, x: np.ndarray, tol: float = 1e-16,
         if np.abs(term).max() < tol * scale:
             return out
     raise RuntimeError("commutator series did not converge")
+
+
+def metric_at(rep: AlgebraRep, x: Sequence[float]) -> np.ndarray:
+    """Bi-invariant metric near the identity, to second order in x."""
+    f = rep.structure_constants().f
+    x = np.asarray(x, dtype=float)
+    quad = np.einsum("mpq,npr,q,r->mn", f, f, x, x, optimize=True)
+    return np.eye(rep.dim) - quad / 12.0
+
+
+def vielbein_at(rep: AlgebraRep, x: Sequence[float]) -> np.ndarray:
+    """Frame e_MA with e e^T = metric_at, to second order in x."""
+    f = rep.structure_constants().f
+    x = np.asarray(x, dtype=float)
+    lin = -0.5 * np.einsum("mpa,p->ma", f, x, optimize=True)
+    quad = -np.einsum("mpq,arq,p,r->ma", f, f, x, x, optimize=True) / 6.0
+    return np.eye(rep.dim) + lin + quad
 
 
 def killing_metric_exact(rep: AlgebraRep, x: Sequence[float], step: float = 1e-5) -> np.ndarray:

@@ -24,7 +24,7 @@ def test_su2_j_kind_rotation():
                        [0, 0, -1, 0],
                        [0, 1, 0, 0],
                        [0, 0, 0, 1]], dtype=float)
-    assert np.abs(auto.matrix - expect).max() < 1e-12
+    assert np.abs(oracles.dense_omega(auto, rep.dim) - expect).max() < 1e-12
 
 
 def test_su2_k_kind_rotation():
@@ -35,7 +35,7 @@ def test_su2_k_kind_rotation():
                        [0, 1, 0, 0],
                        [-1, 0, 0, 0],
                        [0, 0, 0, 1]], dtype=float)
-    assert np.abs(auto.matrix - expect).max() < 1e-12
+    assert np.abs(oracles.dense_omega(auto, rep.dim) - expect).max() < 1e-12
 
 
 def test_su3_root_vector_mixing():
@@ -68,7 +68,7 @@ def test_hadamard_series_oracle():
         direct = u.conj().T @ x @ u
         assert np.abs(series - direct).max() < 1e-12
         coeffs = np.einsum("ij,bji->b", series, rep.generators) / rep.norm_const
-        assert np.abs(coeffs.real - auto.matrix[:, a]).max() < 1e-10
+        assert np.abs(coeffs.real - oracles.dense_omega(auto, rep.dim)[:, a]).max() < 1e-10
 
 
 @pytest.mark.parametrize("family,rank", CLI_RANGE)
@@ -78,12 +78,12 @@ def test_eigh_exponential_matches_expm_on_basic_roots(family, rank):
     for theta in (n.theta for n in A.basic_roots(rep)):
         e = rep.root_vector(theta)
         for h in (np.pi / 4 * (e + e.conj().T), -1j * np.pi / 4 * (e - e.conj().T)):
-            assert np.abs(L.exp_i_hermitian(h) - scipy.linalg.expm(1j * h)).max() <= 1e-14
+            assert np.abs(oracles.exp_i_hermitian(h) - scipy.linalg.expm(1j * h)).max() <= 1e-14
 
 
 def test_eigh_exponential_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        L.exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        oracles.exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("family,rank", CATALOG)
@@ -93,8 +93,8 @@ def test_automorphism_orthogonality_and_invariance(family, rank):
     theta = rep.root_system.highest_root
     for kind in ("J", "K"):
         auto = A.automorphism_from_root(rep, theta, kind)
-        assert auto.orthogonality_residual() < 1e-10
-        assert auto.invariance_residual(f) < 1e-9
+        assert oracles.orthogonality_residual(auto, rep.dim) < 1e-10
+        assert oracles.invariance_residual(auto, f) < 1e-9
 
 
 @pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
@@ -105,9 +105,27 @@ def test_closed_form_omega_matches_conjugation_oracle(family, rank):
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
     for node in A.basic_roots(rep):
         for kind in ("J", "K"):
-            omega = A.automorphism_from_root(rep, node.theta, kind).matrix
+            omega = oracles.dense_omega(A.automorphism_from_root(rep, node.theta, kind), rep.dim)
             assert np.abs(omega - oracles.conjugation_omega(rep, node.theta, kind)).max() <= 1e-13
             assert np.isin(np.abs(omega), A.OMEGA_ENTRIES).all()
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_block_conjugation_matches_dense_product(family, rank):
+    """J and the K route, conjugated one block at a time, equal
+    Omega I Omega^T from the dense product of the whole Omega within 1e-15,
+    with the same signed permutation."""
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
+    res = A.build_quaternion_triple(rep)
+    I = res.I.matrix
+    for kind in ("J", "K"):
+        autos = [A.automorphism_from_root(rep, a.root, kind, a.level) for a in res.automorphisms]
+        omega = oracles.compose(autos, rep.dim)
+        got, want = A._conjugate(I, autos), omega @ I @ omega.T
+        assert np.abs(got - want).max() <= 1e-15
+        (gp, gs, _), (wp, ws, _) = C.signed_permutation(got), C.signed_permutation(want)
+        assert np.array_equal(gp, wp) and np.array_equal(gs, ws)
+    assert np.array_equal(res.J.matrix, A._conjugate(I, res.automorphisms))
 
 
 def test_perturbed_f_row_is_refused():
@@ -132,7 +150,7 @@ def test_quaternion_residual_stays_at_rounding_above_the_rank_caps(family, rank)
     res = A.build_quaternion_triple(rep)
     assert res.quaternion_residual < 2e-14
     for auto in res.automorphisms:
-        assert auto.orthogonality_residual() < 1e-15
+        assert oracles.orthogonality_residual(auto, rep.dim) < 1e-15
 
 
 def test_invalid_kind_rejected():
@@ -235,6 +253,18 @@ def test_chain_cross_checks_numerically(family, rank):
     assert len(A.basic_roots(L.build_matrix_rep(family, rank))) >= 1
 
 
+def test_chain_node_with_a_missing_child_is_refused():
+    """D4 with one of the three level-1 children dropped from the top node:
+    the roots that commute with E_{+-theta} by f are no longer the
+    children's, and basic_roots raises."""
+    rep = L.build_matrix_rep("D", 4, 4)
+    [top] = rep.chain_levels[0]
+    assert len(top.children) == 3
+    levels = ((dataclasses.replace(top, children=top.children[1:]),),) + rep.chain_levels[1:]
+    with pytest.raises(A.DecompositionMismatchError, match="chain node D4"):
+        A.basic_roots(dataclasses.replace(rep, chain_levels=levels))
+
+
 # ---------------------------------------------------------------------------
 # quaternion triples
 
@@ -281,16 +311,32 @@ def test_triples_certify(family, rank):
     assert all(b.tag in ("script-J", "minus-script-J") for b in res.J.blocks)
 
 
+def test_triple_memory_stays_within_a_fixed_budget():
+    """The triple at A15xU1^1 (D = 256) traces at most 16 MiB: each Omega is
+    conjugated as its block, where a dense D x D matrix per automorphism and
+    their products traced 20.6 MiB."""
+    import tracemalloc
+    rep = L.build_matrix_rep("A", 15, 1)
+    tracemalloc.start()
+    try:
+        assert A.build_quaternion_triple(rep).certified
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
+
+
 def test_inner_block_untouched_by_outer_automorphism():
     """Generators commuting with E_{+-theta} are fixed by its automorphism."""
     rep = L.build_matrix_rep("A", 3, 1)
     auto = A.automorphism_from_root(rep, rep.root_system.highest_root, "J")
     dec = A.centralizer(rep, [rep.root_system.highest_root])
     idx = list(dec.generator_indices)
-    sub = auto.matrix[np.ix_(idx, idx)]
+    omega = oracles.dense_omega(auto, rep.dim)
+    sub = omega[np.ix_(idx, idx)]
     assert np.abs(sub - np.eye(len(idx))).max() < 1e-12
     for v in dec.abelian_vectors:
-        assert np.abs(auto.matrix @ v - v).max() < 1e-12
+        assert np.abs(omega @ v - v).max() < 1e-12
 
 
 def test_within_level_automorphisms_commute():
@@ -299,7 +345,8 @@ def test_within_level_automorphisms_commute():
     rs = rep.root_system
     oa = A.automorphism_from_root(rep, rs.root((1, -1, 0)), "J", level=1)
     og = A.automorphism_from_root(rep, rs.root((0, 0, 1)), "J", level=1)
-    assert np.abs(oa.matrix @ og.matrix - og.matrix @ oa.matrix).max() < 1e-12
+    oa, og = oracles.dense_omega(oa, rep.dim), oracles.dense_omega(og, rep.dim)
+    assert np.abs(oa @ og - og @ oa).max() < 1e-12
 
 
 def test_double_rotation_keeps_complex_structure():
@@ -307,7 +354,7 @@ def test_double_rotation_keeps_complex_structure():
     canonical structure to an integrable complex structure."""
     rep = L.build_matrix_rep("A", 2)
     res = A.build_quaternion_triple(rep)
-    omega = A.compose(res.automorphisms, rep.dim)
+    omega = oracles.compose(res.automorphisms, rep.dim)
     twice = omega @ omega
     m = twice @ res.I.matrix @ twice.T
     assert np.abs(m + m.T).max() < 1e-12
@@ -342,10 +389,11 @@ def test_d4_three_level1_automorphisms_commute():
     rep = L.build_matrix_rep("D", 4, 4)
     level1 = [n for n in A.basic_roots(rep) if n.level == 1]
     assert len(level1) == 3
-    autos = [A.automorphism_from_root(rep, n.theta, "J", 1) for n in level1]
+    autos = [oracles.dense_omega(A.automorphism_from_root(rep, n.theta, "J", 1), rep.dim)
+             for n in level1]
     for x in autos:
         for y in autos:
-            assert np.abs(x.matrix @ y.matrix - y.matrix @ x.matrix).max() < 1e-12
+            assert np.abs(x @ y - y @ x).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_su3_frozen_structure_constants():
     + [("B", 3, "spinor")], ids=[f"{f}-{r}" for f, r in CLI_RANGE + ABOVE_CAPS] + ["B-3-spinor"])
 def test_chevalley_normalization(family, rank, rep_kind):
     rep = L.build_matrix_rep(family, rank, rep_kind=rep_kind)
-    table = L.chevalley_root_vectors(rep)       # revalidates eigenvalues + norms
+    table = oracles.chevalley_root_vectors(rep)       # revalidates eigenvalues + norms
     assert set(table) == {r.coords for r in rep.root_system.positive_roots}
 
 
@@ -421,7 +421,7 @@ def test_spinor_rep_matches_vector_root_data():
 def test_su2_coroot_periodicity():
     rep = L.build_matrix_rep("A", 1)
     coroot = rep.coroot_matrix(rep.root_system.positive_roots[0])
-    res = L.coroot_periodicity_check(rep, coroot)
+    res = oracles.coroot_periodicity_check(rep, coroot)
     assert res.period_ok and res.min_nontrivial
     # exp(i pi alpha^vee) = -1 for su(2)
     import scipy.linalg
@@ -431,14 +431,14 @@ def test_su2_coroot_periodicity():
 def test_su3_coroot_periodicity_all_roots():
     rep = L.build_matrix_rep("A", 2)
     for root in rep.root_system.positive_roots:
-        res = L.coroot_periodicity_check(rep, rep.coroot_matrix(root))
+        res = oracles.coroot_periodicity_check(rep, rep.coroot_matrix(root))
         assert res.period_ok and res.min_nontrivial
 
 
 def test_spin7_spinor_coroot_periodicity():
     rep = L.build_matrix_rep("B", 3, 0, rep_kind="spinor")
     for root in rep.root_system.positive_roots:
-        res = L.coroot_periodicity_check(rep, rep.coroot_matrix(root))
+        res = oracles.coroot_periodicity_check(rep, rep.coroot_matrix(root))
         assert res.period_ok and res.min_nontrivial
 
 
@@ -446,7 +446,7 @@ def test_vector_rep_refused_for_periodicity():
     rep = L.build_matrix_rep("B", 3)
     gamma = rep.root_system.root((0, 0, 1))
     with pytest.raises(ValueError, match="not faithful"):
-        L.coroot_periodicity_check(rep, rep.coroot_matrix(gamma))
+        oracles.coroot_periodicity_check(rep, rep.coroot_matrix(gamma))
     # and indeed the vector rep would lie: period pi for the short coroot
     import scipy.linalg
     assert np.abs(scipy.linalg.expm(1j * np.pi * rep.coroot_matrix(gamma))
