@@ -18,7 +18,6 @@ from .rootsys import (
     coroot,
     dynkin_diagram,
     extended_dynkin_surgery,
-    highest_root,
     root_chain,
 )
 from .liealg import (
@@ -33,7 +32,6 @@ from .liealg import (
 )
 from .cstruct import (
     ComplexStructure,
-    GeometryResidualReport,
     PairingError,
     bismut_residual,
     canonical_I,

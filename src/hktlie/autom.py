@@ -248,25 +248,25 @@ def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
 
 @dataclass(eq=False)
 class TripleResult:
-    """I, J, K on the whole algebra; every residual, and `dimension`, refers
+    """I, J, K on the whole algebra; every check, and `dimension`, refers
     to the directions outside the quotient."""
 
     I: ComplexStructure
     J: ComplexStructure
     K: ComplexStructure
     automorphisms: tuple
-    quaternion_residual: float
-    k_mismatch: float
-    reports: dict        # "I"/"J"/"K" -> GeometryResidualReport
     dimension: int
-    invariance_leak: float
-    coset_closure: float
+    checks: dict         # check -> value: BOUNDS order, "J.snap" per structure, then RECORDED
     failure: tuple | None  # (check, value, bound) of the first failed check
     message: str
 
     @property
     def certified(self) -> bool:
         return self.failure is None
+
+    @property
+    def quaternion_residual(self) -> float:
+        return self.checks["quaternion"]
 
 
 def _conjugate(m: np.ndarray, automorphisms: Sequence[Automorphism]) -> np.ndarray:
@@ -291,7 +291,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     Omega.  Residuals beyond tolerance yield certified=False, not an exception;
     an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP] raises ValueError.
     """
-    if fd_step:
+    if fd_step is not None:
         cstruct._check_fd_step(fd_step)
     removed = set(quotient)
     nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
@@ -331,26 +331,22 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     f = f.restrict(tangent)
     restricted = {k: m[on_tangent] for k, m in structures.items()}
 
-    quat = cstruct.quaternion_residual(*restricted.values())
-    reports = {}
+    checks = {"quaternion": cstruct.quaternion_residual(*restricted.values()),
+              "invariance_leak": leak}
     for (name, m), whole in zip(restricted.items(), (I, J, K)):
         nij = None
-        if fd_step and not removed:
+        if fd_step is not None and not removed:
             try:
                 nij = cstruct.nijenhuis_at_origin(rep, whole, fd_step)
             except ValueError:      # above the snap bound, which the snap check reports
                 nij = float("inf")
-        reports[name] = cstruct.geometry_report(m, f, tol, nijenhuis=nij)
+        report = cstruct.geometry_report(m, f, tol, nijenhuis=nij)
+        checks.update((f"{name}.{check}", value) for check, value in report.items())
+    checks.update(k_mismatch=k_mismatch, coset_closure=closure)
 
-    failure = cstruct.first_failure(
-        [("quaternion", quat), ("invariance_leak", leak)]
-        + [(f"{name}.{check}", value) for name, r in reports.items()
-           for check, value in r.to_json_dict().items()], tol)
+    failure = cstruct.first_failure(checks.items(), tol)
     message = "{} {:.2g} above {:g}".format(*failure) if failure else ""
     if leak > cstruct.BOUNDS["invariance_leak"](tol):   # then failure is set too
         message += "; " + leak_note
-    return TripleResult(I=I, J=J, K=K, automorphisms=autos,
-                        quaternion_residual=quat, k_mismatch=k_mismatch,
-                        reports=reports, dimension=len(tangent),
-                        invariance_leak=leak, coset_closure=closure,
-                        failure=failure, message=message)
+    return TripleResult(I=I, J=J, K=K, automorphisms=autos, dimension=len(tangent),
+                        checks=checks, failure=failure, message=message)

@@ -193,6 +193,11 @@ def _verdict_text(verdict: str, message: str) -> str:
     return f"{verdict} ({message})" if verdict == "failed" and message else verdict
 
 
+#: the text labels of the checks of the triple as a whole, in printing order
+_LABELS = {"quaternion": "quaternion residual", "k_mismatch": "K-route mismatch",
+           "invariance_leak": "subspace leak", "coset_closure": "coset closure (reported)"}
+
+
 def _print_report(report: spaces.VerificationReport, as_json: bool) -> None:
     if as_json:
         print(canonical_json(report.to_json_dict()))
@@ -210,16 +215,12 @@ def _print_report(report: spaces.VerificationReport, as_json: bool) -> None:
                                       for lbl, c, lv in report.basic_roots_used))
     print("automorphisms: " + "; ".join(f"{kind}-kind at {fmt(c)} (level {lv})"
                                         for c, kind, lv in report.automorphisms))
-    for name in sorted(report.residuals):
-        r = report.residuals[name]
-        nij = "n/a" if r.nijenhuis is None else f"{r.nijenhuis:.3e}"
-        print(f"residuals[{name}]: snap={r.snap:.3e} integrability={r.integrability:.3e} "
-              f"square={r.square:.3e} bismut={r.bismut:.3e} "
-              f"torsion_match={r.torsion_match:.3e} nijenhuis={nij}")
-    print(f"quaternion residual: {report.quaternion:.3e}")
-    print(f"K-route mismatch: {report.k_mismatch:.3e}")
-    print(f"subspace leak: {report.invariance_leak:.3e}")
-    print(f"coset closure (reported): {report.coset_closure:.3e}")
+    for name, checks in sorted(report.residuals.items()):
+        print(f"residuals[{name}]: " + " ".join(
+            f"{check}={'n/a' if value is None else f'{value:.3e}'}"
+            for check, value in checks.items()))
+    for check, label in _LABELS.items():
+        print(f"{label}: {report.checks[check]:.3e}")
     print(f"verdict: {_verdict_text(report.verdict, report.message)}")
 
 
@@ -291,7 +292,8 @@ def cmd_catalog(args) -> int:
         else:
             reports = [_verify_one(p) for p in payloads]
         for sp, rep in zip(specs, reports):
-            worst = max((r.worst() for r in rep.residuals.values()), default=float("inf"))
+            worst = max((v for r in rep.residuals.values() for v in r.values()
+                         if v is not None), default=float("inf"))
             rows.append({"space": rep.name, "string": _spec_to_string(sp),
                          "dimension": rep.dimension, "padding": sp.u1_count,
                          "verdict": _verdict_text(rep.verdict, rep.message),
@@ -362,7 +364,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.tol is None:
-            args.tol = float(os.environ.get("HKT_TOL", DEFAULT_TOL))
+            try:
+                args.tol = float(os.environ.get("HKT_TOL", DEFAULT_TOL))
+            except ValueError:
+                raise SpecParseError(
+                    f"HKT_TOL takes a number, got {os.environ['HKT_TOL']!r}") from None
         try:
             args.jobs = max(1, os.cpu_count() if args.jobs == "auto" else int(args.jobs))
         except ValueError:

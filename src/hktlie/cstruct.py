@@ -43,7 +43,9 @@ from .rootsys import chain_nodes
 DEFAULT_TOL = 1e-9
 
 #: every check of a verdict and its bound as a function of the tolerance, in
-#: the order in which the verdict names the first failure
+#: the order in which the verdict names the first failure: the two checks of
+#: the triple as a whole, then those that each of I, J and K takes, named
+#: with its prefix in a certificate ("J.snap")
 BOUNDS = {
     "quaternion": lambda tol: tol,
     "invariance_leak": lambda tol: 1e-12,
@@ -54,6 +56,12 @@ BOUNDS = {
     "torsion_match": lambda tol: 10 * tol,
     "nijenhuis": lambda tol: 1e-5,
 }
+
+#: the checks of each structure, in BOUNDS order
+STRUCTURE_CHECKS = tuple(BOUNDS)[2:]
+
+#: the values a certificate reports without a bound
+RECORDED = ("k_mismatch", "coset_closure")
 
 #: 4x4 blocks in the basis (t_A, t_A*, t_B, t_B*) or (t_A, t_A*, t_k, e_k)
 SCRIPT_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -542,38 +550,10 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
     return n_extrap
 
 
-@dataclass
-class GeometryResidualReport:
-    """Residuals of one complex structure against all geometric conditions."""
-
-    snap: float
-    integrability: float
-    square: float
-    bismut: float
-    torsion_match: float
-    nijenhuis: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "snap": self.snap,
-            "integrability": self.integrability,
-            "square": self.square,
-            "bismut": self.bismut,
-            "torsion_match": self.torsion_match,
-            "nijenhuis": self.nijenhuis,
-        }
-
-    def worst(self) -> float:
-        vals = [self.snap, self.integrability, self.square, self.bismut, self.torsion_match]
-        if self.nijenhuis is not None:
-            vals.append(self.nijenhuis)
-        return max(vals)
-
-
-def geometry_report(I, f, tol: float = DEFAULT_TOL,
-                    nijenhuis: float | None = None) -> GeometryResidualReport:
-    """All residual checks for one structure against the structure constants
-    f; the Nijenhuis value is measured on the whole algebra and passed in.
+def geometry_report(I, f, tol: float = DEFAULT_TOL, nijenhuis: float | None = None) -> dict:
+    """Every check of one structure against the structure constants f, by
+    name in BOUNDS order; the Nijenhuis value is measured on the whole
+    algebra and passed in (None: not run).
 
     Integrability, Bismut constancy and the torsion match run on the signed
     permutation of I, so they are infinite when its snap is above bound;
@@ -588,15 +568,19 @@ def geometry_report(I, f, tol: float = DEFAULT_TOL,
         bis = _max_abs(coo.dim, _bismut_terms(s.perm, s.sign, coo))
         if integ <= tol:
             tors = _max_abs(coo.dim, _hull_terms(s.perm, s.sign, coo) + _f_terms(coo, -1.0))
-    return GeometryResidualReport(snap=s.snap, integrability=integ, square=sq, bismut=bis,
-                                  torsion_match=tors, nijenhuis=nijenhuis)
+    values = dict(snap=s.snap, integrability=integ, square=sq, bismut=bis,
+                  torsion_match=tors, nijenhuis=nijenhuis)
+    return {check: values[check] for check in STRUCTURE_CHECKS}
 
 
 def first_failure(values: Iterable, tol: float) -> tuple | None:
     """The first (check, value, bound) of the (check, value) pairs whose value
     exceeds its bound, or None.  A check is a BOUNDS key, optionally prefixed
-    with a structure ("J.square"); a value of None is a check not run."""
+    with a structure ("J.square"), or a RECORDED one, which has no bound; a
+    value of None is a check not run."""
     for check, value in values:
+        if check in RECORDED:
+            continue
         bound = BOUNDS[check.rpartition(".")[2]](tol)
         if value is not None and not value <= bound:
             return check, value, bound

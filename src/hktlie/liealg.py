@@ -121,11 +121,6 @@ class StructureConstants:
         f.setflags(write=False)
         return f
 
-    def antisymmetry_residual(self) -> float:
-        f = self.f
-        return max(np.abs(f + f.transpose(1, 0, 2)).max(),
-                   np.abs(f + f.transpose(0, 2, 1)).max())
-
     def jacobi_residual(self) -> float:
         """max |f_ABE f_ECD + f_BCE f_EAD + f_CAE f_EBD| without a D^4 blow-up."""
         f = self.f
@@ -136,10 +131,6 @@ class StructureConstants:
             rhs = np.einsum("be,ecd->bcd", f[a], ad)
             worst = max(worst, np.abs(lhs - rhs).max())
         return worst
-
-    def u1_residual(self, u1_indices: Sequence[int]) -> float:
-        touches = np.isin(self.coo.index, list(u1_indices)).any(axis=1)
-        return float(np.abs(self.coo.value[touches]).max(initial=0.0))
 
 
 @dataclass(eq=False)
@@ -178,12 +169,6 @@ class AlgebraRep:
     def eigen_coords(self, root: Root) -> np.ndarray:
         """Root coordinates with respect to the orthonormal Cartan basis."""
         return np.stack([ax.functional for ax in self.csa_axes]) @ _np_coords(root.coords)
-
-    def coroot_matrix(self, root: Root) -> np.ndarray:
-        """Coroot as a matrix in this representation."""
-        a = self.eigen_coords(root)
-        return np.tensordot(2.0 * a / (a @ a),
-                            self.generators[[ax.index for ax in self.csa_axes]], 1)
 
     def coroot_axis_index(self, root: Root) -> int:
         for ax in self.csa_axes:

@@ -268,17 +268,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         _root_set=root_set, _coeffs=coeffs)
 
 
-def highest_root(rs: RootSystem) -> Root:
-    """Recompute the highest root by height and check maximality."""
-    theta = max(rs.positive_roots, key=rs.height)
-    assert theta == rs.highest_root
-    for a in rs.simple_roots:
-        up = tuple(x + y for x, y in zip(theta.coords, a.coords))
-        if rs.is_root(up):
-            raise RuntimeError(f"{theta} is not maximal: {theta} + {a} is a root")
-    return theta
-
-
 # ---------------------------------------------------------------------------
 # subsystems (used by the centralizer chain and the diagram surgery)
 

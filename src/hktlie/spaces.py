@@ -171,14 +171,20 @@ class VerificationReport:
     padding_required: int
     basic_roots_used: tuple
     automorphisms: tuple
-    residuals: dict
-    quaternion: float
-    k_mismatch: float
-    invariance_leak: float
-    coset_closure: float
+    checks: dict         # as TripleResult.checks, the key-wise worst over the factors
     verdict: str
     tolerance: float
     message: str = ""
+
+    @property
+    def residuals(self) -> dict:
+        """The checks of each structure, {"J": {"snap": ..., ...}, ...}."""
+        nested = {}
+        for key, value in self.checks.items():
+            structure, _, check = key.rpartition(".")
+            if structure:
+                nested.setdefault(structure, {})[check] = value
+        return nested
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,11 +203,8 @@ class VerificationReport:
             "automorphisms": [
                 {"root": list(coords), "kind": kind, "level": lvl}
                 for coords, kind, lvl in self.automorphisms],
-            "residuals": {k: v.to_json_dict() for k, v in sorted(self.residuals.items())},
-            "quaternion": self.quaternion,
-            "k_mismatch": self.k_mismatch,
-            "invariance_leak": self.invariance_leak,
-            "coset_closure": self.coset_closure,
+            "residuals": self.residuals,
+            **{k: v for k, v in self.checks.items() if "." not in k},
             "verdict": self.verdict,
             "tolerance": self.tolerance,
             "message": self.message,
@@ -310,29 +313,24 @@ def _verify_factor(factor: _Factor, tol, fd_step):
     return basic, result
 
 
-def _worst_report(reports):
-    """Field-wise maximum of per-factor reports; a check no factor ran stays None."""
-    rows = [r.to_json_dict() for r in reports]
-    return cstruct.GeometryResidualReport(**{
-        key: max((row[key] for row in rows if row[key] is not None), default=None)
-        for key in rows[0]})
-
-
 def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
                        fd_step: float | None = None) -> VerificationReport:
     """Certify a (quotiented, padded) space; never raises on residual failure.
 
-    Raises ValueError for a spec that breaks the quotient rules."""
+    Raises ValueError for a spec that breaks the quotient rules, or for an
+    `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP]."""
+    if fd_step is not None:
+        cstruct._check_fd_step(fd_step)
     factors = _resolve_spec(spec)
     # each simple factor takes exactly its own padding (no cross-factor pairing)
     needed = sum(f.padding for f in factors)
 
     def report_failure(message):
+        unmeasured = {k: float("inf") for k in (*cstruct.BOUNDS, *cstruct.RECORDED)
+                      if k not in cstruct.STRUCTURE_CHECKS}
         return VerificationReport(
             spec=spec, name=spec.name, dimension=0, padding_required=needed,
-            basic_roots_used=(), automorphisms=(), residuals={},
-            quaternion=float("inf"), k_mismatch=float("inf"),
-            invariance_leak=float("inf"), coset_closure=float("inf"),
+            basic_roots_used=(), automorphisms=(), checks=unmeasured,
             verdict="not-admissible", tolerance=tol, message=message)
 
     if needed != spec.u1_count or needed < 0:
@@ -353,11 +351,8 @@ def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
         basic_roots_used=tuple(basics),
         automorphisms=tuple((tuple(str(c) for c in a.root.coords), a.kind, a.level)
                             for r in results for a in r.automorphisms),
-        residuals={key: _worst_report([r.reports[key] for r in results])
-                   for key in results[0].reports},
-        quaternion=max(r.quaternion_residual for r in results),
-        k_mismatch=max(r.k_mismatch for r in results),
-        invariance_leak=max(r.invariance_leak for r in results),
-        coset_closure=max(r.coset_closure for r in results),
+        # a check that no factor ran stays None
+        checks={key: max((r.checks[key] for r in results if r.checks[key] is not None),
+                         default=None) for key in results[0].checks},
         verdict="certified" if all(r.certified for r in results) else "failed",
         tolerance=tol, message="; ".join(r.message for r in results if r.message))

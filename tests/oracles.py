@@ -281,6 +281,39 @@ def conjugation_omega(rep: AlgebraRep, theta, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# root data, f and coroots checked afresh
+
+def highest_root(rs):
+    """Recompute the highest root by height and check maximality."""
+    theta = max(rs.positive_roots, key=rs.height)
+    assert theta == rs.highest_root
+    for a in rs.simple_roots:
+        up = tuple(x + y for x, y in zip(theta.coords, a.coords))
+        if rs.is_root(up):
+            raise RuntimeError(f"{theta} is not maximal: {theta} + {a} is a root")
+    return theta
+
+
+def antisymmetry_residual(sc: StructureConstants) -> float:
+    """max |f_ABC + f_BAC| and |f_ABC + f_ACB| on the dense f."""
+    f = sc.f
+    return max(np.abs(f + f.transpose(1, 0, 2)).max(),
+               np.abs(f + f.transpose(0, 2, 1)).max())
+
+
+def u1_residual(sc: StructureConstants, u1_indices: Sequence[int]) -> float:
+    """The largest |f| of an entry that touches a u(1) index."""
+    touches = np.isin(sc.coo.index, list(u1_indices)).any(axis=1)
+    return float(np.abs(sc.coo.value[touches]).max(initial=0.0))
+
+
+def coroot_matrix(rep: AlgebraRep, root) -> np.ndarray:
+    """The coroot of `root` as a matrix in the representation."""
+    a = rep.eigen_coords(root)
+    return np.tensordot(2.0 * a / (a @ a), rep.generators[[ax.index for ax in rep.csa_axes]], 1)
+
+
+# ---------------------------------------------------------------------------
 # root vectors and coroot periodicity in the representation
 
 def chevalley_root_vectors(rep: AlgebraRep) -> dict:
@@ -299,7 +332,7 @@ def chevalley_root_vectors(rep: AlgebraRep) -> dict:
             h = rep.generators[ax.index]
             if np.abs(h @ e - e @ h - ak * e).max() > 1e-8:
                 raise ConstructionError(f"E_{root} is not an eigenvector of the Cartan action")
-        resid = np.abs(e @ e.conj().T - e.conj().T @ e - rep.coroot_matrix(root)).max()
+        resid = np.abs(e @ e.conj().T - e.conj().T @ e - coroot_matrix(rep, root)).max()
         if resid > 1e-8:
             raise ConstructionError(f"E_{root} violates the Chevalley normalization")
     return dict(rep.root_table)

@@ -307,7 +307,7 @@ def test_triples_certify(family, rank):
     assert res.quaternion_residual < 1e-9
     m = res.I.matrix @ res.J.matrix + res.J.matrix @ res.I.matrix
     assert np.abs(m).max() < 1e-9            # J anticommutes with I
-    assert res.k_mismatch < 1e-9             # K-kind route reproduces I J here
+    assert res.checks["k_mismatch"] < 1e-9  # K-kind route reproduces I J here
     assert all(b.tag in ("script-J", "minus-script-J") for b in res.J.blocks)
 
 
@@ -374,15 +374,15 @@ def test_failure_names_first_failed_check():
 def test_k_mismatch_recorded_not_asserted():
     rep = L.build_matrix_rep("B", 3, 3)
     res = A.build_quaternion_triple(rep)
-    assert np.isfinite(res.k_mismatch)
+    assert np.isfinite(res.checks["k_mismatch"])
 
 
 def test_triple_reports_torsion_match():
     rep = L.build_matrix_rep("A", 2)
     res = A.build_quaternion_triple(rep)
-    for r in res.reports.values():
-        assert r.torsion_match < 1e-8
-        assert r.bismut < 1e-12
+    for s in "IJK":
+        assert res.checks[f"{s}.torsion_match"] < 1e-8
+        assert res.checks[f"{s}.bismut"] < 1e-12
 
 
 def test_d4_three_level1_automorphisms_commute():

@@ -130,6 +130,14 @@ def test_verify_env_tolerance(capsys, monkeypatch):
     assert json.loads(out)["tolerance"] == 1e-6
 
 
+def test_unreadable_env_tolerance_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("HKT_TOL", "abc")
+    code, out, err = run(capsys, "verify", "A2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: HKT_TOL takes a number, got 'abc'\n"
+
+
 def test_tolerance_validation(capsys):
     code, _, err = run(capsys, "--tol", "0.5", "verify", "A2")
     assert code == 2
@@ -502,3 +510,36 @@ def test_verify_residual_failure_exit_code(capsys):
     code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A2")
     assert code == 1
     assert json.loads(out)["message"] == "quaternion 9e-16 above 1e-18"
+
+
+#: the keys of a certificate that are not checks
+CERTIFICATE_DATA = {"name", "factors", "u1_count", "quotient", "dimension", "padding_required",
+                    "basic_roots", "automorphisms", "residuals", "verdict", "tolerance",
+                    "message"}
+
+
+@pytest.mark.parametrize("space,verdict", [
+    ("A2", "certified"), ("B3xU1^2/A1:gamma", "certified"),
+    ("A2xB3xU1^3", "certified"), ("A3", "not-admissible")])
+def test_certificate_keys_follow_the_bounds_table(capsys, space, verdict):
+    """Every check of a certificate is a BOUNDS or RECORDED name: the
+    triple's own at the top level, each structure's under residuals[X],
+    printed in BOUNDS order."""
+    from hktlie.cstruct import BOUNDS, RECORDED, STRUCTURE_CHECKS
+    _, out, _ = run(capsys, "--json", "verify", space)
+    doc = json.loads(out)
+    assert doc["verdict"] == verdict
+    triple_checks = [k for k in BOUNDS if k not in STRUCTURE_CHECKS]
+    assert set(doc) - CERTIFICATE_DATA == set(triple_checks) | set(RECORDED)
+    _, text, _ = run(capsys, "verify", space)
+    lines = [line for line in text.splitlines() if line.startswith("residuals[")]
+    if verdict == "not-admissible":
+        assert doc["residuals"] == {} and lines == []
+        assert all(doc[k] == "inf" for k in triple_checks + list(RECORDED))
+        return
+    assert set(doc["residuals"]) == {"I", "J", "K"} and len(lines) == 3
+    for name, line in zip("IJK", lines):
+        assert line.startswith(f"residuals[{name}]: ")
+        assert [item.split("=")[0] for item in line.split(": ", 1)[1].split()] == \
+            list(STRUCTURE_CHECKS)
+        assert set(doc["residuals"][name]) == set(STRUCTURE_CHECKS)

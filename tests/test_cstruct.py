@@ -293,15 +293,21 @@ def test_nijenhuis_refuses_non_permutation():
             C.nijenhuis_at_origin(rep, m, step=1e-4)
 
 
-@pytest.mark.parametrize("step", [1e-320, 5e-324])
+@pytest.mark.parametrize("step", [1e-320, 5e-324, 0.0])
 def test_subnormal_fd_step_is_refused_by_the_library(step):
-    """Both library entry points refuse a subnormal step, which gave 0 or 1
-    with RuntimeWarnings, before any snap refusal could turn it into inf."""
+    """The library entry points refuse a subnormal step, which gave 0 or 1
+    with RuntimeWarnings, before any snap refusal could turn it into inf,
+    and a zero step, with which the triples skipped the check and certified."""
+    from hktlie.cli import parse_space_string
+    from hktlie.spaces import build_coset_triple
     rep, I = canonical("A", 2)
     with pytest.raises(ValueError, match=r"fd-step must lie in \[2.98e-154, 1e-2\]"):
         C.nijenhuis_at_origin(rep, I, step)
     with pytest.raises(ValueError, match=r"fd-step must lie in \[2.98e-154, 1e-2\]"):
         A.build_quaternion_triple(rep, fd_step=step)
+    for space in ("A2", "A3"):      # admissible or not
+        with pytest.raises(ValueError, match=r"fd-step must lie in \[2.98e-154, 1e-2\]"):
+            build_coset_triple(parse_space_string(space), fd_step=step)
 
 
 def test_refused_nijenhuis_is_reported_infinite(monkeypatch):
@@ -310,7 +316,7 @@ def test_refused_nijenhuis_is_reported_infinite(monkeypatch):
 
     monkeypatch.setattr(C, "nijenhuis_at_origin", refuse)
     result = A.build_quaternion_triple(L.build_matrix_rep("A", 2), fd_step=1e-4)
-    assert [r.nijenhuis for r in result.reports.values()] == [np.inf] * 3
+    assert [result.checks[f"{s}.nijenhuis"] for s in "IJK"] == [np.inf] * 3
     assert result.failure == ("I.nijenhuis", np.inf, 1e-5)
 
 
@@ -453,6 +459,9 @@ def test_bounds_table_and_first_failure():
         "quaternion": tol, "invariance_leak": 1e-12, "snap": 1e-12, "integrability": tol,
         "square": tol, "bismut": 1e-12, "torsion_match": 10 * tol, "nijenhuis": 1e-5}
     assert list(C.BOUNDS)[:3] == ["quaternion", "invariance_leak", "snap"]
+    assert C.STRUCTURE_CHECKS == ("snap", "integrability", "square", "bismut",
+                                  "torsion_match", "nijenhuis")
+    assert C.first_failure([("k_mismatch", 1.0), ("coset_closure", 1.0)], tol) is None
     values = [("quaternion", 1e-15), ("invariance_leak", 0.0), ("J.nijenhuis", None),
               ("J.bismut", 2e-12), ("K.square", 1.0)]
     assert C.first_failure(values, tol) == ("J.bismut", 2e-12, 1e-12)
@@ -486,9 +495,9 @@ def assert_report_matches_oracles(matrix, coo, tol, report):
     integ = oracles.integrability_residual(matrix, f)
     want = {"integrability": integ, "bismut": oracles.bismut_residual(matrix, f),
             "torsion_match": oracles.torsion_match(matrix, f) if integ <= tol else np.inf}
-    assert report.snap <= C.BOUNDS["snap"](tol)
+    assert report["snap"] <= C.BOUNDS["snap"](tol)
     for check, value in want.items():
-        got = getattr(report, check)
+        got = report[check]
         assert got == value or abs(got - value) <= 1e-13, (check, got, value)
         bound = C.BOUNDS[check](tol)
         assert (got <= bound) == (value <= bound), check
@@ -549,7 +558,7 @@ def test_random_signed_permutations_are_not_integrable(family, rank, u1):
         assert abs(C.bismut_residual(m, f) - oracles.bismut_residual(m, f)) <= 1e-13
         with pytest.raises(oracles.IntegrabilityError, match="residual"):
             oracles.coo_torsion_via_hull(m, f)
-        assert C.geometry_report(m, f).torsion_match == np.inf
+        assert C.geometry_report(m, f)["torsion_match"] == np.inf
 
 
 def test_rotated_structure_is_refused():
@@ -566,11 +575,11 @@ def test_rotated_structure_is_refused():
         with pytest.raises(ValueError, match="from the nearest signed permutation"):
             kernel(m, f)
     report = C.geometry_report(m, f)
-    assert 1e-12 < report.snap < 1e-5
-    assert report.square < 1e-12
-    assert report.integrability == report.bismut == report.torsion_match == np.inf
-    failure = C.first_failure(report.to_json_dict().items(), C.DEFAULT_TOL)
-    assert failure == ("snap", report.snap, 1e-12)
+    assert 1e-12 < report["snap"] < 1e-5
+    assert report["square"] < 1e-12
+    assert report["integrability"] == report["bismut"] == report["torsion_match"] == np.inf
+    failure = C.first_failure(report.items(), C.DEFAULT_TOL)
+    assert failure == ("snap", report["snap"], 1e-12)
 
 
 def test_snap_of_repeated_rows_is_at_least_one_half():
