@@ -9,51 +9,36 @@ quaternion algebra, the integrability identity and the torsion conditions,
 for group manifolds and their centralizer quotients.
 """
 
-from .rootsys import (
-    Root,
-    RootSystem,
-    UnsupportedAlgebraError,
-    basic_root_chain,
-    build_root_system,
-    coroot,
-    dynkin_diagram,
-    extended_dynkin_surgery,
-    root_chain,
-)
-from .liealg import (
-    AlgebraRep,
-    CliffordRep,
-    ConstructionError,
-    StructureConstants,
-    build_abelian_rep,
-    build_clifford,
-    build_matrix_rep,
-    structure_constants,
-)
-from .cstruct import (
-    ComplexStructure,
-    PairingError,
-    bismut_residual,
-    canonical_I,
-    integrability_residual,
-    nijenhuis_at_origin,
-    quaternion_residual,
-)
-from .autom import (
-    Automorphism,
-    automorphism_from_root,
-    basic_roots,
-    build_quaternion_triple,
-    centralizer,
-    make_csa_pairing,
-)
-from .spaces import (
-    SpaceSpec,
-    VerificationReport,
-    build_coset_triple,
-    classify_family,
-    enumerate_quotients,
-    required_padding,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: the public names, by the submodule that defines them; each one is imported
+#: on first access (PEP 562), so `import hktlie` alone loads no numpy
+_EXPORTS = {
+    "rootsys": ("Root", "RootSystem", "UnsupportedAlgebraError", "basic_root_chain", "coroot",
+                "build_root_system", "dynkin_diagram", "extended_dynkin_surgery", "root_chain"),
+    "liealg": ("AlgebraRep", "CliffordRep", "ConstructionError", "StructureConstants",
+               "build_abelian_rep", "build_clifford", "build_matrix_rep", "structure_constants"),
+    "bounds": ("PairingError",),
+    "cstruct": ("ComplexStructure", "bismut_residual", "canonical_I", "integrability_residual",
+                "nijenhuis_at_origin", "quaternion_residual"),
+    "autom": ("Automorphism", "automorphism_from_root", "basic_roots",
+              "build_quaternion_triple", "centralizer", "make_csa_pairing"),
+    "spaces": ("SpaceSpec", "VerificationReport", "build_coset_triple", "classify_family",
+               "enumerate_quotients", "required_padding"),
+}
+_MODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE)
+
+
+def __getattr__(name):
+    if name in _MODULE:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE[name]}"), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import cstruct
-from .cstruct import BOUNDS, DEFAULT_TOL, ComplexStructure, PairingError, canonical_I
+from .bounds import BOUNDS, DEFAULT_TOL, PairingError, _check_fd_step, first_failure
+from .cstruct import ComplexStructure, canonical_I
 from .liealg import AlgebraRep
 from .rootsys import Root, RootSystem, chain_nodes, extended_dynkin_surgery, split_subsystems
 
@@ -292,7 +293,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP] raises ValueError.
     """
     if fd_step is not None:
-        cstruct._check_fd_step(fd_step)
+        _check_fd_step(fd_step)
     removed = set(quotient)
     nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
     f = rep.structure_constants().coo
@@ -344,9 +345,9 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
         checks.update((f"{name}.{check}", value) for check, value in report.items())
     checks.update(k_mismatch=k_mismatch, coset_closure=closure)
 
-    failure = cstruct.first_failure(checks.items(), tol)
+    failure = first_failure(checks.items(), tol)
     message = "{} {:.2g} above {:g}".format(*failure) if failure else ""
-    if leak > cstruct.BOUNDS["invariance_leak"](tol):   # then failure is set too
+    if leak > BOUNDS["invariance_leak"](tol):   # then failure is set too
         message += "; " + leak_note
     return TripleResult(I=I, J=J, K=K, automorphisms=autos, dimension=len(tangent),
                         checks=checks, failure=failure, message=message)

@@ -1,0 +1,67 @@
+"""The checks of a certificate, their bounds and the limits of its inputs, on
+plain floats: the CLI checks its arguments without loading numpy."""
+
+from __future__ import annotations
+
+import sys
+from typing import Iterable
+
+DEFAULT_TOL = 1e-9
+
+#: every check of a verdict and its bound as a function of the tolerance, in
+#: the order in which the verdict names the first failure: the two checks of
+#: the triple as a whole, then those that each of I, J and K takes, named
+#: with its prefix in a certificate ("J.snap")
+BOUNDS = {
+    "quaternion": lambda tol: tol,
+    "invariance_leak": lambda tol: 1e-12,
+    "snap": lambda tol: 1e-12,
+    "integrability": lambda tol: tol,
+    "square": lambda tol: tol,
+    "bismut": lambda tol: 1e-12,
+    "torsion_match": lambda tol: 10 * tol,
+    "nijenhuis": lambda tol: 1e-5,
+}
+
+#: the checks of each structure, in BOUNDS order
+STRUCTURE_CHECKS = tuple(BOUNDS)[2:]
+
+#: the values a certificate reports without a bound
+RECORDED = ("k_mismatch", "coset_closure")
+
+#: the finite-difference steps of the Nijenhuis check: below 2.98e-154,
+#: (step/2)**2, the vielbein's second-order term at the half step, is no longer
+#: a normal float, and a subnormal step ends in a Nijenhuis value of nan or 1
+MIN_FD_STEP = 2 * sys.float_info.min ** 0.5
+MAX_FD_STEP = 1e-2
+
+
+class PairingError(ValueError):
+    """The Cartan/u(1) directions cannot be paired off; padding is wrong."""
+
+
+def _sci(x: float) -> str:
+    """x to 3 significant digits, as "2.98e-154" or "1e-2"."""
+    mantissa, exponent = f"{x:.2e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
+
+
+def _check_fd_step(step: float) -> None:
+    """Raise ValueError unless MIN_FD_STEP <= step <= MAX_FD_STEP."""
+    if not MIN_FD_STEP <= step <= MAX_FD_STEP:
+        raise ValueError(f"fd-step must lie in [{_sci(MIN_FD_STEP)}, {_sci(MAX_FD_STEP)}], "
+                         f"so that (step/2)**2 stays a normal float; got {step:g}")
+
+
+def first_failure(values: Iterable, tol: float) -> tuple | None:
+    """The first (check, value, bound) of the (check, value) pairs whose value
+    exceeds its bound, or None.  A check is a BOUNDS key, optionally prefixed
+    with a structure ("J.square"), or a RECORDED one, which has no bound; a
+    value of None is a check not run."""
+    for check, value in values:
+        if check in RECORDED:
+            continue
+        bound = BOUNDS[check.rpartition(".")[2]](tol)
+        if value is not None and not value <= bound:
+            return check, value, bound
+    return None

@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import spaces
-from .cstruct import DEFAULT_TOL, _check_fd_step
+from .bounds import DEFAULT_TOL, _check_fd_step
 from .rootsys import build_root_system, extended_dynkin_surgery, root_chain
 
 EXIT_OK = 0

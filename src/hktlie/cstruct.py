@@ -30,38 +30,16 @@ at a time, so the check's working set does not grow with D^3.
 from __future__ import annotations
 
 import functools
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bounds import (BOUNDS, DEFAULT_TOL, MAX_FD_STEP, MIN_FD_STEP, RECORDED,  # noqa: F401
+                     STRUCTURE_CHECKS, PairingError, _check_fd_step, first_failure)
 from .liealg import AlgebraRep, CooTensor, StructureConstants, _reduce_by_key
 from .rootsys import chain_nodes
-
-DEFAULT_TOL = 1e-9
-
-#: every check of a verdict and its bound as a function of the tolerance, in
-#: the order in which the verdict names the first failure: the two checks of
-#: the triple as a whole, then those that each of I, J and K takes, named
-#: with its prefix in a certificate ("J.snap")
-BOUNDS = {
-    "quaternion": lambda tol: tol,
-    "invariance_leak": lambda tol: 1e-12,
-    "snap": lambda tol: 1e-12,
-    "integrability": lambda tol: tol,
-    "square": lambda tol: tol,
-    "bismut": lambda tol: 1e-12,
-    "torsion_match": lambda tol: 10 * tol,
-    "nijenhuis": lambda tol: 1e-5,
-}
-
-#: the checks of each structure, in BOUNDS order
-STRUCTURE_CHECKS = tuple(BOUNDS)[2:]
-
-#: the values a certificate reports without a bound
-RECORDED = ("k_mismatch", "coset_closure")
 
 #: 4x4 blocks in the basis (t_A, t_A*, t_B, t_B*) or (t_A, t_A*, t_k, e_k)
 SCRIPT_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -72,10 +50,6 @@ _BLOCK_TAGS = (
     ("script-I", SCRIPT_I), ("script-J", SCRIPT_J), ("minus-script-J", -SCRIPT_J),
     ("script-K", SCRIPT_K), ("minus-script-K", -SCRIPT_K),
 )
-
-
-class PairingError(ValueError):
-    """The Cartan/u(1) directions cannot be paired off; padding is wrong."""
 
 
 @dataclass(frozen=True)
@@ -324,22 +298,6 @@ def bismut_residual(I, f) -> float:
     return _max_abs(coo.dim, _bismut_terms(*_signed_of(I), coo))
 
 
-#: the finite-difference steps of the Nijenhuis check: below 2.98e-154,
-#: (step/2)**2, the vielbein's second-order term at the half step, is no longer
-#: a normal float, and a subnormal step ends in a Nijenhuis value of nan or 1
-MIN_FD_STEP = 2 * sys.float_info.min ** 0.5
-MAX_FD_STEP = 1e-2
-
-
-def _check_fd_step(step: float) -> None:
-    """Raise ValueError unless MIN_FD_STEP <= step <= MAX_FD_STEP."""
-    if not MIN_FD_STEP <= step <= MAX_FD_STEP:
-        sci = functools.partial(np.format_float_scientific, precision=2, trim="-",
-                                exp_digits=1)
-        raise ValueError(f"fd-step must lie in [{sci(MIN_FD_STEP)}, {sci(MAX_FD_STEP)}], "
-                         f"so that (step/2)**2 stays a normal float; got {step:g}")
-
-
 #: weights of the vielbein variants x = +h e_m, -h e_m, +h' e_m, -h' e_m
 #: (h = step, h' = h/2) in 2h d[m]: the real part for d at the step h, the
 #: imaginary part for its Richardson extrapolation (4 d' - d)/3, with d' the
@@ -572,16 +530,3 @@ def geometry_report(I, f, tol: float = DEFAULT_TOL, nijenhuis: float | None = No
                   torsion_match=tors, nijenhuis=nijenhuis)
     return {check: values[check] for check in STRUCTURE_CHECKS}
 
-
-def first_failure(values: Iterable, tol: float) -> tuple | None:
-    """The first (check, value, bound) of the (check, value) pairs whose value
-    exceeds its bound, or None.  A check is a BOUNDS key, optionally prefixed
-    with a structure ("J.square"), or a RECORDED one, which has no bound; a
-    value of None is a check not run."""
-    for check, value in values:
-        if check in RECORDED:
-            continue
-        bound = BOUNDS[check.rpartition(".")[2]](tol)
-        if value is not None and not value <= bound:
-            return check, value, bound
-    return None

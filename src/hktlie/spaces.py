@@ -14,9 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import autom, cstruct
-from .cstruct import DEFAULT_TOL, PairingError
-from .liealg import build_matrix_rep
+from .bounds import BOUNDS, DEFAULT_TOL, RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step
 from .rootsys import (
     ChainNode,
     UnsupportedAlgebraError,
@@ -294,7 +292,10 @@ def _resolve_spec(spec: SpaceSpec) -> list:
 def _verify_factor(factor: _Factor, tol, fd_step):
     """Map the quotient of one resolved factor to generator indices and
     certify it; returns the basic roots used and the TripleResult."""
-    rep = build_matrix_rep(factor.family, factor.rank, factor.padding)
+    # imported here: they load numpy, which only a certification needs
+    from . import autom, liealg
+
+    rep = liealg.build_matrix_rep(factor.family, factor.rank, factor.padding)
     removed = [n for t in factor.tops for n in _subtree(t)]
     removed_nodes = {(n.level, n.label) for n in removed}
 
@@ -320,14 +321,14 @@ def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
     Raises ValueError for a spec that breaks the quotient rules, or for an
     `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP]."""
     if fd_step is not None:
-        cstruct._check_fd_step(fd_step)
+        _check_fd_step(fd_step)
     factors = _resolve_spec(spec)
     # each simple factor takes exactly its own padding (no cross-factor pairing)
     needed = sum(f.padding for f in factors)
 
     def report_failure(message):
-        unmeasured = {k: float("inf") for k in (*cstruct.BOUNDS, *cstruct.RECORDED)
-                      if k not in cstruct.STRUCTURE_CHECKS}
+        unmeasured = {k: float("inf") for k in (*BOUNDS, *RECORDED)
+                      if k not in STRUCTURE_CHECKS}
         return VerificationReport(
             spec=spec, name=spec.name, dimension=0, padding_required=needed,
             basic_roots_used=(), automorphisms=(), checks=unmeasured,

@@ -319,6 +319,59 @@ def test_certificate_path_leaves_numpy_ma_out():
     assert out.split("\n") == ["0 False False"] * 3 + [""]
 
 
+#: the modules that only a certification needs
+NUMERIC = ("numpy", "hktlie.liealg", "hktlie.cstruct", "hktlie.autom")
+
+#: commands that certify nothing, with their exit codes
+COLD_COMMANDS = [
+    (["--json", "roots", "B3"], 0), (["--json", "classify", "A", "8"], 0),
+    (["--json", "catalog", "A", "8"], 0), (["--help"], 0),
+    (["--json", "verify", "A3"], 3), (["verify", "A9"], 2),
+    (["--json", "verify", "A3xU1^1/A1:zeta"], 2), (["--fd-step", "1", "verify", "A2"], 2),
+]
+
+_NUMERIC_PROBE = (
+    "import contextlib, io, sys\n"
+    "{block}"
+    "import hktlie, hktlie.cli\n"
+    "def loaded():\n"
+    "    return [m for m in {numeric!r} if sys.modules.get(m) is not None]\n"
+    "print(loaded())\n"
+    "for argv in {argvs!r}:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
+    "            contextlib.redirect_stderr(io.StringIO()):\n"
+    "        try:\n"
+    "            code = hktlie.cli.main(argv)\n"
+    "        except SystemExit as exc:      # --help\n"
+    "            code = exc.code\n"
+    "    print(code, '\"certified\"' in out.getvalue())\n"
+    "print(loaded())\n")
+
+
+def _numeric_probe(argvs, block_numpy):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = _NUMERIC_PROBE.format(block="sys.modules['numpy'] = None\n" if block_numpy else "",
+                                  numeric=NUMERIC, argvs=argvs)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return out.splitlines()
+
+
+def test_cold_commands_load_no_numpy():
+    """With numpy unimportable, every command that certifies nothing runs and
+    gives its exit code, and neither the package nor the CLI module, nor
+    any of those commands, loads numpy or the numeric layers."""
+    lines = _numeric_probe([argv for argv, _ in COLD_COMMANDS], block_numpy=True)
+    assert lines == ["[]"] + [f"{code} False" for _, code in COLD_COMMANDS] + ["[]"]
+
+
+def test_verify_loads_the_numeric_layers_on_demand():
+    """The positive control: a certification imports them, and certifies."""
+    lines = _numeric_probe([["--json", "verify", "A2"]], block_numpy=False)
+    assert lines == ["[]", "0 True", str(list(NUMERIC))]
+
+
 # ---------------------------------------------------------------------------
 # spec-string grammar details
 

@@ -77,8 +77,8 @@ def test_quotient_triple_reads_no_matrix(space, monkeypatch):
     monkeypatch.setattr(A, "build_quaternion_triple",
                         lambda *a, **k: triples.append(build(*a, **k)) or triples[-1])
     want = S.build_coset_triple(spec).to_json_dict()
-    monkeypatch.setattr(S, "build_matrix_rep",
-                        lambda *key: without_matrices(L.build_matrix_rep(*key)))
+    build_rep = L.build_matrix_rep
+    monkeypatch.setattr(L, "build_matrix_rep", lambda *key: without_matrices(build_rep(*key)))
     got = S.build_coset_triple(spec).to_json_dict()
     assert got == want and want["verdict"] == "certified"
     assert len(triples) == 2
