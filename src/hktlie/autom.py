@@ -312,8 +312,8 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     autos_k = tuple(automorphism_from_root(rep, n.theta, "K", n.level) for n in nodes)
     k_mismatch = float(np.abs(Km - _conjugate(I.matrix, autos_k))[on_tangent].max())
 
-    J = ComplexStructure(Jm, I.blocks).tagged()
-    K = ComplexStructure(Km, I.blocks).tagged()
+    J = ComplexStructure(Jm, I.blocks)
+    K = ComplexStructure(Km, I.blocks)
     structures = {"I": I.matrix, "J": Jm, "K": Km}
 
     leak = 0.0

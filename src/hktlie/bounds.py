@@ -34,6 +34,8 @@ RECORDED = ("k_mismatch", "coset_closure")
 #: a normal float, and a subnormal step ends in a Nijenhuis value of nan or 1
 MIN_FD_STEP = 2 * sys.float_info.min ** 0.5
 MAX_FD_STEP = 1e-2
+#: the step of `hkt verify` and `cstruct.nijenhuis_at_origin` when none is given
+DEFAULT_FD_STEP = 1e-4
 
 
 class PairingError(ValueError):

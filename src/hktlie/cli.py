@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import spaces
-from .bounds import DEFAULT_TOL, _check_fd_step
+from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, RECORDED, _check_fd_step
 from .rootsys import build_root_system, extended_dynkin_surgery, root_chain
 
 EXIT_OK = 0
@@ -29,9 +29,6 @@ EXIT_USAGE = 2
 EXIT_NOT_ADMISSIBLE = 3
 
 MAX_RANK = {"A": 8, "B": 4, "C": 4, "D": 5}
-
-#: finite-difference step of `verify` when --fd-step is not given
-DEFAULT_FD_STEP = 1e-4
 
 
 class SpecParseError(ValueError):
@@ -248,11 +245,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(payload):
-    spec, tol, fd_step = payload
-    return spaces.build_coset_triple(spec, tol=tol, fd_step=fd_step)
-
-
 def _spec_to_string(spec: spaces.SpaceSpec) -> str:
     head = "x".join(f"{f}{r}" for f, r in spec.factors)
     if spec.u1_count:
@@ -265,13 +257,6 @@ def _spec_to_string(spec: spaces.SpaceSpec) -> str:
     return head
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def cmd_catalog(args) -> int:
     family = args.family.upper()
     _check_rank_range(family, args.rank)
@@ -282,18 +267,12 @@ def cmd_catalog(args) -> int:
     reports = None
     if args.verify:
         # the Nijenhuis check runs on the group-manifold rows only when --fd-step is given
-        payloads = [(sp, args.tol, args.fd_step) for sp in specs]
-        workers = min(args.jobs, len(payloads), _usable_cpus())
-        if workers > 1:
-            # imported here: it costs every other hkt process 17-33 ms
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_verify_one, payloads))
-        else:
-            reports = [_verify_one(p) for p in payloads]
+        reports = [spaces.build_coset_triple(sp, tol=args.tol, fd_step=args.fd_step)
+                   for sp in specs]
         for sp, rep in zip(specs, reports):
-            worst = max((v for r in rep.residuals.values() for v in r.values()
-                         if v is not None), default=float("inf"))
+            # the worst bounded value, as `first_failure` reads them; inf when not admissible
+            worst = max((v for check, v in rep.checks.items()
+                         if check not in RECORDED and v is not None), default=float("inf"))
             rows.append({"space": rep.name, "string": _spec_to_string(sp),
                          "dimension": rep.dimension, "padding": sp.u1_count,
                          "verdict": _verdict_text(rep.verdict, rep.message),
@@ -332,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finite-difference step for the Nijenhuis cross-check (verify: "
                         f"default {DEFAULT_FD_STEP:g}; catalog --verify: off unless given)")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
-    p.add_argument("--jobs", default="1",
-                   help="parallel verifications for catalog ('auto' or a number; "
-                        "at most one per spec and usable CPU)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("roots", help="print a root system and its diagram surgery")
@@ -369,11 +345,6 @@ def main(argv=None) -> int:
             except ValueError:
                 raise SpecParseError(
                     f"HKT_TOL takes a number, got {os.environ['HKT_TOL']!r}") from None
-        try:
-            args.jobs = max(1, os.cpu_count() if args.jobs == "auto" else int(args.jobs))
-        except ValueError:
-            raise SpecParseError(
-                f"--jobs takes 'auto' or a whole number, got {args.jobs!r}") from None
         if not (0 < args.tol <= 1e-3):
             raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {args.tol:g}")
         if args.fd_step is not None:

@@ -36,8 +36,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import (BOUNDS, DEFAULT_TOL, MAX_FD_STEP, MIN_FD_STEP, RECORDED,  # noqa: F401
-                     STRUCTURE_CHECKS, PairingError, _check_fd_step, first_failure)
+from .bounds import (BOUNDS, DEFAULT_FD_STEP, DEFAULT_TOL, MAX_FD_STEP, MIN_FD_STEP,  # noqa: F401
+                     RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step, first_failure)
 from .liealg import AlgebraRep, CooTensor, StructureConstants, _reduce_by_key
 from .rootsys import chain_nodes
 
@@ -50,6 +50,8 @@ _BLOCK_TAGS = (
     ("script-I", SCRIPT_I), ("script-J", SCRIPT_J), ("minus-script-J", -SCRIPT_J),
     ("script-K", SCRIPT_K), ("minus-script-K", -SCRIPT_K),
 )
+#: the largest entry of |block - reference| that still earns the reference's tag
+BLOCK_TAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,8 @@ def signed_permutation(matrix) -> tuple:
 
 @dataclass(eq=False)
 class ComplexStructure:
-    """A structure's matrix and blocks, with the signed permutation nearest
-    to the matrix (see `signed_permutation`)."""
+    """A structure's matrix and its blocks tagged by shape, with the signed
+    permutation nearest to the matrix (see `signed_permutation`)."""
 
     matrix: np.ndarray
     blocks: tuple = ()
@@ -96,6 +98,7 @@ class ComplexStructure:
 
     def __post_init__(self):
         self.perm, self.sign, self.snap = signed_permutation(self.matrix)
+        self.blocks = classify_blocks(self.matrix, self.blocks)
 
     @property
     def dim(self) -> int:
@@ -105,17 +108,15 @@ class ComplexStructure:
         m = self.matrix
         return float(np.abs(m @ m + np.eye(self.dim)).max())
 
-    def tagged(self) -> "ComplexStructure":
-        return ComplexStructure(self.matrix, classify_blocks(self.matrix, self.blocks))
 
-
-def classify_blocks(matrix: np.ndarray, blocks: Iterable[Block], tol: float = 1e-8) -> tuple:
+def classify_blocks(matrix: np.ndarray, blocks: Iterable[Block]) -> tuple:
+    """Each block tagged with the first `_BLOCK_TAGS` shape it has in `matrix`."""
     out = []
     for b in blocks:
         sub = matrix[np.ix_(b.indices, b.indices)]
         tag = "other"
         for name, ref in _BLOCK_TAGS:
-            if np.abs(sub - ref).max() <= tol:
+            if np.abs(sub - ref).max() <= BLOCK_TAG_TOL:
                 tag = name
                 break
         out.append(Block(b.indices, b.kind, b.level, b.description, tag))
@@ -189,7 +190,7 @@ def canonical_I(rep: AlgebraRep, pairs: Sequence[tuple]) -> ComplexStructure:
         m[e, t] = 1.0
         m[t, e] = -1.0
     m.setflags(write=False)
-    return ComplexStructure(m, canonical_blocks(rep, pairs)).tagged()
+    return ComplexStructure(m, canonical_blocks(rep, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +253,12 @@ def _bismut_terms(perm, sign, coo: CooTensor) -> list:
 
 
 def _hull_terms(perm, sign, coo: CooTensor) -> list:
-    """C_MNP = I_MQ I_NS I_PR (dI_QSR + dI_SRQ + dI_RQS)."""
-    out = []
-    for q, s, r, w in _di_terms(perm, sign, coo):
-        for x, y, z in ((q, s, r), (s, r, q), (r, q, s)):
-            out.append((perm[x], perm[y], perm[z], sign[x] * sign[y] * sign[z] * w))
-    return out
+    """C_MNP = I_MQ I_NS I_PR (dI_QSR + dI_SRQ + dI_RQS).  dI_PMN is
+    D_PMN - D_PNM with D_PMN = I_MQ f_NQP / 2, antisymmetric in (P, N), so
+    the cyclic sum is 2 (D_QSR + D_SRQ + D_RQS): three relabellings of D."""
+    (q, s, r, w), _ = _di_terms(perm, sign, coo)
+    return [(perm[x], perm[y], perm[z], 2 * sign[x] * sign[y] * sign[z] * w)
+            for x, y, z in ((q, s, r), (s, r, q), (r, q, s))]
 
 
 def integrability_residual(I, f) -> float:
@@ -453,7 +454,7 @@ def _column_blocks(start: np.ndarray, size: int):
         lo = hi
 
 
-def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = 1e-4) -> float:
+def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = DEFAULT_FD_STEP) -> float:
     """max |N_MN^K| at the identity from Richardson-extrapolated central
     differences d[m] = (field(h e_m) - field(-h e_m)) / 2h of the coordinate
     field e I e^-1, on the signed permutation of I.

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -221,48 +220,13 @@ def test_catalog_json(capsys):
     assert cli.canonical_json(doc) == out.strip()
 
 
-def test_catalog_parallel_jobs(capsys):
-    code, out, _ = run(capsys, "--jobs", "2", "catalog", "A", "2", "--verify")
-    assert code == 0
-    assert all("certified" in l for l in out.splitlines() if l.strip())
-
-
-class StubPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    created = []
-
-    def __init__(self, max_workers):
-        StubPool.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_catalog_jobs_clamped_to_specs_and_cpus(capsys, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
-    monkeypatch.setattr(StubPool, "created", [])
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    code, _, _ = run(capsys, "--jobs", "100000", "catalog", "A", "3", "--verify")
-    assert code == 0 and StubPool.created == [3]        # 4 specs, 3 usable CPUs
-    code, _, _ = run(capsys, "--jobs", "auto", "catalog", "A", "2", "--verify")
-    assert code == 0 and StubPool.created == [3, 2]     # 2 specs
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    code, _, _ = run(capsys, "--jobs", "100000", "catalog", "A", "2", "--verify")
-    assert code == 0 and StubPool.created == [3, 2]     # one CPU: no pool at all
-
-
-@pytest.mark.parametrize("jobs", ["1e3", "two", ""])
-def test_catalog_jobs_not_a_number_is_a_usage_error(capsys, jobs):
-    code, out, err = run(capsys, "--jobs", jobs, "catalog", "A", "2", "--verify")
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == f"error: --jobs takes 'auto' or a whole number, got {jobs!r}\n"
+def test_jobs_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--jobs", "2", "catalog", "A", "2", "--verify"])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hkt") and "\nhkt: error: " in err
+    assert "--jobs" not in cli.build_parser().format_help()
 
 
 def nijenhuis_by_space(out):
@@ -304,7 +268,7 @@ def test_cli_import_leaves_scipy_out():
 def test_certificate_path_leaves_numpy_ma_out():
     """np.unique imports numpy.ma (15 ms, 2 MB per process); the kernels sort
     instead, on the quotient path, the Nijenhuis path and a verified catalog.
-    A catalog without --jobs imports no process pool either."""
+    None of them imports a process pool either."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import contextlib, io, sys; from hktlie import cli\n"
@@ -563,6 +527,21 @@ def test_verify_residual_failure_exit_code(capsys):
     code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A2")
     assert code == 1
     assert json.loads(out)["message"] == "quaternion 9e-16 above 1e-18"
+
+
+def test_catalog_max_residual_covers_the_failing_check(capsys):
+    """A row's max residual is at least the quaternion residual that fails it."""
+    _, out, _ = run(capsys, "--json", "--tol", "1e-18", "catalog", "A", "2", "--verify")
+    quaternion = {d["name"]: d["quaternion"] for d in json.loads(out)}
+    code, out, _ = run(capsys, "--tol", "1e-18", "catalog", "A", "2", "--verify")
+    assert code == cli.EXIT_FAILED
+    rows = out.splitlines()
+    assert len(rows) == len(quaternion) == 2
+    for row in rows:
+        name = row.partition(" [")[0].rstrip()
+        assert f"failed (quaternion {quaternion[name]:.1g} above 1e-18)" in row
+        shown = float(row.rpartition("(max residual ")[2].rstrip(")"))
+        assert shown >= float(f"{quaternion[name]:.2e}")
 
 
 #: the keys of a certificate that are not checks
