@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 #: on first access (PEP 562), so `import hktlie` alone loads no numpy
 _EXPORTS = {
     "rootsys": ("Root", "RootSystem", "UnsupportedAlgebraError", "basic_root_chain", "coroot",
-                "build_root_system", "dynkin_diagram", "extended_dynkin_surgery", "root_chain"),
+                "build_root_system", "root_chain"),
     "liealg": ("AlgebraRep", "CliffordRep", "ConstructionError", "StructureConstants",
                "build_abelian_rep", "build_clifford", "build_matrix_rep", "structure_constants"),
     "bounds": ("PairingError",),
     "cstruct": ("ComplexStructure", "bismut_residual", "canonical_I", "integrability_residual",
                 "nijenhuis_at_origin", "quaternion_residual"),
     "autom": ("Automorphism", "automorphism_from_root", "basic_roots",
-              "build_quaternion_triple", "centralizer", "make_csa_pairing"),
+              "build_quaternion_triple", "make_csa_pairing"),
     "spaces": ("SpaceSpec", "VerificationReport", "build_coset_triple", "classify_family",
                "enumerate_quotients", "required_padding"),
 }

@@ -27,11 +27,11 @@ from . import cstruct
 from .bounds import BOUNDS, DEFAULT_TOL, PairingError, _check_fd_step, first_failure
 from .cstruct import ComplexStructure, canonical_I
 from .liealg import AlgebraRep
-from .rootsys import Root, RootSystem, chain_nodes, extended_dynkin_surgery, split_subsystems
+from .rootsys import Root, RootSystem, chain_nodes
 
 
 class DecompositionMismatchError(RuntimeError):
-    """Commutator-based centralizer disagrees with the diagram surgery."""
+    """The commutator test on f disagrees with the root combinatorics."""
 
 
 @dataclass(eq=False)
@@ -93,25 +93,7 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
 
 
 # ---------------------------------------------------------------------------
-# centralizers and the basic-root chain
-
-@dataclass(eq=False)
-class CentralizerDecomposition:
-    """Generators commuting with a set of root vectors, split into summands."""
-
-    summands: tuple              # RootSubsystem, ...
-    abelian_vectors: np.ndarray  # orthonormal commuting Cartan directions (D-dim rows)
-    generator_indices: tuple     # all semisimple-part generator indices in the centralizer
-
-    @property
-    def dimension(self) -> int:
-        """The summands' root pairs and Cartan directions, and the Abelian ones."""
-        return sum(s.dimension for s in self.summands) + self.abelian_vectors.shape[0]
-
-    @property
-    def shapes(self) -> tuple:
-        return tuple((s.family, s.rank) for s in self.summands)
-
+# the basic-root chain, checked against f
 
 def _commutes_exactly(rs: RootSystem, root: Root, theta: Root) -> bool:
     """[E_{+-root}, E_{+-theta}] = 0: root +- theta is neither a root nor 0.
@@ -151,48 +133,6 @@ def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Ro
         if ok:
             commuting.append(root)
     return commuting
-
-
-def centralizer(rep: AlgebraRep, thetas: Iterable[Root]) -> CentralizerDecomposition:
-    """All semisimple-part basis elements X with [X, E_{+-theta}] = 0 for every theta.
-
-    Cross-checked against the root combinatorics: the commuting root pairs
-    must be exactly the roots whose sum and difference with every theta are
-    neither roots nor 0, and for a single highest root the summand shapes
-    must match the extended-diagram surgery.
-    """
-    thetas = list(thetas)
-    rs = rep.root_system
-    commuting_roots = _commuting_roots(rep, rs.positive_roots, thetas)
-    indices = [i for root in commuting_roots
-               for i in (rep.root_entry(root).re_index, rep.root_entry(root).im_index)]
-
-    summands = split_subsystems(rs, tuple(commuting_roots))
-    if len(thetas) == 1 and thetas[0].coords == rs.highest_root.coords:
-        surgery = extended_dynkin_surgery(rs)
-        if sorted(surgery.shapes) != sorted((s.family, s.rank) for s in summands):
-            raise DecompositionMismatchError(
-                f"centralizer shapes {[(s.family, s.rank) for s in summands]} disagree "
-                f"with diagram surgery {surgery.shapes}")
-
-    # commuting Cartan directions: orthogonal to every theta and summand
-    # Cartan span, by one Gram-Schmidt pass over those and then the unit axes
-    n = len(rep.csa_indices)
-    rows = [rep.eigen_coords(r)[:n] for r in thetas + [
-        simple for s in summands for simple in s.simple_roots]]
-    span, leftover = [], []
-    for k, v in enumerate(rows + list(np.eye(n))):
-        for b in span:
-            v = v - (b @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            span.append(v / norm)
-            if k >= len(rows):
-                leftover.append(span[-1])
-    abelian = np.zeros((len(leftover), rep.dim))
-    abelian[:, list(rep.csa_indices)] = np.reshape(leftover, (-1, n))
-    return CentralizerDecomposition(
-        summands=summands, abelian_vectors=abelian, generator_indices=tuple(sorted(indices)))
 
 
 def basic_roots(rep: AlgebraRep) -> tuple:

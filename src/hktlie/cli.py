@@ -21,7 +21,7 @@ import sys
 
 from . import spaces
 from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, RECORDED, _check_fd_step
-from .rootsys import build_root_system, extended_dynkin_surgery, root_chain
+from .rootsys import root_chain
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -152,14 +152,13 @@ def cmd_roots(args) -> int:
         raise SpecParseError(f"cannot parse root system {args.system!r}; expected e.g. B3")
     family, rank = m.group(1).upper(), int(m.group(2))
     _check_rank_range(family, rank)
-    rs = build_root_system(family, rank)
-    surgery = extended_dynkin_surgery(rs)
+    rs, levels = root_chain(family, rank)
+    [top] = levels[0]
+    # the extended-diagram surgery is the chain's first step
+    summands = [f"{c.subsystem.family}{c.subsystem.rank}" for c in top.children]
     if args.json:
         doc = rs.to_json_dict()
-        doc["surgery"] = {
-            "summands": [f"{f}{r}" for f, r in surgery.shapes],
-            "abelian_rank": surgery.abelian_rank,
-        }
+        doc["surgery"] = {"summands": summands, "abelian_rank": top.abelian_dim}
         print(canonical_json(doc))
         return EXIT_OK
     print(f"root system {family}{rank}")
@@ -174,9 +173,8 @@ def cmd_roots(args) -> int:
         print("    " + " ".join(f"{v:3d}" for v in row))
     print(f"  highest root: {rs.highest_root} = "
           + " + ".join(f"{c}*{rs.root_label(s)}" for c, s in zip(rs.dynkin_labels, rs.simple_roots) if c))
-    summands = " + ".join(f"{f}{r}" for f, r in surgery.shapes) or "none"
-    print(f"  surgery of the extended diagram: {summands}"
-          f" (+ {surgery.abelian_rank} abelian direction(s))")
+    print(f"  surgery of the extended diagram: {' + '.join(summands) or 'none'}"
+          f" (+ {top.abelian_dim} abelian direction(s))")
     return EXIT_OK
 
 

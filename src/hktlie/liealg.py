@@ -179,25 +179,6 @@ class AlgebraRep:
     def structure_constants(self) -> StructureConstants:
         return self._structure
 
-    def to_json_dict(self) -> dict:
-        """Debug/fixture export: matrices as row-major [re, im] pairs."""
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "u1_count": self.u1_count,
-            "rep_kind": self.rep_kind,
-            "matrix_dim": self.matrix_dim,
-            "norm_const": self.norm_const,
-            "generators": np.stack((self.generators.real, self.generators.imag),
-                                   axis=-1).tolist(),
-            "csa_indices": list(self.csa_indices),
-            "u1_indices": list(self.u1_indices),
-            "root_table": [
-                {"root": [str(c) for c in coords], "re_index": e.re_index,
-                 "im_index": e.im_index, "scale": e.scale}
-                for coords, e in sorted(self.root_table.items())],
-        }
-
 
 # ---------------------------------------------------------------------------
 # closed forms in the standard representations

@@ -269,7 +269,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# subsystems (used by the centralizer chain and the diagram surgery)
+# subsystems (the summands of the basic-root chain)
 
 @dataclass(frozen=True, eq=False)
 class RootSubsystem:
@@ -374,68 +374,6 @@ def split_subsystems(parent: RootSystem, positive: Sequence[Root]) -> tuple[Root
 
 
 # ---------------------------------------------------------------------------
-# Dynkin diagrams and the extended-diagram surgery
-
-@dataclass(frozen=True)
-class DynkinDiagram:
-    """Multiplicity-labelled adjacency of simple roots, plus the lowest root."""
-
-    node_labels: tuple[str, ...]
-    node_coords: tuple[Coords, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    extended: bool
-
-
-def dynkin_diagram(rs: RootSystem, extended: bool = False) -> DynkinDiagram:
-    nodes = [(GREEK[i] if i < len(GREEK) else f"a{i + 1}", r.coords)
-             for i, r in enumerate(rs.simple_roots)]
-    if extended:
-        nodes.append(("-theta", tuple(-c for c in rs.highest_root.coords)))
-    edges = []
-    for i, j in combinations(range(len(nodes)), 2):
-        u, v = nodes[i][1], nodes[j][1]
-        if dot(u, v) != 0:
-            m = 4 * dot(u, v) ** 2 // (dot(u, u) * dot(v, v))
-            edges.append((i, j, m))
-    return DynkinDiagram(
-        node_labels=tuple(n[0] for n in nodes),
-        node_coords=tuple(n[1] for n in nodes),
-        edges=tuple(edges), extended=extended)
-
-
-@dataclass(frozen=True)
-class SurgeryResult:
-    """Non-Abelian summands commuting with the highest root vectors."""
-
-    shapes: tuple[tuple[str, int], ...]
-    abelian_rank: int
-    subsystems: tuple[RootSubsystem, ...]
-
-
-def extended_dynkin_surgery(rs: RootSystem) -> SurgeryResult:
-    """Cross out the lowest-root node and its neighbours; classify the rest.
-
-    Returns the irreducible summands of the subalgebra commuting with
-    E_{+-theta}, plus the number of leftover commuting Cartan directions.
-    """
-    theta = rs.highest_root
-    subs = split_subsystems(rs, orthogonal_positive_roots(rs.positive_roots, theta))
-
-    # cross-check against the diagram rule: delete -theta and its neighbours
-    survivors = {r.coords for r in rs.simple_roots if r.dot(theta) == 0}
-    from_subs = {s.coords for sub in subs for s in sub.simple_roots}
-    if survivors != from_subs:
-        raise RuntimeError(
-            f"surgery mismatch for {rs.family}{rs.rank}: diagram gives {sorted(survivors)}, "
-            f"root decomposition gives {sorted(from_subs)}")
-
-    return SurgeryResult(
-        shapes=tuple((s.family, s.rank) for s in subs),
-        abelian_rank=rs.rank - 1 - sum(s.rank for s in subs),
-        subsystems=subs)
-
-
-# ---------------------------------------------------------------------------
 # the iterated highest-root / centralizer chain
 
 @dataclass(frozen=True, eq=False)
@@ -461,9 +399,16 @@ def _grow_chain(sub: RootSubsystem, level: int, depth_limit: int) -> ChainNode:
     if level > depth_limit:
         raise RuntimeError("highest-root chain failed to terminate")
     theta = sub.highest_root
-    rest = orthogonal_positive_roots(sub.positive_roots, theta)
-    children = tuple(_grow_chain(c, level + 1, depth_limit)
-                     for c in split_subsystems(sub.parent, rest))
+    summands = split_subsystems(sub.parent, orthogonal_positive_roots(sub.positive_roots, theta))
+    # the extended-diagram rule: deleting -theta and its neighbours leaves
+    # exactly the simple roots of the summands
+    survivors = {r.coords for r in sub.simple_roots if r.dot(theta) == 0}
+    from_summands = {s.coords for c in summands for s in c.simple_roots}
+    if survivors != from_summands:
+        raise RuntimeError(
+            f"chain node {sub.label}: the extended diagram leaves {sorted(survivors)}, "
+            f"the orthogonal roots split into {sorted(from_summands)}")
+    children = tuple(_grow_chain(c, level + 1, depth_limit) for c in summands)
     return ChainNode(subsystem=sub, theta=theta, level=level, children=children)
 
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from hktlie import autom as A
 from hktlie import cstruct as C
 from hktlie import liealg as L
+from hktlie import rootsys as R
 from hktlie.spaces import required_padding
 
 import oracles
@@ -160,74 +161,78 @@ def test_invalid_kind_rejected():
 
 
 # ---------------------------------------------------------------------------
-# centralizers
+# centralizers: the children of the chain's top node
 
 def test_su4_centralizer_of_highest_root():
+    _, levels = R.root_chain("A", 3)
+    [top] = levels[0]
+    [su2] = top.children
+    assert (su2.subsystem.family, su2.subsystem.rank) == ("A", 1)
+    assert su2.theta.coords == (0, 1, -1, 0)            # the beta su(2)
+    assert top.abelian_dim == 1                         # one leftover u(1)
     rep = L.build_matrix_rep("A", 3, 1)
-    dec = A.centralizer(rep, [rep.root_system.highest_root])
-    assert dec.shapes == (("A", 1),)
-    [su2] = dec.summands
-    assert su2.highest_root.coords == (0, 1, -1, 0)     # the beta su(2)
-    assert dec.abelian_vectors.shape[0] == 1            # one leftover u(1)
-    beta_entry = rep.root_entry(su2.highest_root)
-    assert beta_entry.re_index in dec.generator_indices
+    beta = rep.root_system.simple_roots[1]
+    assert A._commuting_roots(rep, rep.root_system.positive_roots, [top.theta]) == [beta]
 
 
 def test_spin7_centralizer_no_abelian_part():
-    rep = L.build_matrix_rep("B", 3)
-    dec = A.centralizer(rep, [rep.root_system.highest_root])
-    assert sorted(dec.shapes) == [("A", 1), ("A", 1)]
-    assert dec.abelian_vectors.shape[0] == 0
-    assert sorted(s.highest_root.coords for s in dec.summands) == [(0, 0, 1), (1, -1, 0)]
+    _, levels = R.root_chain("B", 3)
+    [top] = levels[0]
+    assert sorted((c.subsystem.family, c.subsystem.rank) for c in top.children) == \
+        [("A", 1), ("A", 1)]
+    assert top.abelian_dim == 0
+    assert sorted(c.theta.coords for c in top.children) == [(0, 0, 1), (1, -1, 0)]
 
 
 def test_su2_centralizer_empty():
-    rep = L.build_matrix_rep("A", 1)
-    dec = A.centralizer(rep, [rep.root_system.highest_root])
-    assert dec.dimension == 0
-    assert dec.summands == ()
+    _, levels = R.root_chain("A", 1)
+    [top] = levels[0]
+    assert top.children == ()
+    assert top.abelian_dim == 0
 
 
 @pytest.mark.parametrize("family,rank", CATALOG)
 def test_centralizer_abelian_part_is_orthonormal_complement(family, rank):
-    """The Abelian directions are orthonormal, orthogonal to theta and to
-    every summand's simple roots, and span all that is left (at A4 and up
-    the former sequential projection kept directions that fail this)."""
+    """The level-0 Abelian Cartan axes are orthonormal under kappa,
+    orthogonal to theta's coroot and to every child's simple roots, and as
+    many as the top node's Abelian directions."""
     rep = L.build_matrix_rep(family, rank)
-    theta = rep.root_system.highest_root
-    dec = A.centralizer(rep, [theta])
-    rows = np.array([rep.eigen_coords(r) for r in [theta] + [
-        simple for s in dec.summands for simple in s.simple_roots]])
-    ab = dec.abelian_vectors[:, list(rep.csa_indices)]
+    [top] = rep.chain_levels[0]
+    [theta_axis] = [ax for ax in rep.csa_axes if ax.kind == "coroot" and ax.level == 0]
+    w = theta_axis.functional
+    kappa = 1.0 / (w @ w)                   # every axis is a unit vector under kappa
+    ab = np.array([ax.functional for ax in rep.csa_axes
+                   if ax.kind == "abelian" and ax.level == 0]).reshape(-1, w.size)
+    rows = np.array([R.coroot(top.theta)] + [
+        s.coords for c in top.children for s in c.subsystem.simple_roots], dtype=float)
     assert np.abs(ab @ rows.T).max(initial=0.0) < 1e-12
-    assert np.abs(ab @ ab.T - np.eye(len(ab))).max(initial=0.0) < 1e-12
-    assert len(ab) == rank - np.linalg.matrix_rank(rows)
+    assert np.abs(kappa * ab @ ab.T - np.eye(len(ab))).max(initial=0.0) < 1e-12
+    assert len(ab) == top.abelian_dim
 
 
 @pytest.mark.parametrize("rank", [r for f, r in CLI_RANGE if f == "A"])
 def test_centralizer_dimension_of_highest_root(rank):
     """su(n-1) + u(1) in su(n+1): (n-1)^2, Cartan directions included."""
-    rep = L.build_matrix_rep("A", rank)
-    assert A.centralizer(rep, [rep.root_system.highest_root]).dimension == (rank - 1) ** 2
+    _, levels = R.root_chain("A", rank)
+    [top] = levels[0]
+    assert sum(c.subsystem.dimension for c in top.children) + top.abelian_dim == (rank - 1) ** 2
 
 
 def test_centralizer_of_short_root():
     """In spin(7), e1 is orthogonal to e3 but e1 +- e3 are roots: E_e1 does
-    not commute with E_e3, and the centralizer is so(4) on e1 +- e2."""
+    not commute with E_e3, and the commuting roots are e1 +- e2."""
     rep = L.build_matrix_rep("B", 3)
-    dec = A.centralizer(rep, [rep.root_system.root((0, 0, 1))])
-    assert {s.highest_root.coords for s in dec.summands} == {(1, 1, 0), (1, -1, 0)}
-    assert dec.dimension == 6
+    rs = rep.root_system
+    got = A._commuting_roots(rep, rs.positive_roots, [rs.root((0, 0, 1))])
+    assert {r.coords for r in got} == {(1, 1, 0), (1, -1, 0)}
 
 
 def test_centralizer_of_two_roots():
     """Only the highest root of spin(7) commutes with both level-1 roots."""
     rep = L.build_matrix_rep("B", 3)
     rs = rep.root_system
-    dec = A.centralizer(rep, [rs.root((1, -1, 0)), rs.root((0, 0, 1))])
-    coords = {s.highest_root.coords for s in dec.summands}
-    assert coords == {(1, 1, 0)}
-    assert dec.abelian_vectors.shape[0] == 0
+    got = A._commuting_roots(rep, rs.positive_roots, [rs.root((1, -1, 0)), rs.root((0, 0, 1))])
+    assert [r.coords for r in got] == [(1, 1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +332,19 @@ def test_triple_memory_stays_within_a_fixed_budget():
 
 
 def test_inner_block_untouched_by_outer_automorphism():
-    """Generators commuting with E_{+-theta} are fixed by its automorphism."""
+    """Generators commuting with E_{+-theta} are fixed by its automorphism:
+    the root pairs of the top node's children and every Cartan or u(1) axis
+    but theta's coroot."""
     rep = L.build_matrix_rep("A", 3, 1)
-    auto = A.automorphism_from_root(rep, rep.root_system.highest_root, "J")
-    dec = A.centralizer(rep, [rep.root_system.highest_root])
-    idx = list(dec.generator_indices)
+    [top] = rep.chain_levels[0]
+    auto = A.automorphism_from_root(rep, top.theta, "J")
+    idx = [i for c in top.children for r in c.subsystem.positive_roots
+           for i in (rep.root_entry(r).re_index, rep.root_entry(r).im_index)]
+    idx += [ax.index for ax in rep.csa_axes if ax.index != rep.coroot_axis_index(top.theta)]
+    assert len(idx) == 2 + 2 + 1
     omega = oracles.dense_omega(auto, rep.dim)
     sub = omega[np.ix_(idx, idx)]
     assert np.abs(sub - np.eye(len(idx))).max() < 1e-12
-    for v in dec.abelian_vectors:
-        assert np.abs(omega @ v - v).max() < 1e-12
 
 
 def test_within_level_automorphisms_commute():

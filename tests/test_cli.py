@@ -402,7 +402,7 @@ def test_rank_cap_checked_before_any_chain(monkeypatch):
     def refuse(*args):
         raise AssertionError("root system built for a factor above the cap")
 
-    monkeypatch.setattr(cli, "build_root_system", refuse)
+    monkeypatch.setattr(rootsys, "build_root_system", refuse)
     monkeypatch.setattr(cli, "root_chain", refuse)
     for text in ("A60/u1", "A60", "A2xD9"):
         with pytest.raises(cli.SpecParseError, match="outside the supported range"):

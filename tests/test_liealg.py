@@ -458,19 +458,6 @@ def test_rejects_negative_u1_count():
         L.build_matrix_rep("A", 1, -1)
 
 
-def test_algebra_rep_json_export():
-    rep = L.build_matrix_rep("A", 1, 1)
-    doc = rep.to_json_dict()
-    assert doc["norm_const"] == 0.5
-    assert len(doc["generators"]) == 4
-    # row-major [re, im] pairs reproduce the matrices
-    g0 = np.array([[re + 1j * im for re, im in row] for row in doc["generators"][0]])
-    assert np.abs(g0 - rep.generators[0]).max() < 1e-15
-    [entry] = doc["root_table"]
-    assert entry["root"] == ["1", "-1"]
-    assert entry["scale"] == 1.0
-
-
 def test_b3_cartan_span_is_rotation_planes():
     """The adapted Cartan axes span exactly {T_12, T_34, T_56}."""
     rep = L.build_matrix_rep("B", 3, 3)

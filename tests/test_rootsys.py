@@ -160,29 +160,33 @@ def test_root_strings_match_cartan_pairing(family, rank):
     ("D", 5, [("A", 1), ("A", 3)], 0),
 ])
 def test_extended_dynkin_surgery(family, rank, shapes, abelian):
-    res = R.extended_dynkin_surgery(R.build_root_system(family, rank))
-    assert sorted(res.shapes) == sorted(shapes)
-    assert res.abelian_rank == abelian
-    assert res.shapes == tuple((sub.family, sub.rank) for sub in res.subsystems)
-    for sub in res.subsystems:
+    """The surgery of the extended diagram is the top node of the chain."""
+    _, levels = R.root_chain(family, rank)
+    [top] = levels[0]
+    assert sorted((c.subsystem.family, c.subsystem.rank) for c in top.children) == sorted(shapes)
+    assert top.abelian_dim == abelian
+    for sub in (c.subsystem for c in top.children):
         assert len(sub.positive_roots) == count_formula(sub.family, sub.rank)
 
 
-@pytest.mark.parametrize("family,rank", SUPPORTED)
-def test_extended_diagram_node_count(family, rank):
-    diag = R.dynkin_diagram(R.build_root_system(family, rank), extended=True)
-    assert len(diag.node_labels) == rank + 1
-    assert diag.node_labels[-1] == "-theta"
-
-
 def test_surgery_matches_deleted_subdiagram():
-    """Surviving summand simple roots = simple roots not adjacent to -theta."""
+    """At every chain node, the children's simple roots are the node's
+    simple roots not adjacent to -theta."""
     for family, rank in SUPPORTED:
-        rs = R.build_root_system(family, rank)
-        res = R.extended_dynkin_surgery(rs)
-        survivors = {s.coords for s in rs.simple_roots if s.dot(rs.highest_root) == 0}
-        got = {s.coords for sub in res.subsystems for s in sub.simple_roots}
-        assert got == survivors
+        for node in R.chain_nodes(R.root_chain(family, rank)[1]):
+            survivors = {s.coords for s in node.subsystem.simple_roots if s.dot(node.theta) == 0}
+            got = {s.coords for c in node.children for s in c.subsystem.simple_roots}
+            assert got == survivors
+
+
+def test_chain_with_a_missing_summand_is_refused(monkeypatch):
+    """D4 with one of the three summands orthogonal to theta dropped: the
+    extended-diagram rule no longer holds at the top node, and the chain
+    is refused."""
+    split = R.split_subsystems
+    monkeypatch.setattr(R, "split_subsystems", lambda parent, roots: split(parent, roots)[1:])
+    with pytest.raises(RuntimeError, match="chain node D4: the extended diagram leaves"):
+        R.basic_root_chain(R.build_root_system("D", 4))
 
 
 @pytest.mark.parametrize("family,rank,labels", [
