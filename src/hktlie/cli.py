@@ -1,7 +1,8 @@
 """Command-line front end: root-system data, certification, classification.
 
 Exit codes: 0 certified / success, 1 residual failure, 2 usage or parse
-error, 3 not admissible (wrong u(1) padding).
+error, 3 not admissible (wrong u(1) padding), 141 standard output closed
+early (a broken pipe; the code a shell reports after SIGPIPE).
 
 Space grammar: FACTORS ["/" QUOTIENT] where FACTORS is a list of
 family-rank tokens and u(1) factors joined by "x" (e.g. "A2", "A3xU1^1",
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_ADMISSIBLE = 3
+EXIT_BROKEN_PIPE = 141
 
 MAX_RANK = {"A": 8, "B": 4, "C": 4, "D": 5}
 
@@ -347,10 +349,17 @@ def main(argv=None) -> int:
             raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {args.tol:g}")
         if args.fd_step is not None:
             _check_fd_step(args.fd_step)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:       # SpecParseError and UnsupportedAlgebraError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 FAMILIES = ("A", "B", "C", "D")
@@ -296,10 +295,6 @@ def whole_system_as_subsystem(rs: RootSystem) -> RootSubsystem:
         label=f"{rs.family}{rs.rank}")
 
 
-def orthogonal_positive_roots(roots: Iterable[Root], theta: Root) -> tuple[Root, ...]:
-    return tuple(r for r in roots if r.dot(theta) == 0)
-
-
 def _classify_shape(positive: Sequence[Root], rank: int) -> tuple[str, int]:
     """Family/rank of an irreducible subsystem from absolute root norms."""
     norms = {r.norm2 for r in positive}
@@ -321,54 +316,40 @@ def _classify_shape(positive: Sequence[Root], rank: int) -> tuple[str, int]:
     return fam, rank
 
 
-def split_subsystems(parent: RootSystem, positive: Sequence[Root]) -> tuple[RootSubsystem, ...]:
-    """Decompose a closed set of positive roots into irreducible summands."""
-    roots = list(positive)
-    if not roots:
-        return ()
-    # connected components of the non-orthogonality graph
-    comp_of = list(range(len(roots)))
+def _diagram_children(sub: RootSubsystem) -> tuple[RootSubsystem, ...]:
+    """The irreducible summands of the node's roots orthogonal to its
+    highest root theta, read off the extended Dynkin diagram.
 
-    def find(i):
-        while comp_of[i] != i:
-            comp_of[i] = comp_of[comp_of[i]]
-            i = comp_of[i]
-        return i
-
-    for i, j in combinations(range(len(roots)), 2):
-        if roots[i].dot(roots[j]) != 0:
-            comp_of[find(i)] = find(j)
-
-    groups = {}
-    for i in range(len(roots)):
-        groups.setdefault(find(i), []).append(roots[i])
-
+    The node's simple roots are simple roots of the whole system and theta
+    is dominant, so (alpha, theta) = sum_i c_i (alpha_i, theta) has no
+    negative term: a positive root is orthogonal to theta exactly when its
+    support avoids the neighbours of -theta.  A root's support is connected,
+    so each summand is one component of the diagram on the simple roots
+    orthogonal to theta (O(rank^2)), holding the node's positive roots
+    supported on it (O(|positive roots| * rank)).
+    """
+    rs, theta = sub.parent, sub.highest_root
+    index = {s.coords: i for i, s in enumerate(rs.simple_roots)}
+    kept = {index[s.coords] for s in sub.simple_roots if s.dot(theta) == 0}
     out = []
-    coord_set_all = {r.coords for r in roots}
-    for members in groups.values():
-        coord_set = {r.coords for r in members}
-        # simple roots: positive roots not expressible as a sum of two members
-        simples = []
-        for r in members:
-            decomposable = any(
-                tuple(a - b for a, b in zip(r.coords, s.coords)) in coord_set
-                for s in members if s.coords != r.coords)
-            if not decomposable:
-                simples.append(r)
-        simples.sort(key=lambda r: tuple(-c for c in r.coords))
-        coeffs = _expand(coord_set, [s.coords for s in simples])
-        heights = {c: sum(v) for c, v in coeffs.items()}
-        members.sort(key=lambda r: (heights[r.coords], tuple(-c for c in r.coords)))
+    while kept:
+        component, frontier = set(), [kept.pop()]
+        while frontier:
+            i = frontier.pop()
+            component.add(i)
+            linked = {j for j in kept if rs.cartan_matrix[i][j]}
+            kept -= linked
+            frontier.extend(linked)
+        # a summand's heights are the parent's, so the node's order is kept
+        members = tuple(r for r in sub.positive_roots
+                        if all(not c or k in component for k, c in enumerate(rs._coeffs[r.coords])))
+        simples = sorted((rs.simple_roots[i] for i in component),
+                         key=lambda r: tuple(-c for c in r.coords))
         top = members[-1]
-        if sum(1 for r in members if heights[r.coords] == heights[top.coords]) != 1:
-            raise RuntimeError("subsystem highest root is not unique")
         fam, rk = _classify_shape(members, len(simples))
-        label = f"{fam}{rk}:{parent.root_label(top)}"
         out.append(RootSubsystem(
-            parent=parent, positive_roots=tuple(members), simple_roots=tuple(simples),
-            highest_root=top, family=fam, rank=rk, label=label))
-    # sanity: the union really was closed
-    assert sum(len(s.positive_roots) for s in out) == len(coord_set_all)
+            parent=rs, positive_roots=members, simple_roots=tuple(simples),
+            highest_root=top, family=fam, rank=rk, label=f"{fam}{rk}:{rs.root_label(top)}"))
     out.sort(key=lambda s: tuple(-c for c in s.highest_root.coords))
     return tuple(out)
 
@@ -396,18 +377,19 @@ class ChainNode:
 
 
 def _grow_chain(sub: RootSubsystem, level: int, depth_limit: int) -> ChainNode:
+    """The chain below one node: its children are the summands of the
+    extended diagram, checked by count against the node's positive roots
+    orthogonal to theta."""
     if level > depth_limit:
         raise RuntimeError("highest-root chain failed to terminate")
     theta = sub.highest_root
-    summands = split_subsystems(sub.parent, orthogonal_positive_roots(sub.positive_roots, theta))
-    # the extended-diagram rule: deleting -theta and its neighbours leaves
-    # exactly the simple roots of the summands
-    survivors = {r.coords for r in sub.simple_roots if r.dot(theta) == 0}
-    from_summands = {s.coords for c in summands for s in c.simple_roots}
-    if survivors != from_summands:
+    summands = _diagram_children(sub)
+    orthogonal = sum(1 for r in sub.positive_roots if r.dot(theta) == 0)
+    held = sum(len(c.positive_roots) for c in summands)
+    if orthogonal != held:
         raise RuntimeError(
-            f"chain node {sub.label}: the extended diagram leaves {sorted(survivors)}, "
-            f"the orthogonal roots split into {sorted(from_summands)}")
+            f"chain node {sub.label}: {orthogonal} positive roots are orthogonal to theta, "
+            f"the extended diagram's summands hold {held}")
     children = tuple(_grow_chain(c, level + 1, depth_limit) for c in summands)
     return ChainNode(subsystem=sub, theta=theta, level=level, children=children)
 
@@ -416,8 +398,10 @@ def basic_root_chain(rs: RootSystem) -> tuple[tuple[ChainNode, ...], ...]:
     """Levels of the iterated highest-root construction, outermost first.
 
     Level 0 holds the full system; level k+1 holds the irreducible summands
-    of the roots orthogonal to each level-k highest root.  The chain stops
-    when only commuting directions are left.
+    of the roots orthogonal to each level-k highest root, read off the
+    extended Dynkin diagram: the components of the level-k node's simple
+    roots orthogonal to its highest root.  The chain stops when only
+    commuting directions are left.
     """
     top = _grow_chain(whole_system_as_subsystem(rs), 0, rs.rank + 1)
     levels = []

@@ -15,19 +15,22 @@ antisymmetric matrices).  The automorphisms Omega, which `hktlie.autom`
 reads from f in closed form and keeps as one block on its support, are
 embedded here as D x D matrices, composed densely, and computed afresh by
 conjugation in the representation and a trace projection.  The last
-sections hold the references that only the tests use: the Chevalley and
-coroot-periodicity checks in the representation, the Hadamard series, the
-second-order metric and vielbein with the exact Killing metric, the
-coordinate field of a structure, random complex structures and the 4x4
-self-duality check.
+sections hold the references that only the tests use: the basic-root chain
+from a pairwise join of the roots orthogonal to each highest root, the
+Chevalley and coroot-periodicity checks in the representation, the
+Hadamard series, the second-order metric and vielbein with the exact
+Killing metric, the coordinate field of a structure, random complex
+structures and the 4x4 self-duality check.
 """
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from hktlie import rootsys as R
 from hktlie.cstruct import (
     DEFAULT_TOL, _coo_of, _hull_terms, _integrability_terms, _matrix_of, _max_abs,
     _signed_of, _sum_by_key)
@@ -311,6 +314,73 @@ def coroot_matrix(rep: AlgebraRep, root) -> np.ndarray:
     """The coroot of `root` as a matrix in the representation."""
     a = rep.eigen_coords(root)
     return np.tensordot(2.0 * a / (a @ a), rep.generators[[ax.index for ax in rep.csa_axes]], 1)
+
+
+# ---------------------------------------------------------------------------
+# the basic-root chain by a pairwise join of the orthogonal roots
+
+def split_subsystems(parent, positive) -> tuple:
+    """Decompose a closed set of positive roots into irreducible summands:
+    the components of the non-orthogonality graph over every pair of
+    roots, each with the simple roots that are no difference of two of its
+    members and the coefficients walked up from them."""
+    roots = list(positive)
+    if not roots:
+        return ()
+    comp_of = list(range(len(roots)))
+
+    def find(i):
+        while comp_of[i] != i:
+            comp_of[i] = comp_of[comp_of[i]]
+            i = comp_of[i]
+        return i
+
+    for i, j in combinations(range(len(roots)), 2):
+        if roots[i].dot(roots[j]) != 0:
+            comp_of[find(i)] = find(j)
+
+    groups = {}
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(roots[i])
+
+    out = []
+    for members in groups.values():
+        coord_set = {r.coords for r in members}
+        simples = [r for r in members if not any(
+            tuple(a - b for a, b in zip(r.coords, s.coords)) in coord_set
+            for s in members if s.coords != r.coords)]
+        simples.sort(key=lambda r: tuple(-c for c in r.coords))
+        coeffs = R._expand(coord_set, [s.coords for s in simples])
+        heights = {c: sum(v) for c, v in coeffs.items()}
+        members.sort(key=lambda r: (heights[r.coords], tuple(-c for c in r.coords)))
+        top = members[-1]
+        if sum(1 for r in members if heights[r.coords] == heights[top.coords]) != 1:
+            raise RuntimeError("subsystem highest root is not unique")
+        fam, rk = R._classify_shape(members, len(simples))
+        out.append(R.RootSubsystem(
+            parent=parent, positive_roots=tuple(members), simple_roots=tuple(simples),
+            highest_root=top, family=fam, rank=rk,
+            label=f"{fam}{rk}:{parent.root_label(top)}"))
+    assert sum(len(s.positive_roots) for s in out) == len(roots)
+    out.sort(key=lambda s: tuple(-c for c in s.highest_root.coords))
+    return tuple(out)
+
+
+def reference_chain(rs) -> tuple:
+    """Levels of the basic-root chain, each node's children split from its
+    positive roots orthogonal to theta by `split_subsystems`."""
+    def grow(sub, level):
+        theta = sub.highest_root
+        summands = split_subsystems(rs, [r for r in sub.positive_roots if r.dot(theta) == 0])
+        return R.ChainNode(subsystem=sub, theta=theta, level=level,
+                           children=tuple(grow(c, level + 1) for c in summands))
+
+    levels = []
+    frontier = (grow(R.whole_system_as_subsystem(rs), 0),)
+    while frontier:
+        levels.append(frontier)
+        frontier = tuple(c for node in frontier for c in node.children)
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------

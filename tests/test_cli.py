@@ -575,3 +575,21 @@ def test_certificate_keys_follow_the_bounds_table(capsys, space, verdict):
         assert [item.split("=")[0] for item in line.split(": ", 1)[1].split()] == \
             list(STRUCTURE_CHECKS)
         assert set(doc["residuals"][name]) == set(STRUCTURE_CHECKS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "A8"], ["--json", "verify", "A2"], ["--json", "verify", "A3"], ["verify", "A3"]])
+def test_closed_stdout_exits_141_quietly(argv):
+    """With the reader of stdout gone before the command writes, `hkt`
+    prints nothing to stderr and exits 141, as a shell reports after
+    SIGPIPE, whatever the command's own exit code."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hktlie.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")

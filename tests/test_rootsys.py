@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hktlie import rootsys as R
 
 import oracles
+from conftest import ABOVE_CAPS, CLI_RANGE
 
 SUPPORTED = [("A", r) for r in range(1, 9)] + \
     [("B", r) for r in range(2, 5)] + \
@@ -180,13 +182,57 @@ def test_surgery_matches_deleted_subdiagram():
 
 
 def test_chain_with_a_missing_summand_is_refused(monkeypatch):
-    """D4 with one of the three summands orthogonal to theta dropped: the
-    extended-diagram rule no longer holds at the top node, and the chain
-    is refused."""
-    split = R.split_subsystems
-    monkeypatch.setattr(R, "split_subsystems", lambda parent, roots: split(parent, roots)[1:])
-    with pytest.raises(RuntimeError, match="chain node D4: the extended diagram leaves"):
+    """D4 with one of the three summands of the extended diagram dropped:
+    the top node's roots orthogonal to theta outnumber its children's, and
+    the chain is refused."""
+    children = R._diagram_children
+    monkeypatch.setattr(R, "_diagram_children", lambda sub: children(sub)[1:])
+    with pytest.raises(RuntimeError, match="chain node D4: 3 positive roots .* summands hold 2$"):
         R.basic_root_chain(R.build_root_system("D", 4))
+
+
+def test_chain_with_a_short_summand_is_refused(monkeypatch):
+    """B4 with its B2 summand one root short: the count check refuses the
+    top node."""
+    children = R._diagram_children
+
+    def short(sub):
+        return tuple(replace(c, positive_roots=c.positive_roots[:-1]) if c.family == "B" else c
+                     for c in children(sub))
+
+    monkeypatch.setattr(R, "_diagram_children", short)
+    with pytest.raises(RuntimeError, match="chain node B4: .* summands hold 4$"):
+        R.basic_root_chain(R.build_root_system("B", 4))
+
+
+def _chain_record(levels):
+    return [[(n.label, n.theta.coords, n.level, n.abelian_dim,
+              [r.coords for r in n.subsystem.positive_roots],
+              [r.coords for r in n.subsystem.simple_roots]) for n in level]
+            for level in levels]
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS + [
+    ("A", 15), ("B", 8), ("C", 8), ("D", 10), ("A", 23)])
+def test_chain_matches_pairwise_reference(family, rank):
+    """Node by node, the chain read off the extended diagram equals the
+    reference that joins every pair of roots orthogonal to theta: labels,
+    theta, levels, Abelian dimensions, and positive and simple roots in
+    order."""
+    rs = R.build_root_system(family, rank)
+    assert _chain_record(R.basic_root_chain(rs)) == _chain_record(oracles.reference_chain(rs))
+
+
+def test_chain_work_is_linear_in_the_roots(monkeypatch):
+    """The chain of A31 takes at most |positive roots| * rank exact dot
+    products (15 376); a pairwise join of the orthogonal roots takes over
+    300 000."""
+    rs = R.build_root_system("A", 31)
+    calls = []
+    dot = R.dot
+    monkeypatch.setattr(R, "dot", lambda u, v: calls.append(1) or dot(u, v))
+    R.basic_root_chain(rs)
+    assert len(calls) <= len(rs.positive_roots) * rs.rank
 
 
 @pytest.mark.parametrize("family,rank,labels", [
@@ -243,8 +289,8 @@ def test_root_system_invariants_property(case):
                  for k in range(rs.dim)]
         assert tuple(combo) == r.coords
     assert all(ints(row) for row in rs.cartan_matrix) and ints(rs.dynkin_labels)
-    for sub in R.split_subsystems(rs, rs.positive_roots):
-        assert ints(x for r in sub.positive_roots for x in r.coords)
+    for node in R.chain_nodes(R.basic_root_chain(rs)):
+        assert ints(x for r in node.subsystem.positive_roots for x in r.coords)
     # highest root unique among maximal heights
     heights = sorted(rs.height(r) for r in rs.positive_roots)
     assert heights.count(heights[-1]) == 1
