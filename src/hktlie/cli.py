@@ -15,14 +15,18 @@ Abelian part at level 1 and "u1@L" the one at level L (e.g. "A5xU1^1/u1@2").
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import spaces
 from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, RECORDED, _check_fd_step
-from .rootsys import root_chain
+
+# Each command imports the layers it runs (`rootsys`, `spaces`, and through
+# them `dataclasses`), so `--help`, a usage error and `roots` start without
+# the ones they never use; this import serves the annotations alone.
+if TYPE_CHECKING:
+    from . import spaces
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -40,7 +44,7 @@ class SpecParseError(ValueError):
 # ---------------------------------------------------------------------------
 # canonical JSON: sorted keys, 17 significant digits, byte-stable round trips
 
-def _fmt(value) -> str:
+def _fmt(value, quote) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -52,26 +56,29 @@ def _fmt(value) -> str:
             return '"%s"' % value
         return "%.17g" % value
     if isinstance(value, str):
-        return json.dumps(value)
+        return quote(value)
     if isinstance(value, dict):
         items = sorted(value.items())
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_fmt(v)}" for k, v in items) + "}"
+        return "{" + ",".join(f"{quote(str(k))}:{_fmt(v, quote)}" for k, v in items) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
+        return "[" + ",".join(_fmt(v, quote) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def canonical_json(obj) -> str:
-    return _fmt(obj)
+    import json     # here, as only the commands that print JSON need it
+
+    return _fmt(obj, json.dumps)
 
 
 # ---------------------------------------------------------------------------
 # spec-string parsing
 
-_FACTOR_RE = re.compile(r"^([A-Da-d])(\d+)$")
-_U1_RE = re.compile(r"^[Uu]1(?:\^(\d+))?$")
+# re.ASCII: `\d` would match any Unicode digit, and int() reads them all
+_FACTOR_RE = re.compile(r"^([A-Da-d])(\d+)$", re.ASCII)
+_U1_RE = re.compile(r"^[Uu]1(?:\^(\d+))?$", re.ASCII)
 #: the Abelian item of a quotient: "u1" (level 1 or the summands' level) or "u1@L"
-_ABELIAN_RE = re.compile(r"^[Uu]1(?:@(\d+))?$")
+_ABELIAN_RE = re.compile(r"^[Uu]1(?:@(\d+))?$", re.ASCII)
 
 
 def parse_space_string(text: str) -> spaces.SpaceSpec:
@@ -102,11 +109,15 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
         _check_rank_range(*factors[-1])
     if not factors:
         raise SpecParseError("need at least one simple factor")
+    if quot and len(factors) != 1:
+        raise SpecParseError("quotients are only supported for a single simple factor")
+
+    from . import spaces
 
     selections = ()
     if quot:
-        if len(factors) != 1:
-            raise SpecParseError("quotients are only supported for a single simple factor")
+        from .rootsys import root_chain
+
         include_abelian = False
         lvls = set()
         labels = []
@@ -154,6 +165,8 @@ def cmd_roots(args) -> int:
         raise SpecParseError(f"cannot parse root system {args.system!r}; expected e.g. B3")
     family, rank = m.group(1).upper(), int(m.group(2))
     _check_rank_range(family, rank)
+    from .rootsys import root_chain
+
     rs, levels = root_chain(family, rank)
     [top] = levels[0]
     # the extended-diagram surgery is the chain's first step
@@ -223,6 +236,8 @@ def _print_report(report: spaces.VerificationReport, as_json: bool) -> None:
 
 def cmd_verify(args) -> int:
     spec = parse_space_string(args.space)
+    from . import spaces
+
     fd_step = DEFAULT_FD_STEP if args.fd_step is None else args.fd_step
     report = spaces.build_coset_triple(spec, tol=args.tol, fd_step=fd_step)
     _print_report(report, args.json)
@@ -232,6 +247,8 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     family = args.family.upper()
     _check_rank_range(family, args.max_rank)
+    from . import spaces
+
     rows = spaces.classify_family(family, args.max_rank)
     if args.json:
         print(canonical_json([{
@@ -262,6 +279,8 @@ def cmd_catalog(args) -> int:
     _check_rank_range(family, args.rank)
     if args.max_level < 0:
         raise SpecParseError(f"max_level must be non-negative, got {args.max_level}")
+    from . import spaces
+
     specs = spaces.enumerate_quotients((family, args.rank), max_level=args.max_level)
     rows = []
     reports = None

@@ -299,7 +299,7 @@ _NUMERIC_PROBE = (
     "{block}"
     "import hktlie, hktlie.cli\n"
     "def loaded():\n"
-    "    return [m for m in {numeric!r} if sys.modules.get(m) is not None]\n"
+    "    return [m for m in {watched!r} if sys.modules.get(m) is not None]\n"
     "print(loaded())\n"
     "for argv in {argvs!r}:\n"
     "    with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
@@ -312,11 +312,14 @@ _NUMERIC_PROBE = (
     "print(loaded())\n")
 
 
-def _numeric_probe(argvs, block_numpy):
+def _numeric_probe(argvs, block_numpy, watched=NUMERIC):
+    """Run `argvs` through `cli.main` in a fresh interpreter; the lines are the
+    `watched` modules loaded after the import, each command's exit code and
+    whether it certified, and the `watched` modules loaded at the end."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = _NUMERIC_PROBE.format(block="sys.modules['numpy'] = None\n" if block_numpy else "",
-                                  numeric=NUMERIC, argvs=argvs)
+                                  watched=watched, argvs=argvs)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     return out.splitlines()
@@ -334,6 +337,23 @@ def test_verify_loads_the_numeric_layers_on_demand():
     """The positive control: a certification imports them, and certifies."""
     lines = _numeric_probe([["--json", "verify", "A2"]], block_numpy=False)
     assert lines == ["[]", "0 True", str(list(NUMERIC))]
+
+
+#: the front end's layers and what they load; `import hktlie.cli` needs none
+FRONT = ("hktlie.rootsys", "hktlie.spaces", "dataclasses")
+
+
+def test_help_and_usage_errors_load_no_layer():
+    """The import, `--help`, a parse error and a rank-cap error load neither
+    `rootsys` nor `spaces`, nor `dataclasses` through them."""
+    argvs = [["--help"], ["verify", "Q2"], ["roots", "B9"]]
+    lines = _numeric_probe(argvs, block_numpy=True, watched=FRONT)
+    assert lines == ["[]", "0 False", "2 False", "2 False", "[]"]
+
+
+def test_roots_loads_rootsys_alone():
+    lines = _numeric_probe([["roots", "B3"]], block_numpy=True, watched=FRONT)
+    assert lines == ["[]", "0 False", "['hktlie.rootsys', 'dataclasses']"]
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +411,23 @@ def test_abelian_level_token():
             cli.parse_space_string(bad)
 
 
+#: digits outside ASCII, which `\d` and int() would read: a fullwidth three,
+#: an Arabic-Indic three, one and two
+NON_ASCII_DIGITS = ("A\uff13xU1^1", "A\u0663", "A2xU1^\u0661", "A5xU1^1/u1@\u0662")
+
+
 def test_parse_rejects_garbage():
-    for bad in ("", "X9", "A2/u1/u1", "A2x", "B3/A1:alpha,A4"):
+    for bad in ("", "X9", "A2/u1/u1", "A2x", "B3/A1:alpha,A4", *NON_ASCII_DIGITS):
         with pytest.raises(cli.SpecParseError):
             cli.parse_space_string(bad)
+
+
+@pytest.mark.parametrize("argv", [["verify", NON_ASCII_DIGITS[0]], ["roots", NON_ASCII_DIGITS[1]],
+                                  ["verify", NON_ASCII_DIGITS[2]], ["verify", NON_ASCII_DIGITS[3]]])
+def test_non_ascii_digits_are_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_rank_cap_checked_before_any_chain(monkeypatch):
@@ -403,7 +436,7 @@ def test_rank_cap_checked_before_any_chain(monkeypatch):
         raise AssertionError("root system built for a factor above the cap")
 
     monkeypatch.setattr(rootsys, "build_root_system", refuse)
-    monkeypatch.setattr(cli, "root_chain", refuse)
+    monkeypatch.setattr(rootsys, "root_chain", refuse)
     for text in ("A60/u1", "A60", "A2xD9"):
         with pytest.raises(cli.SpecParseError, match="outside the supported range"):
             cli.parse_space_string(text)
