@@ -19,7 +19,7 @@ _EXPORTS = {
     "rootsys": ("Root", "RootSystem", "UnsupportedAlgebraError", "basic_root_chain", "coroot",
                 "build_root_system", "root_chain"),
     "liealg": ("AlgebraRep", "CliffordRep", "ConstructionError", "StructureConstants",
-               "build_abelian_rep", "build_clifford", "build_matrix_rep", "structure_constants"),
+               "build_clifford", "build_matrix_rep"),
     "bounds": ("PairingError",),
     "cstruct": ("ComplexStructure", "bismut_residual", "canonical_I", "integrability_residual",
                 "nijenhuis_at_origin", "quaternion_residual"),

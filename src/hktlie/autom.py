@@ -189,8 +189,8 @@ def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
 
 @dataclass(eq=False)
 class TripleResult:
-    """I, J, K on the whole algebra; every check, and `dimension`, refers
-    to the directions outside the quotient."""
+    """I, J and K on the directions outside the quotient, which every
+    check, and `dimension`, refers to."""
 
     I: ComplexStructure
     J: ComplexStructure
@@ -229,7 +229,9 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
 
     `quotient` holds the generator indices of the quotiented subalgebra (none
     for a group manifold); chain nodes whose coroot axis it holds drop out of
-    Omega.  Residuals beyond tolerance yield certified=False, not an exception;
+    Omega.  J is the float conjugation on the tangent directions, snapped
+    once; K is composed exactly, so it is as far from its float product as J
+    is.  Residuals beyond tolerance yield certified=False, not an exception;
     an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP] raises ValueError.
     """
     if fd_step is not None:
@@ -238,50 +240,45 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
     f = rep.structure_constants().coo
 
-    I = canonical_I(rep, make_csa_pairing(rep, quotient))
-    autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in nodes)
-    Jm = _conjugate(I.matrix, autos)
-    Km = I.matrix @ Jm
-
-    # every number below reads the tangent directions: all indices outside
-    # the quotient, and for a group manifold all of them
+    # every structure and number below reads the tangent directions: all
+    # indices outside the quotient, and for a group manifold all of them
     inside = np.ones(rep.dim, dtype=bool)
     inside[list(removed)] = False
     tangent, qidx = np.flatnonzero(inside), np.flatnonzero(~inside)
-    on_tangent = np.ix_(tangent, tangent)
+    on_tangent = np.ix_(tangent, tangent) if removed else ...     # no copy for a group
+    I = canonical_I(rep, make_csa_pairing(rep, quotient), quotient)
+    whole = np.zeros((rep.dim, rep.dim))        # I on the algebra, 0 on the quotient
+    whole[tangent[I.perm], tangent] = I.sign
+    autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in nodes)
+    Jm = _conjugate(whole, autos)
+    J = ComplexStructure.from_matrix(Jm[on_tangent], I.blocks)
+    K = ComplexStructure(*cstruct._product((I.perm, I.sign), (J.perm, J.sign)), J.snap, I.blocks)
     autos_k = tuple(automorphism_from_root(rep, n.theta, "K", n.level) for n in nodes)
-    k_mismatch = float(np.abs(Km - _conjugate(I.matrix, autos_k))[on_tangent].max())
+    k_mismatch = cstruct._distance(_conjugate(whole, autos_k)[on_tangent], K.perm, K.sign)
 
-    J = ComplexStructure(Jm, I.blocks)
-    K = ComplexStructure(Km, I.blocks)
-    structures = {"I": I.matrix, "J": Jm, "K": Km}
-
-    leak = 0.0
+    # I has no cross block, and K = I J moves J's
+    cross = np.abs(Jm[np.ix_(qidx, tangent)])
+    leak = max(float(cross.max(initial=0.0)),
+               float(np.abs(Jm[np.ix_(tangent, qidx)]).max(initial=0.0)))
     leak_note = ""
-    for name, m in structures.items():
-        sub = np.abs(m[np.ix_(qidx, tangent)])
-        if sub.max(initial=0.0) > leak:
-            leak = float(sub.max())
-            qi, ti = np.unravel_index(np.argmax(sub), sub.shape)
-            blk = next((b.description for b in I.blocks if tangent[ti] in b.indices),
-                       f"index {tangent[ti]}")
-            leak_note = f"{name} leaks out of {blk} into quotient index {qidx[qi]}"
-        leak = max(leak, float(np.abs(m[np.ix_(tangent, qidx)]).max(initial=0.0)))
+    if cross.max(initial=0.0) > 0:
+        qi, ti = np.unravel_index(np.argmax(cross), cross.shape)
+        blk = next((b.description for b in I.blocks if ti in b.indices), f"index {tangent[ti]}")
+        leak_note = f"J leaks out of {blk} into quotient index {qidx[qi]}"
+    del whole, Jm       # before the checks, whose terms set the peak
     a, b, c = f.index.T
     closure = float(np.abs(f.value[inside[a] & inside[b] & ~inside[c]]).max(initial=0.0))
     f = f.restrict(tangent)
-    restricted = {k: m[on_tangent] for k, m in structures.items()}
 
-    checks = {"quaternion": cstruct.quaternion_residual(*restricted.values()),
-              "invariance_leak": leak}
-    for (name, m), whole in zip(restricted.items(), (I, J, K)):
+    checks = {"quaternion": cstruct.quaternion_residual(I, J, K), "invariance_leak": leak}
+    for name, s in zip("IJK", (I, J, K)):
         nij = None
         if fd_step is not None and not removed:
             try:
-                nij = cstruct.nijenhuis_at_origin(rep, whole, fd_step)
+                nij = cstruct.nijenhuis_at_origin(rep, s, fd_step)
             except ValueError:      # above the snap bound, which the snap check reports
                 nij = float("inf")
-        report = cstruct.geometry_report(m, f, tol, nijenhuis=nij)
+        report = cstruct.geometry_report(s, f, tol, nijenhuis=nij)
         checks.update((f"{name}.{check}", value) for check, value in report.items())
     checks.update(k_mismatch=k_mismatch, coset_closure=closure)
 

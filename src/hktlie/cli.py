@@ -41,6 +41,19 @@ class SpecParseError(ValueError):
     pass
 
 
+def _ascii(convert):
+    """`convert` (int or float) on ASCII text alone, as an argparse type:
+    int() and float() also read any Unicode digit, an Arabic-Indic three
+    or a fullwidth one."""
+    def parse(text: str):
+        if not text.isascii():
+            raise ValueError(text)
+        return convert(text)
+
+    parse.__name__ = convert.__name__       # argparse's "invalid int value: ..."
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON: sorted keys, 17 significant digits, byte-stable round trips
 
@@ -324,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hkt",
         description="Construct quaternion triples of complex structures on compact "
                     "group manifolds and homogeneous spaces, and certify them numerically.")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_ascii(float), default=None,
                    help=f"residual tolerance (default {DEFAULT_TOL:g}; env HKT_TOL)")
-    p.add_argument("--fd-step", type=float, default=None,
+    p.add_argument("--fd-step", type=_ascii(float), default=None,
                    help="finite-difference step for the Nijenhuis cross-check (verify: "
                         f"default {DEFAULT_FD_STEP:g}; catalog --verify: off unless given)")
     p.add_argument("--json", action="store_true", help="canonical JSON output")
@@ -342,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("classify", help="padding table for one family")
     pc.add_argument("family", help="A, B, C or D")
-    pc.add_argument("max_rank", type=int)
+    pc.add_argument("max_rank", type=_ascii(int))
     pc.set_defaults(func=cmd_classify)
 
     pk = sub.add_parser("catalog", help="enumerate (and optionally verify) quotients")
     pk.add_argument("family")
-    pk.add_argument("rank", type=int)
-    pk.add_argument("max_level", type=int, nargs="?", default=8)
+    pk.add_argument("rank", type=_ascii(int))
+    pk.add_argument("max_level", type=_ascii(int), nargs="?", default=8)
     pk.add_argument("--verify", action="store_true")
     pk.set_defaults(func=cmd_catalog)
     return p
@@ -360,7 +373,7 @@ def main(argv=None) -> int:
     try:
         if args.tol is None:
             try:
-                args.tol = float(os.environ.get("HKT_TOL", DEFAULT_TOL))
+                args.tol = _ascii(float)(os.environ.get("HKT_TOL", str(DEFAULT_TOL)))
             except ValueError:
                 raise SpecParseError(
                     f"HKT_TOL takes a number, got {os.environ['HKT_TOL']!r}") from None

@@ -13,13 +13,16 @@ tensor contractions:
     differences of the coordinate field I_M^N(x) = (e I e^-1)_M^N built
     from the second-order vielbein e, along every direction x = +-h e_m.
 
-The constructed I, J and K are signed permutations of the generator basis
-up to rounding.  Every check but the quaternion and square ones therefore
-runs on the exact signed permutation (its distance from the matrix is the
-`snap` check) over the non-zero entries of f: each term of a contraction is
-a relabelled, re-signed copy of those entries, and the terms are summed by
-index triple.  The first three checks cost O(nnz f) time and memory, with
-no (D, D, D) temporary.  The Nijenhuis check reads f as COO too: along e_m
+A structure is held as the signed permutation that sends direction j to
+sign[j] times direction perm[j]: I, J and K are exact signed permutations
+of the tangent directions, and J's rounding as a float conjugation shows
+only in its `snap`, its distance from the permutation it was read from.  Every
+check runs on that permutation.  The quaternion and square checks compose
+permutations, so they read exactly 0 or at least 1.  The others run over
+the non-zero entries of f: each term of a contraction is a relabelled,
+re-signed copy of those entries, and the terms are summed by index triple.
+The first three checks cost O(nnz f) time and memory, with no (D, D, D)
+temporary.  The Nijenhuis check reads f as COO too: along e_m
 the vielbein differs from 1 only on the support of f[:, m, :], block by
 block, so e - 1 and e^-1 - 1 are small exact blocks, computed once per f
 and step for I, J and K, and the differences of e I e^-1 and N are sums of
@@ -31,38 +34,26 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import (BOUNDS, DEFAULT_FD_STEP, DEFAULT_TOL, MAX_FD_STEP, MIN_FD_STEP,  # noqa: F401
-                     RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step, first_failure)
+                     RECORDED, SNAP_BOUND, STRUCTURE_CHECKS, PairingError, _check_fd_step,
+                     first_failure)
 from .liealg import AlgebraRep, CooTensor, StructureConstants, _reduce_by_key
 from .rootsys import chain_nodes
 
-#: 4x4 blocks in the basis (t_A, t_A*, t_B, t_B*) or (t_A, t_A*, t_k, e_k)
-SCRIPT_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
-SCRIPT_J = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
-SCRIPT_K = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
-
-_BLOCK_TAGS = (
-    ("script-I", SCRIPT_I), ("script-J", SCRIPT_J), ("minus-script-J", -SCRIPT_J),
-    ("script-K", SCRIPT_K), ("minus-script-K", -SCRIPT_K),
-)
-#: the largest entry of |block - reference| that still earns the reference's tag
-BLOCK_TAG_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class Block:
-    """One 4x4 block of a complex structure, with a shape tag."""
+    """One 4x4 block of a complex structure: (t_A, t_A*, t_B, t_B*) or
+    (t_A, t_A*, t_k, e_k)."""
 
-    indices: tuple         # four generator indices
+    indices: tuple         # four direction indices
     kind: str              # "theta" | "quartet"
     level: int
     description: str
-    tag: str = "other"
 
 
 def signed_permutation(matrix) -> tuple:
@@ -77,66 +68,69 @@ def signed_permutation(matrix) -> tuple:
     cols = np.arange(m.shape[1])
     perm = np.abs(m).argmax(axis=0)
     sign = np.where(m[perm, cols] < 0, -1.0, 1.0)
-    diff = m.copy()
-    diff[perm, cols] -= sign
-    snap = float(np.abs(diff).max())
+    snap = _distance(m, perm, sign)
     if np.bincount(perm).max() > 1:
         snap = max(snap, 0.5)
     return perm, sign, snap
 
 
+def _distance(matrix: np.ndarray, perm, sign) -> float:
+    """The largest entry of |matrix - the signed permutation (perm, sign)|."""
+    diff = matrix.copy()
+    diff[perm, np.arange(perm.size)] -= sign
+    return float(np.abs(diff).max(initial=0.0))
+
+
 @dataclass(eq=False)
 class ComplexStructure:
-    """A structure's matrix and its blocks tagged by shape, with the signed
-    permutation nearest to the matrix (see `signed_permutation`)."""
+    """A complex structure on the tangent directions: the signed permutation
+    that sends direction j to sign[j] times direction perm[j], its 4x4
+    blocks, and `snap`, its distance from the float matrix it was read from
+    (0 for a structure built exactly).  `matrix` is the dense view, built on
+    first read."""
 
-    matrix: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
+    snap: float = 0.0
     blocks: tuple = ()
-    perm: np.ndarray = field(init=False, repr=False)
-    sign: np.ndarray = field(init=False, repr=False)
-    snap: float = field(init=False)
 
     def __post_init__(self):
-        self.perm, self.sign, self.snap = signed_permutation(self.matrix)
-        self.blocks = classify_blocks(self.matrix, self.blocks)
+        for a in (self.perm, self.sign):    # `matrix` is built from them once
+            a.setflags(write=False)
+
+    @classmethod
+    def from_matrix(cls, matrix, blocks: tuple = ()) -> "ComplexStructure":
+        """The signed permutation nearest to a float matrix (see
+        `signed_permutation`), with its distance as the snap."""
+        return cls(*signed_permutation(matrix), blocks)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.perm.size
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.dim, self.dim))
+        m[self.perm, np.arange(self.dim)] = self.sign
+        m.setflags(write=False)
+        return m
 
     def square_residual(self) -> float:
-        m = self.matrix
-        return float(np.abs(m @ m + np.eye(self.dim)).max())
+        """max |I I + 1|: 0 when I squares to -1, at least 1 otherwise.
+        Column j of I I holds one entry s, in row p; with the identity's 1
+        that is |s + 1| when p = j, else two entries of magnitude 1."""
+        perm, sign = _product((self.perm, self.sign), (self.perm, self.sign))
+        return float(np.where(perm == np.arange(self.dim), np.abs(sign + 1), 1.0).max(initial=0))
 
 
-def classify_blocks(matrix: np.ndarray, blocks: Iterable[Block]) -> tuple:
-    """Each block tagged with the first `_BLOCK_TAGS` shape it has in `matrix`."""
-    out = []
-    for b in blocks:
-        sub = matrix[np.ix_(b.indices, b.indices)]
-        tag = "other"
-        for name, ref in _BLOCK_TAGS:
-            if np.abs(sub - ref).max() <= BLOCK_TAG_TOL:
-                tag = name
-                break
-        out.append(Block(b.indices, b.kind, b.level, b.description, tag))
-    return tuple(out)
-
-
-def _matrix_of(x) -> np.ndarray:
-    return x.matrix if isinstance(x, ComplexStructure) else np.asarray(x, dtype=float)
-
-
-def _structure_of(x) -> ComplexStructure:
-    return x if isinstance(x, ComplexStructure) else ComplexStructure(_matrix_of(x))
+def _product(a: tuple, b: tuple) -> tuple:
+    """(perm, sign) of the product a b of two signed permutations."""
+    (pa, sa), (pb, sb) = a, b
+    return pa[pb], sb * sa[pb]
 
 
 def _coo_of(f) -> CooTensor:
-    if isinstance(f, CooTensor):
-        return f
-    if isinstance(f, StructureConstants):
-        return f.coo
-    return CooTensor.from_dense(f)
+    return f.coo if isinstance(f, StructureConstants) else f
 
 
 def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
@@ -175,36 +169,43 @@ def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
     return tuple(blocks)
 
 
-def canonical_I(rep: AlgebraRep, pairs: Sequence[tuple]) -> ComplexStructure:
-    """The canonical complex structure: -i on every positive root vector,
-    t -> e on each (t, e) pair of Cartan/u(1) generator indices."""
+def canonical_I(rep: AlgebraRep, pairs: Sequence[tuple], quotient: Sequence[int] = ()
+                ) -> ComplexStructure:
+    """The canonical complex structure on the directions outside `quotient`
+    (all generators for a group manifold), numbered in their order: -i on
+    every positive root vector, t -> e on each (t, e) pair of Cartan/u(1)
+    generator indices.  The blocks that leave those directions drop out."""
     used = [i for pair in pairs for i in pair]
     if not set(used) <= set(rep.csa_indices + rep.u1_indices) or len(set(used)) != len(used):
         raise PairingError(f"pairs {list(pairs)} must use distinct Cartan/u(1) axes")
-    D = rep.dim
-    m = np.zeros((D, D))
-    for entry in rep.root_table.values():
-        m[entry.im_index, entry.re_index] = 1.0
-        m[entry.re_index, entry.im_index] = -1.0
-    for t, e in pairs:
-        m[e, t] = 1.0
-        m[t, e] = -1.0
-    m.setflags(write=False)
-    return ComplexStructure(m, canonical_blocks(rep, pairs))
+    perm = np.full(rep.dim, -1)
+    sign = np.ones(rep.dim)
+    for j, k in [(e.re_index, e.im_index) for e in rep.root_table.values()] + list(pairs):
+        perm[j], perm[k] = k, j
+        sign[k] = -1.0
+    inside = np.ones(rep.dim, dtype=bool)
+    inside[list(quotient)] = False
+    tangent = np.flatnonzero(inside)
+    lost = tangent[(perm[tangent] < 0) | ~inside[perm[tangent]]]
+    if lost.size:
+        raise PairingError(f"generator(s) {lost.tolist()} outside the quotient have no "
+                           "partner outside it")
+    number = np.cumsum(inside) - 1
+    blocks = tuple(Block(tuple(int(number[i]) for i in b.indices), b.kind, b.level,
+                         b.description)
+                   for b in canonical_blocks(rep, pairs) if inside[list(b.indices)].all())
+    return ComplexStructure(number[perm[tangent]], sign[tangent], blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
 # residuals
 
-def _signed_of(I) -> tuple:
-    """(perm, sign) of a structure; ValueError when it is farther than the
-    snap bound from every signed permutation."""
-    s = _structure_of(I)
-    bound = BOUNDS["snap"](DEFAULT_TOL)
-    if not s.snap <= bound:
-        raise ValueError(f"structure is {s.snap:.3e} from the nearest signed permutation, "
-                         f"above the snap bound {bound:g}")
-    return s.perm, s.sign
+def _signed_of(I: ComplexStructure) -> tuple:
+    """(perm, sign) of a structure; ValueError when its snap is above SNAP_BOUND."""
+    if not I.snap <= SNAP_BOUND:
+        raise ValueError(f"structure is {I.snap:.3e} from the nearest signed permutation, "
+                         f"above the snap bound {SNAP_BOUND:g}")
+    return I.perm, I.sign
 
 
 def _sum_by_key(dim: int, terms) -> tuple:
@@ -268,23 +269,23 @@ def integrability_residual(I, f) -> float:
     return _max_abs(coo.dim, _integrability_terms(*_signed_of(I), coo))
 
 
-def quaternion_residual(I, J, K) -> float:
-    """max over p,q of ||I_p I_q + delta_pq - eps_pqs I_s||_F."""
-    mats = [_matrix_of(x) for x in (I, J, K)]
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    eps = np.zeros((3, 3, 3))
-    for p, q, s, v in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)):
-        eps[p, q, s] = v
+def quaternion_residual(I: ComplexStructure, J: ComplexStructure,
+                        K: ComplexStructure) -> float:
+    """max over p,q of ||I_p I_q + delta_pq - eps_pqs I_s||_F on the signed
+    permutations: 0 for a quaternion triple, at least 1 otherwise."""
+    signed = [(x.perm, x.sign) for x in (I, J, K)]
     worst = 0.0
     for p in range(3):
         for q in range(3):
-            r = mats[p] @ mats[q] + (eye if p == q else 0.0)
-            for s in range(3):
-                if eps[p, q, s]:
-                    r = r - eps[p, q, s] * mats[s]
-            worst = max(worst, float(np.linalg.norm(r)))
+            perm, sign = _product(signed[p], signed[q])
+            if p == q:
+                rest, coeff = (np.arange(I.dim), np.ones(I.dim)), 1.0
+            else:       # eps_pqs = 1 when q follows p cyclically, else -1
+                rest, coeff = signed[3 - p - q], (-1.0 if (q - p) % 3 == 1 else 1.0)
+            # two signed permutations: dim entries of magnitude 1 each, which
+            # add or cancel where they meet
+            meet = np.sum(sign * rest[1], where=perm == rest[0])
+            worst = max(worst, float(np.sqrt(2 * I.dim + 2 * coeff * meet)))
     return worst
 
 
@@ -509,25 +510,24 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = DEFAULT_FD_STEP) -> fl
     return n_extrap
 
 
-def geometry_report(I, f, tol: float = DEFAULT_TOL, nijenhuis: float | None = None) -> dict:
+def geometry_report(I: ComplexStructure, f, tol: float = DEFAULT_TOL,
+                    nijenhuis: float | None = None) -> dict:
     """Every check of one structure against the structure constants f, by
     name in BOUNDS order; the Nijenhuis value is measured on the whole
     algebra and passed in (None: not run).
 
     Integrability, Bismut constancy and the torsion match run on the signed
-    permutation of I, so they are infinite when its snap is above bound;
+    permutation of I, so they are infinite when its snap is above SNAP_BOUND;
     the torsion match is also infinite when I is not integrable.
     """
-    s = _structure_of(I)
     coo = _coo_of(f)
-    sq = s.square_residual()
     integ = bis = tors = float("inf")
-    if s.snap <= BOUNDS["snap"](tol):
-        integ = _max_abs(coo.dim, _integrability_terms(s.perm, s.sign, coo))
-        bis = _max_abs(coo.dim, _bismut_terms(s.perm, s.sign, coo))
+    if I.snap <= SNAP_BOUND:
+        integ = _max_abs(coo.dim, _integrability_terms(I.perm, I.sign, coo))
+        bis = _max_abs(coo.dim, _bismut_terms(I.perm, I.sign, coo))
         if integ <= tol:
-            tors = _max_abs(coo.dim, _hull_terms(s.perm, s.sign, coo) + _f_terms(coo, -1.0))
-    values = dict(snap=s.snap, integrability=integ, square=sq, bismut=bis,
+            tors = _max_abs(coo.dim, _hull_terms(I.perm, I.sign, coo) + _f_terms(coo, -1.0))
+    values = dict(snap=I.snap, integrability=integ, square=I.square_residual(), bismut=bis,
                   torsion_match=tors, nijenhuis=nijenhuis)
     return {check: values[check] for check in STRUCTURE_CHECKS}
 

@@ -87,12 +87,6 @@ class CooTensor:
     value: np.ndarray    # (n,)
     dim: int
 
-    @classmethod
-    def from_dense(cls, t: np.ndarray) -> "CooTensor":
-        t = np.asarray(t, dtype=float)
-        index = np.argwhere(t)
-        return cls(index, t[tuple(index.T)], t.shape[0])
-
     def restrict(self, keep: Sequence[int]) -> "CooTensor":
         """The entries whose three indices all lie in `keep`, renumbered in
         the order of `keep`."""
@@ -120,17 +114,6 @@ class StructureConstants:
         f[tuple(self.coo.index.T)] = self.coo.value
         f.setflags(write=False)
         return f
-
-    def jacobi_residual(self) -> float:
-        """max |f_ABE f_ECD + f_BCE f_EAD + f_CAE f_EBD| without a D^4 blow-up."""
-        f = self.f
-        ad = f.transpose(0, 2, 1)  # ad[a][c,b] = f_abc
-        worst = 0.0
-        for a in range(self.dim):
-            lhs = ad[a] @ ad - ad @ ad[a]          # [ad_a, ad_b] stacked over b
-            rhs = np.einsum("be,ecd->bcd", f[a], ad)
-            worst = max(worst, np.abs(lhs - rhs).max())
-        return worst
 
 
 @dataclass(eq=False)
@@ -538,32 +521,15 @@ def _check_closure(gens: np.ndarray, f: CooTensor, comm: tuple) -> float:
     return closure
 
 
-def build_abelian_rep(u1_count: int) -> AlgebraRep:
-    """A pure product of u(1) factors (useful as a degenerate test algebra)."""
-    if u1_count < 1:
-        raise ValueError("need at least one u(1) factor")
-    zero = AlgebraRep(
-        family="U1", rank=0, u1_count=0, rep_kind="diagonal", matrix_dim=0, norm_const=1.0,
-        generators=np.zeros((0, 0, 0), dtype=complex), csa_indices=(), u1_indices=(),
-        root_system=None, chain_levels=(), root_table={}, csa_axes=(),
-        _structure=StructureConstants(CooTensor(np.zeros((0, 3), dtype=int), np.zeros(0), 0)))
-    return _zero_extend(zero, u1_count)
-
-
-def structure_constants(rep: AlgebraRep) -> StructureConstants:
-    """f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real.
+def _structure_constants(g: np.ndarray, norm_const: float, comm: tuple) -> StructureConstants:
+    """f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real, from `comm`,
+    the `_commutator_entries` of the generators `g`.
 
     The commutator entries ([t_A, t_B])_ik are joined on (i, k) with the
     generator entries (t_C)_ki and summed by (A, B, C), so the cost follows
     the non-zero entries of the generators, not D^3.  Entries at or below
     F_ZERO are set to exact zero; the rest form the COO form.
     """
-    return _structure_constants(rep.generators, rep.norm_const,
-                                _commutator_entries(rep.generators))
-
-
-def _structure_constants(g: np.ndarray, norm_const: float, comm: tuple) -> StructureConstants:
-    """`structure_constants` from the `_commutator_entries` of the generators."""
     D, d, _ = g.shape
     keys, comm = comm
     c, i, k, v = _entries(g)

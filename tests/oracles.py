@@ -2,20 +2,23 @@
 
 `hktlie.liealg` computes f_ABC and the closure check by sparse joins over the
 non-zero generator entries, and writes each root vector in closed form.
-`hktlie.cstruct` evaluates integrability, Bismut constancy, the hull
-torsion and the finite-difference Nijenhuis check on the signed permutation
-of a structure over the non-zero entries of f.  These are the same results
-computed densely: row-at-a-time products for f and the closure, an SVD of
-the Cartan action for a root vector, (D, D, D) einsum temporaries for the
-residuals, and D x D solves of the whole vielbein for the Nijenhuis check,
-on any float matrix.  They are the reference the fast kernels and closed
-forms must match, and the only way to evaluate the checks on structures
-that are not signed permutations (random negative controls, arbitrary
-antisymmetric matrices).  The automorphisms Omega, which `hktlie.autom`
-reads from f in closed form and keeps as one block on its support, are
-embedded here as D x D matrices, composed densely, and computed afresh by
-conjugation in the representation and a trace projection.  The last
-sections hold the references that only the tests use: the basic-root chain
+`hktlie.cstruct` holds a structure as its signed permutation, composes
+permutations for the quaternion check, and evaluates integrability, Bismut
+constancy, the hull torsion and the finite-difference Nijenhuis check over
+the non-zero entries of f.  These are the same results computed densely:
+row-at-a-time products for f and the closure, an SVD of the Cartan action
+for a root vector, D x D products for the quaternion residual, (D, D, D)
+einsum temporaries for the residuals, and D x D solves of the whole
+vielbein for the Nijenhuis check, on any float matrix.  They are the
+reference the fast kernels and closed forms must match, and the only way
+to evaluate the checks on structures that are not signed permutations
+(random negative controls, arbitrary antisymmetric matrices).  The
+automorphisms Omega, which `hktlie.autom` reads from f in closed form and
+keeps as one block on its support, are embedded here as D x D matrices,
+composed densely, and computed afresh by conjugation in the representation
+and a trace projection.  Beside them sit the references that only the
+tests use: a pure u(1) algebra, f recomputed from the generators, the
+Jacobi identity, the 4x4 block shapes of a structure, the basic-root chain
 from a pairwise join of the roots orthogonal to each highest root, the
 Chevalley and coroot-periodicity checks in the representation, the
 Hadamard series, the second-order metric and vielbein with the exact
@@ -32,14 +35,50 @@ import numpy as np
 
 from hktlie import rootsys as R
 from hktlie.cstruct import (
-    DEFAULT_TOL, _coo_of, _hull_terms, _integrability_terms, _matrix_of, _max_abs,
+    DEFAULT_TOL, ComplexStructure, _coo_of, _hull_terms, _integrability_terms, _max_abs,
     _signed_of, _sum_by_key)
 from hktlie.liealg import (
-    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _flat_transposes)
+    F_ZERO, AlgebraRep, ConstructionError, CooTensor, StructureConstants, _commutator_entries,
+    _flat_transposes, _structure_constants, _zero_extend)
+
+
+def _matrix_of(x) -> np.ndarray:
+    return x.matrix if isinstance(x, ComplexStructure) else np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # construction kernels
+
+def build_abelian_rep(u1_count: int) -> AlgebraRep:
+    """A pure product of u(1) factors (a degenerate test algebra)."""
+    if u1_count < 1:
+        raise ValueError("need at least one u(1) factor")
+    zero = AlgebraRep(
+        family="U1", rank=0, u1_count=0, rep_kind="diagonal", matrix_dim=0, norm_const=1.0,
+        generators=np.zeros((0, 0, 0), dtype=complex), csa_indices=(), u1_indices=(),
+        root_system=None, chain_levels=(), root_table={}, csa_axes=(),
+        _structure=StructureConstants(CooTensor(np.zeros((0, 3), dtype=int), np.zeros(0), 0)))
+    return _zero_extend(zero, u1_count)
+
+
+def structure_constants(rep: AlgebraRep) -> StructureConstants:
+    """f recomputed from the generators of `rep` by the library's sparse
+    kernel, as the build computes it, ignoring the f that `rep` holds."""
+    return _structure_constants(rep.generators, rep.norm_const,
+                                _commutator_entries(rep.generators))
+
+
+def jacobi_residual(sc: StructureConstants) -> float:
+    """max |f_ABE f_ECD + f_BCE f_EAD + f_CAE f_EBD| without a D^4 blow-up."""
+    f = sc.f
+    ad = f.transpose(0, 2, 1)  # ad[a][c,b] = f_abc
+    worst = 0.0
+    for a in range(sc.dim):
+        lhs = ad[a] @ ad - ad @ ad[a]          # [ad_a, ad_b] stacked over b
+        rhs = np.einsum("be,ecd->bcd", f[a], ad)
+        worst = max(worst, np.abs(lhs - rhs).max())
+    return worst
+
 
 def structure_constants_rows(gens: np.ndarray, norm_const: float) -> np.ndarray:
     """Dense f_ABC = -(i/C) Tr([t_A, t_B] t_C), validated to be real.
@@ -92,7 +131,52 @@ def root_eigenvector_svd(ad_mats, target, noncsa) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# certificate residuals
+# certificate residuals on float matrices
+
+#: 4x4 blocks in the basis (t_A, t_A*, t_B, t_B*) or (t_A, t_A*, t_k, e_k)
+SCRIPT_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
+SCRIPT_J = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
+SCRIPT_K = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
+
+_BLOCK_TAGS = (
+    ("script-I", SCRIPT_I), ("script-J", SCRIPT_J), ("minus-script-J", -SCRIPT_J),
+    ("script-K", SCRIPT_K), ("minus-script-K", -SCRIPT_K),
+)
+#: the largest entry of |block - reference| that still earns the reference's tag
+BLOCK_TAG_TOL = 1e-8
+
+
+def block_tags(X) -> list:
+    """The shape of each block of the structure X: the first `_BLOCK_TAGS`
+    name within BLOCK_TAG_TOL of it, else "other"."""
+    m = X.matrix
+    tags = []
+    for b in X.blocks:
+        sub = m[np.ix_(b.indices, b.indices)]
+        tags.append(next((name for name, ref in _BLOCK_TAGS
+                          if np.abs(sub - ref).max() <= BLOCK_TAG_TOL), "other"))
+    return tags
+
+
+def quaternion_residual(I, J, K) -> float:
+    """max over p,q of ||I_p I_q + delta_pq - eps_pqs I_s||_F on float matrices."""
+    mats = [_matrix_of(x) for x in (I, J, K)]
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+    eps = np.zeros((3, 3, 3))
+    for p, q, s, v in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                       (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)):
+        eps[p, q, s] = v
+    worst = 0.0
+    for p in range(3):
+        for q in range(3):
+            r = mats[p] @ mats[q] + (eye if p == q else 0.0)
+            for s in range(3):
+                if eps[p, q, s]:
+                    r = r - eps[p, q, s] * mats[s]
+            worst = max(worst, float(np.linalg.norm(r)))
+    return worst
+
 
 
 def _f_of(x) -> np.ndarray:

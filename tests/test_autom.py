@@ -126,7 +126,9 @@ def test_block_conjugation_matches_dense_product(family, rank):
         assert np.abs(got - want).max() <= 1e-15
         (gp, gs, _), (wp, ws, _) = C.signed_permutation(got), C.signed_permutation(want)
         assert np.array_equal(gp, wp) and np.array_equal(gs, ws)
-    assert np.array_equal(res.J.matrix, A._conjugate(I, res.automorphisms))
+    J = C.ComplexStructure.from_matrix(A._conjugate(I, res.automorphisms))
+    assert np.array_equal(res.J.perm, J.perm) and np.array_equal(res.J.sign, J.sign)
+    assert res.J.snap == J.snap
 
 
 def test_perturbed_f_row_is_refused():
@@ -145,11 +147,13 @@ def test_perturbed_f_row_is_refused():
 @pytest.mark.parametrize("family,rank", ABOVE_CAPS)
 def test_quaternion_residual_stays_at_rounding_above_the_rank_caps(family, rank):
     """Each Omega is read from f and snapped to its exact entries, so it is
-    orthogonal to rounding with no Newton-Schulz step, and the residual
-    reads at most 8.2e-15 (A10)."""
+    orthogonal to rounding with no Newton-Schulz step; the residual of the
+    exact permutations is 0, and J's snap, which carries the rounding, reads
+    at most 4.4e-16."""
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
     res = A.build_quaternion_triple(rep)
-    assert res.quaternion_residual < 2e-14
+    assert res.quaternion_residual == 0.0
+    assert res.checks["J.snap"] < 2e-14
     for auto in res.automorphisms:
         assert oracles.orthogonality_residual(auto, rep.dim) < 1e-15
 
@@ -276,26 +280,24 @@ def test_chain_node_with_a_missing_child_is_refused():
 def test_su2_u1_triple_exact():
     rep = L.build_matrix_rep("A", 1, 1)
     res = A.build_quaternion_triple(rep)
-    assert np.abs(res.I.matrix - C.SCRIPT_I).max() < 1e-12
-    assert np.abs(res.J.matrix - C.SCRIPT_J).max() < 1e-12
-    assert np.abs(res.K.matrix - C.SCRIPT_K).max() < 1e-12
+    assert np.abs(res.I.matrix - oracles.SCRIPT_I).max() < 1e-12
+    assert np.abs(res.J.matrix - oracles.SCRIPT_J).max() < 1e-12
+    assert np.abs(res.K.matrix - oracles.SCRIPT_K).max() < 1e-12
     assert res.certified
 
 
 def test_su3_j_is_diag_scriptJ_minus_scriptJ():
     rep = L.build_matrix_rep("A", 2)
     res = A.build_quaternion_triple(rep)
-    tags = [b.tag for b in res.J.blocks]
-    assert tags == ["script-J", "minus-script-J"]
-    ktags = [b.tag for b in res.K.blocks]
-    assert ktags == ["script-K", "minus-script-K"]
+    assert oracles.block_tags(res.J) == ["script-J", "minus-script-J"]
+    assert oracles.block_tags(res.K) == ["script-K", "minus-script-K"]
 
 
 def test_su4_u1_all_blocks_pm_scriptJ_and_unmixed():
     rep = L.build_matrix_rep("A", 3, 1)
     res = A.build_quaternion_triple(rep)
     assert len(res.J.blocks) == 4
-    assert all(b.tag in ("script-J", "minus-script-J") for b in res.J.blocks)
+    assert all(t in ("script-J", "minus-script-J") for t in oracles.block_tags(res.J))
     # J does not mix distinct blocks: zero outside the block-diagonal
     mask = np.zeros((rep.dim, rep.dim), dtype=bool)
     for b in res.J.blocks:
@@ -313,7 +315,7 @@ def test_triples_certify(family, rank):
     m = res.I.matrix @ res.J.matrix + res.J.matrix @ res.I.matrix
     assert np.abs(m).max() < 1e-9            # J anticommutes with I
     assert res.checks["k_mismatch"] < 1e-9  # K-kind route reproduces I J here
-    assert all(b.tag in ("script-J", "minus-script-J") for b in res.J.blocks)
+    assert all(t in ("script-J", "minus-script-J") for t in oracles.block_tags(res.J))
 
 
 def test_triple_memory_stays_within_a_fixed_budget():
@@ -367,16 +369,103 @@ def test_double_rotation_keeps_complex_structure():
     m = twice @ res.I.matrix @ twice.T
     assert np.abs(m + m.T).max() < 1e-12
     assert np.abs(m @ m + np.eye(rep.dim)).max() < 1e-12
-    assert C.integrability_residual(m, rep.structure_constants()) < 1e-9
+    assert C.integrability_residual(C.ComplexStructure.from_matrix(m),
+                                    rep.structure_constants()) < 1e-9
 
 
 def test_failure_names_first_failed_check():
+    """The quaternion residual of the exact permutations is 0; J's rounding
+    shows in its snap, which a tolerance below 1e-12 bounds."""
     rep = L.build_matrix_rep("A", 2)
     res = A.build_quaternion_triple(rep, tol=1e-18)
     assert not res.certified
-    assert res.failure == ("quaternion", res.quaternion_residual, 1e-18)
-    assert res.message == "quaternion 9e-16 above 1e-18"
+    assert res.quaternion_residual == 0.0
+    assert res.failure == ("J.snap", res.checks["J.snap"], 1e-18)
+    assert res.message == "J.snap 2.2e-16 above 1e-18"
     assert A.build_quaternion_triple(rep).failure is None
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_dense_quaternion_oracle_on_the_float_conjugation(family, rank):
+    """The dense residual of I, the float J = Omega I Omega^T before its snap
+    (on a group manifold the tangent is the whole algebra) and their
+    product stays within tol, where the certificate's reads 0."""
+    rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
+    res = A.build_quaternion_triple(rep)
+    I = res.I.matrix
+    J = A._conjugate(I, res.automorphisms)
+    assert res.quaternion_residual == 0.0
+    assert oracles.quaternion_residual(I, J, I @ J) <= C.DEFAULT_TOL
+
+
+def test_flipped_sign_in_J_fails_the_quaternion_check(monkeypatch):
+    """One entry of the float J negated still snaps, with snap 0 off
+    rounding, but J no longer squares to -1: quaternion and J.square read at
+    least 1 and the verdict is failed."""
+    from hktlie import spaces
+    from hktlie.cli import parse_space_string
+    rep = L.build_matrix_rep("A", 2)
+    res = A.build_quaternion_triple(rep)
+    J = A._conjugate(res.I.matrix, res.automorphisms)
+    a, b = np.argwhere(np.abs(J) > 0.5)[0]
+    J[a, b] = -J[a, b]
+    bad = C.ComplexStructure.from_matrix(J)
+    assert bad.snap < 1e-12
+    K = C.ComplexStructure.from_matrix(res.I.matrix @ bad.matrix)
+    assert C.quaternion_residual(res.I, bad, K) >= 1.0
+    assert bad.square_residual() >= 1.0
+
+    real = A._conjugate
+
+    def flip(m, automorphisms):
+        out = real(m, automorphisms)
+        if automorphisms[0].kind == "J":
+            out[a, b] = -out[a, b]
+        return out
+
+    monkeypatch.setattr(A, "_conjugate", flip)
+    res = A.build_quaternion_triple(rep)
+    assert res.checks["quaternion"] >= 1.0 and res.checks["J.square"] >= 1.0
+    assert res.failure[0] == "quaternion"
+    assert spaces.build_coset_triple(parse_space_string("A2")).verdict == "failed"
+
+
+@pytest.fixture
+def recorded_triples(monkeypatch):
+    """Every triple that `spaces` builds, with its rep and quotient."""
+    calls = []
+    real = A.build_quaternion_triple
+
+    def record(rep, tol=C.DEFAULT_TOL, fd_step=None, quotient=()):
+        res = real(rep, tol, fd_step, quotient)
+        calls.append((rep, quotient, res))
+        return res
+
+    monkeypatch.setattr(A, "build_quaternion_triple", record)
+    return calls
+
+
+def test_quotient_structures_live_on_the_tangent(recorded_triples):
+    """On every catalog quotient, I, J and K act on the directions outside
+    the quotient, are signed permutations within the snap bound and square
+    to -1 exactly; the dense oracle on the float J, restricted to those
+    directions, stays within tol."""
+    from hktlie import spaces
+    for factor in CLI_RANGE:
+        for spec in spaces.enumerate_quotients(factor):
+            if spec.selections:
+                assert spaces.build_coset_triple(spec).verdict == "certified"
+    assert len(recorded_triples) == 70
+    for rep, quotient, res in recorded_triples:
+        for s in (res.I, res.J, res.K):
+            assert s.dim == res.dimension
+            assert s.snap <= 1e-12
+            assert s.square_residual() == 0.0
+        tangent = np.setdiff1d(np.arange(rep.dim), quotient)
+        whole = np.zeros((rep.dim, rep.dim))
+        whole[np.ix_(tangent, tangent)] = res.I.matrix
+        J = A._conjugate(whole, res.automorphisms)[np.ix_(tangent, tangent)]
+        assert oracles.quaternion_residual(res.I, J, res.I.matrix @ J) <= C.DEFAULT_TOL
 
 
 def test_k_mismatch_recorded_not_asserted():
@@ -416,4 +505,4 @@ def test_surplus_padding_is_named():
 
 def test_abelian_algebra_has_no_basic_roots():
     with pytest.raises(C.PairingError, match="no basic roots: the algebra is 3 u"):
-        A.basic_roots(L.build_abelian_rep(3))
+        A.basic_roots(oracles.build_abelian_rep(3))

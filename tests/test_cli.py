@@ -430,6 +430,29 @@ def test_non_ascii_digits_are_a_parse_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+#: each numeric argument and HKT_TOL with a non-ASCII digit, which int() and
+#: float() would read: an Arabic-Indic three and two, a fullwidth one
+NON_ASCII_NUMBERS = [
+    (["catalog", "A", "\u0663"], {}), (["classify", "A", "\u0663"], {}),
+    (["catalog", "A", "3", "\u0662"], {}), (["--tol", "\uff11e-9", "verify", "A2"], {}),
+    (["--fd-step", "\uff11e-4", "verify", "A2"], {}), (["verify", "A2"], {"HKT_TOL": "\uff11e-9"}),
+]
+
+
+@pytest.mark.parametrize("argv,env", NON_ASCII_NUMBERS, ids=[
+    "catalog-rank", "classify-max_rank", "catalog-max_level", "tol", "fd-step", "HKT_TOL"])
+def test_non_ascii_numbers_are_a_usage_error(argv, env):
+    """Exit 2 with an error, in a fresh interpreter where importing numpy
+    fails, so no command ran."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = ("import sys\nsys.modules['numpy'] = None\nimport hktlie.cli\n"
+             "sys.exit(hktlie.cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_rank_cap_checked_before_any_chain(monkeypatch):
     """A factor above the cap is refused before its root system is built."""
     def refuse(*args):
@@ -553,28 +576,28 @@ def test_catalog_verify_json_full_reports(capsys):
 
 
 def test_verify_residual_failure_exit_code(capsys):
-    # machine-precision residuals cannot beat a 1e-18 tolerance
+    # machine-precision rounding cannot beat a 1e-18 tolerance; it shows in J's snap
     code, out, _ = run(capsys, "--tol", "1e-18", "verify", "A2")
     assert code == 1
-    assert "verdict: failed (quaternion 9e-16 above 1e-18)" in out
+    assert "verdict: failed (J.snap 2.2e-16 above 1e-18)" in out
     code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A2")
     assert code == 1
-    assert json.loads(out)["message"] == "quaternion 9e-16 above 1e-18"
+    assert json.loads(out)["message"] == "J.snap 2.2e-16 above 1e-18"
 
 
 def test_catalog_max_residual_covers_the_failing_check(capsys):
-    """A row's max residual is at least the quaternion residual that fails it."""
+    """A row's max residual is at least the snap of J that fails it."""
     _, out, _ = run(capsys, "--json", "--tol", "1e-18", "catalog", "A", "2", "--verify")
-    quaternion = {d["name"]: d["quaternion"] for d in json.loads(out)}
+    snap = {d["name"]: d["residuals"]["J"]["snap"] for d in json.loads(out)}
     code, out, _ = run(capsys, "--tol", "1e-18", "catalog", "A", "2", "--verify")
     assert code == cli.EXIT_FAILED
     rows = out.splitlines()
-    assert len(rows) == len(quaternion) == 2
+    assert len(rows) == len(snap) == 2
     for row in rows:
         name = row.partition(" [")[0].rstrip()
-        assert f"failed (quaternion {quaternion[name]:.1g} above 1e-18)" in row
+        assert f"failed (J.snap {snap[name]:.2g} above 1e-18)" in row
         shown = float(row.rpartition("(max residual ")[2].rstrip(")"))
-        assert shown >= float(f"{quaternion[name]:.2e}")
+        assert shown >= float(f"{snap[name]:.2e}")
 
 
 #: the keys of a certificate that are not checks

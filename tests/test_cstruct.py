@@ -17,7 +17,7 @@ def canonical(family, rank, u1=0):
 
 
 def abelian4():
-    rep = L.build_abelian_rep(4)
+    rep = oracles.build_abelian_rep(4)
     return rep, C.canonical_I(rep, ((0, 1), (2, 3)))
 
 
@@ -26,8 +26,8 @@ def abelian4():
 
 def test_su2_u1_canonical_matches_block():
     rep, I = canonical("A", 1, 1)
-    assert np.abs(I.matrix - C.SCRIPT_I).max() < 1e-14
-    assert [b.tag for b in I.blocks] == ["script-I"]
+    assert np.abs(I.matrix - oracles.SCRIPT_I).max() < 1e-14
+    assert oracles.block_tags(I) == ["script-I"]
 
 
 def test_su3_canonical_block_structure():
@@ -35,7 +35,7 @@ def test_su3_canonical_block_structure():
     # exactly antisymmetric by construction, squares to -1
     assert np.array_equal(I.matrix, -I.matrix.T)
     assert I.square_residual() < 1e-12
-    assert [b.tag for b in I.blocks] == ["script-I", "script-I"]
+    assert oracles.block_tags(I) == ["script-I", "script-I"]
     # I_83 = +1: the leftover Cartan axis is the image of the coroot axis
     h_coroot, h_rest = rep.csa_indices
     assert I.matrix[h_rest, h_coroot] == 1.0
@@ -47,6 +47,14 @@ def test_abelian_dim4_two_rotation_blocks():
     expect[1, 0] = expect[3, 2] = 1.0
     expect[0, 1] = expect[2, 3] = -1.0
     assert np.array_equal(I.matrix, expect)
+
+
+def test_structure_is_read_only():
+    """`matrix` is built once from `perm` and `sign`, so none of them moves."""
+    _, I = canonical("A", 2)
+    for array in (I.perm, I.sign, I.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("family,rank", CATALOG)
@@ -66,7 +74,7 @@ def test_nijenhuis_agrees_with_algebraic_check(family, rank):
     from hktlie.spaces import required_padding
     rep, I = canonical(family, rank, required_padding([(family, rank)]))
     f = rep.structure_constants()
-    samples = [(I.matrix, C.nijenhuis_at_origin),
+    samples = [(I, C.nijenhuis_at_origin),
                (oracles.random_complex_structure(rep.dim, np.random.default_rng(1)),
                 oracles.nijenhuis_dense)]
     for m, nijenhuis in samples:
@@ -90,12 +98,23 @@ def test_canonical_I_rejects_pairs_off_the_cartan_axes(pairs):
         C.canonical_I(rep, pairs)
 
 
+def test_canonical_I_needs_a_partner_for_every_direction():
+    """A2 x U(1) with the Cartan axis 7 unpaired, or paired into the quotient."""
+    rep = L.build_matrix_rep("A", 2, 1)
+    with pytest.raises(C.PairingError, match=r"generator\(s\) \[7\] .* no partner"):
+        C.canonical_I(rep, ((6, 8),))
+    with pytest.raises(C.PairingError, match=r"generator\(s\) \[6\] .* no partner"):
+        C.canonical_I(rep, ((6, 7),), quotient=(7, 8))
+    I = C.canonical_I(rep, ((6, 7),), quotient=(8,))
+    assert I.dim == 8 and I.square_residual() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # integrability residual
 
 def test_integrability_zero_for_abelian():
     rep, I = abelian4()
-    f = L.structure_constants(rep)
+    f = oracles.structure_constants(rep)
     assert C.integrability_residual(I, f) == 0.0
 
 
@@ -123,7 +142,7 @@ def test_bismut_zero_canonical_su3():
 
 def test_bismut_zero_for_abelian():
     rep, I = abelian4()
-    assert C.bismut_residual(I, L.structure_constants(rep)) == 0.0
+    assert C.bismut_residual(I, oracles.structure_constants(rep)) == 0.0
 
 
 def test_bismut_zero_for_random_antisymmetric():
@@ -156,7 +175,7 @@ def test_metric_matches_exact_killing_su2():
 
 
 def test_metric_abelian_is_flat():
-    rep = L.build_abelian_rep(4)
+    rep = oracles.build_abelian_rep(4)
     x = np.array([0.3, -0.2, 0.1, 0.7])
     assert np.array_equal(oracles.metric_at(rep, x), np.eye(4))
 
@@ -200,7 +219,7 @@ def test_torsion_equals_f_su3():
 
 def test_torsion_zero_for_abelian():
     rep, I = abelian4()
-    f = L.structure_constants(rep)
+    f = oracles.structure_constants(rep)
     assert np.abs(oracles.coo_torsion_via_hull(I, f)).max() == 0.0
 
 
@@ -288,9 +307,9 @@ def test_nijenhuis_refuses_non_permutation():
     rep, I = canonical("A", 2)
     for m in (oracles.random_complex_structure(rep.dim, np.random.default_rng(3)),
               I.matrix + 1e-9):
-        snap = C.ComplexStructure(m).snap
-        with pytest.raises(ValueError, match=f"{snap:.3e} from the nearest signed permutation"):
-            C.nijenhuis_at_origin(rep, m, step=1e-4)
+        s = C.ComplexStructure.from_matrix(m)
+        with pytest.raises(ValueError, match=f"{s.snap:.3e} from the nearest signed permutation"):
+            C.nijenhuis_at_origin(rep, s, step=1e-4)
 
 
 @pytest.mark.parametrize("step", [1e-320, 5e-324, 0.0])
@@ -372,12 +391,20 @@ def test_nijenhuis_path_builds_no_dense_f():
 # ---------------------------------------------------------------------------
 # quaternion residual
 
+def thooft(*matrices):
+    return [C.ComplexStructure.from_matrix(m) for m in matrices]
+
+
 def test_quaternion_thooft_triple():
-    assert C.quaternion_residual(C.SCRIPT_I, C.SCRIPT_J, C.SCRIPT_K) == 0.0
+    triple = (oracles.SCRIPT_I, oracles.SCRIPT_J, oracles.SCRIPT_K)
+    assert C.quaternion_residual(*thooft(*triple)) == 0.0
+    assert oracles.quaternion_residual(*triple) == 0.0
 
 
 def test_quaternion_degenerate_triple():
-    assert C.quaternion_residual(C.SCRIPT_I, C.SCRIPT_I, C.SCRIPT_K) >= 2.0
+    triple = (oracles.SCRIPT_I, oracles.SCRIPT_I, oracles.SCRIPT_K)
+    assert C.quaternion_residual(*thooft(*triple)) >= 2.0
+    assert oracles.quaternion_residual(*triple) >= 2.0
 
 
 def test_quaternion_su3_triple():
@@ -391,12 +418,12 @@ def test_quaternion_su3_triple():
 def test_quaternion_residual_orthogonal_invariance(seed):
     """Conjugating the whole triple by one orthogonal matrix is inert."""
     rng = np.random.default_rng(seed)
-    i, j = C.SCRIPT_I, C.SCRIPT_J
+    i, j = oracles.SCRIPT_I, oracles.SCRIPT_J
     k = i @ j
     q, r = np.linalg.qr(rng.standard_normal((4, 4)))
     q = q * np.sign(np.diag(r))
-    before = C.quaternion_residual(i, j, k)
-    after = C.quaternion_residual(q @ i @ q.T, q @ j @ q.T, q @ k @ q.T)
+    before = oracles.quaternion_residual(i, j, k)
+    after = oracles.quaternion_residual(q @ i @ q.T, q @ j @ q.T, q @ k @ q.T)
     assert abs(before - after) < 1e-12
 
 
@@ -511,7 +538,7 @@ def recorded_reports(monkeypatch):
 
     def record(I, f, tol=C.DEFAULT_TOL, nijenhuis=None):
         report = real(I, f, tol, nijenhuis)
-        calls.append((C._matrix_of(I), f, tol, report))
+        calls.append((I.matrix, f, tol, report))
         return report
 
     monkeypatch.setattr(C, "geometry_report", record)
@@ -548,17 +575,16 @@ def test_random_signed_permutations_are_not_integrable(family, rank, u1):
     rng = np.random.default_rng(17)
     for _ in range(10):
         m = random_signed_permutation_structure(rep.dim, rng)
-        structure = C.ComplexStructure(m)
+        structure = C.ComplexStructure.from_matrix(m)
         assert structure.snap == 0.0
-        assert np.array_equal(structure.matrix[structure.perm, np.arange(rep.dim)],
-                              structure.sign)
-        ours = C.integrability_residual(m, f)
+        assert np.array_equal(structure.matrix, m)
+        ours = C.integrability_residual(structure, f)
         assert ours > 0.1 and oracles.integrability_residual(m, f) > 0.1
         assert abs(ours - oracles.integrability_residual(m, f)) <= 1e-13
-        assert abs(C.bismut_residual(m, f) - oracles.bismut_residual(m, f)) <= 1e-13
+        assert abs(C.bismut_residual(structure, f) - oracles.bismut_residual(m, f)) <= 1e-13
         with pytest.raises(oracles.IntegrabilityError, match="residual"):
-            oracles.coo_torsion_via_hull(m, f)
-        assert C.geometry_report(m, f)["torsion_match"] == np.inf
+            oracles.coo_torsion_via_hull(structure, f)
+        assert C.geometry_report(structure, f)["torsion_match"] == np.inf
 
 
 def test_rotated_structure_is_refused():
@@ -570,13 +596,13 @@ def test_rotated_structure_is_refused():
     rot = np.eye(rep.dim)
     rot[0, 0] = rot[2, 2] = np.cos(angle)
     rot[2, 0], rot[0, 2] = np.sin(angle), -np.sin(angle)
-    m = rot @ I.matrix @ rot.T
+    s = C.ComplexStructure.from_matrix(rot @ I.matrix @ rot.T)
     for kernel in (C.integrability_residual, C.bismut_residual, oracles.coo_torsion_via_hull):
         with pytest.raises(ValueError, match="from the nearest signed permutation"):
-            kernel(m, f)
-    report = C.geometry_report(m, f)
+            kernel(s, f)
+    report = C.geometry_report(s, f)
     assert 1e-12 < report["snap"] < 1e-5
-    assert report["square"] < 1e-12
+    assert report["square"] == 0.0
     assert report["integrability"] == report["bismut"] == report["torsion_match"] == np.inf
     failure = C.first_failure(report.items(), C.DEFAULT_TOL)
     assert failure == ("snap", report["snap"], 1e-12)
@@ -609,7 +635,7 @@ def test_geometry_report_memory_stays_below_the_dense_temporaries():
     tracemalloc.start()
     try:
         for s in (triple.I, triple.J, triple.K):
-            C.geometry_report(s.matrix, f)
+            C.geometry_report(s, f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
