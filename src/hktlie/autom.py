@@ -67,17 +67,17 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
     if kind not in ("J", "K"):
         raise ValueError(f"kind must be 'J' or 'K', got {kind!r}")
     ent = rep.root_entry(theta)
-    coo = rep.structure_constants().coo
-    row = coo.index[:, 0] == (ent.re_index if kind == "J" else ent.im_index)
-    _, b, c = coo.index[row].T
-    touched = np.zeros(coo.dim, dtype=bool)
+    f = rep.structure_constants()
+    row = f.index[:, 0] == (ent.re_index if kind == "J" else ent.im_index)
+    _, b, c = f.index[row].T
+    touched = np.zeros(f.dim, dtype=bool)
     touched[b] = touched[c] = True
     support = np.flatnonzero(touched)
     pos = np.cumsum(touched) - 1
     # E_-theta - E_theta = -(E_theta - E_-theta): the K rotation turns back
     sign = -1.0 if kind == "K" and theta.sign != "positive" else 1.0
     B = np.zeros((support.size, support.size))
-    B[pos[c], pos[b]] = 2.0 * sign * ent.scale * coo.value[row]
+    B[pos[c], pos[b]] = 2.0 * sign * ent.scale * f.value[row]
     block = np.zeros_like(B)
     for coeff in _EXP_COEFFS[::-1]:                  # Horner's rule
         block = block @ B + coeff * np.eye(support.size)
@@ -114,13 +114,13 @@ def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Ro
     t of theta.  This test on f must agree with the exact one, that
     root +- theta is neither a root nor 0 for every theta; a disagreement
     raises DecompositionMismatchError."""
-    coo = rep.structure_constants().coo
-    of_theta = np.zeros(coo.dim, dtype=bool)
+    f = rep.structure_constants()
+    of_theta = np.zeros(f.dim, dtype=bool)
     for t in thetas:
         ent = rep.root_entry(t)
         of_theta[[ent.re_index, ent.im_index]] = True
-    moved = np.zeros(coo.dim, dtype=bool)
-    moved[coo.index[of_theta[coo.index[:, 1]], 0]] = True
+    moved = np.zeros(f.dim, dtype=bool)
+    moved[f.index[of_theta[f.index[:, 1]], 0]] = True
     rs = rep.root_system
     commuting = []
     for root in roots:
@@ -139,8 +139,8 @@ def basic_roots(rep: AlgebraRep) -> tuple:
     """The nodes of the iterated highest-root chain, numerically cross-checked
     level by level.
 
-    For every node, the roots of its subsystem whose basis elements commute with
-    E_{+-theta} must be exactly the positive roots of the child subsystems found
+    For every node, the roots of the node whose basis elements commute with
+    E_{+-theta} must be exactly the positive roots of its children found
     combinatorially, and the basic coroots must be mutually orthogonal.
     """
     nodes = chain_nodes(rep.chain_levels)
@@ -148,9 +148,8 @@ def basic_roots(rep: AlgebraRep) -> tuple:
         raise PairingError(f"no basic roots: the algebra is {rep.u1_count} u(1) factor(s) "
                            "and no simple factor")
     for node in nodes:
-        got = {r.coords for r in _commuting_roots(rep, node.subsystem.positive_roots,
-                                                  [node.theta])}
-        want = {r.coords for c in node.children for r in c.subsystem.positive_roots}
+        got = {r.coords for r in _commuting_roots(rep, node.positive_roots, [node.theta])}
+        want = {r.coords for c in node.children for r in c.positive_roots}
         if got != want:
             raise DecompositionMismatchError(
                 f"chain node {node.label}: centralizer and children differ on roots "
@@ -238,7 +237,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
         _check_fd_step(fd_step)
     removed = set(quotient)
     nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
-    f = rep.structure_constants().coo
+    f = rep.structure_constants()
 
     # every structure and number below reads the tangent directions: all
     # indices outside the quotient, and for a group manifold all of them

@@ -183,7 +183,7 @@ def cmd_roots(args) -> int:
     rs, levels = root_chain(family, rank)
     [top] = levels[0]
     # the extended-diagram surgery is the chain's first step
-    summands = [f"{c.subsystem.family}{c.subsystem.rank}" for c in top.children]
+    summands = [f"{c.family}{c.rank}" for c in top.children]
     if args.json:
         doc = rs.to_json_dict()
         doc["surgery"] = {"summands": summands, "abelian_rank": top.abelian_dim}
@@ -368,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread unless the user chose otherwise: the kernels are small,
+    # and by default OpenBLAS starts one thread per CPU at `import numpy`
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -42,7 +42,7 @@ import numpy as np
 from .bounds import (BOUNDS, DEFAULT_FD_STEP, DEFAULT_TOL, MAX_FD_STEP, MIN_FD_STEP,  # noqa: F401
                      RECORDED, SNAP_BOUND, STRUCTURE_CHECKS, PairingError, _check_fd_step,
                      first_failure)
-from .liealg import AlgebraRep, CooTensor, StructureConstants, _reduce_by_key
+from .liealg import AlgebraRep, StructureConstants, _reduce_by_key
 from .rootsys import chain_nodes
 
 @dataclass(frozen=True)
@@ -129,10 +129,6 @@ def _product(a: tuple, b: tuple) -> tuple:
     return pa[pb], sb * sa[pb]
 
 
-def _coo_of(f) -> CooTensor:
-    return f.coo if isinstance(f, StructureConstants) else f
-
-
 def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
     """Partition of generator indices into theta blocks and root quartets."""
     if rep.root_system is None:
@@ -143,7 +139,7 @@ def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
     for node in chain_nodes(rep.chain_levels):
         theta = node.theta
         ent = rep.root_entry(theta)
-        node_pos = {r.coords for r in node.subsystem.positive_roots}
+        node_pos = {r.coords for r in node.positive_roots}
         t = rep.coroot_axis_index(theta)
         if t in partner:
             blocks.append(Block(
@@ -151,7 +147,7 @@ def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
                 kind="theta", level=node.level,
                 description=f"theta block {node.label}"))
         seen = set()
-        for mu in node.subsystem.positive_roots:
+        for mu in node.positive_roots:
             if mu.coords == theta.coords or mu.coords in seen:
                 continue
             rest = tuple(a - b for a, b in zip(theta.coords, mu.coords))
@@ -220,53 +216,52 @@ def _max_abs(dim: int, terms) -> float:
     return float(np.abs(sums).max(initial=0.0))
 
 
-def _f_terms(coo: CooTensor, scale: float = 1.0) -> list:
-    return [(*coo.index.T, scale * coo.value)]
+def _f_terms(f: StructureConstants, scale: float = 1.0) -> list:
+    return [(*f.index.T, scale * f.value)]
 
 
-def _integrability_terms(perm, sign, coo: CooTensor) -> list:
+def _integrability_terms(perm, sign, f: StructureConstants) -> list:
     """f_ABC - (IIf)_ABC - (IIf)_BCA - (IIf)_CAB, where f_DEC lands in (IIf) at
     (perm D, perm E, C) with the sign sign_D sign_E."""
-    d, e, c = coo.index.T
+    d, e, c = f.index.T
     a, b = perm[d], perm[e]
-    w = -sign[d] * sign[e] * coo.value
-    return _f_terms(coo) + [(a, b, c, w), (c, a, b, w), (b, c, a, w)]
+    w = -sign[d] * sign[e] * f.value
+    return _f_terms(f) + [(a, b, c, w), (c, a, b, w), (b, c, a, w)]
 
 
-def _di_terms(perm, sign, coo: CooTensor) -> list:
+def _di_terms(perm, sign, f: StructureConstants) -> list:
     """dI[P, M, N] = d_P I_MN of the group-covariant field at the origin,
     (I_MQ f_NQP - I_NQ f_MQP) / 2."""
-    n, q, p = coo.index.T
+    n, q, p = f.index.T
     m = perm[q]
-    w = 0.5 * sign[q] * coo.value
+    w = 0.5 * sign[q] * f.value
     return [(p, m, n, w), (p, n, m, -w)]
 
 
-def _bismut_terms(perm, sign, coo: CooTensor) -> list:
+def _bismut_terms(perm, sign, f: StructureConstants) -> list:
     """dI[P, M, N] - (f_QPM I_QN + f_QPN I_MQ) / 2: an entry f_QPC lands at
     (P, C, N) with I_QN and at (P, M, C) with I_MQ."""
-    q, p, c = coo.index.T
+    q, p, c = f.index.T
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    h = 0.5 * coo.value
-    return _di_terms(perm, sign, coo) + [(p, c, inv[q], -sign[inv[q]] * h),
-                                         (p, perm[q], c, -sign[q] * h)]
+    h = 0.5 * f.value
+    return _di_terms(perm, sign, f) + [(p, c, inv[q], -sign[inv[q]] * h),
+                                       (p, perm[q], c, -sign[q] * h)]
 
 
-def _hull_terms(perm, sign, coo: CooTensor) -> list:
+def _hull_terms(perm, sign, f: StructureConstants) -> list:
     """C_MNP = I_MQ I_NS I_PR (dI_QSR + dI_SRQ + dI_RQS).  dI_PMN is
     D_PMN - D_PNM with D_PMN = I_MQ f_NQP / 2, antisymmetric in (P, N), so
     the cyclic sum is 2 (D_QSR + D_SRQ + D_RQS): three relabellings of D."""
-    (q, s, r, w), _ = _di_terms(perm, sign, coo)
+    (q, s, r, w), _ = _di_terms(perm, sign, f)
     return [(perm[x], perm[y], perm[z], 2 * sign[x] * sign[y] * sign[z] * w)
             for x, y, z in ((q, s, r), (s, r, q), (r, q, s))]
 
 
-def integrability_residual(I, f) -> float:
+def integrability_residual(I, f: StructureConstants) -> float:
     """max |f_ABC - I_AD I_BE f_DEC - I_BD I_CE f_DEA - I_CD I_AE f_DEB|, on
     the signed permutation of I."""
-    coo = _coo_of(f)
-    return _max_abs(coo.dim, _integrability_terms(*_signed_of(I), coo))
+    return _max_abs(f.dim, _integrability_terms(*_signed_of(I), f))
 
 
 def quaternion_residual(I: ComplexStructure, J: ComplexStructure,
@@ -289,15 +284,14 @@ def quaternion_residual(I: ComplexStructure, J: ComplexStructure,
     return worst
 
 
-def bismut_residual(I, f) -> float:
+def bismut_residual(I, f: StructureConstants) -> float:
     """Residual of the covariant constancy under the torsionful connection,
     on the signed permutation of I.
 
     Vanishes identically for any antisymmetric I by cyclicity of f; a nonzero
     value signals an index-convention bug, not a geometric failure.
     """
-    coo = _coo_of(f)
-    return _max_abs(coo.dim, _bismut_terms(*_signed_of(I), coo))
+    return _max_abs(f.dim, _bismut_terms(*_signed_of(I), f))
 
 
 #: weights of the vielbein variants x = +h e_m, -h e_m, +h' e_m, -h' e_m
@@ -312,13 +306,13 @@ _WEIGHTS = np.array([1 - 1j / 3, -1 + 1j / 3, 8j / 3, -8j / 3])
 _BLOCK = 1 << 11
 
 
-def _offset_blocks(coo: CooTensor, step: float) -> list:
+def _offset_blocks(f: StructureConstants, step: float) -> list:
     """One (m, support, X, Y) per size s of the components: X and Y at
     x = +h e_m for h = step and step/2 on the n components of that size,
     stacked as (n, 2, s, s), block g of the direction m[g] on the indices
     support[g] (see `_vielbein_offsets`)."""
-    dim = coo.dim
-    a, m, c = coo.index.T
+    dim = f.dim
+    a, m, c = f.index.T
     node, other = m * dim + a, m * dim + c
     members, starts = _components(node, other, dim * dim)
     sizes = np.diff(starts, append=members.size)
@@ -334,7 +328,7 @@ def _offset_blocks(coo: CooTensor, step: float) -> list:
         inside = block[component[node]] >= 0
         F = np.zeros((blocks.size, s, s))
         F[block[component[node[inside]]], position[node[inside]],
-          position[other[inside]]] = coo.value[inside]
+          position[other[inside]]] = f.value[inside]
         quad = F @ F.transpose(0, 2, 1)
         plus = np.stack([-h / 2 * F - h * h / 6 * quad for h in (step, step / 2)], axis=1)
         nodes = members[starts[blocks][:, None] + np.arange(s)]
@@ -398,7 +392,7 @@ def _components(node: np.ndarray, other: np.ndarray, size: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _vielbein_offsets(coo: CooTensor, step: float) -> tuple:
+def _vielbein_offsets(f: StructureConstants, step: float) -> tuple:
     """X = e - 1 and Y = e^-1 - 1 for every direction m and every variant of
     `_WEIGHTS`, as the (start, index, values) of `_grouped` over the entries
     (m, row, col) where a variant is non-zero, `values` one column per
@@ -417,9 +411,9 @@ def _vielbein_offsets(coo: CooTensor, step: float) -> tuple:
     the step alone, so I, J and K share them.  Indices and starts, all
     below D^3, are int32 where that fits.
     """
-    dim = coo.dim
+    dim = f.dim
     itype = np.int32 if dim ** 3 <= np.iinfo(np.int32).max else np.int64
-    blocks = _offset_blocks(coo, step)
+    blocks = _offset_blocks(f, step)
     rows, cols, values = _sites([(m, support, x) for m, support, x, _ in blocks], dim, itype)
     X = _grouped(cols, dim * dim, rows % dim, values)
     del rows, cols, values      # freed before Y's sites are made: the build's peak
@@ -467,24 +461,24 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = DEFAULT_FD_STEP) -> fl
     """
     _check_fd_step(step)
     perm, sign = _signed_of(I)
-    coo = rep.structure_constants().coo
-    dim = coo.dim
+    f = rep.structure_constants()
+    dim = f.dim
     inv = np.empty_like(perm)
     inv[perm] = np.arange(dim)
-    (xstart, xrow, xval), (ystart, yrow, yval) = _vielbein_offsets(coo, step)
+    (xstart, xrow, xval), (ystart, yrow, yval) = _vielbein_offsets(f, step)
     # (values @ weights).view(complex) sums the variants as weighted in 2h d
     weights = np.stack([_WEIGHTS.real, _WEIGHTS.imag], axis=1) / (2 * step)
     # the entries f[a, m, c] of X I by their column inv[c]
-    fk = inv[coo.index[:, 2]]
+    fk = inv[f.index[:, 2]]
     forder = np.argsort(fk, kind="stable")
     fstart = np.searchsorted(fk[forder], np.arange(dim + 1))
 
     def block_terms(lo: int, hi: int) -> list:
         """The (m, n, k, value) terms of d for the columns k in [lo, hi)."""
         # X I: (X_+ - X_-) I / 2h = -F_m I / 2 exactly, the same at both steps
-        f = forder[fstart[lo]:fstart[hi]]
-        a, m, _ = coo.index[f].T
-        fixed = (m, a, fk[f], -0.5 * (1 + 1j) * sign[fk[f]] * coo.value[f])
+        e = forder[fstart[lo]:fstart[hi]]
+        a, m, _ = f.index[e].T
+        fixed = (m, a, fk[e], -0.5 * (1 + 1j) * sign[fk[e]] * f.value[e])
         # I Y: the entry (q, k) of Y moves to row perm[q]
         y = slice(ystart[lo], ystart[hi])
         ym, q = np.divmod(yrow[y].astype(np.int64), dim)
@@ -510,7 +504,7 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = DEFAULT_FD_STEP) -> fl
     return n_extrap
 
 
-def geometry_report(I: ComplexStructure, f, tol: float = DEFAULT_TOL,
+def geometry_report(I: ComplexStructure, f: StructureConstants, tol: float = DEFAULT_TOL,
                     nijenhuis: float | None = None) -> dict:
     """Every check of one structure against the structure constants f, by
     name in BOUNDS order; the Nijenhuis value is measured on the whole
@@ -520,13 +514,12 @@ def geometry_report(I: ComplexStructure, f, tol: float = DEFAULT_TOL,
     permutation of I, so they are infinite when its snap is above SNAP_BOUND;
     the torsion match is also infinite when I is not integrable.
     """
-    coo = _coo_of(f)
     integ = bis = tors = float("inf")
     if I.snap <= SNAP_BOUND:
-        integ = _max_abs(coo.dim, _integrability_terms(I.perm, I.sign, coo))
-        bis = _max_abs(coo.dim, _bismut_terms(I.perm, I.sign, coo))
+        integ = _max_abs(f.dim, _integrability_terms(I.perm, I.sign, f))
+        bis = _max_abs(f.dim, _bismut_terms(I.perm, I.sign, f))
         if integ <= tol:
-            tors = _max_abs(coo.dim, _hull_terms(I.perm, I.sign, coo) + _f_terms(coo, -1.0))
+            tors = _max_abs(f.dim, _hull_terms(I.perm, I.sign, f) + _f_terms(f, -1.0))
     values = dict(snap=I.snap, integrability=integ, square=I.square_residual(), bismut=bis,
                   torsion_match=tors, nijenhuis=nijenhuis)
     return {check: values[check] for check in STRUCTURE_CHECKS}

@@ -80,38 +80,28 @@ CLOSURE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class CooTensor:
-    """The non-zero entries t[index[k]] = value[k] of a (dim, dim, dim) tensor."""
+class StructureConstants:
+    """Totally antisymmetric f_ABC with [t_A, t_B] = i f_ABC t_C, held as its
+    non-zero entries f[index[k]] = value[k]; `f` is the dense (D, D, D) view,
+    built on first read."""
 
     index: np.ndarray    # (n, 3) integer index triples
     value: np.ndarray    # (n,)
     dim: int
 
-    def restrict(self, keep: Sequence[int]) -> "CooTensor":
+    def restrict(self, keep: Sequence[int]) -> "StructureConstants":
         """The entries whose three indices all lie in `keep`, renumbered in
         the order of `keep`."""
         new = np.full(self.dim, -1)
         new[list(keep)] = np.arange(len(keep))
         mapped = new[self.index]
         inside = (mapped >= 0).all(axis=1)
-        return CooTensor(mapped[inside], self.value[inside], len(keep))
-
-
-@dataclass(eq=False)
-class StructureConstants:
-    """Totally antisymmetric f_ABC with [t_A, t_B] = i f_ABC t_C, held as its
-    non-zero entries; `f` is the dense (D, D, D) view, built on first read."""
-
-    coo: CooTensor
-
-    @property
-    def dim(self) -> int:
-        return self.coo.dim
+        return StructureConstants(mapped[inside], self.value[inside], len(keep))
 
     @functools.cached_property
     def f(self) -> np.ndarray:
         f = np.zeros((self.dim,) * 3)
-        f[tuple(self.coo.index.T)] = self.coo.value
+        f[tuple(self.index.T)] = self.value
         f.setflags(write=False)
         return f
 
@@ -330,10 +320,10 @@ def _adapted_csa(levels, raw: _Raw, C: float, first_index: int) -> tuple:
     for node in nodes:
         add("coroot", node, node.theta, _np_coords(coroot(node.theta)))
     for node in nodes:
-        span = _gram_schmidt([_np_coords(s.coords) for s in node.subsystem.simple_roots], kappa)
+        span = _gram_schmidt([_np_coords(s.coords) for s in node.simple_roots], kappa)
         forbidden = [_np_coords(coroot(node.theta))]
         for child in node.children:
-            forbidden += [_np_coords(s.coords) for s in child.subsystem.simple_roots]
+            forbidden += [_np_coords(s.coords) for s in child.simple_roots]
         forbidden = _gram_schmidt(forbidden, kappa)
         before = len(axes)
         for cand in raw.std_candidates:
@@ -401,14 +391,14 @@ def _zero_extend(rep: AlgebraRep, u: int) -> AlgebraRep:
     gens[range(D, D + u), range(d, d + u), range(d, d + u)] = np.sqrt(rep.norm_const)
     gens.setflags(write=False)
     zero = np.zeros(rep.csa_axes[0].functional.size if rep.csa_axes else 0)
-    coo = rep.structure_constants().coo
+    f = rep.structure_constants()
     return dataclasses.replace(
         rep, u1_count=rep.u1_count + u, matrix_dim=d + u, generators=gens,
         u1_indices=rep.u1_indices + tuple(range(D, D + u)),
         csa_axes=rep.csa_axes + tuple(CsaAxis(index=i, kind="u1", level=-1, node_label="u1",
                                               root=None, functional=zero)
                                       for i in range(D, D + u)),
-        _structure=StructureConstants(CooTensor(coo.index, coo.value, D + u)))
+        _structure=StructureConstants(f.index, f.value, D + u))
 
 
 def _build_matrix_rep(family, rank, rep_kind):
@@ -443,7 +433,7 @@ def _build_matrix_rep(family, rank, rep_kind):
     gens.setflags(write=False)
     comm = _commutator_entries(gens)
     structure = _structure_constants(gens, C, comm)
-    _check_closure(gens, structure.coo, comm)
+    _check_closure(gens, structure, comm)
     return AlgebraRep(
         family=family, rank=rank, u1_count=0, rep_kind=rep_kind,
         matrix_dim=d, norm_const=C, generators=gens,
@@ -500,7 +490,7 @@ def _commutator_entries(gens: np.ndarray) -> tuple:
     return _reduce_by_key(keys, np.concatenate((p, -p)))
 
 
-def _check_closure(gens: np.ndarray, f: CooTensor, comm: tuple) -> float:
+def _check_closure(gens: np.ndarray, f: StructureConstants, comm: tuple) -> float:
     """max |[t_a, t_b] - i f_abc t_c| over all a, b and matrix entries, with
     `comm` the `_commutator_entries` of `gens`.
 
@@ -540,7 +530,7 @@ def _structure_constants(g: np.ndarray, norm_const: float, comm: tuple) -> Struc
         raise ConstructionError("structure constants are not real")
     keep = np.abs(f.real) > F_ZERO
     index = np.stack(np.unravel_index(keys[keep], (D, D, D)), axis=1)
-    out = StructureConstants(CooTensor(index, f.real[keep], D))
-    for array in (out.coo.index, out.coo.value):
+    out = StructureConstants(index, f.real[keep], D)
+    for array in (out.index, out.value):
         array.setflags(write=False)
     return out

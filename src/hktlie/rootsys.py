@@ -268,32 +268,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# subsystems (the summands of the basic-root chain)
-
-@dataclass(frozen=True, eq=False)
-class RootSubsystem:
-    """A closed subsystem of a parent root system, in parent coordinates."""
-
-    parent: RootSystem
-    positive_roots: tuple[Root, ...]
-    simple_roots: tuple[Root, ...]
-    highest_root: Root
-    family: str
-    rank: int
-    label: str
-
-    @property
-    def dimension(self) -> int:
-        """Dimension of the subalgebra this subsystem spans."""
-        return 2 * len(self.positive_roots) + self.rank
-
-
-def whole_system_as_subsystem(rs: RootSystem) -> RootSubsystem:
-    return RootSubsystem(
-        parent=rs, positive_roots=rs.positive_roots, simple_roots=rs.simple_roots,
-        highest_root=rs.highest_root, family=rs.family, rank=rs.rank,
-        label=f"{rs.family}{rs.rank}")
-
+# the iterated highest-root / centralizer chain
 
 def _classify_shape(positive: Sequence[Root], rank: int) -> tuple[str, int]:
     """Family/rank of an irreducible subsystem from absolute root norms."""
@@ -316,9 +291,11 @@ def _classify_shape(positive: Sequence[Root], rank: int) -> tuple[str, int]:
     return fam, rank
 
 
-def _diagram_children(sub: RootSubsystem) -> tuple[RootSubsystem, ...]:
-    """The irreducible summands of the node's roots orthogonal to its
-    highest root theta, read off the extended Dynkin diagram.
+def _diagram_children(rs: RootSystem, positive: Sequence[Root], simple: Sequence[Root],
+                      theta: Root) -> tuple:
+    """The irreducible summands of a node's roots orthogonal to its highest
+    root theta, read off the extended Dynkin diagram, each as the pair
+    (positive roots, simple roots), by descending highest root.
 
     The node's simple roots are simple roots of the whole system and theta
     is dominant, so (alpha, theta) = sum_i c_i (alpha_i, theta) has no
@@ -328,9 +305,8 @@ def _diagram_children(sub: RootSubsystem) -> tuple[RootSubsystem, ...]:
     orthogonal to theta (O(rank^2)), holding the node's positive roots
     supported on it (O(|positive roots| * rank)).
     """
-    rs, theta = sub.parent, sub.highest_root
     index = {s.coords: i for i, s in enumerate(rs.simple_roots)}
-    kept = {index[s.coords] for s in sub.simple_roots if s.dot(theta) == 0}
+    kept = {index[s.coords] for s in simple if s.dot(theta) == 0}
     out = []
     while kept:
         component, frontier = set(), [kept.pop()]
@@ -341,57 +317,64 @@ def _diagram_children(sub: RootSubsystem) -> tuple[RootSubsystem, ...]:
             kept -= linked
             frontier.extend(linked)
         # a summand's heights are the parent's, so the node's order is kept
-        members = tuple(r for r in sub.positive_roots
+        members = tuple(r for r in positive
                         if all(not c or k in component for k, c in enumerate(rs._coeffs[r.coords])))
         simples = sorted((rs.simple_roots[i] for i in component),
                          key=lambda r: tuple(-c for c in r.coords))
-        top = members[-1]
-        fam, rk = _classify_shape(members, len(simples))
-        out.append(RootSubsystem(
-            parent=rs, positive_roots=members, simple_roots=tuple(simples),
-            highest_root=top, family=fam, rank=rk, label=f"{fam}{rk}:{rs.root_label(top)}"))
-    out.sort(key=lambda s: tuple(-c for c in s.highest_root.coords))
+        out.append((members, tuple(simples)))
+    out.sort(key=lambda pair: tuple(-c for c in pair[0][-1].coords))
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# the iterated highest-root / centralizer chain
-
 @dataclass(frozen=True, eq=False)
 class ChainNode:
-    """One step of the iterated construction: a subsystem and its highest root."""
+    """One step of the iterated construction: an irreducible closed subsystem
+    in the coordinates of the whole root system, its highest root theta, and
+    the nodes of the summands of its roots orthogonal to theta."""
 
-    subsystem: RootSubsystem
+    positive_roots: tuple[Root, ...]    # by increasing height, theta last
+    simple_roots: tuple[Root, ...]
+    family: str
+    rank: int
+    label: str
     theta: Root
     level: int
     children: tuple["ChainNode", ...]
 
     @property
-    def abelian_dim(self) -> int:
-        """Commuting Cartan directions of this node not used by its children."""
-        return self.subsystem.rank - 1 - sum(c.subsystem.rank for c in self.children)
+    def dimension(self) -> int:
+        """Dimension of the subalgebra the node's roots span."""
+        return 2 * len(self.positive_roots) + self.rank
 
     @property
-    def label(self) -> str:
-        return self.subsystem.label
+    def abelian_dim(self) -> int:
+        """Commuting Cartan directions of this node not used by its children."""
+        return self.rank - 1 - sum(c.rank for c in self.children)
 
 
-def _grow_chain(sub: RootSubsystem, level: int, depth_limit: int) -> ChainNode:
+def _grow_chain(rs: RootSystem, positive: tuple, simple: tuple, family: str, rank: int,
+                label: str, level: int) -> ChainNode:
     """The chain below one node: its children are the summands of the
     extended diagram, checked by count against the node's positive roots
-    orthogonal to theta."""
-    if level > depth_limit:
+    orthogonal to theta, each classified by its root norms and labelled by
+    its highest root."""
+    if level > rs.rank + 1:
         raise RuntimeError("highest-root chain failed to terminate")
-    theta = sub.highest_root
-    summands = _diagram_children(sub)
-    orthogonal = sum(1 for r in sub.positive_roots if r.dot(theta) == 0)
-    held = sum(len(c.positive_roots) for c in summands)
+    theta = positive[-1]
+    summands = _diagram_children(rs, positive, simple, theta)
+    orthogonal = sum(1 for r in positive if r.dot(theta) == 0)
+    held = sum(len(members) for members, _ in summands)
     if orthogonal != held:
         raise RuntimeError(
-            f"chain node {sub.label}: {orthogonal} positive roots are orthogonal to theta, "
+            f"chain node {label}: {orthogonal} positive roots are orthogonal to theta, "
             f"the extended diagram's summands hold {held}")
-    children = tuple(_grow_chain(c, level + 1, depth_limit) for c in summands)
-    return ChainNode(subsystem=sub, theta=theta, level=level, children=children)
+    children = []
+    for members, simples in summands:
+        fam, rk = _classify_shape(members, len(simples))
+        children.append(_grow_chain(rs, members, simples, fam, rk,
+                                    f"{fam}{rk}:{rs.root_label(members[-1])}", level + 1))
+    return ChainNode(positive_roots=positive, simple_roots=simple, family=family, rank=rank,
+                     label=label, theta=theta, level=level, children=tuple(children))
 
 
 def basic_root_chain(rs: RootSystem) -> tuple[tuple[ChainNode, ...], ...]:
@@ -403,7 +386,8 @@ def basic_root_chain(rs: RootSystem) -> tuple[tuple[ChainNode, ...], ...]:
     roots orthogonal to its highest root.  The chain stops when only
     commuting directions are left.
     """
-    top = _grow_chain(whole_system_as_subsystem(rs), 0, rs.rank + 1)
+    top = _grow_chain(rs, rs.positive_roots, rs.simple_roots, rs.family, rs.rank,
+                      f"{rs.family}{rs.rank}", 0)
     levels = []
     frontier = (top,)
     while frontier:

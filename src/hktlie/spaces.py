@@ -97,7 +97,7 @@ def classify_family(family: str, max_rank: int) -> list:
     rows = []
     for rank in range(start, max_rank + 1):
         algebra = ("A", 1) if family in ("B", "C") and rank == 1 else (family, rank)
-        dim = root_chain(*algebra)[1][0][0].subsystem.dimension
+        dim = root_chain(*algebra)[1][0][0].dimension
         p = required_padding([algebra])
         rows.append(ClassRow(family=family, rank=rank, name=group_name(family, rank),
                              group_dim=dim, padding=p, total_dim=dim + p))
@@ -115,9 +115,9 @@ def _quotient_padding(levels, tops, abelian_levels) -> int:
     the chain subtrees under `tops`, minus the Cartan directions left after
     also removing the Abelian parts of the nodes at `abelian_levels`."""
     removed = sum(1 for t in tops for _ in _subtree(t))
-    removed_csa = sum(t.subsystem.rank for t in tops)
+    removed_csa = sum(t.rank for t in tops)
     removed_csa += sum(n.abelian_dim for lv in abelian_levels for n in levels[lv])
-    rank = levels[0][0].subsystem.rank
+    rank = levels[0][0].rank
     return 2 * (len(chain_nodes(levels)) - removed) - (rank - removed_csa)
 
 
@@ -132,7 +132,7 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     """
     family, rank = factor
     _, levels = root_chain(family, rank)
-    group_dim = levels[0][0].subsystem.dimension
+    group_dim = levels[0][0].dimension
 
     specs = [SpaceSpec(((family, rank),), _quotient_padding(levels, (), ()))]
     for k in range(1, min(max_level, len(levels)) + 1):
@@ -150,7 +150,7 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
                     if padding < 0:
                         continue
                     spec = SpaceSpec(((family, rank),), padding, (sel,))
-                    dim = (group_dim + padding - sum(t.subsystem.dimension for t in tops)
+                    dim = (group_dim + padding - sum(t.dimension for t in tops)
                            - sum(n.abelian_dim for lv in abelian_levels for n in levels[lv]))
                     if dim % 4:
                         raise RuntimeError(f"tangent dimension {dim} of {spec.name} is not 4k")
@@ -301,7 +301,7 @@ def _verify_factor(factor: _Factor, tol, fd_step):
 
     quotient = {rep.coroot_axis_index(n.theta) for n in removed}
     for top in factor.tops:
-        for root in top.subsystem.positive_roots:
+        for root in top.positive_roots:
             ent = rep.root_entry(root)
             quotient.update((ent.re_index, ent.im_index))
     quotient.update(ax.index for ax in rep.csa_axes if ax.kind == "abelian" and (

@@ -35,10 +35,10 @@ import numpy as np
 
 from hktlie import rootsys as R
 from hktlie.cstruct import (
-    DEFAULT_TOL, ComplexStructure, _coo_of, _hull_terms, _integrability_terms, _max_abs,
-    _signed_of, _sum_by_key)
+    DEFAULT_TOL, ComplexStructure, _hull_terms, _integrability_terms, _max_abs, _signed_of,
+    _sum_by_key)
 from hktlie.liealg import (
-    F_ZERO, AlgebraRep, ConstructionError, CooTensor, StructureConstants, _commutator_entries,
+    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _commutator_entries,
     _flat_transposes, _structure_constants, _zero_extend)
 
 
@@ -57,7 +57,7 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
         family="U1", rank=0, u1_count=0, rep_kind="diagonal", matrix_dim=0, norm_const=1.0,
         generators=np.zeros((0, 0, 0), dtype=complex), csa_indices=(), u1_indices=(),
         root_system=None, chain_levels=(), root_table={}, csa_axes=(),
-        _structure=StructureConstants(CooTensor(np.zeros((0, 3), dtype=int), np.zeros(0), 0)))
+        _structure=StructureConstants(np.zeros((0, 3), dtype=int), np.zeros(0), 0))
     return _zero_extend(zero, u1_count)
 
 
@@ -240,15 +240,14 @@ def coo_torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     terms of the signed permutation of I over the non-zero entries of f,
     summed by index triple into a dense (D, D, D) array."""
     perm, sign = _signed_of(I)
-    coo = _coo_of(f)
-    resid = _max_abs(coo.dim, _integrability_terms(perm, sign, coo))
+    resid = _max_abs(f.dim, _integrability_terms(perm, sign, f))
     if resid > tol:
         raise IntegrabilityError(
             f"torsion formula needs an integrable structure; integrability residual {resid:.3e}")
-    keys, sums = _sum_by_key(coo.dim, _hull_terms(perm, sign, coo))
-    out = np.zeros(coo.dim ** 3)
+    keys, sums = _sum_by_key(f.dim, _hull_terms(perm, sign, f))
+    out = np.zeros(f.dim ** 3)
     out[keys] = sums
-    return out.reshape((coo.dim,) * 3)
+    return out.reshape((f.dim,) * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +389,8 @@ def antisymmetry_residual(sc: StructureConstants) -> float:
 
 def u1_residual(sc: StructureConstants, u1_indices: Sequence[int]) -> float:
     """The largest |f| of an entry that touches a u(1) index."""
-    touches = np.isin(sc.coo.index, list(u1_indices)).any(axis=1)
-    return float(np.abs(sc.coo.value[touches]).max(initial=0.0))
+    touches = np.isin(sc.index, list(u1_indices)).any(axis=1)
+    return float(np.abs(sc.value[touches]).max(initial=0.0))
 
 
 def coroot_matrix(rep: AlgebraRep, root) -> np.ndarray:
@@ -403,11 +402,12 @@ def coroot_matrix(rep: AlgebraRep, root) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the basic-root chain by a pairwise join of the orthogonal roots
 
-def split_subsystems(parent, positive) -> tuple:
+def split_subsystems(positive) -> tuple:
     """Decompose a closed set of positive roots into irreducible summands:
     the components of the non-orthogonality graph over every pair of
-    roots, each with the simple roots that are no difference of two of its
-    members and the coefficients walked up from them."""
+    roots, each as the pair (positive roots, simple roots), by descending
+    highest root, with the simple roots those that are no difference of
+    two of its members and the heights walked up from them."""
     roots = list(positive)
     if not roots:
         return ()
@@ -440,27 +440,29 @@ def split_subsystems(parent, positive) -> tuple:
         top = members[-1]
         if sum(1 for r in members if heights[r.coords] == heights[top.coords]) != 1:
             raise RuntimeError("subsystem highest root is not unique")
-        fam, rk = R._classify_shape(members, len(simples))
-        out.append(R.RootSubsystem(
-            parent=parent, positive_roots=tuple(members), simple_roots=tuple(simples),
-            highest_root=top, family=fam, rank=rk,
-            label=f"{fam}{rk}:{parent.root_label(top)}"))
-    assert sum(len(s.positive_roots) for s in out) == len(roots)
-    out.sort(key=lambda s: tuple(-c for c in s.highest_root.coords))
+        out.append((tuple(members), tuple(simples)))
+    assert sum(len(members) for members, _ in out) == len(roots)
+    out.sort(key=lambda pair: tuple(-c for c in pair[0][-1].coords))
     return tuple(out)
 
 
 def reference_chain(rs) -> tuple:
     """Levels of the basic-root chain, each node's children split from its
     positive roots orthogonal to theta by `split_subsystems`."""
-    def grow(sub, level):
-        theta = sub.highest_root
-        summands = split_subsystems(rs, [r for r in sub.positive_roots if r.dot(theta) == 0])
-        return R.ChainNode(subsystem=sub, theta=theta, level=level,
-                           children=tuple(grow(c, level + 1) for c in summands))
+    def grow(positive, simple, family, rank, label, level):
+        theta = positive[-1]
+        children = []
+        for members, simples in split_subsystems(r for r in positive if r.dot(theta) == 0):
+            fam, rk = R._classify_shape(members, len(simples))
+            children.append(grow(members, simples, fam, rk,
+                                 f"{fam}{rk}:{rs.root_label(members[-1])}", level + 1))
+        return R.ChainNode(positive_roots=positive, simple_roots=simple, family=family,
+                           rank=rank, label=label, theta=theta, level=level,
+                           children=tuple(children))
 
     levels = []
-    frontier = (grow(R.whole_system_as_subsystem(rs), 0),)
+    frontier = (grow(rs.positive_roots, rs.simple_roots, rs.family, rs.rank,
+                     f"{rs.family}{rs.rank}", 0),)
     while frontier:
         levels.append(frontier)
         frontier = tuple(c for node in frontier for c in node.children)

@@ -136,10 +136,9 @@ def test_perturbed_f_row_is_refused():
     back onto exact entries."""
     rep = L.build_matrix_rep("A", 2)
     theta = rep.root_system.highest_root
-    coo = rep.structure_constants().coo
-    off = np.where(coo.index[:, 0] == rep.root_entry(theta).re_index, 1.0 + 1e-8, 1.0)
-    bad = dataclasses.replace(rep, _structure=L.StructureConstants(
-        L.CooTensor(coo.index, coo.value * off, coo.dim)))
+    f = rep.structure_constants()
+    off = np.where(f.index[:, 0] == rep.root_entry(theta).re_index, 1.0 + 1e-8, 1.0)
+    bad = dataclasses.replace(rep, _structure=L.StructureConstants(f.index, f.value * off, f.dim))
     with pytest.raises(RuntimeError, match="lost orthogonality|exact entries"):
         A.automorphism_from_root(bad, theta, "J")
 
@@ -171,7 +170,7 @@ def test_su4_centralizer_of_highest_root():
     _, levels = R.root_chain("A", 3)
     [top] = levels[0]
     [su2] = top.children
-    assert (su2.subsystem.family, su2.subsystem.rank) == ("A", 1)
+    assert (su2.family, su2.rank) == ("A", 1)
     assert su2.theta.coords == (0, 1, -1, 0)            # the beta su(2)
     assert top.abelian_dim == 1                         # one leftover u(1)
     rep = L.build_matrix_rep("A", 3, 1)
@@ -182,7 +181,7 @@ def test_su4_centralizer_of_highest_root():
 def test_spin7_centralizer_no_abelian_part():
     _, levels = R.root_chain("B", 3)
     [top] = levels[0]
-    assert sorted((c.subsystem.family, c.subsystem.rank) for c in top.children) == \
+    assert sorted((c.family, c.rank) for c in top.children) == \
         [("A", 1), ("A", 1)]
     assert top.abelian_dim == 0
     assert sorted(c.theta.coords for c in top.children) == [(0, 0, 1), (1, -1, 0)]
@@ -208,7 +207,7 @@ def test_centralizer_abelian_part_is_orthonormal_complement(family, rank):
     ab = np.array([ax.functional for ax in rep.csa_axes
                    if ax.kind == "abelian" and ax.level == 0]).reshape(-1, w.size)
     rows = np.array([R.coroot(top.theta)] + [
-        s.coords for c in top.children for s in c.subsystem.simple_roots], dtype=float)
+        s.coords for c in top.children for s in c.simple_roots], dtype=float)
     assert np.abs(ab @ rows.T).max(initial=0.0) < 1e-12
     assert np.abs(kappa * ab @ ab.T - np.eye(len(ab))).max(initial=0.0) < 1e-12
     assert len(ab) == top.abelian_dim
@@ -219,7 +218,7 @@ def test_centralizer_dimension_of_highest_root(rank):
     """su(n-1) + u(1) in su(n+1): (n-1)^2, Cartan directions included."""
     _, levels = R.root_chain("A", rank)
     [top] = levels[0]
-    assert sum(c.subsystem.dimension for c in top.children) + top.abelian_dim == (rank - 1) ** 2
+    assert sum(c.dimension for c in top.children) + top.abelian_dim == (rank - 1) ** 2
 
 
 def test_centralizer_of_short_root():
@@ -340,7 +339,7 @@ def test_inner_block_untouched_by_outer_automorphism():
     rep = L.build_matrix_rep("A", 3, 1)
     [top] = rep.chain_levels[0]
     auto = A.automorphism_from_root(rep, top.theta, "J")
-    idx = [i for c in top.children for r in c.subsystem.positive_roots
+    idx = [i for c in top.children for r in c.positive_roots
            for i in (rep.root_entry(r).re_index, rep.root_entry(r).im_index)]
     idx += [ax.index for ax in rep.csa_axes if ax.index != rep.coroot_axis_index(top.theta)]
     assert len(idx) == 2 + 2 + 1

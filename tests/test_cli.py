@@ -283,7 +283,30 @@ def test_certificate_path_leaves_numpy_ma_out():
     assert out.split("\n") == ["0 False False"] * 3 + [""]
 
 
-#: the modules that only a certification needs
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_runs_one_blas_thread_unless_told_otherwise(preset):
+    """With neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS set, `cli.main`
+    sets both to 1 before numpy loads, and a certification runs in one
+    thread; a value the user set is left as it is."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = ("import contextlib, io, os, re; from hktlie import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['--json', 'verify', 'A2'])\n"
+             "status = open('/proc/self/status').read()\n"
+             "print(code, os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'],\n"
+             "      re.search(r'Threads:\\s*(\\d+)', status).group(1))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    code, blas, omp, threads = out.split()
+    assert (code, blas, omp) == ("0", preset or "1", "1")
+    if preset is None:
+        assert threads == "1"
 NUMERIC = ("numpy", "hktlie.liealg", "hktlie.cstruct", "hktlie.autom")
 
 #: commands that certify nothing, with their exit codes

@@ -67,8 +67,8 @@ def certificates() -> dict:
 def structure_constants() -> dict:
     out = {}
     for f, r, kind in STRUCTURE_REPS:
-        coo = liealg.build_matrix_rep(f, r, rep_kind=kind).structure_constants().coo
-        out[f"{f}{r}_{kind}"] = {"index": coo.index.tolist(), "value": coo.value.tolist()}
+        sc = liealg.build_matrix_rep(f, r, rep_kind=kind).structure_constants()
+        out[f"{f}{r}_{kind}"] = {"index": sc.index.tolist(), "value": sc.value.tolist()}
     return out
 
 

@@ -65,9 +65,9 @@ def test_structure_constants_match_dense_einsum(family, rank):
     g, C = rep.generators, rep.norm_const
     sc = rep.structure_constants()
     rows = oracles.structure_constants_rows(g, C)
-    assert np.array_equal(sc.coo.index, np.argwhere(rows))
+    assert np.array_equal(sc.index, np.argwhere(rows))
     assert np.abs(sc.f - rows).max() <= 1e-14
-    closure = L._check_closure(g, sc.coo, L._commutator_entries(g))
+    closure = L._check_closure(g, sc, L._commutator_entries(g))
     assert abs(closure - oracles.closure_residual_rows(g, rows)) <= 1e-14
     if (family, rank) in CLI_RANGE:
         dense = dense_structure_constants(g, C)
@@ -92,16 +92,16 @@ def test_structure_constant_support_is_exact(family, rank):
     for sb, sc_ in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         selected |= ~(wa + sb * wb + sc_ * wc).any(axis=1)
     assert selected.all(), np.abs(sc.f[a[~selected], b[~selected], c[~selected]]).max()
-    assert np.array_equal(sc.coo.index, np.stack((a, b, c), axis=1))
-    assert np.array_equal(sc.coo.value, sc.f[a, b, c])
-    assert np.abs(sc.coo.value).min() > L.F_ZERO
+    assert np.array_equal(sc.index, np.stack((a, b, c), axis=1))
+    assert np.array_equal(sc.value, sc.f[a, b, c])
+    assert np.abs(sc.value).min() > L.F_ZERO
 
 
 def test_closure_check_matches_dense_and_rejects_perturbed_generator():
     rep = L.build_matrix_rep("A", 3, 1)
     g, C = rep.generators, rep.norm_const
     sc = rep.structure_constants()
-    closure = L._check_closure(g, sc.coo, L._commutator_entries(g))
+    closure = L._check_closure(g, sc, L._commutator_entries(g))
     assert abs(closure - dense_closure_residual(g, sc.f)) <= 1e-14
 
     # mix the u(1) generator with a Hermitian matrix that couples the su(4)
@@ -118,15 +118,51 @@ def test_closure_check_matches_dense_and_rejects_perturbed_generator():
     f_bad = oracles.structure_constants(dataclasses.replace(rep, generators=bad, _structure=None))
     assert dense_closure_residual(bad, f_bad.f) > 1e-4
     with pytest.raises(L.ConstructionError, match="does not close"):
-        L._check_closure(bad, f_bad.coo, L._commutator_entries(bad))
+        L._check_closure(bad, f_bad, L._commutator_entries(bad))
 
 
 def test_check_closure_of_abelian_generators_is_zero():
     rep = oracles.build_abelian_rep(3)
     sc = oracles.structure_constants(rep)
-    assert sc.coo.value.size == 0
-    assert L._check_closure(rep.generators, sc.coo,
+    assert sc.value.size == 0
+    assert L._check_closure(rep.generators, sc,
                             L._commutator_entries(rep.generators)) == 0.0
+
+
+def _quotient_tangent(space, monkeypatch):
+    """The rep of a one-factor space and the generator indices outside its
+    quotient (all of them for a group manifold), as `spaces` passes them to
+    the triple."""
+    from hktlie import autom, cli, spaces
+    calls = []
+    build = autom.build_quaternion_triple
+    monkeypatch.setattr(autom, "build_quaternion_triple",
+                        lambda rep, *a, quotient=(), **k: calls.append((rep, quotient))
+                        or build(rep, *a, quotient=quotient, **k))
+    assert spaces.build_coset_triple(cli.parse_space_string(space)).verdict == "certified"
+    [(rep, quotient)] = calls
+    return rep, np.setdiff1d(np.arange(rep.dim), quotient)
+
+
+@pytest.mark.parametrize("space,size", [("A8", 40), ("B3xU1^2/A1:gamma", 20)])
+def test_restricted_f_is_the_sub_tensor(space, size, monkeypatch):
+    """`restrict(keep)` holds exactly the entries of f whose three indices
+    lie in `keep`, renumbered in the order of `keep`, and its dense view is
+    f on keep x keep x keep: on the tangent directions of a quotient, and on
+    a shuffled half of those of a group manifold."""
+    rep, keep = _quotient_tangent(space, monkeypatch)
+    if len(keep) == rep.dim:
+        keep = np.random.default_rng(0).permutation(keep)[:rep.dim // 2]
+    assert len(keep) == size
+    f = rep.structure_constants()
+    sub = f.restrict(keep)
+    assert isinstance(sub, L.StructureConstants) and sub.dim == len(keep)
+    at = {int(k): i for i, k in enumerate(keep)}
+    want = sorted((tuple(at[int(x)] for x in abc), v) for abc, v in zip(f.index, f.value)
+                  if all(int(x) in at for x in abc))
+    assert want and sorted((tuple(map(int, abc)), v) for abc, v in zip(sub.index, sub.value)) \
+        == want
+    assert np.array_equal(sub.f, f.f[np.ix_(keep, keep, keep)])
 
 
 def _cartan_action(rep):

@@ -114,10 +114,10 @@ def test_padded_rep_is_the_zero_extension_of_its_build(family, rank):
         ext[D + k, d + k, d + k] = np.sqrt(base.norm_const)
     assert np.array_equal(rep.generators, ext)
 
-    f, f0 = rep.structure_constants().coo, base.structure_constants().coo
+    f, f0 = rep.structure_constants(), base.structure_constants()
     assert f.dim == D + u1
     assert np.array_equal(f.index, f0.index) and np.array_equal(f.value, f0.value)
-    from_matrices = oracles.structure_constants(rep).coo
+    from_matrices = oracles.structure_constants(rep)
     assert np.array_equal(from_matrices.index, f.index)
     assert np.abs(from_matrices.value - f.value).max() <= 2.3e-16
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -165,10 +164,10 @@ def test_extended_dynkin_surgery(family, rank, shapes, abelian):
     """The surgery of the extended diagram is the top node of the chain."""
     _, levels = R.root_chain(family, rank)
     [top] = levels[0]
-    assert sorted((c.subsystem.family, c.subsystem.rank) for c in top.children) == sorted(shapes)
+    assert sorted((c.family, c.rank) for c in top.children) == sorted(shapes)
     assert top.abelian_dim == abelian
-    for sub in (c.subsystem for c in top.children):
-        assert len(sub.positive_roots) == count_formula(sub.family, sub.rank)
+    for c in top.children:
+        assert len(c.positive_roots) == count_formula(c.family, c.rank)
 
 
 def test_surgery_matches_deleted_subdiagram():
@@ -176,8 +175,8 @@ def test_surgery_matches_deleted_subdiagram():
     simple roots not adjacent to -theta."""
     for family, rank in SUPPORTED:
         for node in R.chain_nodes(R.root_chain(family, rank)[1]):
-            survivors = {s.coords for s in node.subsystem.simple_roots if s.dot(node.theta) == 0}
-            got = {s.coords for c in node.children for s in c.subsystem.simple_roots}
+            survivors = {s.coords for s in node.simple_roots if s.dot(node.theta) == 0}
+            got = {s.coords for c in node.children for s in c.simple_roots}
             assert got == survivors
 
 
@@ -186,7 +185,7 @@ def test_chain_with_a_missing_summand_is_refused(monkeypatch):
     the top node's roots orthogonal to theta outnumber its children's, and
     the chain is refused."""
     children = R._diagram_children
-    monkeypatch.setattr(R, "_diagram_children", lambda sub: children(sub)[1:])
+    monkeypatch.setattr(R, "_diagram_children", lambda *node: children(*node)[1:])
     with pytest.raises(RuntimeError, match="chain node D4: 3 positive roots .* summands hold 2$"):
         R.basic_root_chain(R.build_root_system("D", 4))
 
@@ -196,9 +195,10 @@ def test_chain_with_a_short_summand_is_refused(monkeypatch):
     top node."""
     children = R._diagram_children
 
-    def short(sub):
-        return tuple(replace(c, positive_roots=c.positive_roots[:-1]) if c.family == "B" else c
-                     for c in children(sub))
+    def short(*node):
+        # a B-type summand is the one with short roots, of norm 1
+        return tuple((members[:-1], simples) if min(r.norm2 for r in members) == 1
+                     else (members, simples) for members, simples in children(*node))
 
     monkeypatch.setattr(R, "_diagram_children", short)
     with pytest.raises(RuntimeError, match="chain node B4: .* summands hold 4$"):
@@ -207,8 +207,8 @@ def test_chain_with_a_short_summand_is_refused(monkeypatch):
 
 def _chain_record(levels):
     return [[(n.label, n.theta.coords, n.level, n.abelian_dim,
-              [r.coords for r in n.subsystem.positive_roots],
-              [r.coords for r in n.subsystem.simple_roots]) for n in level]
+              [r.coords for r in n.positive_roots],
+              [r.coords for r in n.simple_roots]) for n in level]
             for level in levels]
 
 
@@ -221,6 +221,22 @@ def test_chain_matches_pairwise_reference(family, rank):
     order."""
     rs = R.build_root_system(family, rank)
     assert _chain_record(R.basic_root_chain(rs)) == _chain_record(oracles.reference_chain(rs))
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_chain_nodes_hold_their_own_roots(family, rank):
+    """Every node's theta is the last of its positive roots and the only one
+    of greatest height; its dimension is two per positive root plus its
+    rank, that of its family and rank; its Abelian directions are the rank
+    left by theta's coroot and its children."""
+    rs = R.build_root_system(family, rank)
+    for node in R.chain_nodes(R.basic_root_chain(rs)):
+        heights = [rs.height(r) for r in node.positive_roots]
+        assert node.theta == node.positive_roots[-1]
+        assert heights.count(max(heights)) == 1 and heights[-1] == max(heights)
+        assert len(node.positive_roots) == count_formula(node.family, node.rank)
+        assert node.dimension == 2 * len(node.positive_roots) + node.rank
+        assert node.abelian_dim == node.rank - 1 - sum(c.rank for c in node.children) >= 0
 
 
 def test_chain_work_is_linear_in_the_roots(monkeypatch):
@@ -290,7 +306,7 @@ def test_root_system_invariants_property(case):
         assert tuple(combo) == r.coords
     assert all(ints(row) for row in rs.cartan_matrix) and ints(rs.dynkin_labels)
     for node in R.chain_nodes(R.basic_root_chain(rs)):
-        assert ints(x for r in node.subsystem.positive_roots for x in r.coords)
+        assert ints(x for r in node.positive_roots for x in r.coords)
     # highest root unique among maximal heights
     heights = sorted(rs.height(r) for r in rs.positive_roots)
     assert heights.count(heights[-1]) == 1
