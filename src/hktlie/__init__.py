@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "rootsys": ("Root", "RootSystem", "UnsupportedAlgebraError", "basic_root_chain", "coroot",
                 "build_root_system", "root_chain"),
-    "liealg": ("AlgebraRep", "CliffordRep", "ConstructionError", "StructureConstants",
-               "build_clifford", "build_matrix_rep"),
+    "liealg": ("AlgebraRep", "ConstructionError", "StructureConstants", "build_matrix_rep"),
     "bounds": ("PairingError",),
     "cstruct": ("ComplexStructure", "bismut_residual", "canonical_I", "integrability_residual",
                 "nijenhuis_at_origin", "quaternion_residual"),

@@ -131,15 +131,12 @@ def _product(a: tuple, b: tuple) -> tuple:
 
 def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
     """Partition of generator indices into theta blocks and root quartets."""
-    if rep.root_system is None:
-        return ()
     blocks = []
     partner = dict(pairs)
-    order = {r.coords: i for i, r in enumerate(rep.root_system.positive_roots)}
     for node in chain_nodes(rep.chain_levels):
         theta = node.theta
         ent = rep.root_entry(theta)
-        node_pos = {r.coords for r in node.positive_roots}
+        order = {r.coords: i for i, r in enumerate(node.positive_roots)}
         t = rep.coroot_axis_index(theta)
         if t in partner:
             blocks.append(Block(
@@ -148,13 +145,11 @@ def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
                 description=f"theta block {node.label}"))
         seen = set()
         for mu in node.positive_roots:
-            if mu.coords == theta.coords or mu.coords in seen:
-                continue
             rest = tuple(a - b for a, b in zip(theta.coords, mu.coords))
-            if rest not in node_pos or rest in seen or mu.dot(theta) == 0:
+            if rest not in order or mu.coords in seen or rest in seen or mu.dot(theta) == 0:
                 continue
-            nu = rep.root_system.root(rest)
-            first, second = (mu, nu) if order[mu.coords] < order[nu.coords] else (nu, mu)
+            nu = node.positive_roots[order[rest]]
+            first, second = (mu, nu) if order[mu.coords] < order[rest] else (nu, mu)
             e1, e2 = rep.root_entry(first), rep.root_entry(second)
             blocks.append(Block(
                 indices=(e1.re_index, e1.im_index, e2.re_index, e2.im_index),

@@ -13,10 +13,8 @@ root's integer coordinates (Fulton and Harris, Representation Theory,
 sections 15-20), and the Cartan axes are orthonormalised as rank-sized
 functionals, since Tr(h(u) h(v)) / C = kappa u . v in every representation.
 
-Representations used: defining for A_n (dim n+1) and C_n (dim 2n), vector for
-B_n (dim 2n+1) and D_n (dim 2n).  For B_3 an 8-dimensional spinor
-representation is available as well; it is the faithful choice for coroot
-periodicity checks.
+One representation per family: defining for A_n (dim n+1) and C_n (dim 2n),
+vector for B_n (dim 2n+1) and D_n (dim 2n).
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import numpy as np
 from .rootsys import (
     Root,
     RootSystem,
-    UnsupportedAlgebraError,
     chain_nodes,
     coroot,
     root_chain,
@@ -156,13 +153,6 @@ class AlgebraRep:
 # ---------------------------------------------------------------------------
 # closed forms in the standard representations
 
-def _pauli():
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    return s1, s2, s3
-
-
 def _eij(d, i, j):
     m = np.zeros((d, d), dtype=complex)
     m[i, j] = 1.0
@@ -171,16 +161,18 @@ def _eij(d, i, j):
 
 @dataclass(eq=False)
 class _Raw:
-    """One family/representation: the Cartan matrix of a functional and the
+    """One family's representation: the Cartan matrix of a functional and the
     Chevalley root vectors in closed form."""
 
     d: int
     embed: callable         # functional w -> Cartan matrix h, alpha(h) = w . alpha
     root_vector: callable   # positive-root coords -> E_alpha up to a positive scale
     std_candidates: list    # deterministic seeds for the leftover Cartan axes
+    kind: str               # "defining" | "vector"
 
 
-def _raw_basis(family: str, rank: int, rep_kind: str) -> _Raw:
+def _raw_basis(family: str, rank: int) -> _Raw:
+    """The family's one representation; `root_chain` has checked the family."""
     if family == "A":
         d = rank + 1
 
@@ -196,7 +188,7 @@ def _raw_basis(family: str, rank: int, rep_kind: str) -> _Raw:
             v[:k] = 1.0
             v[k] = -float(k)
             cands.append(v)
-        return _Raw(d, embed, root_vector, cands)
+        return _Raw(d, embed, root_vector, cands, "defining")
 
     if family == "C":
         n = rank
@@ -213,80 +205,33 @@ def _raw_basis(family: str, rank: int, rep_kind: str) -> _Raw:
                 return _eij(d, i, j) - _eij(d, n + j, n + i)
             return _eij(d, i, n + j) + _eij(d, j, n + i)
 
-        return _Raw(d, embed, root_vector, list(np.eye(n)))
+        return _Raw(d, embed, root_vector, list(np.eye(n)), "defining")
 
-    if family in ("B", "D") and rep_kind == "vector":
-        n = 2 * rank + 1 if family == "B" else 2 * rank
-        rotations = {(a, b): 1j * (_eij(n, a, b) - _eij(n, b, a))
-                     for a in range(n) for b in range(a + 1, n)}
-        return _rotation_basis(rank, n, rotations)
-
-    if family == "B" and rep_kind == "spinor":
-        if rank != 3:
-            raise UnsupportedAlgebraError("spinor representation only provided for B3")
-        return _rotation_basis(3, 7, build_clifford(7).spin_generators)
-
-    raise UnsupportedAlgebraError(f"no representation {rep_kind!r} for family {family!r}")
-
-
-def _rotation_basis(rank: int, n: int, rotations: dict) -> _Raw:
-    """so(n) in the representation whose rotation generators T_ab (a < b) are
-    `rotations`: i(E_ab - E_ba) in the vector representation, i gamma_a
-    gamma_b / 2 in the spinor one, with the same brackets.
-
-    The root vector of e_k +- e_l is v w^T - w v^T for the weight vectors
-    (e_2k -+ i e_2k+1)/sqrt2 of +-e_k, and w = e_(2 rank), the zero weight,
-    for B's short root e_k; an antisymmetric c stands for
-    -i sum_{a<b} c_ab T_ab.
-    """
-    pairs = np.array(list(rotations)).T
-    stack = np.stack(list(rotations.values()))
-    cartan = np.stack([rotations[(2 * k, 2 * k + 1)] for k in range(rank)])
+    # B and D, so(d) on C^d: the Cartan matrix of w rotates plane (2k, 2k+1)
+    # by w_k; the root vector of e_k +- e_l is v w^T - w v^T for the weight
+    # vectors (e_2k -+ i e_2k+1)/sqrt2 of +-e_k, and w = e_(2 rank), the zero
+    # weight, for B's short root e_k
+    d = 2 * rank + 1 if family == "B" else 2 * rank
+    planes = 2 * np.arange(rank)
 
     def embed(w):
-        return np.tensordot(w, cartan, 1)
+        h = np.zeros((d, d), dtype=complex)
+        h[planes, planes + 1] = 1j * w
+        h[planes + 1, planes] = -1j * w
+        return h
 
     def weight(k, s):
-        u = np.zeros(n, dtype=complex)
+        u = np.zeros(d, dtype=complex)
         u[2 * k], u[2 * k + 1] = np.sqrt(0.5), -1j * s * np.sqrt(0.5)
         return u
 
     def root_vector(a):
         k, l = np.flatnonzero(a)[[0, -1]]
         v = weight(k, 1)
-        w = weight(l, a[l]) if l != k else np.eye(n)[2 * rank]
-        c = np.outer(v, w) - np.outer(w, v)
-        return -1j * np.tensordot(c[tuple(pairs)], stack, 1)
+        w = weight(l, a[l]) if l != k else np.eye(d)[2 * rank]
+        return np.outer(v, w) - np.outer(w, v)
 
-    return _Raw(stack.shape[-1], embed, root_vector, list(np.eye(rank)))
-
-
-# ---------------------------------------------------------------------------
-# Clifford algebra / spinor generators
-
-@dataclass(eq=False)
-class CliffordRep:
-    """Seven anticommuting Hermitian gamma matrices and the spin generators."""
-
-    gammas: tuple
-    spin_generators: dict   # (j, k), j < k -> i gamma_j gamma_k / 2
-
-
-def build_clifford(dimension: int) -> CliffordRep:
-    if dimension != 7:
-        raise UnsupportedAlgebraError("only the 7-dimensional Clifford algebra is provided")
-    s1, s2, s3 = _pauli()
-    gam = [s1, s2, s3]
-    while len(gam) < dimension:
-        one = np.eye(gam[0].shape[0], dtype=complex)
-        gam = [np.kron(g, s3) for g in gam[:-1]] + [np.kron(gam[-1], s3),
-                                                    np.kron(one, s1), np.kron(one, s2)]
-    gammas = tuple(gam)
-    spin = {}
-    for j in range(dimension):
-        for k in range(j + 1, dimension):
-            spin[(j, k)] = 1j * gammas[j] @ gammas[k] / 2.0
-    return CliffordRep(gammas=gammas, spin_generators=spin)
+    return _Raw(d, embed, root_vector, list(np.eye(rank)), "vector")
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +309,17 @@ def _flat_transposes(gens: np.ndarray) -> np.ndarray:
 # public constructors
 
 @functools.lru_cache(maxsize=64)
-def _cached_rep(family, rank, rep_kind):
-    return _build_matrix_rep(family, rank, rep_kind)
+def _cached_rep(family, rank):
+    return _build_matrix_rep(family, rank)
 
 
-def build_matrix_rep(family: str, rank: int, u1_count: int = 0,
-                     rep_kind: str = "auto") -> AlgebraRep:
+def build_matrix_rep(family: str, rank: int, u1_count: int = 0) -> AlgebraRep:
     """Orthonormal root-adapted generator basis for family/rank, plus u(1)s:
-    one build per (family, rank, rep_kind) and process, zero-extended."""
+    one build per (family, rank) and process, zero-extended."""
     family = family.upper()
     if u1_count < 0:
         raise ValueError("u1_count must be non-negative")
-    if rep_kind == "auto":
-        rep_kind = "defining" if family in ("A", "C") else "vector"
-    rep = _cached_rep(family, rank, rep_kind)
+    rep = _cached_rep(family, rank)
     return _zero_extend(rep, u1_count) if u1_count else rep
 
 
@@ -401,9 +343,10 @@ def _zero_extend(rep: AlgebraRep, u: int) -> AlgebraRep:
         _structure=StructureConstants(f.index, f.value, D + u))
 
 
-def _build_matrix_rep(family, rank, rep_kind):
+def _build_matrix_rep(family, rank, raw: _Raw | None = None):
+    """The family's own representation, or the one `raw` writes out."""
     rs, levels = root_chain(family, rank)
-    raw = _raw_basis(family, rank, rep_kind)
+    raw = raw or _raw_basis(family, rank)
     C, d = NORM_CONST[family], raw.d
     npos = len(rs.positive_roots)
     D = 2 * npos + rank
@@ -435,7 +378,7 @@ def _build_matrix_rep(family, rank, rep_kind):
     structure = _structure_constants(gens, C, comm)
     _check_closure(gens, structure, comm)
     return AlgebraRep(
-        family=family, rank=rank, u1_count=0, rep_kind=rep_kind,
+        family=family, rank=rank, u1_count=0, rep_kind=raw.kind,
         matrix_dim=d, norm_const=C, generators=gens,
         csa_indices=tuple(2 * npos + k for k in range(rank)), u1_indices=(),
         root_system=rs, chain_levels=levels, root_table=table,

@@ -80,6 +80,8 @@ def coroot(root: Root | Sequence[int]) -> Coords:
     """Coroot 2*alpha/(alpha, alpha) in the same coordinate system."""
     coords = root.coords if isinstance(root, Root) else _ints(root)
     n2 = dot(coords, coords)
+    if n2 == 0:
+        raise ValueError("root coordinates must be nonzero")
     if any(2 * c % n2 for c in coords):
         raise ValueError(f"coroot of {coords} is not integral")
     return tuple(2 * c // n2 for c in coords)

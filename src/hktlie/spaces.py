@@ -43,9 +43,12 @@ class LevelSelection:
 class SpaceSpec:
     """A (possibly quotiented) product of simple factors and u(1) circles."""
 
-    factors: tuple       # ((family, rank), ...)
+    factors: tuple       # ((family, rank), ...), the family read upper-case
     u1_count: int
     selections: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple((f.upper(), r) for f, r in self.factors))
 
     @property
     def name(self) -> str:

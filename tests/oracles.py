@@ -17,7 +17,9 @@ automorphisms Omega, which `hktlie.autom` reads from f in closed form and
 keeps as one block on its support, are embedded here as D x D matrices,
 composed densely, and computed afresh by conjugation in the representation
 and a trace projection.  Beside them sit the references that only the
-tests use: a pure u(1) algebra, f recomputed from the generators, the
+tests use: a pure u(1) algebra, so(n) built on its rotation generators (the
+generic basis that the direct B and D vector build must reproduce, and the
+B3 spinor on the gamma matrices), f recomputed from the generators, the
 Jacobi identity, the 4x4 block shapes of a structure, the basic-root chain
 from a pairwise join of the roots orthogonal to each highest root, the
 Chevalley and coroot-periodicity checks in the representation, the
@@ -38,8 +40,8 @@ from hktlie.cstruct import (
     DEFAULT_TOL, ComplexStructure, _hull_terms, _integrability_terms, _max_abs, _signed_of,
     _sum_by_key)
 from hktlie.liealg import (
-    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _commutator_entries,
-    _flat_transposes, _structure_constants, _zero_extend)
+    F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _build_matrix_rep,
+    _commutator_entries, _eij, _flat_transposes, _Raw, _structure_constants, _zero_extend)
 
 
 def _matrix_of(x) -> np.ndarray:
@@ -59,6 +61,82 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
         root_system=None, chain_levels=(), root_table={}, csa_axes=(),
         _structure=StructureConstants(np.zeros((0, 3), dtype=int), np.zeros(0), 0))
     return _zero_extend(zero, u1_count)
+
+
+def rotation_basis(rank: int, n: int, rotations: dict, kind: str) -> _Raw:
+    """so(n) in the representation whose rotation generators T_ab (a < b) are
+    `rotations`: i(E_ab - E_ba) in the vector representation, i gamma_a
+    gamma_b / 2 in the spinor one, with the same brackets.
+
+    The root vector of e_k +- e_l is v w^T - w v^T for the weight vectors
+    (e_2k -+ i e_2k+1)/sqrt2 of +-e_k, and w = e_(2 rank), the zero weight,
+    for B's short root e_k; an antisymmetric c stands for
+    -i sum_{a<b} c_ab T_ab.
+    """
+    pairs = np.array(list(rotations)).T
+    stack = np.stack(list(rotations.values()))
+    cartan = np.stack([rotations[(2 * k, 2 * k + 1)] for k in range(rank)])
+
+    def embed(w):
+        return np.tensordot(w, cartan, 1)
+
+    def weight(k, s):
+        u = np.zeros(n, dtype=complex)
+        u[2 * k], u[2 * k + 1] = np.sqrt(0.5), -1j * s * np.sqrt(0.5)
+        return u
+
+    def root_vector(a):
+        k, l = np.flatnonzero(a)[[0, -1]]
+        v = weight(k, 1)
+        w = weight(l, a[l]) if l != k else np.eye(n)[2 * rank]
+        c = np.outer(v, w) - np.outer(w, v)
+        return -1j * np.tensordot(c[tuple(pairs)], stack, 1)
+
+    return _Raw(stack.shape[-1], embed, root_vector, list(np.eye(rank)), kind)
+
+
+def build_rotation_vector_rep(family: str, rank: int) -> AlgebraRep:
+    """B or D in the vector representation, with every root vector and Cartan
+    matrix summed over the stacked rotation generators i(E_ab - E_ba)."""
+    n = 2 * rank + 1 if family == "B" else 2 * rank
+    rotations = {(a, b): 1j * (_eij(n, a, b) - _eij(n, b, a))
+                 for a in range(n) for b in range(a + 1, n)}
+    return _build_matrix_rep(family, rank, rotation_basis(rank, n, rotations, "vector"))
+
+
+@dataclass(eq=False)
+class CliffordRep:
+    """Seven anticommuting Hermitian gamma matrices and the spin generators."""
+
+    gammas: tuple
+    spin_generators: dict   # (j, k), j < k -> i gamma_j gamma_k / 2
+
+
+def build_clifford(dimension: int) -> CliffordRep:
+    if dimension != 7:
+        raise R.UnsupportedAlgebraError("only the 7-dimensional Clifford algebra is provided")
+    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
+    gam = [s1, s2, s3]
+    while len(gam) < dimension:
+        one = np.eye(gam[0].shape[0], dtype=complex)
+        gam = [np.kron(g, s3) for g in gam[:-1]] + [np.kron(gam[-1], s3),
+                                                    np.kron(one, s1), np.kron(one, s2)]
+    gammas = tuple(gam)
+    spin = {}
+    for j in range(dimension):
+        for k in range(j + 1, dimension):
+            spin[(j, k)] = 1j * gammas[j] @ gammas[k] / 2.0
+    return CliffordRep(gammas=gammas, spin_generators=spin)
+
+
+def build_spinor_rep() -> AlgebraRep:
+    """spin(7) on its 8-dimensional spinor, uncached, through the library's
+    Chevalley, Cartan, f and closure steps: the faithful choice for coroot
+    periodicity checks."""
+    return _build_matrix_rep(
+        "B", 3, rotation_basis(3, 7, build_clifford(7).spin_generators, "spinor"))
 
 
 def structure_constants(rep: AlgebraRep) -> StructureConstants:

@@ -201,7 +201,7 @@ def test_criterion_6_property_suites():
                 assert abs(np.linalg.norm(comm) - want) < 1e-9, (family, rank, a, b)
 
     for rep in (L.build_matrix_rep("A", 1), L.build_matrix_rep("A", 2),
-                L.build_matrix_rep("B", 3, 0, rep_kind="spinor")):
+                oracles.build_spinor_rep()):
         for root in rep.root_system.positive_roots:
             res = oracles.coroot_periodicity_check(rep, oracles.coroot_matrix(rep, root))
             assert res.period_ok and res.min_nontrivial

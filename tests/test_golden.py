@@ -4,8 +4,9 @@
 `certificates.json` holds the exit code of `hkt --json catalog F r --verify`
 and the exact, BLAS-independent fields of each certificate it prints (the
 float residuals are left out).  `structure_constants.json` holds the COO
-index triples and values of f_ABC for A3, B3 (vector and spinor), C3 and
-D4, so that f is pinned with its signs, not only up to a change of basis.
+index triples and values of f_ABC for A3, B3 (vector, and the spinor that
+`oracles.build_spinor_rep` builds), C3 and D4, so that f is pinned with its
+signs, not only up to a change of basis.
 
 Regenerate all three with `PYTHONPATH=src python tests/test_golden.py` and
 say in the change why a file moved.
@@ -18,6 +19,7 @@ import os
 
 import numpy as np
 
+import oracles
 from conftest import CLI_RANGE
 from hktlie import cli, liealg
 
@@ -67,7 +69,9 @@ def certificates() -> dict:
 def structure_constants() -> dict:
     out = {}
     for f, r, kind in STRUCTURE_REPS:
-        sc = liealg.build_matrix_rep(f, r, rep_kind=kind).structure_constants()
+        rep = oracles.build_spinor_rep() if kind == "spinor" else liealg.build_matrix_rep(f, r)
+        assert rep.rep_kind == kind
+        sc = rep.structure_constants()
         out[f"{f}{r}_{kind}"] = {"index": sc.index.tolist(), "value": sc.value.tolist()}
     return out
 

@@ -6,6 +6,7 @@ import pytest
 
 from hktlie import liealg as L
 from hktlie.autom import build_quaternion_triple
+from hktlie.rootsys import UnsupportedAlgebraError
 from hktlie.spaces import required_padding
 
 import oracles
@@ -213,7 +214,8 @@ def test_build_runs_no_eigensolver(family, rank, rep_kind, monkeypatch):
 
     for name in ("eigh", "eig", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    rep = L._build_matrix_rep(family, rank, rep_kind)
+    rep = oracles.build_spinor_rep() if rep_kind == "spinor" else L._build_matrix_rep(family, rank)
+    assert rep.rep_kind == rep_kind
     assert rep.generators.shape[0] == len(rep.root_system.positive_roots) * 2 + rank
 
 
@@ -233,8 +235,7 @@ def test_generator_snap_zeroes_only_rounding(family, rank, u1, monkeypatch):
             zeroed.append(np.abs(old[(new == 0) & (old != 0)]).max(initial=0.0))
 
     monkeypatch.setattr(L, "_snap_to_zero", recording)
-    rep = L._zero_extend(
-        L._build_matrix_rep(family, rank, "defining" if family in "AC" else "vector"), u1)
+    rep = L._zero_extend(L._build_matrix_rep(family, rank), u1)
     assert len(zeroed) == 2 and max(zeroed) < 1e-15
     parts = np.abs(np.stack((rep.generators.real, rep.generators.imag)))
     assert not ((parts > 0) & (parts <= L.F_ZERO)).any()
@@ -247,7 +248,7 @@ def test_high_rank_certificate_path_builds_no_dense_f():
     L.build_matrix_rep("A", 2)                  # numpy's own first-use buffers
     tracemalloc.start()
     try:
-        rep = L._zero_extend(L._build_matrix_rep("D", 10, "vector"), 10)
+        rep = L._zero_extend(L._build_matrix_rep("D", 10), 10)
         assert build_quaternion_triple(rep).certified
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -312,7 +313,7 @@ def test_su3_frozen_structure_constants():
     "family,rank,rep_kind", [(f, r, "auto") for f, r in CLI_RANGE + ABOVE_CAPS]
     + [("B", 3, "spinor")], ids=[f"{f}-{r}" for f, r in CLI_RANGE + ABOVE_CAPS] + ["B-3-spinor"])
 def test_chevalley_normalization(family, rank, rep_kind):
-    rep = L.build_matrix_rep(family, rank, rep_kind=rep_kind)
+    rep = oracles.build_spinor_rep() if rep_kind == "spinor" else L.build_matrix_rep(family, rank)
     table = oracles.chevalley_root_vectors(rep)       # revalidates eigenvalues + norms
     assert set(table) == {r.coords for r in rep.root_system.positive_roots}
 
@@ -384,6 +385,22 @@ def test_su3_commutation_relations_for_star_structure():
     assert abs(f[a, b, c_] + f[b_, a_, c_] - f[c, b_, a] - f[a_, c, b]) < 1e-10
 
 
+@pytest.mark.parametrize("family,rank", [("B", r) for r in range(2, 9)]
+                         + [("D", r) for r in range(3, 11)])
+def test_vector_build_is_the_rotation_generator_build(family, rank):
+    """The direct vector build writes each Cartan matrix and root vector
+    without the stacked rotation generators i(E_ab - E_ba), and gives the
+    same generators, f and Cartan functionals, bit for bit."""
+    direct = L._build_matrix_rep(family, rank)
+    stacked = oracles.build_rotation_vector_rep(family, rank)
+    assert direct.rep_kind == stacked.rep_kind == "vector"
+    assert np.array_equal(direct.generators, stacked.generators)
+    f, g = direct.structure_constants(), stacked.structure_constants()
+    assert np.array_equal(f.index, g.index) and np.array_equal(f.value, g.value)
+    assert np.array_equal(np.stack([ax.functional for ax in direct.csa_axes]),
+                          np.stack([ax.functional for ax in stacked.csa_axes]))
+
+
 def test_u1_components_vanish():
     rep = L.build_matrix_rep("B", 3, 3)
     f = rep.structure_constants()
@@ -391,10 +408,10 @@ def test_u1_components_vanish():
 
 
 # ---------------------------------------------------------------------------
-# Clifford algebra and the spinor representation
+# Clifford algebra and the spinor representation, kept as test references
 
 def test_clifford_anticommutators():
-    cl = L.build_clifford(7)
+    cl = oracles.build_clifford(7)
     eye = np.eye(8)
     for j in range(7):
         for k in range(7):
@@ -406,7 +423,7 @@ def test_clifford_anticommutators():
 
 
 def test_spin_generators_hermitian_traceless():
-    cl = L.build_clifford(7)
+    cl = oracles.build_clifford(7)
     for t in cl.spin_generators.values():
         assert np.abs(t - t.conj().T).max() < 1e-14
         assert abs(np.trace(t)) < 1e-14
@@ -414,7 +431,7 @@ def test_spin_generators_hermitian_traceless():
 
 def test_spin_generator_commutation_relations():
     """[T_jk, T_mn] = -i (d_jm T_kn - d_jn T_km + d_kn T_jm - d_km T_jn)."""
-    cl = L.build_clifford(7)
+    cl = oracles.build_clifford(7)
 
     def T(a, b):
         if a == b:
@@ -434,12 +451,12 @@ def test_spin_generator_commutation_relations():
 
 
 def test_clifford_unsupported_dimension():
-    with pytest.raises(L.UnsupportedAlgebraError):
-        L.build_clifford(9)
+    with pytest.raises(UnsupportedAlgebraError):
+        oracles.build_clifford(9)
 
 
 def test_spinor_rep_matches_vector_root_data():
-    spin = L.build_matrix_rep("B", 3, 0, rep_kind="spinor")
+    spin = oracles.build_spinor_rep()
     vec = L.build_matrix_rep("B", 3, 0)
     assert spin.matrix_dim == 8 and vec.matrix_dim == 7
     assert spin.dim == vec.dim == 21
@@ -472,7 +489,7 @@ def test_su3_coroot_periodicity_all_roots():
 
 
 def test_spin7_spinor_coroot_periodicity():
-    rep = L.build_matrix_rep("B", 3, 0, rep_kind="spinor")
+    rep = oracles.build_spinor_rep()
     for root in rep.root_system.positive_roots:
         res = oracles.coroot_periodicity_check(rep, oracles.coroot_matrix(rep, root))
         assert res.period_ok and res.min_nontrivial

@@ -94,7 +94,7 @@ def test_catalog_builds_each_simple_algebra_once(monkeypatch):
     L._cached_rep.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["--json", "catalog", "D", "4", "--verify"]) == cli.EXIT_OK
-    assert builds == [("D", 4, "vector")]
+    assert builds == [("D", 4)]
 
 
 @pytest.mark.parametrize("family,rank", CLI_RANGE)

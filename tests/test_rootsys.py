@@ -124,6 +124,13 @@ def test_root_nonzero_rejected():
         R.Root((Fraction(0), Fraction(0)))
 
 
+@pytest.mark.parametrize("coords", [(0, 0), (0,), ()])
+def test_coroot_of_zero_or_empty_vector_rejected(coords):
+    """As `Root` does: a ValueError, not a ZeroDivisionError or an empty coroot."""
+    with pytest.raises(ValueError, match="nonzero"):
+        R.coroot(coords)
+
+
 @pytest.mark.parametrize("family,rank", [("D", 2), ("B", 1), ("C", 1), ("A", 0), ("E", 6)])
 def test_unsupported_family_rank(family, rank):
     with pytest.raises(R.UnsupportedAlgebraError):

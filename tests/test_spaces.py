@@ -287,6 +287,18 @@ def test_product_builds_each_chain_once(monkeypatch):
     assert [algebra for name, algebra in built if name == "basic_root_chain"] == ["A2", "B3"]
 
 
+def test_lowercase_family_reads_as_uppercase(monkeypatch):
+    """A library spec with a lowercase family certifies under the uppercase
+    name and factors, from one root-data build."""
+    built = counting_builds(monkeypatch)
+    report = S.build_coset_triple(Spec((("a", 3),), 1))
+    assert report.verdict == "certified"
+    assert report.name == "SU(4) x U(1)"
+    assert report.to_json_dict()["factors"] == [["A", 3]]
+    assert report.to_json_dict() == S.build_coset_triple(Spec((("A", 3),), 1)).to_json_dict()
+    assert sorted(built) == [("basic_root_chain", "A3"), ("build_root_system", "A3")]
+
+
 def test_root_data_is_built_once_per_algebra(monkeypatch, capsys):
     """A repeated factor, the padding table, a catalog and the parser share
     one root system and chain per (family, rank); `catalog A 8 --verify`
