@@ -18,7 +18,6 @@ algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,16 +33,18 @@ class DecompositionMismatchError(RuntimeError):
     """The commutator test on f disagrees with the root combinatorics."""
 
 
-@dataclass(eq=False)
 class Automorphism:
     """Orthogonal action on generator coefficients, Omega t_A = sum_B Omega_BA t_B:
-    `block` on the generator indices `support`, the identity elsewhere."""
+    `block` on the generator indices `support`, the identity elsewhere; `kind`
+    is "J" or "K"."""
 
-    support: np.ndarray
-    block: np.ndarray
-    root: Root
-    kind: str            # "J" | "K"
-    level: int
+    def __init__(self, support: np.ndarray, block: np.ndarray, root: Root, kind: str,
+                 level: int):
+        self.support = support
+        self.block = block
+        self.root = root
+        self.kind = kind
+        self.level = level
 
 
 #: the largest |Omega Omega^T - 1| of an automorphism before it is refused
@@ -186,19 +187,23 @@ def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
 # ---------------------------------------------------------------------------
 # the quaternion triple
 
-@dataclass(eq=False)
 class TripleResult:
     """I, J and K on the directions outside the quotient, which every
-    check, and `dimension`, refers to."""
+    check, and `dimension`, refers to.  `checks` maps each check to its
+    value: BOUNDS order, "J.snap" per structure, then RECORDED; `failure` is
+    the (check, value, bound) of the first failed check, or None."""
 
-    I: ComplexStructure
-    J: ComplexStructure
-    K: ComplexStructure
-    automorphisms: tuple
-    dimension: int
-    checks: dict         # check -> value: BOUNDS order, "J.snap" per structure, then RECORDED
-    failure: tuple | None  # (check, value, bound) of the first failed check
-    message: str
+    def __init__(self, I: ComplexStructure, J: ComplexStructure, K: ComplexStructure,
+                 automorphisms: tuple, dimension: int, checks: dict, failure: tuple | None,
+                 message: str):
+        self.I = I
+        self.J = J
+        self.K = K
+        self.automorphisms = automorphisms
+        self.dimension = dimension
+        self.checks = checks
+        self.failure = failure
+        self.message = message
 
     @property
     def certified(self) -> bool:

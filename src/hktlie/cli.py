@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING
 
 from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, RECORDED, _check_fd_step
 
-# Each command imports the layers it runs (`rootsys`, `spaces`, and through
-# them `dataclasses`), so `--help`, a usage error and `roots` start without
-# the ones they never use; this import serves the annotations alone.
+# Each command imports the layers it runs (`rootsys`, `spaces`), so `--help`,
+# a usage error and `roots` start without the ones they never use; this
+# import serves the annotations alone.
 if TYPE_CHECKING:
     from . import spaces
 
@@ -57,7 +57,33 @@ def _ascii(convert):
 # ---------------------------------------------------------------------------
 # canonical JSON: sorted keys, 17 significant digits, byte-stable round trips
 
-def _fmt(value, quote) -> str:
+#: the short escapes of json.dumps; every other character outside printable
+#: ASCII is written \uXXXX
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+
+
+def _quote(text: str) -> str:
+    r"""`text` as a JSON string, as json.dumps writes it with ensure_ascii:
+    the short escapes, printable ASCII as it is, everything else \uXXXX,
+    and an astral character as its UTF-16 surrogate pair."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for ch in text:
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif " " <= ch <= "~":
+            out.append(ch)
+        elif ch > "\uffff":
+            n = ord(ch) - 0x10000
+            out.append("\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF))
+        else:
+            out.append("\\u%04x" % ord(ch))
+    return '"' + "".join(out) + '"'
+
+
+def _fmt(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -69,19 +95,17 @@ def _fmt(value, quote) -> str:
             return '"%s"' % value
         return "%.17g" % value
     if isinstance(value, str):
-        return quote(value)
+        return _quote(value)
     if isinstance(value, dict):
         items = sorted(value.items())
-        return "{" + ",".join(f"{quote(str(k))}:{_fmt(v, quote)}" for k, v in items) + "}"
+        return "{" + ",".join(f"{_quote(str(k))}:{_fmt(v)}" for k, v in items) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(v, quote) for v in value) + "]"
+        return "[" + ",".join(_fmt(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def canonical_json(obj) -> str:
-    import json     # here, as only the commands that print JSON need it
-
-    return _fmt(obj, json.dumps)
+    return _fmt(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,17 +42,16 @@ from .bounds import (BOUNDS, DEFAULT_FD_STEP, DEFAULT_TOL, MAX_FD_STEP, MIN_FD_S
                      RECORDED, SNAP_BOUND, STRUCTURE_CHECKS, PairingError, _check_fd_step,
                      first_failure)
 from .liealg import AlgebraRep, StructureConstants, _reduce_by_key
-from .rootsys import chain_nodes
+from .rootsys import _Value, chain_nodes
 
-@dataclass(frozen=True)
-class Block:
+
+class Block(_Value):
     """One 4x4 block of a complex structure: (t_A, t_A*, t_B, t_B*) or
-    (t_A, t_A*, t_k, e_k)."""
+    (t_A, t_A*, t_k, e_k), its four direction indices; `kind` is "theta" or
+    "quartet"."""
 
-    indices: tuple         # four direction indices
-    kind: str              # "theta" | "quartet"
-    level: int
-    description: str
+    def __init__(self, indices: tuple, kind: str, level: int, description: str):
+        self.__dict__.update(indices=indices, kind=kind, level=level, description=description)
 
 
 def signed_permutation(matrix) -> tuple:
@@ -81,7 +79,6 @@ def _distance(matrix: np.ndarray, perm, sign) -> float:
     return float(np.abs(diff).max(initial=0.0))
 
 
-@dataclass(eq=False)
 class ComplexStructure:
     """A complex structure on the tangent directions: the signed permutation
     that sends direction j to sign[j] times direction perm[j], its 4x4
@@ -89,14 +86,14 @@ class ComplexStructure:
     (0 for a structure built exactly).  `matrix` is the dense view, built on
     first read."""
 
-    perm: np.ndarray
-    sign: np.ndarray
-    snap: float = 0.0
-    blocks: tuple = ()
-
-    def __post_init__(self):
-        for a in (self.perm, self.sign):    # `matrix` is built from them once
+    def __init__(self, perm: np.ndarray, sign: np.ndarray, snap: float = 0.0,
+                 blocks: tuple = ()):
+        for a in (perm, sign):      # `matrix` is built from them once
             a.setflags(write=False)
+        self.perm = perm
+        self.sign = sign
+        self.snap = snap
+        self.blocks = blocks
 
     @classmethod
     def from_matrix(cls, matrix, blocks: tuple = ()) -> "ComplexStructure":

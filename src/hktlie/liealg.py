@@ -19,9 +19,7 @@ vector for B_n (dim 2n+1) and D_n (dim 2n).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +27,8 @@ import numpy as np
 from .rootsys import (
     Root,
     RootSystem,
+    _Frozen,
+    _Value,
     chain_nodes,
     coroot,
     root_chain,
@@ -46,25 +46,23 @@ def _np_coords(coords: Sequence[int]) -> np.ndarray:
     return np.array([float(c) for c in coords])
 
 
-@dataclass(frozen=True)
-class RootVectorEntry:
+class RootVectorEntry(_Value):
     """Indices and scale with E_alpha = scale * (t[re] + i t[im])."""
 
-    re_index: int
-    im_index: int
-    scale: float
+    def __init__(self, re_index: int, im_index: int, scale: float):
+        self.__dict__.update(re_index=re_index, im_index=im_index, scale=scale)
 
 
-@dataclass(frozen=True, eq=False)
-class CsaAxis:
-    """One Cartan (or appended Abelian) generator with its functional data."""
+class CsaAxis(_Frozen):
+    """One Cartan (or appended Abelian) generator with its functional data:
+    `kind` is "coroot", "abelian" or "u1", `root` the basic root of a
+    coroot axis (else None), and `functional` the w with
+    alpha(h) = w . alpha_std (zeros for a u(1))."""
 
-    index: int
-    kind: str                 # "coroot" | "abelian" | "u1"
-    level: int
-    node_label: str
-    root: Root | None         # the basic root, for kind == "coroot"
-    functional: np.ndarray    # w with alpha(h) = w . alpha_std; zeros for u1
+    def __init__(self, index: int, kind: str, level: int, node_label: str, root: Root | None,
+                 functional: np.ndarray):
+        self.__dict__.update(index=index, kind=kind, level=level, node_label=node_label,
+                             root=root, functional=functional)
 
 
 #: entries of f_ABC and of the generators at or below this magnitude are
@@ -76,15 +74,13 @@ F_ZERO = 1e-12
 CLOSURE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class StructureConstants:
+class StructureConstants(_Frozen):
     """Totally antisymmetric f_ABC with [t_A, t_B] = i f_ABC t_C, held as its
-    non-zero entries f[index[k]] = value[k]; `f` is the dense (D, D, D) view,
-    built on first read."""
+    non-zero entries f[index[k]] = value[k], with `index` the (n, 3) integer
+    index triples; `f` is the dense (D, D, D) view, built on first read."""
 
-    index: np.ndarray    # (n, 3) integer index triples
-    value: np.ndarray    # (n,)
-    dim: int
+    def __init__(self, index: np.ndarray, value: np.ndarray, dim: int):
+        self.__dict__.update(index=index, value=value, dim=dim)
 
     def restrict(self, keep: Sequence[int]) -> "StructureConstants":
         """The entries whose three indices all lie in `keep`, renumbered in
@@ -103,24 +99,30 @@ class StructureConstants:
         return f
 
 
-@dataclass(eq=False)
 class AlgebraRep:
-    """Concrete matrix representation with root-adapted orthonormal basis."""
+    """Concrete matrix representation with root-adapted orthonormal basis:
+    `generators` are the (D, d, d) Hermitian matrices, and `root_table` maps
+    each positive root's coordinates to its RootVectorEntry."""
 
-    family: str
-    rank: int
-    u1_count: int
-    rep_kind: str
-    matrix_dim: int
-    norm_const: float
-    generators: np.ndarray           # (D, d, d) complex, Hermitian
-    csa_indices: tuple[int, ...]
-    u1_indices: tuple[int, ...]
-    root_system: RootSystem
-    chain_levels: tuple
-    root_table: dict                 # positive-root coords -> RootVectorEntry
-    csa_axes: tuple[CsaAxis, ...]
-    _structure: StructureConstants = field(repr=False)
+    def __init__(self, family: str, rank: int, u1_count: int, rep_kind: str, matrix_dim: int,
+                 norm_const: float, generators: np.ndarray, csa_indices: tuple[int, ...],
+                 u1_indices: tuple[int, ...], root_system: RootSystem, chain_levels: tuple,
+                 root_table: dict, csa_axes: tuple[CsaAxis, ...],
+                 _structure: StructureConstants):
+        self.family = family
+        self.rank = rank
+        self.u1_count = u1_count
+        self.rep_kind = rep_kind
+        self.matrix_dim = matrix_dim
+        self.norm_const = norm_const
+        self.generators = generators
+        self.csa_indices = csa_indices
+        self.u1_indices = u1_indices
+        self.root_system = root_system
+        self.chain_levels = chain_levels
+        self.root_table = root_table
+        self.csa_axes = csa_axes
+        self._structure = _structure
 
     @property
     def dim(self) -> int:
@@ -159,20 +161,14 @@ def _eij(d, i, j):
     return m
 
 
-@dataclass(eq=False)
-class _Raw:
-    """One family's representation: the Cartan matrix of a functional and the
-    Chevalley root vectors in closed form."""
-
-    d: int
-    embed: callable         # functional w -> Cartan matrix h, alpha(h) = w . alpha
-    root_vector: callable   # positive-root coords -> E_alpha up to a positive scale
-    std_candidates: list    # deterministic seeds for the leftover Cartan axes
-    kind: str               # "defining" | "vector"
-
-
-def _raw_basis(family: str, rank: int) -> _Raw:
-    """The family's one representation; `root_chain` has checked the family."""
+def _raw_basis(family: str, rank: int) -> tuple:
+    """The family's one representation, in closed form, as the tuple
+    (d, embed, root_vector, candidates, kind): the matrix size d; `embed`,
+    the Cartan matrix h of a functional w, with alpha(h) = w . alpha;
+    `root_vector`, E_alpha up to a positive scale from a positive root's
+    coordinates; `candidates`, the deterministic seeds of the leftover Cartan
+    axes; and `kind`, "defining" or "vector".  `root_chain` has checked the
+    family."""
     if family == "A":
         d = rank + 1
 
@@ -188,7 +184,7 @@ def _raw_basis(family: str, rank: int) -> _Raw:
             v[:k] = 1.0
             v[k] = -float(k)
             cands.append(v)
-        return _Raw(d, embed, root_vector, cands, "defining")
+        return d, embed, root_vector, cands, "defining"
 
     if family == "C":
         n = rank
@@ -205,7 +201,7 @@ def _raw_basis(family: str, rank: int) -> _Raw:
                 return _eij(d, i, j) - _eij(d, n + j, n + i)
             return _eij(d, i, n + j) + _eij(d, j, n + i)
 
-        return _Raw(d, embed, root_vector, list(np.eye(n)), "defining")
+        return d, embed, root_vector, list(np.eye(n)), "defining"
 
     # B and D, so(d) on C^d: the Cartan matrix of w rotates plane (2k, 2k+1)
     # by w_k; the root vector of e_k +- e_l is v w^T - w v^T for the weight
@@ -231,7 +227,7 @@ def _raw_basis(family: str, rank: int) -> _Raw:
         w = weight(l, a[l]) if l != k else np.eye(d)[2 * rank]
         return np.outer(v, w) - np.outer(w, v)
 
-    return _Raw(d, embed, root_vector, list(np.eye(rank)), "vector")
+    return d, embed, root_vector, list(np.eye(rank)), "vector"
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +245,11 @@ def _gram_schmidt(vectors, kappa: float) -> list:
     return basis
 
 
-def _adapted_csa(levels, raw: _Raw, C: float, first_index: int) -> tuple:
+def _adapted_csa(levels, embed, candidates, C: float, first_index: int) -> tuple:
     """Cartan axes numbered from `first_index`, their functionals orthonormal
     under Tr(embed(u) embed(v)) / C = kappa u . v: unit basic-coroot axes,
-    then leftover axes per node."""
-    h = raw.embed(np.eye(raw.std_candidates[0].size)[0])
+    then leftover axes per node, each seeded by one of `candidates`."""
+    h = embed(np.eye(candidates[0].size)[0])
     kappa = np.real(np.trace(h @ h)) / C
     nodes = chain_nodes(levels)
     axes = []
@@ -271,7 +267,7 @@ def _adapted_csa(levels, raw: _Raw, C: float, first_index: int) -> tuple:
             forbidden += [_np_coords(s.coords) for s in child.simple_roots]
         forbidden = _gram_schmidt(forbidden, kappa)
         before = len(axes)
-        for cand in raw.std_candidates:
+        for cand in candidates:
             w = sum((kappa * (b @ cand) * b for b in span), np.zeros_like(cand))
             for b in forbidden + [ax.functional for ax in axes]:
                 w = w - kappa * (b @ w) * b
@@ -283,10 +279,10 @@ def _adapted_csa(levels, raw: _Raw, C: float, first_index: int) -> tuple:
     return tuple(axes)
 
 
-def _chevalley_vector(raw: _Raw, root: Root) -> np.ndarray:
+def _chevalley_vector(embed, root_vector, root: Root) -> np.ndarray:
     """The closed-form root vector, scaled so that [E, E^dag] is the coroot."""
-    e = raw.root_vector(root.coords)
-    target = raw.embed(_np_coords(coroot(root)))
+    e = root_vector(root.coords)
+    target = embed(_np_coords(coroot(root)))
     comm = e @ e.conj().T - e.conj().T @ e
     c = np.real(np.trace(comm @ target)) / np.real(np.trace(target @ target))
     if c <= 0:
@@ -334,37 +330,40 @@ def _zero_extend(rep: AlgebraRep, u: int) -> AlgebraRep:
     gens.setflags(write=False)
     zero = np.zeros(rep.csa_axes[0].functional.size if rep.csa_axes else 0)
     f = rep.structure_constants()
-    return dataclasses.replace(
-        rep, u1_count=rep.u1_count + u, matrix_dim=d + u, generators=gens,
-        u1_indices=rep.u1_indices + tuple(range(D, D + u)),
+    return AlgebraRep(
+        family=rep.family, rank=rep.rank, u1_count=rep.u1_count + u, rep_kind=rep.rep_kind,
+        matrix_dim=d + u, norm_const=rep.norm_const, generators=gens,
+        csa_indices=rep.csa_indices, u1_indices=rep.u1_indices + tuple(range(D, D + u)),
+        root_system=rep.root_system, chain_levels=rep.chain_levels, root_table=rep.root_table,
         csa_axes=rep.csa_axes + tuple(CsaAxis(index=i, kind="u1", level=-1, node_label="u1",
                                               root=None, functional=zero)
                                       for i in range(D, D + u)),
         _structure=StructureConstants(f.index, f.value, D + u))
 
 
-def _build_matrix_rep(family, rank, raw: _Raw | None = None):
-    """The family's own representation, or the one `raw` writes out."""
+def _build_matrix_rep(family, rank, raw: tuple | None = None):
+    """The family's own representation, or the one `raw` writes out in the
+    form `_raw_basis` returns."""
     rs, levels = root_chain(family, rank)
-    raw = raw or _raw_basis(family, rank)
-    C, d = NORM_CONST[family], raw.d
+    d, embed, root_vector, candidates, kind = raw or _raw_basis(family, rank)
+    C = NORM_CONST[family]
     npos = len(rs.positive_roots)
     D = 2 * npos + rank
-    csa_axes = _adapted_csa(levels, raw, C, 2 * npos)
+    csa_axes = _adapted_csa(levels, embed, candidates, C, 2 * npos)
     W = np.stack([ax.functional for ax in csa_axes])
 
     gens = np.zeros((D, d, d), dtype=complex)
     table = {}
 
     for i, root in enumerate(rs.positive_roots):
-        e = _chevalley_vector(raw, root)
+        e = _chevalley_vector(embed, root_vector, root)
         a = W @ _np_coords(root.coords)
         nu = 1.0 / np.sqrt(a @ a)
         gens[2 * i] = (e + e.conj().T) / (2 * nu)
         gens[2 * i + 1] = -1j * (e - e.conj().T) / (2 * nu)
         table[root.coords] = RootVectorEntry(2 * i, 2 * i + 1, nu)
 
-    gens[2 * npos:] = [raw.embed(w) for w in W]
+    gens[2 * npos:] = [embed(w) for w in W]
     _snap_to_zero(gens)
     gram = gens.reshape(D, -1) @ _flat_transposes(gens)
     dev = np.abs(gram - C * np.eye(D))
@@ -378,7 +377,7 @@ def _build_matrix_rep(family, rank, raw: _Raw | None = None):
     structure = _structure_constants(gens, C, comm)
     _check_closure(gens, structure, comm)
     return AlgebraRep(
-        family=family, rank=rank, u1_count=0, rep_kind=raw.kind,
+        family=family, rank=rank, u1_count=0, rep_kind=kind,
         matrix_dim=d, norm_const=C, generators=gens,
         csa_indices=tuple(2 * npos + k for k in range(rank)), u1_indices=(),
         root_system=rs, chain_levels=levels, root_table=table,

@@ -17,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 FAMILIES = ("A", "B", "C", "D")
@@ -49,17 +48,43 @@ def _ints(seq) -> Coords:
     return coords
 
 
-@dataclass(frozen=True)
-class Root:
+class _Frozen:
+    """Base of the read-only records: each `__init__` writes its fields once,
+    straight into the instance dict, and assigning one afterwards raises.
+    A `functools.cached_property` writes there too, so it still works."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
+    """A read-only record that compares, hashes and prints as its fields: the
+    entries of its instance dict, in the order `__init__` writes them."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Root(_Value):
     """A root as an exact coordinate vector with length/sign bookkeeping."""
 
-    coords: Coords
-    length_class: str = "long"   # "long" | "short"
-    sign: str = "positive"       # "positive" | "negative"
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.coords):
+    def __init__(self, coords: Coords, length_class: str = "long", sign: str = "positive"):
+        if not any(coords):
             raise ValueError("root coordinates must be nonzero")
+        # length_class is "long" | "short", sign "positive" | "negative"
+        self.__dict__.update(coords=coords, length_class=length_class, sign=sign)
 
     @property
     def norm2(self) -> int:
@@ -158,20 +183,18 @@ def _expand(positive: Iterable[Coords], simples: Sequence[Coords]) -> dict:
     return coeffs
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(_Frozen):
     """A classical simple root system with all derived combinatorial data."""
 
-    family: str
-    rank: int
-    dim: int
-    simple_roots: tuple[Root, ...]
-    positive_roots: tuple[Root, ...]
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    highest_root: Root
-    dynkin_labels: tuple[int, ...]
-    _root_set: frozenset
-    _coeffs: dict
+    def __init__(self, family: str, rank: int, dim: int, simple_roots: tuple[Root, ...],
+                 positive_roots: tuple[Root, ...], cartan_matrix: tuple[tuple[int, ...], ...],
+                 highest_root: Root, dynkin_labels: tuple[int, ...], _root_set: frozenset,
+                 _coeffs: dict):
+        self.__dict__.update(
+            family=family, rank=rank, dim=dim, simple_roots=simple_roots,
+            positive_roots=positive_roots, cartan_matrix=cartan_matrix,
+            highest_root=highest_root, dynkin_labels=dynkin_labels, _root_set=_root_set,
+            _coeffs=_coeffs)
 
     def is_root(self, coords: Sequence[int]) -> bool:
         return tuple(coords) in self._root_set
@@ -328,20 +351,18 @@ def _diagram_children(rs: RootSystem, positive: Sequence[Root], simple: Sequence
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainNode:
+class ChainNode(_Frozen):
     """One step of the iterated construction: an irreducible closed subsystem
     in the coordinates of the whole root system, its highest root theta, and
     the nodes of the summands of its roots orthogonal to theta."""
 
-    positive_roots: tuple[Root, ...]    # by increasing height, theta last
-    simple_roots: tuple[Root, ...]
-    family: str
-    rank: int
-    label: str
-    theta: Root
-    level: int
-    children: tuple["ChainNode", ...]
+    def __init__(self, positive_roots: tuple[Root, ...], simple_roots: tuple[Root, ...],
+                 family: str, rank: int, label: str, theta: Root, level: int,
+                 children: tuple[ChainNode, ...]):
+        # positive_roots run by increasing height, theta last
+        self.__dict__.update(
+            positive_roots=positive_roots, simple_roots=simple_roots, family=family,
+            rank=rank, label=label, theta=theta, level=level, children=children)
 
     @property
     def dimension(self) -> int:

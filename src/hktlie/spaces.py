@@ -12,12 +12,12 @@ structures are restricted to the coset directions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .bounds import BOUNDS, DEFAULT_TOL, RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step
 from .rootsys import (
     ChainNode,
     UnsupportedAlgebraError,
+    _Value,
     chain_nodes,
     root_chain,
 )
@@ -30,25 +30,21 @@ def group_name(family: str, rank: int) -> str:
     return GROUP_NAMES[family](rank)
 
 
-@dataclass(frozen=True)
-class LevelSelection:
-    """Quotient choice at one chain level: summands and the Abelian part."""
+class LevelSelection(_Value):
+    """Quotient choice at one chain level: summands, by node label (e.g.
+    ("A1:gamma",)), and the Abelian part."""
 
-    level: int
-    summands: tuple      # node labels, e.g. ("A1:gamma",)
-    include_abelian: bool = False
+    def __init__(self, level: int, summands: tuple, include_abelian: bool = False):
+        self.__dict__.update(level=level, summands=summands, include_abelian=include_abelian)
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
-    """A (possibly quotiented) product of simple factors and u(1) circles."""
+class SpaceSpec(_Value):
+    """A (possibly quotiented) product of simple factors and u(1) circles;
+    `factors` holds the (family, rank) pairs, the family read upper-case."""
 
-    factors: tuple       # ((family, rank), ...), the family read upper-case
-    u1_count: int
-    selections: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple((f.upper(), r) for f, r in self.factors))
+    def __init__(self, factors: tuple, u1_count: int, selections: tuple = ()):
+        self.__dict__.update(factors=tuple((f.upper(), r) for f, r in factors),
+                             u1_count=u1_count, selections=selections)
 
     @property
     def name(self) -> str:
@@ -70,18 +66,17 @@ class SpaceSpec:
 def required_padding(factors) -> int:
     """u(1) factors needed so the Cartan space pairs off: 2 n_b - rank, summed
     over the factors; each one is the padding of its empty quotient."""
-    return sum(_quotient_padding(root_chain(f, r)[1], (), ())
+    return sum(_quotient_padding(root_chain(f.upper(), r)[1], (), ())
                for f, r in factors)
 
 
-@dataclass(frozen=True)
-class ClassRow:
-    family: str
-    rank: int
-    name: str
-    group_dim: int
-    padding: int
-    total_dim: int
+class ClassRow(_Value):
+    """One row of `classify_family`'s padding table."""
+
+    def __init__(self, family: str, rank: int, name: str, group_dim: int, padding: int,
+                 total_dim: int):
+        self.__dict__.update(family=family, rank=rank, name=name, group_dim=group_dim,
+                             padding=padding, total_dim=total_dim)
 
 
 def classify_family(family: str, max_rank: int) -> list:
@@ -134,6 +129,7 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     basic roots; a selection that would need negative padding is left out.
     """
     family, rank = factor
+    family = family.upper()     # one key in root_chain's cache, as SpaceSpec reads it
     _, levels = root_chain(family, rank)
     group_dim = levels[0][0].dimension
 
@@ -164,18 +160,23 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass
 class VerificationReport:
-    spec: SpaceSpec
-    name: str
-    dimension: int
-    padding_required: int
-    basic_roots_used: tuple
-    automorphisms: tuple
-    checks: dict         # as TripleResult.checks, the key-wise worst over the factors
-    verdict: str
-    tolerance: float
-    message: str = ""
+    """The certificate of one space; `checks` are as TripleResult.checks, the
+    key-wise worst over the factors."""
+
+    def __init__(self, spec: SpaceSpec, name: str, dimension: int, padding_required: int,
+                 basic_roots_used: tuple, automorphisms: tuple, checks: dict, verdict: str,
+                 tolerance: float, message: str = ""):
+        self.spec = spec
+        self.name = name
+        self.dimension = dimension
+        self.padding_required = padding_required
+        self.basic_roots_used = basic_roots_used
+        self.automorphisms = automorphisms
+        self.checks = checks
+        self.verdict = verdict
+        self.tolerance = tolerance
+        self.message = message
 
     @property
     def residuals(self) -> dict:
@@ -265,20 +266,12 @@ def _resolve_selections(levels, selections):
     return tops, abelian_levels
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """One simple factor of a resolved spec; a group factor is the empty quotient."""
-
-    family: str
-    rank: int
-    tops: tuple             # removed chain subtrees
-    abelian_levels: tuple   # chain levels whose nodes lose their Abelian parts
-    padding: int            # u(1) factors this factor needs
-
-
 def _resolve_spec(spec: SpaceSpec) -> list:
     """Each factor of `spec` with its quotient and padding, from the shared
-    root chain of its algebra."""
+    root chain of its algebra, as the tuple (family, rank, tops,
+    abelian_levels, padding): the removed chain subtrees, the chain levels
+    whose nodes lose their Abelian parts, and the u(1) factors this factor
+    needs.  A group factor is the empty quotient."""
     if not spec.factors:
         raise ValueError("need at least one simple factor")
     if spec.selections and len(spec.factors) != 1:
@@ -287,28 +280,30 @@ def _resolve_spec(spec: SpaceSpec) -> list:
     for family, rank in spec.factors:
         _, levels = root_chain(family, rank)
         tops, abelian_levels = _resolve_selections(levels, spec.selections)
-        factors.append(_Factor(family, rank, tuple(tops), tuple(abelian_levels),
-                               _quotient_padding(levels, tops, abelian_levels)))
+        factors.append((family, rank, tuple(tops), tuple(abelian_levels),
+                        _quotient_padding(levels, tops, abelian_levels)))
     return factors
 
 
-def _verify_factor(factor: _Factor, tol, fd_step):
-    """Map the quotient of one resolved factor to generator indices and
-    certify it; returns the basic roots used and the TripleResult."""
+def _verify_factor(factor: tuple, tol, fd_step):
+    """Map the quotient of one factor resolved by `_resolve_spec` to
+    generator indices and certify it; returns the basic roots used and the
+    TripleResult."""
     # imported here: they load numpy, which only a certification needs
     from . import autom, liealg
 
-    rep = liealg.build_matrix_rep(factor.family, factor.rank, factor.padding)
-    removed = [n for t in factor.tops for n in _subtree(t)]
+    family, rank, tops, abelian_levels, padding = factor
+    rep = liealg.build_matrix_rep(family, rank, padding)
+    removed = [n for t in tops for n in _subtree(t)]
     removed_nodes = {(n.level, n.label) for n in removed}
 
     quotient = {rep.coroot_axis_index(n.theta) for n in removed}
-    for top in factor.tops:
+    for top in tops:
         for root in top.positive_roots:
             ent = rep.root_entry(root)
             quotient.update((ent.re_index, ent.im_index))
     quotient.update(ax.index for ax in rep.csa_axes if ax.kind == "abelian" and (
-        (ax.level, ax.node_label) in removed_nodes or ax.level in factor.abelian_levels))
+        (ax.level, ax.node_label) in removed_nodes or ax.level in abelian_levels))
 
     result = autom.build_quaternion_triple(rep, tol, fd_step, quotient=sorted(quotient))
     labels = {n.theta.coords: n.label for n in chain_nodes(rep.chain_levels)}
@@ -327,7 +322,7 @@ def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
         _check_fd_step(fd_step)
     factors = _resolve_spec(spec)
     # each simple factor takes exactly its own padding (no cross-factor pairing)
-    needed = sum(f.padding for f in factors)
+    needed = sum(padding for *_, padding in factors)
 
     def report_failure(message):
         unmeasured = {k: float("inf") for k in (*BOUNDS, *RECORDED)

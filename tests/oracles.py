@@ -41,7 +41,7 @@ from hktlie.cstruct import (
     _sum_by_key)
 from hktlie.liealg import (
     F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _build_matrix_rep,
-    _commutator_entries, _eij, _flat_transposes, _Raw, _structure_constants, _zero_extend)
+    _commutator_entries, _eij, _flat_transposes, _structure_constants, _zero_extend)
 
 
 def _matrix_of(x) -> np.ndarray:
@@ -63,10 +63,11 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
     return _zero_extend(zero, u1_count)
 
 
-def rotation_basis(rank: int, n: int, rotations: dict, kind: str) -> _Raw:
+def rotation_basis(rank: int, n: int, rotations: dict, kind: str) -> tuple:
     """so(n) in the representation whose rotation generators T_ab (a < b) are
     `rotations`: i(E_ab - E_ba) in the vector representation, i gamma_a
-    gamma_b / 2 in the spinor one, with the same brackets.
+    gamma_b / 2 in the spinor one, with the same brackets; the tuple is the
+    (d, embed, root_vector, candidates, kind) of `liealg._raw_basis`.
 
     The root vector of e_k +- e_l is v w^T - w v^T for the weight vectors
     (e_2k -+ i e_2k+1)/sqrt2 of +-e_k, and w = e_(2 rank), the zero weight,
@@ -92,7 +93,7 @@ def rotation_basis(rank: int, n: int, rotations: dict, kind: str) -> _Raw:
         c = np.outer(v, w) - np.outer(w, v)
         return -1j * np.tensordot(c[tuple(pairs)], stack, 1)
 
-    return _Raw(stack.shape[-1], embed, root_vector, list(np.eye(rank)), kind)
+    return stack.shape[-1], embed, root_vector, list(np.eye(rank)), kind
 
 
 def build_rotation_vector_rep(family: str, rank: int) -> AlgebraRep:

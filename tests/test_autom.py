@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
@@ -138,7 +138,8 @@ def test_perturbed_f_row_is_refused():
     theta = rep.root_system.highest_root
     f = rep.structure_constants()
     off = np.where(f.index[:, 0] == rep.root_entry(theta).re_index, 1.0 + 1e-8, 1.0)
-    bad = dataclasses.replace(rep, _structure=L.StructureConstants(f.index, f.value * off, f.dim))
+    bad = copy.copy(rep)
+    bad._structure = L.StructureConstants(f.index, f.value * off, f.dim)
     with pytest.raises(RuntimeError, match="lost orthogonality|exact entries"):
         A.automorphism_from_root(bad, theta, "J")
 
@@ -268,9 +269,12 @@ def test_chain_node_with_a_missing_child_is_refused():
     rep = L.build_matrix_rep("D", 4, 4)
     [top] = rep.chain_levels[0]
     assert len(top.children) == 3
-    levels = ((dataclasses.replace(top, children=top.children[1:]),),) + rep.chain_levels[1:]
+    pruned = R.ChainNode(top.positive_roots, top.simple_roots, top.family, top.rank, top.label,
+                         top.theta, top.level, top.children[1:])
+    bad = copy.copy(rep)
+    bad.chain_levels = ((pruned,),) + rep.chain_levels[1:]
     with pytest.raises(A.DecompositionMismatchError, match="chain node D4"):
-        A.basic_roots(dataclasses.replace(rep, chain_levels=levels))
+        A.basic_roots(bad)
 
 
 # ---------------------------------------------------------------------------

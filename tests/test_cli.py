@@ -362,21 +362,43 @@ def test_verify_loads_the_numeric_layers_on_demand():
     assert lines == ["[]", "0 True", str(list(NUMERIC))]
 
 
-#: the front end's layers and what they load; `import hktlie.cli` needs none
-FRONT = ("hktlie.rootsys", "hktlie.spaces", "dataclasses")
+#: the front end's layers; `import hktlie.cli` needs none
+FRONT = ("hktlie.rootsys", "hktlie.spaces", "dataclasses", "json")
+
+#: what no command loads: the records are plain classes, and `canonical_json`
+#: quotes its own strings
+UNUSED = ("dataclasses", "json")
 
 
 def test_help_and_usage_errors_load_no_layer():
     """The import, `--help`, a parse error and a rank-cap error load neither
-    `rootsys` nor `spaces`, nor `dataclasses` through them."""
+    `rootsys` nor `spaces`."""
     argvs = [["--help"], ["verify", "Q2"], ["roots", "B9"]]
     lines = _numeric_probe(argvs, block_numpy=True, watched=FRONT)
     assert lines == ["[]", "0 False", "2 False", "2 False", "[]"]
 
 
 def test_roots_loads_rootsys_alone():
-    lines = _numeric_probe([["roots", "B3"]], block_numpy=True, watched=FRONT)
-    assert lines == ["[]", "0 False", "['hktlie.rootsys', 'dataclasses']"]
+    lines = _numeric_probe([["roots", "B3"], ["--json", "roots", "B3"]], block_numpy=True,
+                           watched=FRONT)
+    assert lines == ["[]", "0 False", "0 False", "['hktlie.rootsys']"]
+
+
+def test_certifications_load_neither_dataclasses_nor_json():
+    lines = _numeric_probe([["--json", "verify", "A8"], ["--json", "catalog", "A", "3", "--verify"]],
+                           block_numpy=False, watched=UNUSED)
+    assert lines == ["[]", "0 True", "0 True", "[]"]
+
+
+def test_library_triple_loads_neither_dataclasses_nor_json():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = ("import sys\n"
+             "from hktlie import build_matrix_rep, build_quaternion_triple\n"
+             "result = build_quaternion_triple(build_matrix_rep('B', 4, 4))\n"
+             f"print(result.certified, [m for m in {UNUSED!r} if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == ["True []"]
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +608,24 @@ def test_canonical_json_formatting():
     s = cli.canonical_json({"b": 0.1, "a": [1, None, True], "c": "x"})
     assert s == '{"a":[1,null,true],"b":0.10000000000000001,"c":"x"}'
     assert cli.canonical_json(json.loads(s)) == s
+
+
+def test_quoter_is_json_dumps_on_every_code_point():
+    """`canonical_json` quotes a string byte for byte as json.dumps does with
+    ensure_ascii: every code point below 0x10000, lone surrogates included,
+    and astral characters as surrogate pairs, as values and as keys."""
+    for n in range(0x10000):
+        assert cli.canonical_json(chr(n)) == json.dumps(chr(n)), hex(n)
+    for text in ("\U00010000", "\U0001F600", "\U0010FFFF", "a\U0001D11E\"b\\\x7f\u00e9\n",
+                 "plain ASCII", ""):
+        assert cli.canonical_json([text, {text: 1}]) == json.dumps([text, {text: 1}],
+                                                                   separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_quoter_is_json_dumps_on_text(text):
+    assert cli.canonical_json(text) == json.dumps(text)
 
 
 def test_catalog_verify_json_full_reports(capsys):

@@ -640,3 +640,17 @@ def test_geometry_report_memory_stays_below_the_dense_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_structure_arrays_are_write_protected_and_its_matrix_cached():
+    """`matrix` is built once from perm and sign, so neither can change."""
+    s = C.ComplexStructure(np.array([1, 0]), np.array([1.0, -1.0]))
+    assert not s.perm.flags.writeable and not s.sign.flags.writeable
+    with pytest.raises(ValueError):
+        s.perm[0] = 0
+    assert s.matrix is s.matrix and not s.matrix.flags.writeable
+    assert s.matrix.tolist() == [[0.0, -1.0], [1.0, 0.0]]
+    assert (s.snap, s.blocks) == (0.0, ())
+    block = C.Block((0, 1, 2, 3), "theta", 0, "A1")
+    assert block == C.Block((0, 1, 2, 3), "theta", 0, "A1") and len({block, block}) == 1
+    assert repr(block) == "Block(indices=(0, 1, 2, 3), kind='theta', level=0, description='A1')"

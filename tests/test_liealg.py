@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import tracemalloc
 
 import numpy as np
@@ -116,7 +116,9 @@ def test_closure_check_matches_dense_and_rejects_perturbed_generator():
     bad[k] = (g[k] + eps * x) / np.sqrt(1.0 + 2.0 * eps ** 2 / C)
     gram = np.einsum("aij,bji->ab", bad, bad)
     assert np.abs(gram - C * np.eye(rep.dim)).max() < 1e-12
-    f_bad = oracles.structure_constants(dataclasses.replace(rep, generators=bad, _structure=None))
+    broken = copy.copy(rep)
+    broken.generators, broken._structure = bad, None
+    f_bad = oracles.structure_constants(broken)
     assert dense_closure_residual(bad, f_bad.f) > 1e-4
     with pytest.raises(L.ConstructionError, match="does not close"):
         L._check_closure(bad, f_bad, L._commutator_entries(bad))
@@ -523,3 +525,18 @@ def test_b3_cartan_span_is_rotation_planes():
     # and the short-coroot axis is literally T_56
     gamma = rep.root_system.root((0, 0, 1))
     assert np.abs(rep.generators[rep.coroot_axis_index(gamma)] - planes[2]).max() < 1e-12
+
+
+def test_structure_constants_are_read_only_with_a_cached_dense_view():
+    """The COO record is shared by every zero-extension of a cached build:
+    it refuses assignment, and its dense view is built once, read-only."""
+    f = L.StructureConstants(np.array([[0, 1, 2]]), np.array([1.0]), 3)
+    with pytest.raises(AttributeError, match="dim"):
+        f.dim = 4
+    with pytest.raises(AttributeError, match="index"):
+        del f.index
+    assert f.f is f.f and not f.f.flags.writeable
+    assert f.f[0, 1, 2] == 1.0 and np.count_nonzero(f.f) == 1
+    entry = L.RootVectorEntry(0, 1, 0.5)
+    assert entry == L.RootVectorEntry(0, 1, 0.5) and hash(entry) == hash((0, 1, 0.5))
+    assert entry != L.RootVectorEntry(1, 0, 0.5)

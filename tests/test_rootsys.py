@@ -124,6 +124,39 @@ def test_root_nonzero_rejected():
         R.Root((Fraction(0), Fraction(0)))
 
 
+def test_zero_root_rejected_by_its_constructor():
+    with pytest.raises(ValueError, match="nonzero"):
+        R.Root((0, 0))
+
+
+def test_root_compares_and_hashes_by_value():
+    a = R.Root((1, -1, 0))
+    assert a == R.Root((1, -1, 0), "long", "positive")
+    assert hash(a) == hash(R.Root((1, -1, 0)))
+    assert len({a, R.Root((1, -1, 0)), a.negated().negated()}) == 1
+    assert a != R.Root((1, -1, 0), "short") and a != a.negated()
+    assert a != (1, -1, 0)
+    assert repr(a) == "Root(coords=(1, -1, 0), length_class='long', sign='positive')"
+
+
+@pytest.mark.parametrize("record,field", [("root", "coords"), ("root", "sign"),
+                                          ("system", "rank"), ("system", "_coeffs"),
+                                          ("node", "children"), ("node", "theta")])
+def test_records_refuse_assignment(record, field):
+    """Roots, root systems and chain nodes are shared through `root_chain`'s
+    cache, so none of them can be changed after it is built."""
+    rs, levels = R.root_chain("B", 3)
+    obj = {"root": rs.highest_root, "system": rs, "node": levels[0][0]}[record]
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError, match=field):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError, match=field):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, field) is before
+
+
 @pytest.mark.parametrize("coords", [(0, 0), (0,), ()])
 def test_coroot_of_zero_or_empty_vector_rejected(coords):
     """As `Root` does: a ValueError, not a ZeroDivisionError or an empty coroot."""

@@ -299,6 +299,36 @@ def test_lowercase_family_reads_as_uppercase(monkeypatch):
     assert sorted(built) == [("basic_root_chain", "A3"), ("build_root_system", "A3")]
 
 
+@pytest.mark.parametrize("read", [
+    lambda family: S.enumerate_quotients((family, 3)),
+    lambda family: S.required_padding([(family, 3)]),
+], ids=["enumerate_quotients", "required_padding"])
+def test_lowercase_factor_shares_the_root_chain_cache(read):
+    """A factor's family is read upper-case before `root_chain`'s cache, so
+    "a" finds the entry that "A" made, and gives the same answer."""
+    R.root_chain.cache_clear()
+    upper = read("A")
+    assert R.root_chain.cache_info().misses == 1
+    assert read("a") == upper
+    assert R.root_chain.cache_info().misses == 1
+
+
+def test_spec_is_a_read_only_value():
+    sel = Sel(1, ("A1:gamma",))
+    assert sel == Sel(1, ("A1:gamma",), False) and hash(sel) == hash(Sel(1, ("A1:gamma",)))
+    assert sel != Sel(1, ("A1:gamma",), True)
+    spec = Spec((("b", 3),), 2, (sel,))
+    assert spec.factors == (("B", 3),)
+    assert spec == Spec((("B", 3),), 2, (Sel(1, ("A1:gamma",)),))
+    assert hash(spec) == hash(Spec((("B", 3),), 2, (sel,)))
+    assert len({spec, Spec((("B", 3),), 2, (sel,)), Spec((("B", 3),), 2)}) == 2
+    assert Spec((("b", 3),), 2).factors == (("B", 3),)
+    for obj, field in ((spec, "factors"), (spec, "u1_count"), (sel, "summands")):
+        with pytest.raises(AttributeError, match=field):
+            setattr(obj, field, ())
+    assert spec.factors == (("B", 3),) and sel.summands == ("A1:gamma",)
+
+
 def test_root_data_is_built_once_per_algebra(monkeypatch, capsys):
     """A repeated factor, the padding table, a catalog and the parser share
     one root system and chain per (family, rank); `catalog A 8 --verify`
