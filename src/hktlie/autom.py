@@ -189,21 +189,27 @@ def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
 
 class TripleResult:
     """I, J and K on the directions outside the quotient, which every
-    check, and `dimension`, refers to.  `checks` maps each check to its
-    value: BOUNDS order, "J.snap" per structure, then RECORDED; `failure` is
-    the (check, value, bound) of the first failed check, or None."""
+    check, and `dimension`, refers to.  `nodes` are the chain nodes that
+    rotate I, outermost level first, and `automorphisms` their J-kind
+    automorphisms, one per node.  `checks` maps each check to its value:
+    BOUNDS order, "J.snap" per structure, then RECORDED; `failure` is the
+    (check, value, bound) of the first failed check, or None."""
 
     def __init__(self, I: ComplexStructure, J: ComplexStructure, K: ComplexStructure,
-                 automorphisms: tuple, dimension: int, checks: dict, failure: tuple | None,
+                 nodes: tuple, automorphisms: tuple, checks: dict, failure: tuple | None,
                  message: str):
         self.I = I
         self.J = J
         self.K = K
+        self.nodes = nodes
         self.automorphisms = automorphisms
-        self.dimension = dimension
         self.checks = checks
         self.failure = failure
         self.message = message
+
+    @property
+    def dimension(self) -> int:
+        return self.I.dim
 
     @property
     def certified(self) -> bool:
@@ -241,7 +247,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     if fd_step is not None:
         _check_fd_step(fd_step)
     removed = set(quotient)
-    nodes = [n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed]
+    nodes = tuple(n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed)
     f = rep.structure_constants()
 
     # every structure and number below reads the tangent directions: all
@@ -290,5 +296,5 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     message = "{} {:.2g} above {:g}".format(*failure) if failure else ""
     if leak > BOUNDS["invariance_leak"](tol):   # then failure is set too
         message += "; " + leak_note
-    return TripleResult(I=I, J=J, K=K, automorphisms=autos, dimension=len(tangent),
-                        checks=checks, failure=failure, message=message)
+    return TripleResult(I=I, J=J, K=K, nodes=nodes, automorphisms=autos, checks=checks,
+                        failure=failure, message=message)

@@ -62,15 +62,18 @@ def _check_fd_step(step: float) -> None:
                          f"so that (step/2)**2 stays a normal float; got {step:g}")
 
 
+def _bounded(values: Iterable, tol: float):
+    """The (check, value, bound) of each (check, value) pair that has a bound
+    and was run.  A check is a BOUNDS key, optionally prefixed with a
+    structure ("J.square"), or a RECORDED one, which has no bound; a value of
+    None is a check not run."""
+    for check, value in values:
+        if check not in RECORDED and value is not None:
+            yield check, value, BOUNDS[check.rpartition(".")[2]](tol)
+
+
 def first_failure(values: Iterable, tol: float) -> tuple | None:
     """The first (check, value, bound) of the (check, value) pairs whose value
-    exceeds its bound, or None.  A check is a BOUNDS key, optionally prefixed
-    with a structure ("J.square"), or a RECORDED one, which has no bound; a
-    value of None is a check not run."""
-    for check, value in values:
-        if check in RECORDED:
-            continue
-        bound = BOUNDS[check.rpartition(".")[2]](tol)
-        if value is not None and not value <= bound:
-            return check, value, bound
-    return None
+    exceeds its bound, or None; the pairs are read as `_bounded` reads them."""
+    return next(((check, value, bound) for check, value, bound in _bounded(values, tol)
+                 if not value <= bound), None)

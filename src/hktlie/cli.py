@@ -20,7 +20,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, RECORDED, _check_fd_step
+from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, _bounded, _check_fd_step
 
 # Each command imports the layers it runs (`rootsys`, `spaces`), so `--help`,
 # a usage error and `roots` start without the ones they never use; this
@@ -253,15 +253,12 @@ def _print_report(report: spaces.VerificationReport, as_json: bool) -> None:
     if report.verdict == "not-admissible":
         print(f"verdict: not-admissible ({report.message})")
         return
-    def fmt(coords):
-        return "(" + ",".join(coords) + ")"
-
     print(f"dimension: {report.dimension}")
     print(f"u(1) padding: {report.padding_required}")
-    print("basic roots: " + "; ".join(f"{lbl} theta={fmt(c)} (level {lv})"
-                                      for lbl, c, lv in report.basic_roots_used))
-    print("automorphisms: " + "; ".join(f"{kind}-kind at {fmt(c)} (level {lv})"
-                                        for c, kind, lv in report.automorphisms))
+    print("basic roots: " + "; ".join(f"{n.label} theta={n.theta} (level {n.level})"
+                                      for n in report.nodes))
+    print("automorphisms: " + "; ".join(f"{a.kind}-kind at {a.root} (level {a.level})"
+                                        for a in report.automorphisms))
     for name, checks in sorted(report.residuals.items()):
         print(f"residuals[{name}]: " + " ".join(
             f"{check}={'n/a' if value is None else f'{value:.3e}'}"
@@ -288,10 +285,7 @@ def cmd_classify(args) -> int:
 
     rows = spaces.classify_family(family, args.max_rank)
     if args.json:
-        print(canonical_json([{
-            "family": r.family, "rank": r.rank, "name": r.name,
-            "group_dim": r.group_dim, "padding": r.padding, "total_dim": r.total_dim,
-        } for r in rows]))
+        print(canonical_json([vars(r) for r in rows]))
         return EXIT_OK
     print(f"{'group':<10} {'rank':>4} {'dim':>5} {'u(1) padding':>13} {'total dim':>10}")
     for r in rows:
@@ -319,39 +313,27 @@ def cmd_catalog(args) -> int:
     from . import spaces
 
     specs = spaces.enumerate_quotients((family, args.rank), max_level=args.max_level)
-    rows = []
-    reports = None
-    if args.verify:
-        # the Nijenhuis check runs on the group-manifold rows only when --fd-step is given
-        reports = [spaces.build_coset_triple(sp, tol=args.tol, fd_step=args.fd_step)
-                   for sp in specs]
-        for sp, rep in zip(specs, reports):
-            # the worst bounded value, as `first_failure` reads them; inf when not admissible
-            worst = max((v for check, v in rep.checks.items()
-                         if check not in RECORDED and v is not None), default=float("inf"))
-            rows.append({"space": rep.name, "string": _spec_to_string(sp),
-                         "dimension": rep.dimension, "padding": sp.u1_count,
-                         "verdict": _verdict_text(rep.verdict, rep.message),
-                         "max_residual": worst})
-    else:
-        for sp in specs:
-            rows.append({"space": sp.name, "string": _spec_to_string(sp),
-                         "padding": sp.u1_count})
-    if args.json:
-        if reports is not None:
-            print(canonical_json([r.to_json_dict() for r in reports]))
+    if not args.verify:
+        if args.json:
+            print(canonical_json([{"space": sp.name, "string": _spec_to_string(sp),
+                                   "padding": sp.u1_count} for sp in specs]))
         else:
-            print(canonical_json(rows))
+            for sp in specs:
+                print(f"{sp.name:<44} [{_spec_to_string(sp)}]")
+        return EXIT_OK
+    # the Nijenhuis check runs on the group-manifold rows only when --fd-step is given
+    reports = [spaces.build_coset_triple(sp, tol=args.tol, fd_step=args.fd_step)
+               for sp in specs]
+    if args.json:
+        print(canonical_json([r.to_json_dict() for r in reports]))
     else:
-        for row in rows:
-            line = f"{row['space']:<44} [{row['string']}]"
-            if "verdict" in row:
-                line += f" dim={row['dimension']:<3} {row['verdict']}"
-                line += f" (max residual {row['max_residual']:.2e})"
-            print(line)
-    if args.verify and any(r.verdict != "certified" for r in reports):
-        return EXIT_FAILED
-    return EXIT_OK
+        for sp, rep in zip(specs, reports):
+            # the worst bounded value that ran; inf when not admissible
+            worst = max((v for _, v, _ in _bounded(rep.checks.items(), rep.tolerance)),
+                        default=float("inf"))
+            print(f"{rep.name:<44} [{_spec_to_string(sp)}] dim={rep.dimension:<3} "
+                  f"{_verdict_text(rep.verdict, rep.message)} (max residual {worst:.2e})")
+    return EXIT_OK if all(r.verdict == "certified" for r in reports) else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------

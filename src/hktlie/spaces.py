@@ -161,22 +161,51 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
 # verification
 
 class VerificationReport:
-    """The certificate of one space; `checks` are as TripleResult.checks, the
-    key-wise worst over the factors."""
+    """The certificate of one space: the TripleResult of each simple factor,
+    in spec order, and none for a space that is not admissible, whose
+    `message` says why.  Every other field reads `triples`."""
 
-    def __init__(self, spec: SpaceSpec, name: str, dimension: int, padding_required: int,
-                 basic_roots_used: tuple, automorphisms: tuple, checks: dict, verdict: str,
-                 tolerance: float, message: str = ""):
+    def __init__(self, spec: SpaceSpec, padding_required: int, tolerance: float,
+                 triples: tuple = (), message: str = ""):
         self.spec = spec
-        self.name = name
-        self.dimension = dimension
         self.padding_required = padding_required
-        self.basic_roots_used = basic_roots_used
-        self.automorphisms = automorphisms
-        self.checks = checks
-        self.verdict = verdict
         self.tolerance = tolerance
-        self.message = message
+        self.triples = triples
+        self._message = message
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def dimension(self) -> int:
+        return sum(t.dimension for t in self.triples)
+
+    @property
+    def nodes(self) -> tuple:
+        return tuple(n for t in self.triples for n in t.nodes)
+
+    @property
+    def automorphisms(self) -> tuple:
+        return tuple(a for t in self.triples for a in t.automorphisms)
+
+    @property
+    def checks(self) -> dict:
+        """TripleResult.checks, the key-wise worst over the factors; a check
+        that no factor ran stays None."""
+        keys = self.triples[0].checks if self.triples else ()
+        return {key: max((t.checks[key] for t in self.triples if t.checks[key] is not None),
+                         default=None) for key in keys}
+
+    @property
+    def verdict(self) -> str:
+        if not self.triples:
+            return "not-admissible"
+        return "certified" if all(t.certified for t in self.triples) else "failed"
+
+    @property
+    def message(self) -> str:
+        return self._message or "; ".join(t.message for t in self.triples if t.message)
 
     @property
     def residuals(self) -> dict:
@@ -200,12 +229,14 @@ class VerificationReport:
             "dimension": self.dimension,
             "padding_required": self.padding_required,
             "basic_roots": [
-                {"label": lbl, "coords": list(coords), "level": lvl}
-                for lbl, coords, lvl in self.basic_roots_used],
+                {"label": n.label, "coords": [str(c) for c in n.theta.coords], "level": n.level}
+                for n in self.nodes],
             "automorphisms": [
-                {"root": list(coords), "kind": kind, "level": lvl}
-                for coords, kind, lvl in self.automorphisms],
+                {"root": [str(c) for c in a.root.coords], "kind": a.kind, "level": a.level}
+                for a in self.automorphisms],
             "residuals": self.residuals,
+            # the checks of the triple as a whole; "inf" is one not measured
+            **{k: float("inf") for k in (*BOUNDS, *RECORDED) if k not in STRUCTURE_CHECKS},
             **{k: v for k, v in self.checks.items() if "." not in k},
             "verdict": self.verdict,
             "tolerance": self.tolerance,
@@ -287,8 +318,7 @@ def _resolve_spec(spec: SpaceSpec) -> list:
 
 def _verify_factor(factor: tuple, tol, fd_step):
     """Map the quotient of one factor resolved by `_resolve_spec` to
-    generator indices and certify it; returns the basic roots used and the
-    TripleResult."""
+    generator indices and certify it."""
     # imported here: they load numpy, which only a certification needs
     from . import autom, liealg
 
@@ -305,11 +335,7 @@ def _verify_factor(factor: tuple, tol, fd_step):
     quotient.update(ax.index for ax in rep.csa_axes if ax.kind == "abelian" and (
         (ax.level, ax.node_label) in removed_nodes or ax.level in abelian_levels))
 
-    result = autom.build_quaternion_triple(rep, tol, fd_step, quotient=sorted(quotient))
-    labels = {n.theta.coords: n.label for n in chain_nodes(rep.chain_levels)}
-    basic = tuple((labels[a.root.coords], tuple(str(c) for c in a.root.coords), a.level)
-                  for a in result.automorphisms)
-    return basic, result
+    return autom.build_quaternion_triple(rep, tol, fd_step, quotient=sorted(quotient))
 
 
 def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
@@ -323,35 +349,12 @@ def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
     factors = _resolve_spec(spec)
     # each simple factor takes exactly its own padding (no cross-factor pairing)
     needed = sum(padding for *_, padding in factors)
-
-    def report_failure(message):
-        unmeasured = {k: float("inf") for k in (*BOUNDS, *RECORDED)
-                      if k not in STRUCTURE_CHECKS}
-        return VerificationReport(
-            spec=spec, name=spec.name, dimension=0, padding_required=needed,
-            basic_roots_used=(), automorphisms=(), checks=unmeasured,
-            verdict="not-admissible", tolerance=tol, message=message)
-
     if needed != spec.u1_count or needed < 0:
-        return report_failure(
-            f"{spec.name}: requires {max(needed, 0)} u(1) factor(s), got {spec.u1_count}")
-    basics, results = [], []
+        return VerificationReport(
+            spec, needed, tol,
+            message=f"{spec.name}: requires {max(needed, 0)} u(1) factor(s), got {spec.u1_count}")
     try:
-        for factor in factors:
-            basic, result = _verify_factor(factor, tol, fd_step)
-            basics += basic
-            results.append(result)
+        triples = tuple(_verify_factor(factor, tol, fd_step) for factor in factors)
     except PairingError as exc:
-        return report_failure(f"{spec.name}: {exc}")
-
-    return VerificationReport(
-        spec=spec, name=spec.name, dimension=sum(r.dimension for r in results),
-        padding_required=needed,
-        basic_roots_used=tuple(basics),
-        automorphisms=tuple((tuple(str(c) for c in a.root.coords), a.kind, a.level)
-                            for r in results for a in r.automorphisms),
-        # a check that no factor ran stays None
-        checks={key: max((r.checks[key] for r in results if r.checks[key] is not None),
-                         default=None) for key in results[0].checks},
-        verdict="certified" if all(r.certified for r in results) else "failed",
-        tolerance=tol, message="; ".join(r.message for r in results if r.message))
+        return VerificationReport(spec, needed, tol, message=f"{spec.name}: {exc}")
+    return VerificationReport(spec, needed, tol, triples)

@@ -122,6 +122,36 @@ def test_verify_json_certificate(capsys):
     assert cli.canonical_json(json.loads(out)) == out.strip()
 
 
+#: the certificate lines of `hkt verify` that name the chain and its verdict
+CERTIFICATE_LINES = ("dimension:", "u(1) padding:", "basic roots:", "automorphisms:",
+                     "verdict:")
+
+
+@pytest.mark.parametrize("space,code,lines", [
+    ("B3xU1^2/A1:alpha", 0, [
+        "dimension: 20",
+        "u(1) padding: 2",
+        "basic roots: B3 theta=(1,1,0) (level 0); A1:gamma theta=(0,0,1) (level 1)",
+        "automorphisms: J-kind at (1,1,0) (level 0); J-kind at (0,0,1) (level 1)",
+        "verdict: certified"]),
+    ("A2xB3xU1^3", 0, [
+        "dimension: 32",
+        "u(1) padding: 3",
+        "basic roots: A2 theta=(1,0,-1) (level 0); B3 theta=(1,1,0) (level 0); "
+        "A1:alpha theta=(1,-1,0) (level 1); A1:gamma theta=(0,0,1) (level 1)",
+        "automorphisms: J-kind at (1,0,-1) (level 0); J-kind at (1,1,0) (level 0); "
+        "J-kind at (1,-1,0) (level 1); J-kind at (0,0,1) (level 1)",
+        "verdict: certified"]),
+    ("A3", 3, ["verdict: not-admissible (SU(4): requires 1 u(1) factor(s), got 0)"]),
+])
+def test_verify_text_certificate_lines(capsys, space, code, lines):
+    """The text certificate's chain lines, exactly: a quotient, a product,
+    and a space that is not admissible, which prints its verdict alone."""
+    got, out, err = run(capsys, "verify", space)
+    assert (got, err) == (code, "")
+    assert [l for l in out.splitlines() if l.startswith(CERTIFICATE_LINES)] == lines
+
+
 def test_verify_env_tolerance(capsys, monkeypatch):
     monkeypatch.setenv("HKT_TOL", "1e-6")
     code, out, _ = run(capsys, "--json", "verify", "A2")

@@ -153,15 +153,18 @@ def test_coset_certification(spec, dim, n_autos):
 
 def test_su4_mod_su2_uses_only_outer_automorphism():
     report = S.build_coset_triple(Spec((("A", 3),), 0, (Sel(1, ("A1:beta",), False),)))
-    [(coords, kind, level)] = report.automorphisms
-    assert level == 0 and kind == "J"
-    assert coords == ("1", "0", "0", "-1")
+    [auto] = report.automorphisms
+    assert auto.level == 0 and auto.kind == "J"
+    assert auto.root.coords == (1, 0, 0, -1)
+    [node] = report.nodes
+    assert (node.label, node.theta, node.level) == ("A3", auto.root, 0)
 
 
 def test_spin7_mod_su2alpha_converts_theta_and_gamma():
     report = S.build_coset_triple(Spec((("B", 3),), 2, (Sel(1, ("A1:alpha",), False),)))
-    roots = sorted(c for c, _, _ in report.automorphisms)
-    assert roots == [("0", "0", "1"), ("1", "1", "0")]
+    roots = sorted(a.root.coords for a in report.automorphisms)
+    assert roots == [(0, 0, 1), (1, 1, 0)]
+    assert [n.theta for n in report.nodes] == [a.root for a in report.automorphisms]
 
 
 def test_empty_quotient_matches_group_verification():
@@ -203,7 +206,49 @@ def test_multi_factor_product():
     report = S.build_coset_triple(spec)
     assert report.verdict == "certified"
     assert report.dimension == 4 + 24
-    assert len(report.basic_roots_used) == 1 + 3
+    assert len(report.nodes) == len(report.automorphisms) == 1 + 3
+    assert [n.label for n in report.nodes] == ["A1", "B3", "A1:alpha", "A1:gamma"]
+    assert [a.level for a in report.automorphisms] == [0, 0, 1, 1]
+    assert {a.kind for a in report.automorphisms} == {"J"}
+
+
+def test_product_report_is_its_factors_triples():
+    """A product's certificate is the TripleResult of each factor, in spec
+    order; every other field reads them."""
+    report = S.build_coset_triple(Spec((("A", 2), ("B", 3)), 3))
+    direct = [A.build_quaternion_triple(L.build_matrix_rep(f, r, S.required_padding([(f, r)])))
+              for f, r in (("A", 2), ("B", 3))]
+    assert len(report.triples) == 2
+    for got, want in zip(report.triples, direct):
+        assert got.checks == want.checks
+        assert [n.label for n in got.nodes] == [n.label for n in want.nodes]
+        assert got.dimension == want.dimension == got.I.dim
+    assert report.dimension == sum(t.dimension for t in report.triples) == 32
+    assert report.nodes == report.triples[0].nodes + report.triples[1].nodes
+    assert report.automorphisms == (report.triples[0].automorphisms
+                                    + report.triples[1].automorphisms)
+    # one combine: the key-wise worst, None for a check that no factor ran
+    assert list(report.checks) == list(report.triples[0].checks)
+    for key, value in report.checks.items():
+        ran = [t.checks[key] for t in report.triples if t.checks[key] is not None]
+        assert value == (max(ran) if ran else None), key
+    assert report.checks["J.nijenhuis"] is None
+    doc = report.to_json_dict()
+    assert [n.label for n in report.nodes] == [b["label"] for b in doc["basic_roots"]]
+    assert [[str(c) for c in n.theta.coords] for n in report.nodes] == \
+        [b["coords"] for b in doc["basic_roots"]]
+
+
+def test_not_admissible_report_holds_no_triple():
+    report = S.build_coset_triple(Spec((("A", 3),), 0))
+    assert report.triples == () and report.dimension == 0
+    assert report.nodes == report.automorphisms == ()
+    assert report.checks == {} and report.residuals == {}
+    doc = report.to_json_dict()
+    # "inf" is a check of the triple as a whole that was not measured
+    whole = ("quaternion", "invariance_leak", "k_mismatch", "coset_closure")
+    assert [doc[k] for k in whole] == [float("inf")] * 4
+    assert doc["basic_roots"] == doc["automorphisms"] == [] and doc["residuals"] == {}
 
 
 def test_multi_factor_quotient_rejected():
