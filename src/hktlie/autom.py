@@ -18,7 +18,7 @@ algebra.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,11 +26,7 @@ from . import cstruct
 from .bounds import BOUNDS, DEFAULT_TOL, PairingError, _check_fd_step, first_failure
 from .cstruct import ComplexStructure, canonical_I
 from .liealg import AlgebraRep
-from .rootsys import Root, RootSystem, chain_nodes
-
-
-class DecompositionMismatchError(RuntimeError):
-    """The commutator test on f disagrees with the root combinatorics."""
+from .rootsys import Root, chain_nodes
 
 
 class Automorphism:
@@ -91,75 +87,6 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
     if snap > BOUNDS["snap"](DEFAULT_TOL):
         raise RuntimeError(f"automorphism for {theta} is {snap:.2e} from its exact entries")
     return Automorphism(support=support, block=exact, root=theta, kind=kind, level=level)
-
-
-# ---------------------------------------------------------------------------
-# the basic-root chain, checked against f
-
-def _commutes_exactly(rs: RootSystem, root: Root, theta: Root) -> bool:
-    """[E_{+-root}, E_{+-theta}] = 0: root +- theta is neither a root nor 0.
-
-    A non-zero inner product makes root - theta or root + theta a root or 0
-    (the theta-string through root), so only orthogonal roots are looked up.
-    """
-    if root.dot(theta):
-        return False
-    return not any(rs.is_root(tuple(a + sgn * b for a, b in zip(root.coords, theta.coords)))
-                   for sgn in (1, -1))
-
-
-def _commuting_roots(rep: AlgebraRep, roots: Iterable[Root], thetas: Sequence[Root]) -> list:
-    """The roots whose basis elements commute with E_{+-theta} for every theta.
-
-    t_A commutes with E_{+-theta} when f[A, t, :] = 0 for both basis indices
-    t of theta.  This test on f must agree with the exact one, that
-    root +- theta is neither a root nor 0 for every theta; a disagreement
-    raises DecompositionMismatchError."""
-    f = rep.structure_constants()
-    of_theta = np.zeros(f.dim, dtype=bool)
-    for t in thetas:
-        ent = rep.root_entry(t)
-        of_theta[[ent.re_index, ent.im_index]] = True
-    moved = np.zeros(f.dim, dtype=bool)
-    moved[f.index[of_theta[f.index[:, 1]], 0]] = True
-    rs = rep.root_system
-    commuting = []
-    for root in roots:
-        ent = rep.root_entry(root)
-        ok = not (moved[ent.re_index] or moved[ent.im_index])
-        if ok != all(_commutes_exactly(rs, root, t) for t in thetas):
-            raise DecompositionMismatchError(
-                f"root {root} against {', '.join(map(str, thetas))}: "
-                "commutator test and root combinatorics disagree")
-        if ok:
-            commuting.append(root)
-    return commuting
-
-
-def basic_roots(rep: AlgebraRep) -> tuple:
-    """The nodes of the iterated highest-root chain, numerically cross-checked
-    level by level.
-
-    For every node, the roots of the node whose basis elements commute with
-    E_{+-theta} must be exactly the positive roots of its children found
-    combinatorially, and the basic coroots must be mutually orthogonal.
-    """
-    nodes = chain_nodes(rep.chain_levels)
-    if not nodes:
-        raise PairingError(f"no basic roots: the algebra is {rep.u1_count} u(1) factor(s) "
-                           "and no simple factor")
-    for node in nodes:
-        got = {r.coords for r in _commuting_roots(rep, node.positive_roots, [node.theta])}
-        want = {r.coords for c in node.children for r in c.positive_roots}
-        if got != want:
-            raise DecompositionMismatchError(
-                f"chain node {node.label}: centralizer and children differ on roots "
-                f"{sorted(got ^ want)}")
-    w = np.array([rep.eigen_coords(n.theta) for n in nodes])
-    resid = float(np.abs(np.triu(w @ w.T, 1)).max())
-    if resid > 1e-9:
-        raise DecompositionMismatchError(f"basic coroots are not orthogonal: {resid:.2e}")
-    return nodes
 
 
 def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
@@ -242,12 +169,17 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     Omega.  J is the float conjugation on the tangent directions, snapped
     once; K is composed exactly, so it is as far from its float product as J
     is.  Residuals beyond tolerance yield certified=False, not an exception;
-    an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP] raises ValueError.
+    an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP], or a `quotient` entry
+    that is not an integer in range(rep.dim), raises ValueError.
     """
     if fd_step is not None:
         _check_fd_step(fd_step)
+    for i in quotient:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < rep.dim:
+            raise ValueError(f"quotient index {i!r} is not a generator index in [0, {rep.dim})")
     removed = set(quotient)
-    nodes = tuple(n for n in basic_roots(rep) if rep.coroot_axis_index(n.theta) not in removed)
+    nodes = tuple(n for n in chain_nodes(rep.chain_levels)
+                  if rep.coroot_axis_index(n.theta) not in removed)
     f = rep.structure_constants()
 
     # every structure and number below reads the tangent directions: all

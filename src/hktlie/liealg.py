@@ -99,7 +99,7 @@ class StructureConstants(_Frozen):
         return f
 
 
-class AlgebraRep:
+class AlgebraRep(_Frozen):
     """Concrete matrix representation with root-adapted orthonormal basis:
     `generators` are the (D, d, d) Hermitian matrices, and `root_table` maps
     each positive root's coordinates to its RootVectorEntry."""
@@ -109,20 +109,12 @@ class AlgebraRep:
                  u1_indices: tuple[int, ...], root_system: RootSystem, chain_levels: tuple,
                  root_table: dict, csa_axes: tuple[CsaAxis, ...],
                  _structure: StructureConstants):
-        self.family = family
-        self.rank = rank
-        self.u1_count = u1_count
-        self.rep_kind = rep_kind
-        self.matrix_dim = matrix_dim
-        self.norm_const = norm_const
-        self.generators = generators
-        self.csa_indices = csa_indices
-        self.u1_indices = u1_indices
-        self.root_system = root_system
-        self.chain_levels = chain_levels
-        self.root_table = root_table
-        self.csa_axes = csa_axes
-        self._structure = _structure
+        self.__dict__.update(
+            family=family, rank=rank, u1_count=u1_count, rep_kind=rep_kind,
+            matrix_dim=matrix_dim, norm_const=norm_const, generators=generators,
+            csa_indices=csa_indices, u1_indices=u1_indices, root_system=root_system,
+            chain_levels=chain_levels, root_table=root_table, csa_axes=csa_axes,
+            _structure=_structure)
 
     @property
     def dim(self) -> int:
@@ -142,11 +134,15 @@ class AlgebraRep:
         """Root coordinates with respect to the orthonormal Cartan basis."""
         return np.stack([ax.functional for ax in self.csa_axes]) @ _np_coords(root.coords)
 
+    @functools.cached_property
+    def _coroot_axes(self) -> dict:
+        return {ax.root.coords: ax.index for ax in self.csa_axes if ax.kind == "coroot"}
+
     def coroot_axis_index(self, root: Root) -> int:
-        for ax in self.csa_axes:
-            if ax.kind == "coroot" and ax.root.coords == root.coords:
-                return ax.index
-        raise KeyError(f"{root} is not a basic root of this algebra")
+        index = self._coroot_axes.get(root.coords)
+        if index is None:
+            raise KeyError(f"{root} is not a basic root of this algebra")
+        return index
 
     def structure_constants(self) -> StructureConstants:
         return self._structure
@@ -376,12 +372,14 @@ def _build_matrix_rep(family, rank, raw: tuple | None = None):
     comm = _commutator_entries(gens)
     structure = _structure_constants(gens, C, comm)
     _check_closure(gens, structure, comm)
-    return AlgebraRep(
+    rep = AlgebraRep(
         family=family, rank=rank, u1_count=0, rep_kind=kind,
         matrix_dim=d, norm_const=C, generators=gens,
         csa_indices=tuple(2 * npos + k for k in range(rank)), u1_indices=(),
         root_system=rs, chain_levels=levels, root_table=table,
         csa_axes=csa_axes, _structure=structure)
+    _check_chain(rep)
+    return rep
 
 
 def _snap_to_zero(gens: np.ndarray) -> None:
@@ -451,6 +449,41 @@ def _check_closure(gens: np.ndarray, f: StructureConstants, comm: tuple) -> floa
     if closure > CLOSURE_TOL:
         raise ConstructionError(f"algebra does not close on the basis: residual {closure:.2e}")
     return closure
+
+
+def _check_chain(rep: AlgebraRep) -> None:
+    """Check the basic-root chain against f, once per build: at every node,
+    the node's roots whose generators commute with E_{+-theta} must be
+    exactly the positive roots of its children, and the basic coroots must
+    be mutually orthogonal.
+
+    t_A commutes with E_{+-theta} when f[A, t, :] = 0 for both basis indices
+    t of theta.  The node's subsystem is closed, so root + theta is never a
+    root, and by the theta-string root +- theta is neither a root nor 0
+    exactly when (root, theta) = 0; `rootsys._grow_chain` has checked that
+    the children hold those roots, so this compares f with the exact root
+    combinatorics.  Reads f and the root table, no generator matrix; raises
+    ConstructionError.
+    """
+    f = rep.structure_constants()
+    t = f.index[:, 1]
+    nodes = chain_nodes(rep.chain_levels)
+    for node in nodes:
+        ent = rep.root_entry(node.theta)
+        moved = np.zeros(f.dim, dtype=bool)
+        moved[f.index[(t == ent.re_index) | (t == ent.im_index), 0]] = True
+        pairs = [(e.re_index, e.im_index) for e in map(rep.root_entry, node.positive_roots)]
+        free = ~moved[pairs].any(axis=1)
+        got = {r.coords for r, ok in zip(node.positive_roots, free) if ok}
+        want = {r.coords for c in node.children for r in c.positive_roots}
+        if got != want:
+            raise ConstructionError(
+                f"chain node {node.label}: centralizer and children differ on roots "
+                f"{sorted(got ^ want)}")
+    w = np.array([rep.eigen_coords(n.theta) for n in nodes])
+    resid = float(np.abs(np.triu(w @ w.T, 1)).max())
+    if resid > 1e-9:
+        raise ConstructionError(f"basic coroots are not orthogonal: {resid:.2e}")
 
 
 def _structure_constants(g: np.ndarray, norm_const: float, comm: tuple) -> StructureConstants:

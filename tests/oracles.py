@@ -28,6 +28,7 @@ Killing metric, the coordinate field of a structure, random complex
 structures and the 4x4 self-duality check.
 """
 
+import inspect
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -61,6 +62,15 @@ def build_abelian_rep(u1_count: int) -> AlgebraRep:
         root_system=None, chain_levels=(), root_table={}, csa_axes=(),
         _structure=StructureConstants(np.zeros((0, 3), dtype=int), np.zeros(0), 0))
     return _zero_extend(zero, u1_count)
+
+
+def with_fields(rep: AlgebraRep, **changes) -> AlgebraRep:
+    """A new AlgebraRep holding the constructor fields of `rep`, with
+    `changes` in place of some: a built rep is read-only."""
+    names = inspect.signature(AlgebraRep).parameters
+    assert set(changes) <= set(names), set(changes) - set(names)
+    return AlgebraRep(**{name: changes[name] if name in changes else getattr(rep, name)
+                         for name in names})
 
 
 def rotation_basis(rank: int, n: int, rotations: dict, kind: str) -> tuple:
@@ -399,6 +409,16 @@ def compose(automorphisms, dim: int) -> np.ndarray:
     for a in sorted(automorphisms, key=lambda a: a.level):
         total = dense_omega(a, dim) @ total
     return total
+
+
+def commuting_roots(rep: AlgebraRep, roots, thetas) -> list:
+    """The roots whose generators commute with E_{+-theta} for every theta,
+    read from the dense f: [t_A, t_t] = i f_AtC t_C is 0 for both
+    generators t_re and t_im of each theta."""
+    f = rep.structure_constants().f
+    ts = [i for t in map(rep.root_entry, thetas) for i in (t.re_index, t.im_index)]
+    return [r for r in roots
+            if not f[np.ix_([rep.root_entry(r).re_index, rep.root_entry(r).im_index], ts)].any()]
 
 
 def orthogonality_residual(auto, dim: int) -> float:

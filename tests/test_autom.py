@@ -1,4 +1,4 @@
-import copy
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +76,7 @@ def test_hadamard_series_oracle():
 def test_eigh_exponential_matches_expm_on_basic_roots(family, rank):
     """The J- and K-kind conjugations, exp(i h) from eigh, against scipy's expm."""
     rep = L.build_matrix_rep(family, rank)
-    for theta in (n.theta for n in A.basic_roots(rep)):
+    for theta in (n.theta for n in R.chain_nodes(rep.chain_levels)):
         e = rep.root_vector(theta)
         for h in (np.pi / 4 * (e + e.conj().T), -1j * np.pi / 4 * (e - e.conj().T)):
             assert np.abs(oracles.exp_i_hermitian(h) - scipy.linalg.expm(1j * h)).max() <= 1e-14
@@ -104,7 +104,7 @@ def test_closed_form_omega_matches_conjugation_oracle(family, rank):
     the representation within 1e-13, and every entry is exactly one of
     0, +-1/2, +-1/sqrt2, +-1."""
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
-    for node in A.basic_roots(rep):
+    for node in R.chain_nodes(rep.chain_levels):
         for kind in ("J", "K"):
             omega = oracles.dense_omega(A.automorphism_from_root(rep, node.theta, kind), rep.dim)
             assert np.abs(omega - oracles.conjugation_omega(rep, node.theta, kind)).max() <= 1e-13
@@ -138,8 +138,7 @@ def test_perturbed_f_row_is_refused():
     theta = rep.root_system.highest_root
     f = rep.structure_constants()
     off = np.where(f.index[:, 0] == rep.root_entry(theta).re_index, 1.0 + 1e-8, 1.0)
-    bad = copy.copy(rep)
-    bad._structure = L.StructureConstants(f.index, f.value * off, f.dim)
+    bad = oracles.with_fields(rep, _structure=L.StructureConstants(f.index, f.value * off, f.dim))
     with pytest.raises(RuntimeError, match="lost orthogonality|exact entries"):
         A.automorphism_from_root(bad, theta, "J")
 
@@ -176,7 +175,7 @@ def test_su4_centralizer_of_highest_root():
     assert top.abelian_dim == 1                         # one leftover u(1)
     rep = L.build_matrix_rep("A", 3, 1)
     beta = rep.root_system.simple_roots[1]
-    assert A._commuting_roots(rep, rep.root_system.positive_roots, [top.theta]) == [beta]
+    assert oracles.commuting_roots(rep, rep.root_system.positive_roots, [top.theta]) == [beta]
 
 
 def test_spin7_centralizer_no_abelian_part():
@@ -227,7 +226,7 @@ def test_centralizer_of_short_root():
     not commute with E_e3, and the commuting roots are e1 +- e2."""
     rep = L.build_matrix_rep("B", 3)
     rs = rep.root_system
-    got = A._commuting_roots(rep, rs.positive_roots, [rs.root((0, 0, 1))])
+    got = oracles.commuting_roots(rep, rs.positive_roots, [rs.root((0, 0, 1))])
     assert {r.coords for r in got} == {(1, 1, 0), (1, -1, 0)}
 
 
@@ -235,7 +234,8 @@ def test_centralizer_of_two_roots():
     """Only the highest root of spin(7) commutes with both level-1 roots."""
     rep = L.build_matrix_rep("B", 3)
     rs = rep.root_system
-    got = A._commuting_roots(rep, rs.positive_roots, [rs.root((1, -1, 0)), rs.root((0, 0, 1))])
+    got = oracles.commuting_roots(rep, rs.positive_roots,
+                                  [rs.root((1, -1, 0)), rs.root((0, 0, 1))])
     assert [r.coords for r in got] == [(1, 1, 0)]
 
 
@@ -249,7 +249,7 @@ def test_centralizer_of_two_roots():
 ])
 def test_basic_roots(family, rank, expected):
     rep = L.build_matrix_rep(family, rank)
-    nodes = A.basic_roots(rep)
+    nodes = R.chain_nodes(rep.chain_levels)
     assert [n.theta.coords for n in nodes] == expected
     vecs = [rep.eigen_coords(n.theta) for n in nodes]
     for i in range(len(vecs)):
@@ -259,22 +259,30 @@ def test_basic_roots(family, rank, expected):
 
 @pytest.mark.parametrize("family,rank", CATALOG)
 def test_chain_cross_checks_numerically(family, rank):
-    assert len(A.basic_roots(L.build_matrix_rep(family, rank))) >= 1
+    """The build's chain check passes again on the built rep, which has a
+    chain: the roots that commute with E_{+-theta} by f are its children's
+    at every node."""
+    rep = L.build_matrix_rep(family, rank)
+    assert len(R.chain_nodes(rep.chain_levels)) >= 1
+    L._check_chain(rep)
+    for node in R.chain_nodes(rep.chain_levels):
+        got = oracles.commuting_roots(rep, node.positive_roots, [node.theta])
+        assert {r.coords for r in got} == \
+            {r.coords for c in node.children for r in c.positive_roots}
 
 
-def test_chain_node_with_a_missing_child_is_refused():
+def test_chain_node_with_a_missing_child_is_refused(monkeypatch):
     """D4 with one of the three level-1 children dropped from the top node:
     the roots that commute with E_{+-theta} by f are no longer the
-    children's, and basic_roots raises."""
-    rep = L.build_matrix_rep("D", 4, 4)
-    [top] = rep.chain_levels[0]
-    assert len(top.children) == 3
+    children's, and the build raises."""
+    rs, levels = R.root_chain("D", 4)
+    [top] = levels[0]
+    assert len(top.children) == 3 and len(levels) == 2
     pruned = R.ChainNode(top.positive_roots, top.simple_roots, top.family, top.rank, top.label,
                          top.theta, top.level, top.children[1:])
-    bad = copy.copy(rep)
-    bad.chain_levels = ((pruned,),) + rep.chain_levels[1:]
-    with pytest.raises(A.DecompositionMismatchError, match="chain node D4"):
-        A.basic_roots(bad)
+    monkeypatch.setattr(L, "root_chain", lambda family, rank: (rs, ((pruned,), pruned.children)))
+    with pytest.raises(L.ConstructionError, match="chain node D4: centralizer and children"):
+        L._build_matrix_rep("D", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +495,7 @@ def test_triple_reports_torsion_match():
 
 def test_d4_three_level1_automorphisms_commute():
     rep = L.build_matrix_rep("D", 4, 4)
-    level1 = [n for n in A.basic_roots(rep) if n.level == 1]
+    level1 = [n for n in R.chain_nodes(rep.chain_levels) if n.level == 1]
     assert len(level1) == 3
     autos = [oracles.dense_omega(A.automorphism_from_root(rep, n.theta, "J", 1), rep.dim)
              for n in level1]
@@ -507,5 +515,20 @@ def test_surplus_padding_is_named():
 
 
 def test_abelian_algebra_has_no_basic_roots():
-    with pytest.raises(C.PairingError, match="no basic roots: the algebra is 3 u"):
-        A.basic_roots(oracles.build_abelian_rep(3))
+    """A pure u(1) algebra has no chain, so no coroot takes its u(1)s."""
+    rep = oracles.build_abelian_rep(3)
+    assert R.chain_nodes(rep.chain_levels) == ()
+    with pytest.raises(C.PairingError, match=r"cannot pair 0 basic coroot\(s\) with 3 .*"
+                                             r"3 u\(1\) factor\(s\) too many$"):
+        A.build_quaternion_triple(rep)
+
+
+@pytest.mark.parametrize("entry", [-1, 9, 999, 2.5, True, "3"])
+def test_quotient_entry_outside_the_generators_is_refused(entry):
+    """A2xU1^1 has the generators 0 to 8.  A quotient entry must be one of
+    them as an integer: numpy indexing would read -1 as generator 8 where
+    the pairing reads it as none, and 999 or 2.5 would index nothing."""
+    rep = L.build_matrix_rep("A", 2, 1)
+    with pytest.raises(ValueError, match=re.escape(f"quotient index {entry!r} is not a generator "
+                                                   "index in [0, 9)")):
+        A.build_quaternion_triple(rep, quotient=[entry])

@@ -1,4 +1,3 @@
-import copy
 import tracemalloc
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from hktlie import liealg as L
 from hktlie.autom import build_quaternion_triple
-from hktlie.rootsys import UnsupportedAlgebraError
+from hktlie.rootsys import UnsupportedAlgebraError, chain_nodes
 from hktlie.spaces import required_padding
 
 import oracles
@@ -116,8 +115,7 @@ def test_closure_check_matches_dense_and_rejects_perturbed_generator():
     bad[k] = (g[k] + eps * x) / np.sqrt(1.0 + 2.0 * eps ** 2 / C)
     gram = np.einsum("aij,bji->ab", bad, bad)
     assert np.abs(gram - C * np.eye(rep.dim)).max() < 1e-12
-    broken = copy.copy(rep)
-    broken.generators, broken._structure = bad, None
+    broken = oracles.with_fields(rep, generators=bad, _structure=None)
     f_bad = oracles.structure_constants(broken)
     assert dense_closure_residual(bad, f_bad.f) > 1e-4
     with pytest.raises(L.ConstructionError, match="does not close"):
@@ -540,3 +538,29 @@ def test_structure_constants_are_read_only_with_a_cached_dense_view():
     entry = L.RootVectorEntry(0, 1, 0.5)
     assert entry == L.RootVectorEntry(0, 1, 0.5) and hash(entry) == hash((0, 1, 0.5))
     assert entry != L.RootVectorEntry(1, 0, 0.5)
+
+
+@pytest.mark.parametrize("field", ["generators", "chain_levels", "_structure", "csa_axes"])
+def test_rep_is_read_only(field):
+    """A build's chain is checked against its f once, so a rep refuses
+    assignment: a padded rep of a cached build stays the rep that was
+    checked."""
+    rep = L.build_matrix_rep("A", 2, 1)
+    before = getattr(rep, field)
+    with pytest.raises(AttributeError, match=field):
+        setattr(rep, field, None)
+    with pytest.raises(AttributeError, match=field):
+        delattr(rep, field)
+    assert getattr(rep, field) is before
+
+
+def test_coroot_axis_of_each_basic_root():
+    """Each chain node's theta finds its coroot axis; any other root is
+    refused by name."""
+    rep = L.build_matrix_rep("B", 3, 3)
+    for node in chain_nodes(rep.chain_levels):
+        ax = rep.csa_axes[rep.coroot_axis_index(node.theta) - rep.csa_axes[0].index]
+        assert (ax.kind, ax.root, ax.level) == ("coroot", node.theta, node.level)
+    short = rep.root_system.root((0, 1, 0))
+    with pytest.raises(KeyError, match=r"\(0,1,0\) is not a basic root of this algebra"):
+        rep.coroot_axis_index(short)
