@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cstruct
-from .bounds import BOUNDS, DEFAULT_TOL, PairingError, _check_fd_step, first_failure
+from .bounds import BOUNDS, DEFAULT_TOL, PairingError, _check_fd_step, _check_tol, first_failure
 from .cstruct import ComplexStructure, canonical_I
 from .liealg import AlgebraRep
 from .rootsys import Root, chain_nodes
@@ -170,8 +170,10 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     once; K is composed exactly, so it is as far from its float product as J
     is.  Residuals beyond tolerance yield certified=False, not an exception;
     an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP], or a `quotient` entry
-    that is not an integer in range(rep.dim), raises ValueError.
+    that is not an integer in range(rep.dim), or a `tol` outside (0, 1e-3],
+    raises ValueError.
     """
+    _check_tol(tol)
     if fd_step is not None:
         _check_fd_step(fd_step)
     for i in quotient:

@@ -55,6 +55,12 @@ def _sci(x: float) -> str:
     return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol <= 1e-3; NaN is refused too."""
+    if not 0 < tol <= 1e-3:
+        raise ValueError(f"tolerance must lie in (0, 1e-3], got {tol:g}")
+
+
 def _check_fd_step(step: float) -> None:
     """Raise ValueError unless MIN_FD_STEP <= step <= MAX_FD_STEP."""
     if not MIN_FD_STEP <= step <= MAX_FD_STEP:

@@ -20,11 +20,11 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, _bounded, _check_fd_step
+from .bounds import DEFAULT_FD_STEP, DEFAULT_TOL, _bounded, _check_fd_step, _check_tol
 
-# Each command imports the layers it runs (`rootsys`, `spaces`), so `--help`,
-# a usage error and `roots` start without the ones they never use; this
-# import serves the annotations alone.
+# Each command imports the layers it runs, so `--help`, a usage error and
+# `roots` start without the ones they never use; this import serves the
+# annotations alone.
 if TYPE_CHECKING:
     from . import spaces
 
@@ -119,6 +119,8 @@ _ABELIAN_RE = re.compile(r"^[Uu]1(?:@(\d+))?$", re.ASCII)
 
 
 def parse_space_string(text: str) -> spaces.SpaceSpec:
+    """The grammar and the rank caps, before any chain is built; every rule
+    of a space is `spaces.space_spec`'s."""
     text = text.strip()
     if not text:
         raise SpecParseError("empty space string")
@@ -144,50 +146,27 @@ def parse_space_string(text: str) -> spaces.SpaceSpec:
                 f"cannot parse factor {token!r}; expected e.g. A2, B3 or U1^2")
         factors.append((m.group(1).upper(), int(m.group(2))))
         _check_rank_range(*factors[-1])
-    if not factors:
-        raise SpecParseError("need at least one simple factor")
-    if quot and len(factors) != 1:
-        raise SpecParseError("quotients are only supported for a single simple factor")
 
+    summands, abelian = [], []
+    for item in quot.split(",") if quot else ():
+        item = item.strip()
+        if not item:
+            raise SpecParseError("empty quotient item")
+        ab = _ABELIAN_RE.match(item)
+        if ab:
+            abelian.append(int(ab.group(1)) if ab.group(1) else None)
+        else:
+            summands.append(item)
     from . import spaces
 
-    selections = ()
-    if quot:
-        from .rootsys import root_chain
-
-        include_abelian = False
-        lvls = set()
-        labels = []
-        try:
-            _, levels = root_chain(*factors[0])
-            for item in quot.split(","):
-                item = item.strip()
-                if not item:
-                    raise SpecParseError("empty quotient item")
-                ab = _ABELIAN_RE.match(item)
-                if ab:
-                    include_abelian = True
-                    if ab.group(1):
-                        lvls.add(int(ab.group(1)))
-                    continue
-                node = spaces._summand(levels, item)
-                lvls.add(node.level)
-                labels.append(node.label)
-            level = lvls.pop() if lvls else 1
-            if lvls:
-                raise SpecParseError("all quotient items must sit at the same level")
-            selections = (spaces.LevelSelection(
-                level=level, summands=tuple(labels), include_abelian=include_abelian),)
-            spaces._resolve_selections(levels, selections)
-        except ValueError as exc:       # UnsupportedAlgebraError included
-            raise SpecParseError(str(exc)) from None
-    return spaces.SpaceSpec(tuple(factors), u1, selections)
+    try:
+        return spaces.space_spec(factors, u1, summands, abelian)
+    except ValueError as exc:       # UnsupportedAlgebraError included
+        raise SpecParseError(str(exc)) from None
 
 
 def _check_rank_range(family: str, rank: int) -> None:
-    cap = MAX_RANK.get(family)
-    if cap is None:
-        raise SpecParseError(f"unknown family {family!r}")
+    cap = MAX_RANK.get(family, rank)    # the library refuses an unknown family
     if rank > cap:
         raise SpecParseError(
             f"rank {rank} for family {family} is outside the supported range (<= {cap})")
@@ -308,8 +287,6 @@ def _spec_to_string(spec: spaces.SpaceSpec) -> str:
 def cmd_catalog(args) -> int:
     family = args.family.upper()
     _check_rank_range(family, args.rank)
-    if args.max_level < 0:
-        raise SpecParseError(f"max_level must be non-negative, got {args.max_level}")
     from . import spaces
 
     specs = spaces.enumerate_quotients((family, args.rank), max_level=args.max_level)
@@ -387,8 +364,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise SpecParseError(
                     f"HKT_TOL takes a number, got {os.environ['HKT_TOL']!r}") from None
-        if not (0 < args.tol <= 1e-3):
-            raise SpecParseError(f"tolerance must lie in (0, 1e-3], got {args.tol:g}")
+        _check_tol(args.tol)
         if args.fd_step is not None:
             _check_fd_step(args.fd_step)
         code = args.func(args)

@@ -29,6 +29,7 @@ from .rootsys import (
     RootSystem,
     _Frozen,
     _Value,
+    _algebra_key,
     chain_nodes,
     coroot,
     root_chain,
@@ -308,10 +309,9 @@ def _cached_rep(family, rank):
 def build_matrix_rep(family: str, rank: int, u1_count: int = 0) -> AlgebraRep:
     """Orthonormal root-adapted generator basis for family/rank, plus u(1)s:
     one build per (family, rank) and process, zero-extended."""
-    family = family.upper()
     if u1_count < 0:
         raise ValueError("u1_count must be non-negative")
-    rep = _cached_rep(family, rank)
+    rep = _cached_rep(*_algebra_key(family, rank))
     return _zero_extend(rep, u1_count) if u1_count else rep
 
 

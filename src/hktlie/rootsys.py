@@ -33,6 +33,19 @@ class UnsupportedAlgebraError(ValueError):
     """Family/rank combination outside the classical tables."""
 
 
+def _algebra_key(family: str, rank: int) -> tuple:
+    """(family, rank) as every cache of an algebra keys it: a classical
+    family, read upper-case, and an int rank.  Any other rank, a bool or
+    2.0, is refused; a cache would serve it the entry of 1 or 2, and a fresh
+    build would fail in `range`."""
+    family = family.upper()
+    if family not in FAMILIES:
+        raise UnsupportedAlgebraError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise UnsupportedAlgebraError(f"rank must be an int, got {rank!r}")
+    return family, rank
+
+
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
@@ -128,10 +141,8 @@ def _simple_root_coords(family: str, rank: int) -> list[Coords]:
         last = _vec(rank, (rank - 1, 1))
     elif family == "C":
         last = _vec(rank, (rank - 1, 2))
-    elif family == "D":
+    else:       # D: `build_root_system` has checked the family
         last = _vec(rank, (rank - 2, 1), (rank - 1, 1))
-    else:
-        raise UnsupportedAlgebraError(f"unknown family {family!r}")
     return chain + [last]
 
 
@@ -145,8 +156,6 @@ def _positive_root_coords(family: str, rank: int) -> list[Coords]:
         out += [_vec(rank, (i, 1)) for i in range(rank)]
     elif family == "C":
         out += [_vec(rank, (i, 2)) for i in range(rank)]
-    elif family != "D":
-        raise UnsupportedAlgebraError(f"unknown family {family!r}")
     return out
 
 
@@ -252,9 +261,7 @@ class RootSystem(_Frozen):
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
-    family = family.upper()
-    if family not in FAMILIES:
-        raise UnsupportedAlgebraError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    family, rank = _algebra_key(family, rank)
     if rank < MIN_RANK[family]:
         raise UnsupportedAlgebraError(
             f"{family}{rank} is not supported (need rank >= {MIN_RANK[family]} for family {family})")
@@ -419,12 +426,20 @@ def basic_root_chain(rs: RootSystem) -> tuple[tuple[ChainNode, ...], ...]:
     return tuple(levels)
 
 
-@functools.lru_cache(maxsize=64)
 def root_chain(family: str, rank: int) -> tuple:
     """(root system, basic-root chain) of one simple algebra, built once per
-    (family, rank) and process; both are immutable, so callers share them."""
+    (family, rank) and process; both are immutable, so callers share them.
+    The key is checked before the cache, so "a" finds the entry of "A"."""
+    return _root_chain(*_algebra_key(family, rank))
+
+
+@functools.lru_cache(maxsize=64)
+def _root_chain(family: str, rank: int) -> tuple:
     rs = build_root_system(family, rank)
     return rs, basic_root_chain(rs)
+
+
+root_chain.cache_info, root_chain.cache_clear = _root_chain.cache_info, _root_chain.cache_clear
 
 
 def chain_nodes(levels) -> tuple[ChainNode, ...]:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 
-from .bounds import BOUNDS, DEFAULT_TOL, RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step
+from .bounds import (BOUNDS, DEFAULT_TOL, RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step,
+                     _check_tol)
 from .rootsys import (
     ChainNode,
-    UnsupportedAlgebraError,
     _Value,
+    _algebra_key,
     chain_nodes,
     root_chain,
 )
@@ -66,7 +67,7 @@ class SpaceSpec(_Value):
 def required_padding(factors) -> int:
     """u(1) factors needed so the Cartan space pairs off: 2 n_b - rank, summed
     over the factors; each one is the padding of its empty quotient."""
-    return sum(_quotient_padding(root_chain(f.upper(), r)[1], (), ())
+    return sum(_quotient_padding(root_chain(f, r)[1], (), ())
                for f, r in factors)
 
 
@@ -85,9 +86,7 @@ def classify_family(family: str, max_rank: int) -> list:
     Rank-1 B and C entries are the su(2) coincidences Spin(3) = Sp(1) = SU(2)
     and are classified through A1.
     """
-    family = family.upper()
-    if family not in GROUP_NAMES:
-        raise UnsupportedAlgebraError(f"unknown family {family!r}")
+    family, max_rank = _algebra_key(family, max_rank)
     start = 3 if family == "D" else 1
     if max_rank < start:
         raise ValueError(f"max_rank {max_rank} is below the first classified rank "
@@ -128,8 +127,9 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     re-padded so the remaining Cartan directions pair off with the remaining
     basic roots; a selection that would need negative padding is left out.
     """
+    if max_level < 0:
+        raise ValueError(f"max_level must be non-negative, got {max_level}")
     family, rank = factor
-    family = family.upper()     # one key in root_chain's cache, as SpaceSpec reads it
     _, levels = root_chain(family, rank)
     group_dim = levels[0][0].dimension
 
@@ -297,6 +297,24 @@ def _resolve_selections(levels, selections):
     return tops, abelian_levels
 
 
+def space_spec(factors, u1_count: int, summands=(), abelian=()) -> SpaceSpec:
+    """The SpaceSpec of `factors` and `u1_count` circles over the chain nodes
+    named in `summands`, by full label or shape alone, and the Abelian parts
+    at the levels in `abelian` (None: the summands' level, or 1), in full
+    labels and one selection per level; raises `_resolve_spec`'s ValueError."""
+    nodes, selections = [], ()
+    if summands and len(factors) == 1:      # else `_resolve_spec` refuses the quotient
+        _, levels = root_chain(*factors[0])
+        nodes = [_summand(levels, label) for label in summands]
+    if summands or abelian:
+        at = sorted({n.level for n in nodes} | set(abelian) - {None}) or [1]
+        selections = tuple(LevelSelection(lv, tuple(n.label for n in nodes if n.level == lv),
+                                          None in abelian or lv in abelian) for lv in at)
+    spec = SpaceSpec(factors, u1_count, selections)
+    _resolve_spec(spec)
+    return spec
+
+
 def _resolve_spec(spec: SpaceSpec) -> list:
     """Each factor of `spec` with its quotient and padding, from the shared
     root chain of its algebra, as the tuple (family, rank, tops,
@@ -342,8 +360,9 @@ def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
                        fd_step: float | None = None) -> VerificationReport:
     """Certify a (quotiented, padded) space; never raises on residual failure.
 
-    Raises ValueError for a spec that breaks the quotient rules, or for an
-    `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP]."""
+    Raises ValueError for a spec that breaks the quotient rules, for a `tol`
+    outside (0, 1e-3], or for an `fd_step` outside [MIN_FD_STEP, MAX_FD_STEP]."""
+    _check_tol(tol)
     if fd_step is not None:
         _check_fd_step(fd_step)
     factors = _resolve_spec(spec)

@@ -242,6 +242,17 @@ def test_catalog_rejects_negative_max_level(capsys):
     assert out.splitlines() == ["SU(9)                                        [A8]"]
 
 
+@pytest.mark.parametrize("command", ["catalog", "classify"])
+def test_unknown_family_reads_as_the_library_refuses_it(capsys, command):
+    code, out, err = run(capsys, command, "Q", "3")
+    assert (code, out) == (2, "")
+    for call in (lambda: spaces.enumerate_quotients(("Q", 3)),
+                 lambda: spaces.classify_family("Q", 3), lambda: rootsys.root_chain("Q", 3)):
+        with pytest.raises(rootsys.UnsupportedAlgebraError) as exc:
+            call()
+        assert err == f"error: {exc.value}\n"
+
+
 def test_catalog_json(capsys):
     code, out, _ = run(capsys, "--json", "catalog", "B", "3")
     assert code == 0
@@ -575,6 +586,7 @@ def test_accepted_strings_round_trip_through_canonical_strings(simple, circles, 
         spec = cli.parse_space_string(text)
     except cli.SpecParseError:
         return
+    spaces._resolve_spec(spec)          # every space the parser accepts resolves
     assert cli.parse_space_string(cli._spec_to_string(spec)) == spec, text
 
 
@@ -585,6 +597,9 @@ def test_accepted_strings_round_trip_through_canonical_strings(simple, circles, 
      "no Abelian part at level 1: the centralizer at chain node(s) D4 is semisimple"),
     ("A3xU1^1/A1:gamma", "unknown summand 'A1:gamma'; available: ['A1:beta'], "
                          "or u1 / u1@L for the Abelian part"),
+    # the rules of `spaces`, with its texts
+    ("A2xA3/A1", "quotient selections are only supported for a single simple factor"),
+    ("A5xU1^1/A1,A3", "a quotient sits at one level; got 2 selections"),
 ])
 def test_rejected_quotient_error_texts(capsys, text, message):
     code, out, err = run(capsys, "verify", text)

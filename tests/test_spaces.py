@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from hktlie import autom as A
@@ -347,10 +351,12 @@ def test_lowercase_family_reads_as_uppercase(monkeypatch):
 @pytest.mark.parametrize("read", [
     lambda family: S.enumerate_quotients((family, 3)),
     lambda family: S.required_padding([(family, 3)]),
-], ids=["enumerate_quotients", "required_padding"])
+    lambda family: R.root_chain(family, 3),
+], ids=["enumerate_quotients", "required_padding", "root_chain"])
 def test_lowercase_factor_shares_the_root_chain_cache(read):
     """A factor's family is read upper-case before `root_chain`'s cache, so
-    "a" finds the entry that "A" made, and gives the same answer."""
+    "a" finds the entry that "A" made, and gives the same answer (for
+    `root_chain`, the same objects)."""
     R.root_chain.cache_clear()
     upper = read("A")
     assert R.root_chain.cache_info().misses == 1
@@ -387,3 +393,62 @@ def test_root_data_is_built_once_per_algebra(monkeypatch, capsys):
     capsys.readouterr()
     assert sorted(built) == [("basic_root_chain", "A2"), ("basic_root_chain", "A8"),
                              ("build_root_system", "A2"), ("build_root_system", "A8")]
+
+
+# ---------------------------------------------------------------------------
+# the limits of the library's inputs, with the command line's texts
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "2e-3"])
+def test_library_refuses_the_tolerances_the_cli_refuses(capsys, tol):
+    """A tolerance outside (0, 1e-3] once reached the checks: with NaN, an
+    exact A2 triple failed as "quaternion 0 above nan"."""
+    from hktlie import cli
+    assert cli.main(["--tol", tol, "verify", "A2"]) == 2
+    err = capsys.readouterr().err
+    rep = L.build_matrix_rep("A", 2)
+    for build in (lambda: S.build_coset_triple(Spec((("A", 2),), 0), tol=float(tol)),
+                  lambda: A.build_quaternion_triple(rep, tol=float(tol))):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert err == f"error: {exc.value}\n"
+
+
+def test_enumerate_quotients_refuses_a_negative_max_level(capsys):
+    from hktlie import cli
+    assert cli.main(["catalog", "A", "3", "-1"]) == 2
+    with pytest.raises(ValueError) as exc:
+        S.enumerate_quotients(("A", 3), -1)
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+#: the library calls that take a rank, as source text for a fresh process
+RANK_CALLS = {
+    "root_chain": "rootsys.root_chain('A', {rank!r})",
+    "build_matrix_rep": "liealg.build_matrix_rep('A', {rank!r})",
+    "build_coset_triple": "spaces.build_coset_triple(spaces.SpaceSpec((('A', {rank!r}),), 0))",
+}
+
+
+@pytest.mark.parametrize("rank", [2.0, True])
+@pytest.mark.parametrize("call", RANK_CALLS)
+def test_rank_that_is_no_int_is_refused_in_a_fresh_process(call, rank):
+    """Cold, 2.0 reached `range` in a bare TypeError, and True built an
+    algebra whose rank read True."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = ("from hktlie import liealg, rootsys, spaces\ntry:\n    "
+             + RANK_CALLS[call].format(rank=rank)
+             + "\nexcept rootsys.UnsupportedAlgebraError as exc:\n    print(exc)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"rank must be an int, got {rank!r}\n", "")
+
+
+@pytest.mark.parametrize("rank", [2.0, True])
+@pytest.mark.parametrize("call", RANK_CALLS)
+def test_rank_that_is_no_int_is_refused_after_a_warm_build(call, rank):
+    """Warm, the caches served 2.0 the entry of 2 and True that of 1."""
+    S.build_coset_triple(Spec((("A", int(rank)),), S.required_padding([("A", int(rank))])))
+    with pytest.raises(R.UnsupportedAlgebraError) as exc:
+        eval(RANK_CALLS[call].format(rank=rank), {"liealg": L, "rootsys": R, "spaces": S})
+    assert str(exc.value) == f"rank must be an int, got {rank!r}"
