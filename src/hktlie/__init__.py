@@ -22,8 +22,7 @@ _EXPORTS = {
     "bounds": ("PairingError",),
     "cstruct": ("ComplexStructure", "bismut_residual", "canonical_I", "integrability_residual",
                 "nijenhuis_at_origin", "quaternion_residual"),
-    "autom": ("Automorphism", "automorphism_from_root", "build_quaternion_triple",
-              "make_csa_pairing"),
+    "autom": ("Automorphism", "automorphism_from_root", "build_quaternion_triple"),
     "spaces": ("SpaceSpec", "VerificationReport", "build_coset_triple", "classify_family",
                "enumerate_quotients", "required_padding"),
 }

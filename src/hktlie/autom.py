@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cstruct
-from .bounds import BOUNDS, DEFAULT_TOL, PairingError, _check_fd_step, _check_tol, first_failure
+from .bounds import BOUNDS, DEFAULT_TOL, _check_fd_step, _check_tol, first_failure
 from .cstruct import ComplexStructure, canonical_I
 from .liealg import AlgebraRep
 from .rootsys import Root, chain_nodes
@@ -87,28 +87,6 @@ def automorphism_from_root(rep: AlgebraRep, theta: Root, kind: str = "J",
     if snap > BOUNDS["snap"](DEFAULT_TOL):
         raise RuntimeError(f"automorphism for {theta} is {snap:.2e} from its exact entries")
     return Automorphism(support=support, block=exact, root=theta, kind=kind, level=level)
-
-
-def make_csa_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
-    """(t, e) generator-index pairs: the coroot axis of each basic root outside
-    the quotient, in chain order, with one leftover Cartan/u(1) axis outside it.
-
-    `quotient` holds the generator indices of a quotiented subalgebra.
-    """
-    removed = set(quotient)
-    t_idx = [rep.coroot_axis_index(n.theta) for n in chain_nodes(rep.chain_levels)]
-    t_idx = [i for i in t_idx if i not in removed]
-    e_idx = [ax.index for ax in rep.csa_axes
-             if ax.kind in ("abelian", "u1")
-             and ax.index not in removed and ax.index not in t_idx]
-    missing = len(t_idx) - len(e_idx)
-    if missing:
-        need = (f"requires {missing} more u(1) factor(s)" if missing > 0
-                else f"{-missing} u(1) factor(s) too many")
-        raise PairingError(
-            f"cannot pair {len(t_idx)} basic coroot(s) with {len(e_idx)} leftover "
-            f"Cartan/u(1) direction(s); {need}")
-    return tuple(zip(t_idx, e_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +154,7 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     _check_tol(tol)
     if fd_step is not None:
         _check_fd_step(fd_step)
-    for i in quotient:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < rep.dim:
-            raise ValueError(f"quotient index {i!r} is not a generator index in [0, {rep.dim})")
+    I = canonical_I(rep, quotient)
     removed = set(quotient)
     nodes = tuple(n for n in chain_nodes(rep.chain_levels)
                   if rep.coroot_axis_index(n.theta) not in removed)
@@ -190,7 +166,6 @@ def build_quaternion_triple(rep: AlgebraRep, tol: float = DEFAULT_TOL,
     inside[list(removed)] = False
     tangent, qidx = np.flatnonzero(inside), np.flatnonzero(~inside)
     on_tangent = np.ix_(tangent, tangent) if removed else ...     # no copy for a group
-    I = canonical_I(rep, make_csa_pairing(rep, quotient), quotient)
     whole = np.zeros((rep.dim, rep.dim))        # I on the algebra, 0 on the quotient
     whole[tangent[I.perm], tangent] = I.sign
     autos = tuple(automorphism_from_root(rep, n.theta, "J", n.level) for n in nodes)

@@ -68,6 +68,12 @@ def _check_fd_step(step: float) -> None:
                          f"so that (step/2)**2 stays a normal float; got {step:g}")
 
 
+def _check_u1_count(u1_count) -> None:
+    """Raise ValueError unless u1_count is a non-negative int; a bool is refused."""
+    if isinstance(u1_count, bool) or not isinstance(u1_count, int) or u1_count < 0:
+        raise ValueError(f"u1_count must be a non-negative int, got {u1_count!r}")
+
+
 def _bounded(values: Iterable, tol: float):
     """The (check, value, bound) of each (check, value) pair that has a bound
     and was run.  A check is a BOUNDS key, optionally prefixed with a

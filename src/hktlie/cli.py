@@ -57,30 +57,14 @@ def _ascii(convert):
 # ---------------------------------------------------------------------------
 # canonical JSON: sorted keys, 17 significant digits, byte-stable round trips
 
-#: the short escapes of json.dumps; every other character outside printable
-#: ASCII is written \uXXXX
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
-            "\r": "\\r", "\t": "\\t"}
-
-
 def _quote(text: str) -> str:
-    r"""`text` as a JSON string, as json.dumps writes it with ensure_ascii:
-    the short escapes, printable ASCII as it is, everything else \uXXXX,
-    and an astral character as its UTF-16 surrogate pair."""
+    """`text` as a JSON string, as json.dumps writes it with ensure_ascii:
+    printable ASCII without a quote or backslash as it is, any other text by
+    json.dumps itself, imported only then."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    out = []
-    for ch in text:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif " " <= ch <= "~":
-            out.append(ch)
-        elif ch > "\uffff":
-            n = ord(ch) - 0x10000
-            out.append("\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF))
-        else:
-            out.append("\\u%04x" % ord(ch))
-    return '"' + "".join(out) + '"'
+    import json
+    return json.dumps(text)
 
 
 def _fmt(value) -> str:

@@ -126,53 +126,55 @@ def _product(a: tuple, b: tuple) -> tuple:
     return pa[pb], sb * sa[pb]
 
 
-def canonical_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
-    """Partition of generator indices into theta blocks and root quartets."""
-    blocks = []
-    partner = dict(pairs)
-    for node in chain_nodes(rep.chain_levels):
-        theta = node.theta
-        ent = rep.root_entry(theta)
-        order = {r.coords: i for i, r in enumerate(node.positive_roots)}
-        t = rep.coroot_axis_index(theta)
-        if t in partner:
-            blocks.append(Block(
-                indices=(ent.re_index, ent.im_index, t, partner[t]),
-                kind="theta", level=node.level,
-                description=f"theta block {node.label}"))
-        seen = set()
-        for mu in node.positive_roots:
-            rest = tuple(a - b for a, b in zip(theta.coords, mu.coords))
-            if rest not in order or mu.coords in seen or rest in seen or mu.dot(theta) == 0:
-                continue
-            nu = node.positive_roots[order[rest]]
-            first, second = (mu, nu) if order[mu.coords] < order[rest] else (nu, mu)
-            e1, e2 = rep.root_entry(first), rep.root_entry(second)
-            blocks.append(Block(
-                indices=(e1.re_index, e1.im_index, e2.re_index, e2.im_index),
-                kind="quartet", level=node.level,
-                description=f"quartet ({first}, {second}) of {node.label}"))
-            seen.add(mu.coords)
-            seen.add(rest)
-    return tuple(blocks)
-
-
-def canonical_I(rep: AlgebraRep, pairs: Sequence[tuple], quotient: Sequence[int] = ()
-                ) -> ComplexStructure:
+def canonical_I(rep: AlgebraRep, quotient: Sequence[int] = ()) -> ComplexStructure:
     """The canonical complex structure on the directions outside `quotient`
-    (all generators for a group manifold), numbered in their order: -i on
-    every positive root vector, t -> e on each (t, e) pair of Cartan/u(1)
-    generator indices.  The blocks that leave those directions drop out."""
-    used = [i for pair in pairs for i in pair]
-    if not set(used) <= set(rep.csa_indices + rep.u1_indices) or len(set(used)) != len(used):
-        raise PairingError(f"pairs {list(pairs)} must use distinct Cartan/u(1) axes")
-    perm = np.full(rep.dim, -1)
-    sign = np.ones(rep.dim)
-    for j, k in [(e.re_index, e.im_index) for e in rep.root_table.values()] + list(pairs):
-        perm[j], perm[k] = k, j
-        sign[k] = -1.0
+    (all generators for a group manifold), numbered in their order, from one
+    walk of the chain: -i on every positive root vector, and the coroot axis
+    of each node outside the quotient, in chain order, sent to one leftover
+    abelian or u(1) axis outside it.  Its blocks are each node's theta block
+    and root quartets that stay outside the quotient.
+
+    A `quotient` entry that is not an integer in range(rep.dim) raises
+    ValueError; more or fewer leftover axes than coroot axes, or a direction
+    whose partner lies in the quotient, raises PairingError."""
+    for i in quotient:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < rep.dim:
+            raise ValueError(f"quotient index {i!r} is not a generator index in [0, {rep.dim})")
     inside = np.ones(rep.dim, dtype=bool)
     inside[list(quotient)] = False
+    leftover = [ax.index for ax in rep.csa_axes
+                if ax.kind in ("abelian", "u1") and inside[ax.index]]
+    partners = iter(leftover)
+    pairs, blocks = [], []
+    for node in chain_nodes(rep.chain_levels):
+        theta, roots = node.theta, node.positive_roots
+        t = rep.coroot_axis_index(theta)
+        if inside[t]:
+            pairs.append((t, next(partners, None)))
+            ent = rep.root_entry(theta)
+            blocks.append(Block((ent.re_index, ent.im_index, *pairs[-1]), "theta", node.level,
+                                f"theta block {node.label}"))
+        # theta = mu + nu, found once from the lower-ordered root mu
+        order = {r.coords: i for i, r in enumerate(roots)}
+        for i, mu in enumerate(roots):
+            j = order.get(tuple(a - b for a, b in zip(theta.coords, mu.coords)), -1)
+            if i < j:
+                e1, e2 = rep.root_entry(mu), rep.root_entry(roots[j])
+                blocks.append(Block((e1.re_index, e1.im_index, e2.re_index, e2.im_index),
+                                    "quartet", node.level,
+                                    f"quartet ({mu}, {roots[j]}) of {node.label}"))
+    missing = len(pairs) - len(leftover)
+    if missing:
+        need = (f"requires {missing} more u(1) factor(s)" if missing > 0
+                else f"{-missing} u(1) factor(s) too many")
+        raise PairingError(f"cannot pair {len(pairs)} basic coroot(s) with {len(leftover)} "
+                           f"leftover Cartan/u(1) direction(s); {need}")
+
+    perm = np.full(rep.dim, -1)
+    sign = np.ones(rep.dim)
+    for j, k in [(e.re_index, e.im_index) for e in rep.root_table.values()] + pairs:
+        perm[j], perm[k] = k, j
+        sign[k] = -1.0
     tangent = np.flatnonzero(inside)
     lost = tangent[(perm[tangent] < 0) | ~inside[perm[tangent]]]
     if lost.size:
@@ -181,7 +183,7 @@ def canonical_I(rep: AlgebraRep, pairs: Sequence[tuple], quotient: Sequence[int]
     number = np.cumsum(inside) - 1
     blocks = tuple(Block(tuple(int(number[i]) for i in b.indices), b.kind, b.level,
                          b.description)
-                   for b in canonical_blocks(rep, pairs) if inside[list(b.indices)].all())
+                   for b in blocks if inside[list(b.indices)].all())
     return ComplexStructure(number[perm[tangent]], sign[tangent], blocks=blocks)
 
 

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import _check_u1_count
 from .rootsys import (
     Root,
     RootSystem,
@@ -309,8 +310,7 @@ def _cached_rep(family, rank):
 def build_matrix_rep(family: str, rank: int, u1_count: int = 0) -> AlgebraRep:
     """Orthonormal root-adapted generator basis for family/rank, plus u(1)s:
     one build per (family, rank) and process, zero-extended."""
-    if u1_count < 0:
-        raise ValueError("u1_count must be non-negative")
+    _check_u1_count(u1_count)
     rep = _cached_rep(*_algebra_key(family, rank))
     return _zero_extend(rep, u1_count) if u1_count else rep
 

@@ -35,11 +35,11 @@ class UnsupportedAlgebraError(ValueError):
 
 def _algebra_key(family: str, rank: int) -> tuple:
     """(family, rank) as every cache of an algebra keys it: a classical
-    family, read upper-case, and an int rank.  Any other rank, a bool or
-    2.0, is refused; a cache would serve it the entry of 1 or 2, and a fresh
-    build would fail in `range`."""
-    family = family.upper()
-    if family not in FAMILIES:
+    family, a string read upper-case, and an int rank.  Any other family is
+    refused, and so is any other rank, a bool or 2.0: a cache would serve it
+    the entry of 1 or 2, and a fresh build would fail in `range`."""
+    family = family.upper() if isinstance(family, str) else family
+    if not isinstance(family, str) or family not in FAMILIES:
         raise UnsupportedAlgebraError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise UnsupportedAlgebraError(f"rank must be an int, got {rank!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .bounds import (BOUNDS, DEFAULT_TOL, RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step,
-                     _check_tol)
+                     _check_tol, _check_u1_count)
 from .rootsys import (
     ChainNode,
     _Value,
@@ -41,10 +41,12 @@ class LevelSelection(_Value):
 
 class SpaceSpec(_Value):
     """A (possibly quotiented) product of simple factors and u(1) circles;
-    `factors` holds the (family, rank) pairs, the family read upper-case."""
+    `factors` holds the (family, rank) pairs, a string family read
+    upper-case; `_resolve_spec` refuses any other."""
 
     def __init__(self, factors: tuple, u1_count: int, selections: tuple = ()):
-        self.__dict__.update(factors=tuple((f.upper(), r) for f, r in factors),
+        self.__dict__.update(factors=tuple((f.upper() if isinstance(f, str) else f, r)
+                                           for f, r in factors),
                              u1_count=u1_count, selections=selections)
 
     @property
@@ -325,6 +327,7 @@ def _resolve_spec(spec: SpaceSpec) -> list:
         raise ValueError("need at least one simple factor")
     if spec.selections and len(spec.factors) != 1:
         raise ValueError("quotient selections are only supported for a single simple factor")
+    _check_u1_count(spec.u1_count)
     factors = []
     for family, rank in spec.factors:
         _, levels = root_chain(family, rank)
@@ -368,7 +371,7 @@ def build_coset_triple(spec: SpaceSpec, tol: float = DEFAULT_TOL,
     factors = _resolve_spec(spec)
     # each simple factor takes exactly its own padding (no cross-factor pairing)
     needed = sum(padding for *_, padding in factors)
-    if needed != spec.u1_count or needed < 0:
+    if needed != spec.u1_count:
         return VerificationReport(
             spec, needed, tol,
             message=f"{spec.name}: requires {max(needed, 0)} u(1) factor(s), got {spec.u1_count}")

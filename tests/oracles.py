@@ -16,7 +16,10 @@ to evaluate the checks on structures that are not signed permutations
 automorphisms Omega, which `hktlie.autom` reads from f in closed form and
 keeps as one block on its support, are embedded here as D x D matrices,
 composed densely, and computed afresh by conjugation in the representation
-and a trace projection.  Beside them sit the references that only the
+and a trace projection.  The canonical structure, which
+`hktlie.cstruct.canonical_I` builds in one walk of the chain, is built here
+from a separate pairing, signed permutation and block walk, on any pairs of
+Cartan/u(1) axes.  Beside them sit the references that only the
 tests use: a pure u(1) algebra, so(n) built on its rotation generators (the
 generic basis that the direct B and D vector build must reproduce, and the
 B3 spinor on the gamma matrices), f recomputed from the generators, the
@@ -38,8 +41,8 @@ import numpy as np
 
 from hktlie import rootsys as R
 from hktlie.cstruct import (
-    DEFAULT_TOL, ComplexStructure, _hull_terms, _integrability_terms, _max_abs, _signed_of,
-    _sum_by_key)
+    DEFAULT_TOL, Block, ComplexStructure, PairingError, _hull_terms, _integrability_terms,
+    _max_abs, _signed_of, _sum_by_key)
 from hktlie.liealg import (
     F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _build_matrix_rep,
     _commutator_entries, _eij, _flat_transposes, _structure_constants, _zero_extend)
@@ -217,6 +220,85 @@ def root_eigenvector_svd(ad_mats, target, noncsa) -> np.ndarray:
         raise ConstructionError(f"degenerate root space for eigenvalue {target}")
     v = vh[-1].conj()
     return sum(vk * g for vk, g in zip(v, noncsa))
+
+
+# ---------------------------------------------------------------------------
+# the canonical structure from three walks of the chain
+
+def reference_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
+    """(t, e) generator-index pairs: the coroot axis of each basic root outside
+    the quotient, in chain order, with one leftover Cartan/u(1) axis outside it."""
+    removed = set(quotient)
+    t_idx = [rep.coroot_axis_index(n.theta) for n in R.chain_nodes(rep.chain_levels)]
+    t_idx = [i for i in t_idx if i not in removed]
+    e_idx = [ax.index for ax in rep.csa_axes
+             if ax.kind in ("abelian", "u1")
+             and ax.index not in removed and ax.index not in t_idx]
+    missing = len(t_idx) - len(e_idx)
+    if missing:
+        need = (f"requires {missing} more u(1) factor(s)" if missing > 0
+                else f"{-missing} u(1) factor(s) too many")
+        raise PairingError(
+            f"cannot pair {len(t_idx)} basic coroot(s) with {len(e_idx)} leftover "
+            f"Cartan/u(1) direction(s); {need}")
+    return tuple(zip(t_idx, e_idx))
+
+
+def reference_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
+    """Theta blocks and root quartets of every chain node, in generator
+    indices: each pair mu + nu = theta of the node's positive roots, taken
+    once."""
+    blocks = []
+    partner = dict(pairs)
+    for node in R.chain_nodes(rep.chain_levels):
+        theta = node.theta
+        ent = rep.root_entry(theta)
+        order = {r.coords: i for i, r in enumerate(node.positive_roots)}
+        t = rep.coroot_axis_index(theta)
+        if t in partner:
+            blocks.append(Block((ent.re_index, ent.im_index, t, partner[t]), "theta",
+                                node.level, f"theta block {node.label}"))
+        seen = set()
+        for mu in node.positive_roots:
+            rest = tuple(a - b for a, b in zip(theta.coords, mu.coords))
+            if rest not in order or mu.coords in seen or rest in seen or mu.dot(theta) == 0:
+                continue
+            nu = node.positive_roots[order[rest]]
+            first, second = (mu, nu) if order[mu.coords] < order[rest] else (nu, mu)
+            e1, e2 = rep.root_entry(first), rep.root_entry(second)
+            blocks.append(Block((e1.re_index, e1.im_index, e2.re_index, e2.im_index),
+                                "quartet", node.level,
+                                f"quartet ({first}, {second}) of {node.label}"))
+            seen.add(mu.coords)
+            seen.add(rest)
+    return tuple(blocks)
+
+
+def reference_canonical_I(rep: AlgebraRep, quotient: Sequence[int] = (),
+                          pairs: Sequence[tuple] | None = None) -> ComplexStructure:
+    """The canonical structure on the directions outside `quotient`, from the
+    pairing, the signed permutation and the blocks in three walks: -i on
+    every positive root vector, t -> e on each (t, e) of `pairs`, by default
+    `reference_pairing`."""
+    if pairs is None:
+        pairs = reference_pairing(rep, quotient)
+    perm = np.full(rep.dim, -1)
+    sign = np.ones(rep.dim)
+    for j, k in [(e.re_index, e.im_index) for e in rep.root_table.values()] + list(pairs):
+        perm[j], perm[k] = k, j
+        sign[k] = -1.0
+    inside = np.ones(rep.dim, dtype=bool)
+    inside[list(quotient)] = False
+    tangent = np.flatnonzero(inside)
+    lost = tangent[(perm[tangent] < 0) | ~inside[perm[tangent]]]
+    if lost.size:
+        raise PairingError(f"generator(s) {lost.tolist()} outside the quotient have no "
+                           "partner outside it")
+    number = np.cumsum(inside) - 1
+    blocks = tuple(Block(tuple(int(number[i]) for i in b.indices), b.kind, b.level,
+                         b.description)
+                   for b in reference_blocks(rep, pairs) if inside[list(b.indices)].all())
+    return ComplexStructure(number[perm[tangent]], sign[tangent], blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -527,8 +527,11 @@ def test_abelian_algebra_has_no_basic_roots():
 def test_quotient_entry_outside_the_generators_is_refused(entry):
     """A2xU1^1 has the generators 0 to 8.  A quotient entry must be one of
     them as an integer: numpy indexing would read -1 as generator 8 where
-    the pairing reads it as none, and 999 or 2.5 would index nothing."""
+    the pairing reads it as none, and 999 or 2.5 would index nothing.  The
+    triple and I refuse it alike."""
     rep = L.build_matrix_rep("A", 2, 1)
-    with pytest.raises(ValueError, match=re.escape(f"quotient index {entry!r} is not a generator "
-                                                   "index in [0, 9)")):
-        A.build_quaternion_triple(rep, quotient=[entry])
+    for build in (lambda: A.build_quaternion_triple(rep, quotient=[entry]),
+                  lambda: C.canonical_I(rep, [entry])):
+        with pytest.raises(ValueError, match=re.escape(f"quotient index {entry!r} is not a "
+                                                       "generator index in [0, 9)")):
+            build()

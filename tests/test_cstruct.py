@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,12 @@ from conftest import ABOVE_CAPS, CATALOG, CLI_RANGE
 
 def canonical(family, rank, u1=0):
     rep = L.build_matrix_rep(family, rank, u1)
-    return rep, C.canonical_I(rep, A.make_csa_pairing(rep))
+    return rep, C.canonical_I(rep)
 
 
 def abelian4():
     rep = oracles.build_abelian_rep(4)
-    return rep, C.canonical_I(rep, ((0, 1), (2, 3)))
+    return rep, oracles.reference_canonical_I(rep, pairs=((0, 1), (2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -86,27 +88,24 @@ def test_nijenhuis_agrees_with_algebraic_check(family, rank):
 def test_pairing_dimension_mismatch_raises():
     rep = L.build_matrix_rep("A", 3)      # needs one u(1), none appended
     with pytest.raises(C.PairingError, match="u\\(1\\)"):
-        A.make_csa_pairing(rep)
-
-
-@pytest.mark.parametrize("pairs", [((0, 4),), ((6, 7), (6, 8)), ((6, 99),)])
-def test_canonical_I_rejects_pairs_off_the_cartan_axes(pairs):
-    """A2 x U(1): generators 0-5 are root parts, 6-7 Cartan, 8 the u(1)."""
-    rep = L.build_matrix_rep("A", 2, 1)
-    assert rep.csa_indices + rep.u1_indices == (6, 7, 8)
-    with pytest.raises(C.PairingError, match="distinct Cartan/u\\(1\\) axes"):
-        C.canonical_I(rep, pairs)
+        C.canonical_I(rep)
 
 
 def test_canonical_I_needs_a_partner_for_every_direction():
-    """A2 x U(1) with the Cartan axis 7 unpaired, or paired into the quotient."""
+    """A2 x U(1): generators 0-5 are root parts, 6 the coroot axis, 7 the
+    abelian axis, 8 the u(1).  A quotient that takes t_0 but not its partner
+    t_1 leaves t_1 alone; one that takes both leftover axes leaves the
+    coroot axis unpaired."""
     rep = L.build_matrix_rep("A", 2, 1)
-    with pytest.raises(C.PairingError, match=r"generator\(s\) \[7\] .* no partner"):
-        C.canonical_I(rep, ((6, 8),))
-    with pytest.raises(C.PairingError, match=r"generator\(s\) \[6\] .* no partner"):
-        C.canonical_I(rep, ((6, 7),), quotient=(7, 8))
-    I = C.canonical_I(rep, ((6, 7),), quotient=(8,))
+    assert [(ax.index, ax.kind) for ax in rep.csa_axes] == [
+        (6, "coroot"), (7, "abelian"), (8, "u1")]
+    with pytest.raises(C.PairingError, match=r"generator\(s\) \[1\] .* no partner"):
+        C.canonical_I(rep, quotient=(0, 8))
+    with pytest.raises(C.PairingError, match=r"cannot pair 1 basic coroot\(s\) with 0 "):
+        C.canonical_I(rep, quotient=(7, 8))
+    I = C.canonical_I(rep, quotient=(8,))
     assert I.dim == 8 and I.square_residual() == 0.0
+    assert [b.indices for b in I.blocks] == [(4, 5, 6, 7), (0, 1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +448,47 @@ def test_self_duality_needs_4x4():
     ("A", 1, 1, 1), ("A", 2, 0, 1), ("A", 3, 1, 2), ("B", 3, 3, 3),
     ("C", 2, 2, 2), ("D", 4, 4, 4), ("A", 6, 0, 3)])
 def test_pairing_counts_and_orthonormality(family, rank, u1, pairs):
-    rep = L.build_matrix_rep(family, rank, u1)
-    pairing = A.make_csa_pairing(rep)
+    """The pairing is the last two indices of I's theta blocks, (t, e)."""
+    rep, I = canonical(family, rank, u1)
+    pairing = [b.indices[2:] for b in I.blocks if b.kind == "theta"]
     assert len(pairing) == pairs
     # the pairs use distinct axes, so their unit vectors are orthonormal
     used = [i for pair in pairing for i in pair]
     assert len(set(used)) == len(used)
-    # every t index sits on one basic-coroot axis
-    for t_idx, _ in pairing:
-        ax = next(a for a in rep.csa_axes if a.index == t_idx)
-        assert ax.kind == "coroot"
+    # every t index sits on one basic-coroot axis, every e on a leftover one
+    kind = {a.index: a.kind for a in rep.csa_axes}
+    assert all(kind[t] == "coroot" and kind[e] in ("abelian", "u1") for t, e in pairing)
+    assert all(I.perm[t] == e and I.sign[t] == 1 for t, e in pairing)
+
+
+def _structure(I):
+    return I.perm.tolist(), I.sign.tolist(), I.blocks
+
+
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_canonical_I_matches_the_three_walk_reference(family, rank, monkeypatch):
+    """On every enumerated quotient, I from one walk of the chain equals the
+    reference built from a separate pairing, permutation and block walk,
+    perm, sign and blocks alike; an algebra one u(1) short or over is
+    refused with the reference's text."""
+    from hktlie import spaces
+    calls = []
+    monkeypatch.setattr(A, "build_quaternion_triple",
+                        lambda rep, *a, quotient=(): calls.append((rep, quotient)))
+    specs = spaces.enumerate_quotients((family, rank))
+    for spec in specs:
+        spaces.build_coset_triple(spec)
+    assert len(calls) == len(specs)
+    for rep, quotient in calls:
+        assert _structure(C.canonical_I(rep, quotient)) == \
+            _structure(oracles.reference_canonical_I(rep, quotient))
+    padding = spaces.required_padding([(family, rank)])
+    for u1 in {max(padding - 1, 0), padding + 1} - {padding}:
+        rep = L.build_matrix_rep(family, rank, u1)
+        with pytest.raises(C.PairingError) as want:
+            oracles.reference_canonical_I(rep)
+        with pytest.raises(C.PairingError, match=f"^{re.escape(str(want.value))}$"):
+            C.canonical_I(rep)
 
 
 def test_spin7_quartet_decompositions_of_theta():

@@ -429,18 +429,23 @@ RANK_CALLS = {
 }
 
 
+def refusal_in_a_fresh_process(call: str) -> tuple:
+    """(exit code, stdout, stderr) of a fresh process that runs the source
+    text `call` and prints the UnsupportedAlgebraError it raises."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    probe = ("from hktlie import liealg, rootsys, spaces\ntry:\n    " + call
+             + "\nexcept rootsys.UnsupportedAlgebraError as exc:\n    print(exc)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("rank", [2.0, True])
 @pytest.mark.parametrize("call", RANK_CALLS)
 def test_rank_that_is_no_int_is_refused_in_a_fresh_process(call, rank):
     """Cold, 2.0 reached `range` in a bare TypeError, and True built an
     algebra whose rank read True."""
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    probe = ("from hktlie import liealg, rootsys, spaces\ntry:\n    "
-             + RANK_CALLS[call].format(rank=rank)
-             + "\nexcept rootsys.UnsupportedAlgebraError as exc:\n    print(exc)")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
+    assert refusal_in_a_fresh_process(RANK_CALLS[call].format(rank=rank)) == (
         0, f"rank must be an int, got {rank!r}\n", "")
 
 
@@ -452,3 +457,48 @@ def test_rank_that_is_no_int_is_refused_after_a_warm_build(call, rank):
     with pytest.raises(R.UnsupportedAlgebraError) as exc:
         eval(RANK_CALLS[call].format(rank=rank), {"liealg": L, "rootsys": R, "spaces": S})
     assert str(exc.value) == f"rank must be an int, got {rank!r}"
+
+
+#: the library calls that take a family, as source text
+FAMILY_CALLS = {
+    "build_coset_triple": "spaces.build_coset_triple(spaces.SpaceSpec((({family!r}, 2),), 0))",
+    "root_chain": "rootsys.root_chain({family!r}, 2)",
+    "build_matrix_rep": "liealg.build_matrix_rep({family!r}, 2)",
+    "classify_family": "spaces.classify_family({family!r}, 2)",
+}
+
+
+@pytest.mark.parametrize("family", [None, 3])
+@pytest.mark.parametrize("call", FAMILY_CALLS)
+def test_family_that_is_no_string_is_refused_in_a_fresh_process(call, family):
+    """A family that is not a string ended in a bare AttributeError of its
+    `upper`, in `SpaceSpec` or in the key of the caches."""
+    assert refusal_in_a_fresh_process(FAMILY_CALLS[call].format(family=family)) == (
+        0, f"unknown family {family!r}; expected one of ('A', 'B', 'C', 'D')\n", "")
+
+
+@pytest.mark.parametrize("family", [None, 3])
+@pytest.mark.parametrize("call", FAMILY_CALLS)
+def test_family_that_is_no_string_is_refused_after_a_warm_build(call, family):
+    S.build_coset_triple(Spec((("A", 2),), 0))
+    with pytest.raises(R.UnsupportedAlgebraError) as exc:
+        eval(FAMILY_CALLS[call].format(family=family), {"liealg": L, "rootsys": R, "spaces": S})
+    assert str(exc.value) == f"unknown family {family!r}; expected one of ('A', 'B', 'C', 'D')"
+
+
+#: the library calls that take a u(1) count
+U1_CALLS = {
+    "build_matrix_rep": lambda u1: L.build_matrix_rep("A", 1, u1),
+    "build_coset_triple": lambda u1: S.build_coset_triple(Spec((("A", 1),), u1)),
+    "space_spec": lambda u1: S.space_spec((("A", 1),), u1),
+}
+
+
+@pytest.mark.parametrize("u1", [True, 1.0, 1.5, -1])
+@pytest.mark.parametrize("call", U1_CALLS)
+def test_u1_count_that_is_no_non_negative_int_is_refused(call, u1):
+    """True certified A1 x U(1) and wrote "u1_count":true into its
+    certificate, 1.0 wrote 1.0, and 1.5 ended in numpy's TypeError."""
+    with pytest.raises(ValueError) as exc:
+        U1_CALLS[call](u1)
+    assert str(exc.value) == f"u1_count must be a non-negative int, got {u1!r}"
