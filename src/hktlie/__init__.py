@@ -3,10 +3,11 @@
 The package constructs classical root systems, compact-algebra matrix
 representations in a root-adapted orthonormal basis and their structure
 constants f, then, from f and the root table alone, the canonical complex
-structure and its partners J and K, rotated by closed-form Lie-algebra
-automorphisms.  It certifies numerically that the triple satisfies the
-quaternion algebra, the integrability identity and the torsion conditions,
-for group manifolds and their centralizer quotients.
+structure and its partners J and K.  J is the canonical structure rotated
+by Lie-algebra automorphisms, which on each 4x4 block of it is one fixed
+pattern with a sign read off f, and K = I J.  It certifies numerically that
+the triple satisfies the quaternion algebra, the integrability identity and
+the torsion conditions, for group manifolds and their centralizer quotients.
 """
 
 import importlib

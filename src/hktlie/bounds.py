@@ -3,26 +3,21 @@ plain floats: the CLI checks its arguments without loading numpy."""
 
 from __future__ import annotations
 
+import numbers
 import sys
 from typing import Iterable
 
 DEFAULT_TOL = 1e-9
 
-#: the largest distance from a signed permutation at which the permutation
-#: stands for the structure: the kernels run on it up to here
-SNAP_BOUND = 1e-12
-
 #: every check of a verdict and its bound as a function of the tolerance, in
 #: the order in which the verdict names the first failure: the two checks of
 #: the triple as a whole, then those that each of I, J and K takes, named
-#: with its prefix in a certificate ("J.snap").  The quaternion and square
-#: checks compose exact signed permutations, so the rounding of the float
-#: conjugation shows in the snap alone, which a tolerance below SNAP_BOUND
-#: bounds too
+#: with its prefix in a certificate ("J.square").  I, J and K are exact
+#: signed permutations, so the quaternion and square checks read exactly 0 or
+#: at least 1
 BOUNDS = {
     "quaternion": lambda tol: tol,
     "invariance_leak": lambda tol: 1e-12,
-    "snap": lambda tol: min(tol, SNAP_BOUND),
     "integrability": lambda tol: tol,
     "square": lambda tol: tol,
     "bismut": lambda tol: 1e-12,
@@ -34,7 +29,7 @@ BOUNDS = {
 STRUCTURE_CHECKS = tuple(BOUNDS)[2:]
 
 #: the values a certificate reports without a bound
-RECORDED = ("k_mismatch", "coset_closure")
+RECORDED = ("coset_closure",)
 
 #: the finite-difference steps of the Nijenhuis check: below 2.98e-154,
 #: (step/2)**2, the vielbein's second-order term at the half step, is no longer
@@ -55,14 +50,23 @@ def _sci(x: float) -> str:
     return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a real number: a string is refused,
+    where a comparison would raise TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_tol(tol: float) -> None:
     """Raise ValueError unless 0 < tol <= 1e-3; NaN is refused too."""
+    _check_real("tolerance", tol)
     if not 0 < tol <= 1e-3:
         raise ValueError(f"tolerance must lie in (0, 1e-3], got {tol:g}")
 
 
 def _check_fd_step(step: float) -> None:
     """Raise ValueError unless MIN_FD_STEP <= step <= MAX_FD_STEP."""
+    _check_real("fd-step", step)
     if not MIN_FD_STEP <= step <= MAX_FD_STEP:
         raise ValueError(f"fd-step must lie in [{_sci(MIN_FD_STEP)}, {_sci(MAX_FD_STEP)}], "
                          f"so that (step/2)**2 stays a normal float; got {step:g}")

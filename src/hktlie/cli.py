@@ -204,8 +204,8 @@ def _verdict_text(verdict: str, message: str) -> str:
 
 
 #: the text labels of the checks of the triple as a whole, in printing order
-_LABELS = {"quaternion": "quaternion residual", "k_mismatch": "K-route mismatch",
-           "invariance_leak": "subspace leak", "coset_closure": "coset closure (reported)"}
+_LABELS = {"quaternion": "quaternion residual", "invariance_leak": "subspace leak",
+           "coset_closure": "coset closure (reported)"}
 
 
 def _print_report(report: spaces.VerificationReport, as_json: bool) -> None:
@@ -220,8 +220,8 @@ def _print_report(report: spaces.VerificationReport, as_json: bool) -> None:
     print(f"u(1) padding: {report.padding_required}")
     print("basic roots: " + "; ".join(f"{n.label} theta={n.theta} (level {n.level})"
                                       for n in report.nodes))
-    print("automorphisms: " + "; ".join(f"{a.kind}-kind at {a.root} (level {a.level})"
-                                        for a in report.automorphisms))
+    print("automorphisms: " + "; ".join(f"J-kind at {n.theta} (level {n.level})"
+                                        for n in report.nodes))
     for name, checks in sorted(report.residuals.items()):
         print(f"residuals[{name}]: " + " ".join(
             f"{check}={'n/a' if value is None else f'{value:.3e}'}"

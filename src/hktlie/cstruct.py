@@ -14,11 +14,11 @@ tensor contractions:
     from the second-order vielbein e, along every direction x = +-h e_m.
 
 A structure is held as the signed permutation that sends direction j to
-sign[j] times direction perm[j]: I, J and K are exact signed permutations
-of the tangent directions, and J's rounding as a float conjugation shows
-only in its `snap`, its distance from the permutation it was read from.  Every
-check runs on that permutation.  The quaternion and square checks compose
-permutations, so they read exactly 0 or at least 1.  The others run over
+sign[j] times direction perm[j].  I and J are exact signed permutations of
+the tangent directions from one walk of the chain: J is +-J0 on each 4x4
+block of I, with one sign read off f, so nothing is conjugated or snapped.
+Every check runs on the permutations.  The quaternion and square checks
+compose them, so they read exactly 0 or at least 1.  The others run over
 the non-zero entries of f: each term of a contraction is a relabelled,
 re-signed copy of those entries, and the terms are summed by index triple.
 The first three checks cost O(nnz f) time and memory, with no (D, D, D)
@@ -39,8 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (BOUNDS, DEFAULT_FD_STEP, DEFAULT_TOL, MAX_FD_STEP, MIN_FD_STEP,  # noqa: F401
-                     RECORDED, SNAP_BOUND, STRUCTURE_CHECKS, PairingError, _check_fd_step,
-                     first_failure)
+                     RECORDED, STRUCTURE_CHECKS, PairingError, _check_fd_step, first_failure)
 from .liealg import AlgebraRep, StructureConstants, _reduce_by_key
 from .rootsys import _Value, chain_nodes
 
@@ -48,58 +47,25 @@ from .rootsys import _Value, chain_nodes
 class Block(_Value):
     """One 4x4 block of a complex structure: (t_A, t_A*, t_B, t_B*) or
     (t_A, t_A*, t_k, e_k), its four direction indices; `kind` is "theta" or
-    "quartet"."""
+    "quartet"; `sign` is J's on the block, +1 or -1 (0 where f gives none),
+    J being sign times J0: e0 -> e2, e1 -> -e3, e2 -> -e0, e3 -> e1."""
 
-    def __init__(self, indices: tuple, kind: str, level: int, description: str):
-        self.__dict__.update(indices=indices, kind=kind, level=level, description=description)
-
-
-def signed_permutation(matrix) -> tuple:
-    """(perm, sign, snap): the signed permutation with the entry sign[j] in
-    row perm[j] of column j, read off the largest entry of each column, and
-    snap, the largest entry of |matrix - that permutation|.
-
-    Columns that peak in a repeated row leave the matrix at least 0.5 from
-    every signed permutation, so the snap is then at least 0.5.
-    """
-    m = np.asarray(matrix, dtype=float)
-    cols = np.arange(m.shape[1])
-    perm = np.abs(m).argmax(axis=0)
-    sign = np.where(m[perm, cols] < 0, -1.0, 1.0)
-    snap = _distance(m, perm, sign)
-    if np.bincount(perm).max() > 1:
-        snap = max(snap, 0.5)
-    return perm, sign, snap
-
-
-def _distance(matrix: np.ndarray, perm, sign) -> float:
-    """The largest entry of |matrix - the signed permutation (perm, sign)|."""
-    diff = matrix.copy()
-    diff[perm, np.arange(perm.size)] -= sign
-    return float(np.abs(diff).max(initial=0.0))
+    def __init__(self, indices: tuple, kind: str, level: int, description: str, sign: int):
+        self.__dict__.update(indices=indices, kind=kind, level=level, description=description,
+                             sign=sign)
 
 
 class ComplexStructure:
     """A complex structure on the tangent directions: the signed permutation
-    that sends direction j to sign[j] times direction perm[j], its 4x4
-    blocks, and `snap`, its distance from the float matrix it was read from
-    (0 for a structure built exactly).  `matrix` is the dense view, built on
-    first read."""
+    that sends direction j to sign[j] times direction perm[j], and its 4x4
+    blocks.  `matrix` is the dense view, built on first read."""
 
-    def __init__(self, perm: np.ndarray, sign: np.ndarray, snap: float = 0.0,
-                 blocks: tuple = ()):
+    def __init__(self, perm: np.ndarray, sign: np.ndarray, blocks: tuple = ()):
         for a in (perm, sign):      # `matrix` is built from them once
             a.setflags(write=False)
         self.perm = perm
         self.sign = sign
-        self.snap = snap
         self.blocks = blocks
-
-    @classmethod
-    def from_matrix(cls, matrix, blocks: tuple = ()) -> "ComplexStructure":
-        """The signed permutation nearest to a float matrix (see
-        `signed_permutation`), with its distance as the snap."""
-        return cls(*signed_permutation(matrix), blocks)
 
     @property
     def dim(self) -> int:
@@ -132,37 +98,53 @@ def canonical_I(rep: AlgebraRep, quotient: Sequence[int] = ()) -> ComplexStructu
     walk of the chain: -i on every positive root vector, and the coroot axis
     of each node outside the quotient, in chain order, sent to one leftover
     abelian or u(1) axis outside it.  Its blocks are each node's theta block
-    and root quartets that stay outside the quotient.
+    and root quartets that stay outside the quotient, each with J's sign.
 
     A `quotient` entry that is not an integer in range(rep.dim) raises
     ValueError; more or fewer leftover axes than coroot axes, or a direction
     whose partner lies in the quotient, raises PairingError."""
+    return _canonical(rep, quotient)[0]
+
+
+def _canonical(rep: AlgebraRep, quotient: Sequence[int]) -> tuple:
+    """(I, J, leak): `canonical_I` and its partner J, sign times J0 on each
+    block, the sign +1 on a theta block and sign f[theta.re, mu.re, nu.im]
+    on the quartet (mu, nu = theta - mu) (Spindel, Sevrin, Troost and Van
+    Proeyen, Nucl. Phys. B308, 1988: the quarter turn of theta's su(2)).
+    `leak` names the first direction outside the quotient whose block is
+    not wholly outside it, or is ""; J sends such a direction to 0."""
     for i in quotient:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < rep.dim:
             raise ValueError(f"quotient index {i!r} is not a generator index in [0, {rep.dim})")
-    inside = np.ones(rep.dim, dtype=bool)
+    d = rep.dim
+    inside = np.ones(d, dtype=bool)
     inside[list(quotient)] = False
     leftover = [ax.index for ax in rep.csa_axes
                 if ax.kind in ("abelian", "u1") and inside[ax.index]]
     partners = iter(leftover)
+    f = rep.structure_constants()
+    keys = (f.index[:, 0] * d + f.index[:, 1]) * d + f.index[:, 2]    # ascending, as f keeps them
     pairs, blocks = [], []
     for node in chain_nodes(rep.chain_levels):
         theta, roots = node.theta, node.positive_roots
         t = rep.coroot_axis_index(theta)
+        ent = rep.root_entry(theta)
         if inside[t]:
             pairs.append((t, next(partners, None)))
-            ent = rep.root_entry(theta)
             blocks.append(Block((ent.re_index, ent.im_index, *pairs[-1]), "theta", node.level,
-                                f"theta block {node.label}"))
+                                f"theta block {node.label}", 1))
         # theta = mu + nu, found once from the lower-ordered root mu
         order = {r.coords: i for i, r in enumerate(roots)}
         for i, mu in enumerate(roots):
             j = order.get(tuple(a - b for a, b in zip(theta.coords, mu.coords)), -1)
             if i < j:
                 e1, e2 = rep.root_entry(mu), rep.root_entry(roots[j])
+                key = (ent.re_index * d + e1.re_index) * d + e2.im_index
+                at = min(int(np.searchsorted(keys, key)), keys.size - 1)
+                eps = int(np.sign(f.value[at])) if keys[at] == key else 0
                 blocks.append(Block((e1.re_index, e1.im_index, e2.re_index, e2.im_index),
                                     "quartet", node.level,
-                                    f"quartet ({mu}, {roots[j]}) of {node.label}"))
+                                    f"quartet ({mu}, {roots[j]}) of {node.label}", eps))
     missing = len(pairs) - len(leftover)
     if missing:
         need = (f"requires {missing} more u(1) factor(s)" if missing > 0
@@ -170,8 +152,8 @@ def canonical_I(rep: AlgebraRep, quotient: Sequence[int] = ()) -> ComplexStructu
         raise PairingError(f"cannot pair {len(pairs)} basic coroot(s) with {len(leftover)} "
                            f"leftover Cartan/u(1) direction(s); {need}")
 
-    perm = np.full(rep.dim, -1)
-    sign = np.ones(rep.dim)
+    perm = np.full(d, -1)
+    sign = np.ones(d)
     for j, k in [(e.re_index, e.im_index) for e in rep.root_table.values()] + pairs:
         perm[j], perm[k] = k, j
         sign[k] = -1.0
@@ -180,23 +162,31 @@ def canonical_I(rep: AlgebraRep, quotient: Sequence[int] = ()) -> ComplexStructu
     if lost.size:
         raise PairingError(f"generator(s) {lost.tolist()} outside the quotient have no "
                            "partner outside it")
+    jperm, jsign = np.full(d, -1), np.zeros(d)
+    for b in blocks:        # J0, as `Block` gives it
+        at = list(b.indices)
+        jperm[at] = [b.indices[p] for p in (2, 3, 0, 1)]
+        jsign[at] = b.sign * np.array([1.0, -1.0, -1.0, 1.0])
+    jperm, jsign = jperm[tangent], jsign[tangent]
+    held = (jperm >= 0) & inside[jperm]
+    leak = ""
+    if not held.all():
+        first = np.argmin(held)
+        leak = f"J leaks out of index {tangent[first]}" + (
+            f" into quotient index {jperm[first]}" if jperm[first] >= 0
+            else ", which lies in no block")
     number = np.cumsum(inside) - 1
     blocks = tuple(Block(tuple(int(number[i]) for i in b.indices), b.kind, b.level,
-                         b.description)
+                         b.description, b.sign)
                    for b in blocks if inside[list(b.indices)].all())
-    return ComplexStructure(number[perm[tangent]], sign[tangent], blocks=blocks)
+    I = ComplexStructure(number[perm[tangent]], sign[tangent], blocks)
+    J = ComplexStructure(np.where(held, number[jperm], np.arange(tangent.size)),
+                         np.where(held, jsign, 0.0), blocks)
+    return I, J, leak
 
 
 # ---------------------------------------------------------------------------
 # residuals
-
-def _signed_of(I: ComplexStructure) -> tuple:
-    """(perm, sign) of a structure; ValueError when its snap is above SNAP_BOUND."""
-    if not I.snap <= SNAP_BOUND:
-        raise ValueError(f"structure is {I.snap:.3e} from the nearest signed permutation, "
-                         f"above the snap bound {SNAP_BOUND:g}")
-    return I.perm, I.sign
-
 
 def _sum_by_key(dim: int, terms) -> tuple:
     """The distinct flat keys of the (a, b, c, value) terms of a (dim, dim, dim)
@@ -255,7 +245,7 @@ def _hull_terms(perm, sign, f: StructureConstants) -> list:
 def integrability_residual(I, f: StructureConstants) -> float:
     """max |f_ABC - I_AD I_BE f_DEC - I_BD I_CE f_DEA - I_CD I_AE f_DEB|, on
     the signed permutation of I."""
-    return _max_abs(f.dim, _integrability_terms(*_signed_of(I), f))
+    return _max_abs(f.dim, _integrability_terms(I.perm, I.sign, f))
 
 
 def quaternion_residual(I: ComplexStructure, J: ComplexStructure,
@@ -285,7 +275,7 @@ def bismut_residual(I, f: StructureConstants) -> float:
     Vanishes identically for any antisymmetric I by cyclicity of f; a nonzero
     value signals an index-convention bug, not a geometric failure.
     """
-    return _max_abs(f.dim, _bismut_terms(*_signed_of(I), f))
+    return _max_abs(f.dim, _bismut_terms(I.perm, I.sign, f))
 
 
 #: weights of the vielbein variants x = +h e_m, -h e_m, +h' e_m, -h' e_m
@@ -454,7 +444,7 @@ def nijenhuis_at_origin(rep: AlgebraRep, I, step: float = DEFAULT_FD_STEP) -> fl
     Raises ValueError for a step outside [MIN_FD_STEP, MAX_FD_STEP].
     """
     _check_fd_step(step)
-    perm, sign = _signed_of(I)
+    perm, sign = I.perm, I.sign
     f = rep.structure_constants()
     dim = f.dim
     inv = np.empty_like(perm)
@@ -502,19 +492,13 @@ def geometry_report(I: ComplexStructure, f: StructureConstants, tol: float = DEF
                     nijenhuis: float | None = None) -> dict:
     """Every check of one structure against the structure constants f, by
     name in BOUNDS order; the Nijenhuis value is measured on the whole
-    algebra and passed in (None: not run).
-
-    Integrability, Bismut constancy and the torsion match run on the signed
-    permutation of I, so they are infinite when its snap is above SNAP_BOUND;
-    the torsion match is also infinite when I is not integrable.
-    """
-    integ = bis = tors = float("inf")
-    if I.snap <= SNAP_BOUND:
-        integ = _max_abs(f.dim, _integrability_terms(I.perm, I.sign, f))
-        bis = _max_abs(f.dim, _bismut_terms(I.perm, I.sign, f))
-        if integ <= tol:
-            tors = _max_abs(f.dim, _hull_terms(I.perm, I.sign, f) + _f_terms(f, -1.0))
-    values = dict(snap=I.snap, integrability=integ, square=I.square_residual(), bismut=bis,
-                  torsion_match=tors, nijenhuis=nijenhuis)
+    algebra and passed in (None: not run).  The torsion match is infinite
+    when I is not integrable."""
+    integ = _max_abs(f.dim, _integrability_terms(I.perm, I.sign, f))
+    tors = float("inf")
+    if integ <= tol:
+        tors = _max_abs(f.dim, _hull_terms(I.perm, I.sign, f) + _f_terms(f, -1.0))
+    values = dict(integrability=integ, square=I.square_residual(),
+                  bismut=_max_abs(f.dim, _bismut_terms(I.perm, I.sign, f)), torsion_match=tors,
+                  nijenhuis=nijenhuis)
     return {check: values[check] for check in STRUCTURE_CHECKS}
-

@@ -79,7 +79,7 @@ CLOSURE_TOL = 1e-9
 class StructureConstants(_Frozen):
     """Totally antisymmetric f_ABC with [t_A, t_B] = i f_ABC t_C, held as its
     non-zero entries f[index[k]] = value[k], with `index` the (n, 3) integer
-    index triples; `f` is the dense (D, D, D) view, built on first read."""
+    index triples in ascending order; `f` is the dense (D, D, D) view, built on first read."""
 
     def __init__(self, index: np.ndarray, value: np.ndarray, dim: int):
         self.__dict__.update(index=index, value=value, dim=dim)

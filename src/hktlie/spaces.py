@@ -33,9 +33,16 @@ def group_name(family: str, rank: int) -> str:
 
 class LevelSelection(_Value):
     """Quotient choice at one chain level: summands, by node label (e.g.
-    ("A1:gamma",)), and the Abelian part."""
+    ("A1:gamma",)), and the Abelian part.  A field of the wrong type raises
+    ValueError; a level outside the chain is `_resolve_selections`' to refuse."""
 
     def __init__(self, level: int, summands: tuple, include_abelian: bool = False):
+        if isinstance(level, bool) or not isinstance(level, int):
+            raise ValueError(f"level must be an int, got {level!r}")
+        if not isinstance(summands, tuple) or not all(isinstance(s, str) for s in summands):
+            raise ValueError(f"summands must be a tuple of str, got {summands!r}")
+        if not isinstance(include_abelian, bool):
+            raise ValueError(f"include_abelian must be a bool, got {include_abelian!r}")
         self.__dict__.update(level=level, summands=summands, include_abelian=include_abelian)
 
 
@@ -129,8 +136,8 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     re-padded so the remaining Cartan directions pair off with the remaining
     basic roots; a selection that would need negative padding is left out.
     """
-    if max_level < 0:
-        raise ValueError(f"max_level must be non-negative, got {max_level}")
+    if isinstance(max_level, bool) or not isinstance(max_level, int) or max_level < 0:
+        raise ValueError(f"max_level must be a non-negative int, got {max_level!r}")
     family, rank = factor
     _, levels = root_chain(family, rank)
     group_dim = levels[0][0].dimension
@@ -188,10 +195,6 @@ class VerificationReport:
         return tuple(n for t in self.triples for n in t.nodes)
 
     @property
-    def automorphisms(self) -> tuple:
-        return tuple(a for t in self.triples for a in t.automorphisms)
-
-    @property
     def checks(self) -> dict:
         """TripleResult.checks, the key-wise worst over the factors; a check
         that no factor ran stays None."""
@@ -211,7 +214,7 @@ class VerificationReport:
 
     @property
     def residuals(self) -> dict:
-        """The checks of each structure, {"J": {"snap": ..., ...}, ...}."""
+        """The checks of each structure, {"J": {"integrability": ..., ...}, ...}."""
         nested = {}
         for key, value in self.checks.items():
             structure, _, check = key.rpartition(".")
@@ -233,9 +236,10 @@ class VerificationReport:
             "basic_roots": [
                 {"label": n.label, "coords": [str(c) for c in n.theta.coords], "level": n.level}
                 for n in self.nodes],
+            # the J-kind automorphism of each node, which rotates I into J
             "automorphisms": [
-                {"root": [str(c) for c in a.root.coords], "kind": a.kind, "level": a.level}
-                for a in self.automorphisms],
+                {"root": [str(c) for c in n.theta.coords], "kind": "J", "level": n.level}
+                for n in self.nodes],
             "residuals": self.residuals,
             # the checks of the triple as a whole; "inf" is one not measured
             **{k: float("inf") for k in (*BOUNDS, *RECORDED) if k not in STRUCTURE_CHECKS},

@@ -16,10 +16,13 @@ to evaluate the checks on structures that are not signed permutations
 automorphisms Omega, which `hktlie.autom` reads from f in closed form and
 keeps as one block on its support, are embedded here as D x D matrices,
 composed densely, and computed afresh by conjugation in the representation
-and a trace projection.  The canonical structure, which
+and a trace projection.  The float route to J and K, Omega I Omega^T
+conjugated block by block and snapped to its nearest signed permutation,
+is the reference for the closed form that `hktlie.cstruct.canonical_I`
+reads off f.  The canonical structure, which
 `hktlie.cstruct.canonical_I` builds in one walk of the chain, is built here
 from a separate pairing, signed permutation and block walk, on any pairs of
-Cartan/u(1) axes.  Beside them sit the references that only the
+Cartan/u(1) axes, its block signs read off the float route.  Beside them sit the references that only the
 tests use: a pure u(1) algebra, so(n) built on its rotation generators (the
 generic basis that the direct B and D vector build must reproduce, and the
 B3 spinor on the gamma matrices), f recomputed from the generators, the
@@ -39,10 +42,11 @@ from typing import Sequence
 
 import numpy as np
 
+from hktlie import autom
 from hktlie import rootsys as R
 from hktlie.cstruct import (
     DEFAULT_TOL, Block, ComplexStructure, PairingError, _hull_terms, _integrability_terms,
-    _max_abs, _signed_of, _sum_by_key)
+    _max_abs, _sum_by_key)
 from hktlie.liealg import (
     F_ZERO, AlgebraRep, ConstructionError, StructureConstants, _build_matrix_rep,
     _commutator_entries, _eij, _flat_transposes, _structure_constants, _zero_extend)
@@ -50,6 +54,34 @@ from hktlie.liealg import (
 
 def _matrix_of(x) -> np.ndarray:
     return x.matrix if isinstance(x, ComplexStructure) else np.asarray(x, dtype=float)
+
+
+def signed_permutation(matrix) -> tuple:
+    """(perm, sign, snap): the signed permutation with the entry sign[j] in
+    row perm[j] of column j, read off the largest entry of each column, and
+    snap, the largest entry of |matrix - that permutation|.
+
+    Columns that peak in a repeated row leave the matrix at least 0.5 from
+    every signed permutation, so the snap is then at least 0.5.
+    """
+    m = np.asarray(matrix, dtype=float)
+    cols = np.arange(m.shape[1])
+    perm = np.abs(m).argmax(axis=0)
+    sign = np.where(m[perm, cols] < 0, -1.0, 1.0)
+    diff = m.copy()
+    diff[perm, cols] -= sign
+    snap = float(np.abs(diff).max(initial=0.0))
+    if np.bincount(perm).max(initial=0) > 1:
+        snap = max(snap, 0.5)
+    return perm, sign, snap
+
+
+def structure_of(matrix, blocks: tuple = ()) -> ComplexStructure:
+    """The structure of a float matrix that is a signed permutation to
+    within 1e-12."""
+    perm, sign, snap = signed_permutation(matrix)
+    assert snap <= 1e-12, snap
+    return ComplexStructure(perm, sign, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +276,11 @@ def reference_pairing(rep: AlgebraRep, quotient: Sequence[int] = ()) -> tuple:
     return tuple(zip(t_idx, e_idx))
 
 
-def reference_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
+def reference_blocks(rep: AlgebraRep, pairs: Sequence[tuple], J: np.ndarray) -> tuple:
     """Theta blocks and root quartets of every chain node, in generator
     indices: each pair mu + nu = theta of the node's positive roots, taken
-    once."""
+    once.  A block's sign is the entry J[b2, b0] of the float J on the whole
+    algebra, rounded: J e_b0 = sign e_b2 on +-J0."""
     blocks = []
     partner = dict(pairs)
     for node in R.chain_nodes(rep.chain_levels):
@@ -256,8 +289,9 @@ def reference_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
         order = {r.coords: i for i, r in enumerate(node.positive_roots)}
         t = rep.coroot_axis_index(theta)
         if t in partner:
-            blocks.append(Block((ent.re_index, ent.im_index, t, partner[t]), "theta",
-                                node.level, f"theta block {node.label}"))
+            indices = (ent.re_index, ent.im_index, t, partner[t])
+            blocks.append(Block(indices, "theta", node.level, f"theta block {node.label}",
+                                int(np.rint(J[indices[2], indices[0]]))))
         seen = set()
         for mu in node.positive_roots:
             rest = tuple(a - b for a, b in zip(theta.coords, mu.coords))
@@ -268,7 +302,8 @@ def reference_blocks(rep: AlgebraRep, pairs: Sequence[tuple]) -> tuple:
             e1, e2 = rep.root_entry(first), rep.root_entry(second)
             blocks.append(Block((e1.re_index, e1.im_index, e2.re_index, e2.im_index),
                                 "quartet", node.level,
-                                f"quartet ({first}, {second}) of {node.label}"))
+                                f"quartet ({first}, {second}) of {node.label}",
+                                int(np.rint(J[e2.re_index, e1.re_index]))))
             seen.add(mu.coords)
             seen.add(rest)
     return tuple(blocks)
@@ -279,7 +314,8 @@ def reference_canonical_I(rep: AlgebraRep, quotient: Sequence[int] = (),
     """The canonical structure on the directions outside `quotient`, from the
     pairing, the signed permutation and the blocks in three walks: -i on
     every positive root vector, t -> e on each (t, e) of `pairs`, by default
-    `reference_pairing`."""
+    `reference_pairing`; its blocks take their signs from the float J,
+    `conjugated(rep, I)`."""
     if pairs is None:
         pairs = reference_pairing(rep, quotient)
     perm = np.full(rep.dim, -1)
@@ -294,10 +330,13 @@ def reference_canonical_I(rep: AlgebraRep, quotient: Sequence[int] = (),
     if lost.size:
         raise PairingError(f"generator(s) {lost.tolist()} outside the quotient have no "
                            "partner outside it")
+    whole = np.zeros((rep.dim, rep.dim))
+    whole[perm[tangent], tangent] = sign[tangent]
+    J = conjugated(rep, whole, quotient)
     number = np.cumsum(inside) - 1
     blocks = tuple(Block(tuple(int(number[i]) for i in b.indices), b.kind, b.level,
-                         b.description)
-                   for b in reference_blocks(rep, pairs) if inside[list(b.indices)].all())
+                         b.description, b.sign)
+                   for b in reference_blocks(rep, pairs, J) if inside[list(b.indices)].all())
     return ComplexStructure(number[perm[tangent]], sign[tangent], blocks=blocks)
 
 
@@ -410,7 +449,7 @@ def coo_torsion_via_hull(I, f, tol: float = DEFAULT_TOL) -> np.ndarray:
     """`torsion_via_hull` from the COO kernel of `hktlie.cstruct`: the hull
     terms of the signed permutation of I over the non-zero entries of f,
     summed by index triple into a dense (D, D, D) array."""
-    perm, sign = _signed_of(I)
+    perm, sign = I.perm, I.sign
     resid = _max_abs(f.dim, _integrability_terms(perm, sign, f))
     if resid > tol:
         raise IntegrabilityError(
@@ -483,6 +522,30 @@ def dense_omega(auto, dim: int) -> np.ndarray:
     omega = np.eye(dim)
     omega[np.ix_(auto.support, auto.support)] = auto.block
     return omega
+
+
+def conjugate(m: np.ndarray, automorphisms) -> np.ndarray:
+    """Omega m Omega^T for Omega the ordered product of `automorphisms`,
+    outermost level first (applied first), one block at a time: each touches
+    only the rows and columns of its support."""
+    m = m.copy()
+    for a in sorted(automorphisms, key=lambda a: a.level):
+        s, b = a.support, a.block
+        m[s] = b @ m[s]
+        m[:, s] = m[:, s] @ b.T
+    return m
+
+
+def conjugated(rep: AlgebraRep, m: np.ndarray, quotient: Sequence[int] = (),
+               kind: str = "J") -> np.ndarray:
+    """The float route of the triple: Omega m Omega^T on the whole algebra,
+    Omega the `kind` automorphisms of the chain nodes whose coroot axis lies
+    outside `quotient`.  With m the canonical I on the directions outside
+    the quotient and 0 on it, kind "J" gives J and kind "K" gives K = I J."""
+    removed = set(quotient)
+    return conjugate(m, [autom.automorphism_from_root(rep, n.theta, kind, n.level)
+                         for n in R.chain_nodes(rep.chain_levels)
+                         if rep.coroot_axis_index(n.theta) not in removed])
 
 
 def compose(automorphisms, dim: int) -> np.ndarray:

@@ -111,24 +111,26 @@ def test_closed_form_omega_matches_conjugation_oracle(family, rank):
             assert np.isin(np.abs(omega), A.OMEGA_ENTRIES).all()
 
 
+def node_automorphisms(rep, nodes, kind="J"):
+    return [A.automorphism_from_root(rep, n.theta, kind, n.level) for n in nodes]
+
+
 @pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
 def test_block_conjugation_matches_dense_product(family, rank):
-    """J and the K route, conjugated one block at a time, equal
-    Omega I Omega^T from the dense product of the whole Omega within 1e-15,
-    with the same signed permutation."""
+    """The float route, J and the K route conjugated one block at a time,
+    equals Omega I Omega^T from the dense product of the whole Omega within
+    1e-15, with the same signed permutation, and that is the triple's J and K."""
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
     res = A.build_quaternion_triple(rep)
     I = res.I.matrix
-    for kind in ("J", "K"):
-        autos = [A.automorphism_from_root(rep, a.root, kind, a.level) for a in res.automorphisms]
+    for kind, exact in (("J", res.J), ("K", res.K)):
+        autos = node_automorphisms(rep, res.nodes, kind)
         omega = oracles.compose(autos, rep.dim)
-        got, want = A._conjugate(I, autos), omega @ I @ omega.T
+        got, want = oracles.conjugate(I, autos), omega @ I @ omega.T
         assert np.abs(got - want).max() <= 1e-15
-        (gp, gs, _), (wp, ws, _) = C.signed_permutation(got), C.signed_permutation(want)
+        (gp, gs, _), (wp, ws, _) = map(oracles.signed_permutation, (got, want))
         assert np.array_equal(gp, wp) and np.array_equal(gs, ws)
-    J = C.ComplexStructure.from_matrix(A._conjugate(I, res.automorphisms))
-    assert np.array_equal(res.J.perm, J.perm) and np.array_equal(res.J.sign, J.sign)
-    assert res.J.snap == J.snap
+        assert np.array_equal(exact.perm, gp) and np.array_equal(exact.sign, gs)
 
 
 def test_perturbed_f_row_is_refused():
@@ -147,13 +149,11 @@ def test_perturbed_f_row_is_refused():
 def test_quaternion_residual_stays_at_rounding_above_the_rank_caps(family, rank):
     """Each Omega is read from f and snapped to its exact entries, so it is
     orthogonal to rounding with no Newton-Schulz step; the residual of the
-    exact permutations is 0, and J's snap, which carries the rounding, reads
-    at most 4.4e-16."""
+    exact permutations is 0."""
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
     res = A.build_quaternion_triple(rep)
     assert res.quaternion_residual == 0.0
-    assert res.checks["J.snap"] < 2e-14
-    for auto in res.automorphisms:
+    for auto in node_automorphisms(rep, res.nodes):
         assert oracles.orthogonality_residual(auto, rep.dim) < 1e-15
 
 
@@ -325,14 +325,15 @@ def test_triples_certify(family, rank):
     assert res.quaternion_residual < 1e-9
     m = res.I.matrix @ res.J.matrix + res.J.matrix @ res.I.matrix
     assert np.abs(m).max() < 1e-9            # J anticommutes with I
-    assert res.checks["k_mismatch"] < 1e-9  # K-kind route reproduces I J here
+    # the K-kind route reproduces I J here
+    assert np.abs(oracles.conjugated(rep, res.I.matrix, kind="K") - res.K.matrix).max() < 1e-12
     assert all(t in ("script-J", "minus-script-J") for t in oracles.block_tags(res.J))
 
 
 def test_triple_memory_stays_within_a_fixed_budget():
-    """The triple at A15xU1^1 (D = 256) traces at most 16 MiB: each Omega is
-    conjugated as its block, where a dense D x D matrix per automorphism and
-    their products traced 20.6 MiB."""
+    """The triple at A15xU1^1 (D = 256) traces at most 16 MiB: I, J and K
+    are signed permutations of D entries each, where a dense D x D matrix per
+    automorphism and their products traced 20.6 MiB."""
     import tracemalloc
     rep = L.build_matrix_rep("A", 15, 1)
     tracemalloc.start()
@@ -375,70 +376,132 @@ def test_double_rotation_keeps_complex_structure():
     canonical structure to an integrable complex structure."""
     rep = L.build_matrix_rep("A", 2)
     res = A.build_quaternion_triple(rep)
-    omega = oracles.compose(res.automorphisms, rep.dim)
+    omega = oracles.compose(node_automorphisms(rep, res.nodes), rep.dim)
     twice = omega @ omega
     m = twice @ res.I.matrix @ twice.T
     assert np.abs(m + m.T).max() < 1e-12
     assert np.abs(m @ m + np.eye(rep.dim)).max() < 1e-12
-    assert C.integrability_residual(C.ComplexStructure.from_matrix(m),
-                                    rep.structure_constants()) < 1e-9
+    assert C.integrability_residual(oracles.structure_of(m), rep.structure_constants()) < 1e-9
 
 
 def test_failure_names_first_failed_check():
-    """The quaternion residual of the exact permutations is 0; J's rounding
-    shows in its snap, which a tolerance below 1e-12 bounds."""
-    rep = L.build_matrix_rep("A", 2)
+    """The quaternion residual of the exact permutations is 0; the rounding
+    of f shows in I's integrability on A3xU1^1, which a tolerance of 1e-18
+    fails.  Every residual of A2 is exactly 0, so it certifies even there."""
+    rep = L.build_matrix_rep("A", 3, 1)
     res = A.build_quaternion_triple(rep, tol=1e-18)
     assert not res.certified
     assert res.quaternion_residual == 0.0
-    assert res.failure == ("J.snap", res.checks["J.snap"], 1e-18)
-    assert res.message == "J.snap 2.2e-16 above 1e-18"
+    assert res.failure == ("I.integrability", res.checks["I.integrability"], 1e-18)
+    assert res.message == "I.integrability 1.1e-16 above 1e-18"
     assert A.build_quaternion_triple(rep).failure is None
+    assert A.build_quaternion_triple(L.build_matrix_rep("A", 2), tol=1e-18).certified
 
 
 @pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
 def test_dense_quaternion_oracle_on_the_float_conjugation(family, rank):
-    """The dense residual of I, the float J = Omega I Omega^T before its snap
-    (on a group manifold the tangent is the whole algebra) and their
-    product stays within tol, where the certificate's reads 0."""
+    """The dense residual of I, the float J = Omega I Omega^T (on a group
+    manifold the tangent is the whole algebra) and their product stays
+    within tol, where the certificate's reads 0."""
     rep = L.build_matrix_rep(family, rank, required_padding([(family, rank)]))
     res = A.build_quaternion_triple(rep)
     I = res.I.matrix
-    J = A._conjugate(I, res.automorphisms)
+    J = oracles.conjugated(rep, I)
     assert res.quaternion_residual == 0.0
     assert oracles.quaternion_residual(I, J, I @ J) <= C.DEFAULT_TOL
 
 
+def with_J(monkeypatch, change):
+    """Make every triple's J, as `cstruct._canonical` builds it, pass through
+    `change(perm, sign, blocks)`, which returns its new (perm, sign)."""
+    real = C._canonical
+
+    def changed(rep, quotient):
+        I, J, leak = real(rep, quotient)
+        perm, sign = change(J.perm.copy(), J.sign.copy(), J.blocks)
+        return I, C.ComplexStructure(perm, sign, J.blocks), leak
+
+    monkeypatch.setattr(C, "_canonical", changed)
+
+
 def test_flipped_sign_in_J_fails_the_quaternion_check(monkeypatch):
-    """One entry of the float J negated still snaps, with snap 0 off
-    rounding, but J no longer squares to -1: quaternion and J.square read at
-    least 1 and the verdict is failed."""
+    """One entry of J negated: J no longer squares to -1, so quaternion and
+    J.square read at least 1 and the verdict is failed."""
     from hktlie import spaces
     from hktlie.cli import parse_space_string
     rep = L.build_matrix_rep("A", 2)
     res = A.build_quaternion_triple(rep)
-    J = A._conjugate(res.I.matrix, res.automorphisms)
-    a, b = np.argwhere(np.abs(J) > 0.5)[0]
-    J[a, b] = -J[a, b]
-    bad = C.ComplexStructure.from_matrix(J)
-    assert bad.snap < 1e-12
-    K = C.ComplexStructure.from_matrix(res.I.matrix @ bad.matrix)
+    sign = res.J.sign.copy()
+    sign[0] = -sign[0]
+    bad = C.ComplexStructure(res.J.perm.copy(), sign)
+    K = C.ComplexStructure(*C._product((res.I.perm, res.I.sign), (bad.perm, bad.sign)))
     assert C.quaternion_residual(res.I, bad, K) >= 1.0
     assert bad.square_residual() >= 1.0
 
-    real = A._conjugate
+    def flip_one_entry(perm, sign, blocks):
+        sign[0] = -sign[0]
+        return perm, sign
 
-    def flip(m, automorphisms):
-        out = real(m, automorphisms)
-        if automorphisms[0].kind == "J":
-            out[a, b] = -out[a, b]
-        return out
-
-    monkeypatch.setattr(A, "_conjugate", flip)
+    with_J(monkeypatch, flip_one_entry)
     res = A.build_quaternion_triple(rep)
     assert res.checks["quaternion"] >= 1.0 and res.checks["J.square"] >= 1.0
     assert res.failure[0] == "quaternion"
     assert spaces.build_coset_triple(parse_space_string("A2")).verdict == "failed"
+
+
+def test_one_block_sign_flipped_fails_the_certificate(monkeypatch):
+    """J with its sign flipped on any one block of A8, and K = I J
+    recomposed, is still a quaternion triple of signed permutations, but not
+    integrable: the certificate fails on J's or K's integrability."""
+    rep = L.build_matrix_rep("A", 8)
+    flipped = []
+
+    def flip_block(perm, sign, blocks):
+        at = list(blocks[len(flipped)].indices)
+        flipped.append(at)
+        sign[at] = -sign[at]
+        return perm, sign
+
+    with_J(monkeypatch, flip_block)
+    for _ in range(20):
+        res = A.build_quaternion_triple(rep)
+        assert res.checks["quaternion"] == 0.0 and res.checks["J.square"] == 0.0
+        assert res.failure[0] in ("J.integrability", "K.integrability")
+    assert len(flipped) == len(res.I.blocks) == 20
+
+
+def test_a_zero_block_sign_fails_the_square_and_quaternion_checks(monkeypatch):
+    """A block whose sign f gives as 0 sends its directions to 0: J does not
+    square to -1 and the quaternion check fails, with no branch of its own."""
+    rep = L.build_matrix_rep("A", 3, 1)
+
+    def zero_block(perm, sign, blocks):
+        sign[list(blocks[-1].indices)] = 0.0
+        return perm, sign
+
+    with_J(monkeypatch, zero_block)
+    res = A.build_quaternion_triple(rep)
+    assert res.checks["quaternion"] >= 1.0 and res.checks["J.square"] >= 1.0
+    assert res.failure[0] == "quaternion"
+
+
+def test_quotient_off_the_centralizers_leaks():
+    """The generators 0 and 1 of A2 are no centralizer summand: the blocks
+    that hold them are partly outside the quotient, so J would send their
+    other directions into it.  The leak reads 1 and the message names the
+    first such direction and where J sends it."""
+    res = A.build_quaternion_triple(L.build_matrix_rep("A", 2), quotient=[0, 1])
+    assert not res.certified
+    assert res.checks["invariance_leak"] == 1.0 > 1e-12
+    assert res.message.endswith("; J leaks out of index 2 into quotient index 0")
+
+
+def test_direction_in_no_block_leaks():
+    """A1xU1^1 over its coroot and u(1) axes keeps the root pair, which then
+    lies in no block: the leak reads 1 and the message says so."""
+    res = A.build_quaternion_triple(L.build_matrix_rep("A", 1, 1), quotient=[2, 3])
+    assert res.checks["invariance_leak"] == 1.0
+    assert res.message.endswith("; J leaks out of index 0, which lies in no block")
 
 
 @pytest.fixture
@@ -458,9 +521,8 @@ def recorded_triples(monkeypatch):
 
 def test_quotient_structures_live_on_the_tangent(recorded_triples):
     """On every catalog quotient, I, J and K act on the directions outside
-    the quotient, are signed permutations within the snap bound and square
-    to -1 exactly; the dense oracle on the float J, restricted to those
-    directions, stays within tol."""
+    the quotient and square to -1 exactly; the dense oracle on the float J,
+    restricted to those directions, stays within tol."""
     from hktlie import spaces
     for factor in CLI_RANGE:
         for spec in spaces.enumerate_quotients(factor):
@@ -470,19 +532,39 @@ def test_quotient_structures_live_on_the_tangent(recorded_triples):
     for rep, quotient, res in recorded_triples:
         for s in (res.I, res.J, res.K):
             assert s.dim == res.dimension
-            assert s.snap <= 1e-12
             assert s.square_residual() == 0.0
         tangent = np.setdiff1d(np.arange(rep.dim), quotient)
         whole = np.zeros((rep.dim, rep.dim))
         whole[np.ix_(tangent, tangent)] = res.I.matrix
-        J = A._conjugate(whole, res.automorphisms)[np.ix_(tangent, tangent)]
+        J = oracles.conjugated(rep, whole, quotient)[np.ix_(tangent, tangent)]
         assert oracles.quaternion_residual(res.I, J, res.I.matrix @ J) <= C.DEFAULT_TOL
 
 
-def test_k_mismatch_recorded_not_asserted():
-    rep = L.build_matrix_rep("B", 3, 3)
-    res = A.build_quaternion_triple(rep)
-    assert np.isfinite(res.checks["k_mismatch"])
+@pytest.mark.parametrize("family,rank", CLI_RANGE + ABOVE_CAPS)
+def test_closed_form_is_the_float_route_on_every_quotient(family, rank, recorded_triples):
+    """On every enumerated quotient, group manifold included, J and K are the
+    signed permutations of the float route, J = Omega I Omega^T and I J,
+    read off within 1e-12, and the K-kind route gives K within 1e-12;
+    nothing leaks out of the tangent directions."""
+    from hktlie import spaces
+    specs = spaces.enumerate_quotients((family, rank))
+    for spec in specs:
+        spaces.build_coset_triple(spec)
+    assert len(recorded_triples) == len(specs)
+    for rep, quotient, res in recorded_triples:
+        tangent = np.ix_(*[np.setdiff1d(np.arange(rep.dim), quotient)] * 2)
+        whole = np.zeros((rep.dim, rep.dim))
+        whole[tangent] = res.I.matrix
+        J = oracles.conjugated(rep, whole, quotient)
+        assert np.abs(J[np.ix_(quotient, range(rep.dim))]).max(initial=0.0) <= 1e-12
+        J = J[tangent]
+        for exact, route in ((res.J, J), (res.K, res.I.matrix @ J)):
+            perm, sign, snap = oracles.signed_permutation(route)
+            assert snap <= 1e-12
+            assert np.array_equal(exact.perm, perm) and np.array_equal(exact.sign, sign)
+        K = oracles.conjugated(rep, whole, quotient, kind="K")[tangent]
+        assert np.abs(K - res.K.matrix).max() <= 1e-12
+        assert res.checks["invariance_leak"] == 0.0
 
 
 def test_triple_reports_torsion_match():

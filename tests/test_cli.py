@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hktlie import cli, rootsys, spaces
 from hktlie.cstruct import MIN_FD_STEP
 
+import oracles
 from conftest import CLI_RANGE
 
 
@@ -641,12 +643,27 @@ def test_parser_and_library_read_every_label_alike(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", CLI_RANGE)
-def test_catalog_certificates_agree_on_the_k_route(capsys, family, rank):
-    """K = I J and the K-kind automorphisms give the same K on the tangent
-    directions of every catalog space, quotients included."""
+def test_catalog_certificates_agree_on_the_k_route(capsys, monkeypatch, family, rank):
+    """K = I J and the K-kind automorphisms give the same K within 1e-12 on
+    the tangent directions of every catalog space, quotients included."""
+    from hktlie import autom
+    triples = []
+    real = autom.build_quaternion_triple
+
+    def record(rep, tol, fd_step, quotient):
+        triples.append((rep, quotient, real(rep, tol, fd_step, quotient)))
+        return triples[-1][2]
+
+    monkeypatch.setattr(autom, "build_quaternion_triple", record)
     code, out, _ = run(capsys, "--json", "catalog", family, str(rank), "--verify")
     assert code == cli.EXIT_OK
-    assert max(doc["k_mismatch"] for doc in json.loads(out)) <= 1e-12
+    assert len(triples) == len(json.loads(out))
+    for rep, quotient, res in triples:
+        tangent = np.ix_(*[np.setdiff1d(np.arange(rep.dim), quotient)] * 2)
+        whole = np.zeros((rep.dim, rep.dim))
+        whole[tangent] = res.I.matrix
+        K = oracles.conjugated(rep, whole, quotient, kind="K")[tangent]
+        assert np.abs(K - res.K.matrix).max() <= 1e-12
 
 
 def test_canonical_json_formatting():
@@ -684,28 +701,37 @@ def test_catalog_verify_json_full_reports(capsys):
 
 
 def test_verify_residual_failure_exit_code(capsys):
-    # machine-precision rounding cannot beat a 1e-18 tolerance; it shows in J's snap
-    code, out, _ = run(capsys, "--tol", "1e-18", "verify", "A2")
+    # the rounding of f on A3xU1^1 cannot beat a 1e-18 tolerance; it shows in
+    # I's integrability.  Every residual of A2 is exactly 0, so A2 certifies
+    code, out, _ = run(capsys, "--tol", "1e-18", "verify", "A3xU1^1")
     assert code == 1
-    assert "verdict: failed (J.snap 2.2e-16 above 1e-18)" in out
+    assert "verdict: failed (I.integrability 1.1e-16 above 1e-18)" in out
+    code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A3xU1^1")
+    assert code == 1
+    assert json.loads(out)["message"] == "I.integrability 1.1e-16 above 1e-18"
     code, out, _ = run(capsys, "--json", "--tol", "1e-18", "verify", "A2")
-    assert code == 1
-    assert json.loads(out)["message"] == "J.snap 2.2e-16 above 1e-18"
+    assert code == 0
+    assert json.loads(out)["verdict"] == "certified"
 
 
 def test_catalog_max_residual_covers_the_failing_check(capsys):
-    """A row's max residual is at least the snap of J that fails it."""
-    _, out, _ = run(capsys, "--json", "--tol", "1e-18", "catalog", "A", "2", "--verify")
-    snap = {d["name"]: d["residuals"]["J"]["snap"] for d in json.loads(out)}
-    code, out, _ = run(capsys, "--tol", "1e-18", "catalog", "A", "2", "--verify")
+    """A row's max residual is at least the integrability of I that fails
+    it; the rows of A3 whose residuals are all exactly 0 certify."""
+    _, out, _ = run(capsys, "--json", "--tol", "1e-18", "catalog", "A", "3", "--verify")
+    integ = {d["name"]: d["residuals"]["I"]["integrability"] for d in json.loads(out)}
+    code, out, _ = run(capsys, "--tol", "1e-18", "catalog", "A", "3", "--verify")
     assert code == cli.EXIT_FAILED
     rows = out.splitlines()
-    assert len(rows) == len(snap) == 2
+    assert len(rows) == len(integ) == 4
     for row in rows:
-        name = row.partition(" [")[0].rstrip()
-        assert f"failed (J.snap {snap[name]:.2g} above 1e-18)" in row
+        name = row.rpartition(" [")[0].rstrip()        # a name may hold " [U(1)]^2"
         shown = float(row.rpartition("(max residual ")[2].rstrip(")"))
-        assert shown >= float(f"{snap[name]:.2e}")
+        if integ[name] == 0.0:
+            assert "certified" in row and shown == 0.0
+            continue
+        assert f"failed (I.integrability {integ[name]:.2g} above 1e-18)" in row
+        assert shown >= float(f"{integ[name]:.2e}")
+    assert sorted(integ.values()) == [0.0, 0.0, 1.1102230246251565e-16, 1.1102230246251565e-16]
 
 
 #: the keys of a certificate that are not checks

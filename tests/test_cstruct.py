@@ -300,22 +300,11 @@ def test_nijenhuis_matches_dense_oracle(family, rank):
         assert abs(got - oracles.nijenhuis_dense(rep, s, step=1e-4)) <= 1e-13
 
 
-def test_nijenhuis_refuses_non_permutation():
-    """Away from a signed permutation the kernel raises and names the snap
-    distance; the certificate then reports an infinite Nijenhuis value."""
-    rep, I = canonical("A", 2)
-    for m in (oracles.random_complex_structure(rep.dim, np.random.default_rng(3)),
-              I.matrix + 1e-9):
-        s = C.ComplexStructure.from_matrix(m)
-        with pytest.raises(ValueError, match=f"{s.snap:.3e} from the nearest signed permutation"):
-            C.nijenhuis_at_origin(rep, s, step=1e-4)
-
-
 @pytest.mark.parametrize("step", [1e-320, 5e-324, 0.0])
 def test_subnormal_fd_step_is_refused_by_the_library(step):
     """The library entry points refuse a subnormal step, which gave 0 or 1
-    with RuntimeWarnings, before any snap refusal could turn it into inf,
-    and a zero step, with which the triples skipped the check and certified."""
+    with RuntimeWarnings, and a zero step, with which the triples skipped
+    the check and certified."""
     from hktlie.cli import parse_space_string
     from hktlie.spaces import build_coset_triple
     rep, I = canonical("A", 2)
@@ -326,16 +315,6 @@ def test_subnormal_fd_step_is_refused_by_the_library(step):
     for space in ("A2", "A3"):      # admissible or not
         with pytest.raises(ValueError, match=r"fd-step must lie in \[2.98e-154, 1e-2\]"):
             build_coset_triple(parse_space_string(space), fd_step=step)
-
-
-def test_refused_nijenhuis_is_reported_infinite(monkeypatch):
-    def refuse(rep, I, step=1e-4):
-        raise ValueError("structure is 1.000e-06 from the nearest signed permutation")
-
-    monkeypatch.setattr(C, "nijenhuis_at_origin", refuse)
-    result = A.build_quaternion_triple(L.build_matrix_rep("A", 2), fd_step=1e-4)
-    assert [result.checks[f"{s}.nijenhuis"] for s in "IJK"] == [np.inf] * 3
-    assert result.failure == ("I.nijenhuis", np.inf, 1e-5)
 
 
 def test_nijenhuis_memory_stays_within_a_fixed_budget():
@@ -391,7 +370,7 @@ def test_nijenhuis_path_builds_no_dense_f():
 # quaternion residual
 
 def thooft(*matrices):
-    return [C.ComplexStructure.from_matrix(m) for m in matrices]
+    return [oracles.structure_of(m) for m in matrices]
 
 
 def test_quaternion_thooft_triple():
@@ -513,12 +492,13 @@ def test_spin7_quartet_decompositions_of_theta():
 def test_bounds_table_and_first_failure():
     tol = 1e-9
     assert {k: b(tol) for k, b in C.BOUNDS.items()} == {
-        "quaternion": tol, "invariance_leak": 1e-12, "snap": 1e-12, "integrability": tol,
+        "quaternion": tol, "invariance_leak": 1e-12, "integrability": tol,
         "square": tol, "bismut": 1e-12, "torsion_match": 10 * tol, "nijenhuis": 1e-5}
-    assert list(C.BOUNDS)[:3] == ["quaternion", "invariance_leak", "snap"]
-    assert C.STRUCTURE_CHECKS == ("snap", "integrability", "square", "bismut",
-                                  "torsion_match", "nijenhuis")
-    assert C.first_failure([("k_mismatch", 1.0), ("coset_closure", 1.0)], tol) is None
+    assert list(C.BOUNDS)[:2] == ["quaternion", "invariance_leak"]
+    assert C.STRUCTURE_CHECKS == ("integrability", "square", "bismut", "torsion_match",
+                                  "nijenhuis")
+    assert C.RECORDED == ("coset_closure",)
+    assert C.first_failure([("coset_closure", 1.0)], tol) is None
     values = [("quaternion", 1e-15), ("invariance_leak", 0.0), ("J.nijenhuis", None),
               ("J.bismut", 2e-12), ("K.square", 1.0)]
     assert C.first_failure(values, tol) == ("J.bismut", 2e-12, 1e-12)
@@ -552,7 +532,6 @@ def assert_report_matches_oracles(matrix, coo, tol, report):
     integ = oracles.integrability_residual(matrix, f)
     want = {"integrability": integ, "bismut": oracles.bismut_residual(matrix, f),
             "torsion_match": oracles.torsion_match(matrix, f) if integ <= tol else np.inf}
-    assert report["snap"] <= C.BOUNDS["snap"](tol)
     for check, value in want.items():
         got = report[check]
         assert got == value or abs(got - value) <= 1e-13, (check, got, value)
@@ -605,8 +584,7 @@ def test_random_signed_permutations_are_not_integrable(family, rank, u1):
     rng = np.random.default_rng(17)
     for _ in range(10):
         m = random_signed_permutation_structure(rep.dim, rng)
-        structure = C.ComplexStructure.from_matrix(m)
-        assert structure.snap == 0.0
+        structure = oracles.structure_of(m)
         assert np.array_equal(structure.matrix, m)
         ours = C.integrability_residual(structure, f)
         assert ours > 0.1 and oracles.integrability_residual(m, f) > 0.1
@@ -617,34 +595,14 @@ def test_random_signed_permutations_are_not_integrable(family, rank, u1):
         assert C.geometry_report(structure, f)["torsion_match"] == np.inf
 
 
-def test_rotated_structure_is_refused():
-    """A canonical structure turned by a small rotation is no signed
-    permutation: the kernels refuse it and the report's snap says why."""
-    rep, I = canonical("A", 2)
-    f = rep.structure_constants()
-    angle = 1e-6
-    rot = np.eye(rep.dim)
-    rot[0, 0] = rot[2, 2] = np.cos(angle)
-    rot[2, 0], rot[0, 2] = np.sin(angle), -np.sin(angle)
-    s = C.ComplexStructure.from_matrix(rot @ I.matrix @ rot.T)
-    for kernel in (C.integrability_residual, C.bismut_residual, oracles.coo_torsion_via_hull):
-        with pytest.raises(ValueError, match="from the nearest signed permutation"):
-            kernel(s, f)
-    report = C.geometry_report(s, f)
-    assert 1e-12 < report["snap"] < 1e-5
-    assert report["square"] == 0.0
-    assert report["integrability"] == report["bismut"] == report["torsion_match"] == np.inf
-    failure = C.first_failure(report.items(), C.DEFAULT_TOL)
-    assert failure == ("snap", report["snap"], 1e-12)
-
-
 def test_snap_of_repeated_rows_is_at_least_one_half():
+    """The oracle that reads the float route's signed permutation."""
     m = np.zeros((4, 4))
     m[0, 0] = m[0, 1] = 1.0       # two columns peak in row 0
     m[2, 3], m[3, 2] = -1.0, 1.0
-    perm, sign, snap = C.signed_permutation(m)
+    perm, sign, snap = oracles.signed_permutation(m)
     assert snap >= 0.5
-    assert C.signed_permutation(np.eye(4)[[1, 0, 3, 2]] * -1.0)[2] == 0.0
+    assert oracles.signed_permutation(np.eye(4)[[1, 0, 3, 2]] * -1.0)[2] == 0.0
 
 
 def test_sparse_torsion_matches_dense_oracle():
@@ -680,7 +638,9 @@ def test_structure_arrays_are_write_protected_and_its_matrix_cached():
         s.perm[0] = 0
     assert s.matrix is s.matrix and not s.matrix.flags.writeable
     assert s.matrix.tolist() == [[0.0, -1.0], [1.0, 0.0]]
-    assert (s.snap, s.blocks) == (0.0, ())
-    block = C.Block((0, 1, 2, 3), "theta", 0, "A1")
-    assert block == C.Block((0, 1, 2, 3), "theta", 0, "A1") and len({block, block}) == 1
-    assert repr(block) == "Block(indices=(0, 1, 2, 3), kind='theta', level=0, description='A1')"
+    assert s.blocks == ()
+    block = C.Block((0, 1, 2, 3), "theta", 0, "A1", 1)
+    assert block == C.Block((0, 1, 2, 3), "theta", 0, "A1", 1) and len({block, block}) == 1
+    assert block != C.Block((0, 1, 2, 3), "theta", 0, "A1", -1)
+    assert repr(block) == ("Block(indices=(0, 1, 2, 3), kind='theta', level=0, "
+                           "description='A1', sign=1)")

@@ -36,8 +36,7 @@ def without_matrices(rep: L.AlgebraRep) -> L.AlgebraRep:
 def assert_same_triple(got, want):
     for name in ("I", "J", "K"):
         assert np.array_equal(getattr(got, name).matrix, getattr(want, name).matrix)
-    assert [(a.support.tolist(), a.block.tolist()) for a in got.automorphisms] == \
-        [(a.support.tolist(), a.block.tolist()) for a in want.automorphisms]
+    assert got.nodes == want.nodes and got.I.blocks == want.I.blocks
     for name in ("dimension", "checks", "failure", "message"):
         assert getattr(got, name) == getattr(want, name), name
 

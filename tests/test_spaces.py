@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -147,7 +148,7 @@ def test_coset_certification(spec, dim, n_autos):
     report = S.build_coset_triple(spec)
     assert report.verdict == "certified"
     assert report.dimension == dim
-    assert len(report.automorphisms) == n_autos
+    assert len(report.nodes) == len(report.to_json_dict()["automorphisms"]) == n_autos
     assert report.checks["invariance_leak"] <= 1e-12
     assert report.checks["quaternion"] < 1e-9
     for r in report.residuals.values():
@@ -157,18 +158,18 @@ def test_coset_certification(spec, dim, n_autos):
 
 def test_su4_mod_su2_uses_only_outer_automorphism():
     report = S.build_coset_triple(Spec((("A", 3),), 0, (Sel(1, ("A1:beta",), False),)))
-    [auto] = report.automorphisms
-    assert auto.level == 0 and auto.kind == "J"
-    assert auto.root.coords == (1, 0, 0, -1)
+    [auto] = report.to_json_dict()["automorphisms"]
+    assert auto == {"root": ["1", "0", "0", "-1"], "kind": "J", "level": 0}
     [node] = report.nodes
-    assert (node.label, node.theta, node.level) == ("A3", auto.root, 0)
+    assert (node.label, node.theta.coords, node.level) == ("A3", (1, 0, 0, -1), 0)
 
 
 def test_spin7_mod_su2alpha_converts_theta_and_gamma():
     report = S.build_coset_triple(Spec((("B", 3),), 2, (Sel(1, ("A1:alpha",), False),)))
-    roots = sorted(a.root.coords for a in report.automorphisms)
+    roots = sorted(n.theta.coords for n in report.nodes)
     assert roots == [(0, 0, 1), (1, 1, 0)]
-    assert [n.theta for n in report.nodes] == [a.root for a in report.automorphisms]
+    assert [[str(c) for c in n.theta.coords] for n in report.nodes] == \
+        [a["root"] for a in report.to_json_dict()["automorphisms"]]
 
 
 def test_empty_quotient_matches_group_verification():
@@ -210,10 +211,11 @@ def test_multi_factor_product():
     report = S.build_coset_triple(spec)
     assert report.verdict == "certified"
     assert report.dimension == 4 + 24
-    assert len(report.nodes) == len(report.automorphisms) == 1 + 3
+    autos = report.to_json_dict()["automorphisms"]
+    assert len(report.nodes) == len(autos) == 1 + 3
     assert [n.label for n in report.nodes] == ["A1", "B3", "A1:alpha", "A1:gamma"]
-    assert [a.level for a in report.automorphisms] == [0, 0, 1, 1]
-    assert {a.kind for a in report.automorphisms} == {"J"}
+    assert [a["level"] for a in autos] == [0, 0, 1, 1]
+    assert {a["kind"] for a in autos} == {"J"}
 
 
 def test_product_report_is_its_factors_triples():
@@ -229,8 +231,6 @@ def test_product_report_is_its_factors_triples():
         assert got.dimension == want.dimension == got.I.dim
     assert report.dimension == sum(t.dimension for t in report.triples) == 32
     assert report.nodes == report.triples[0].nodes + report.triples[1].nodes
-    assert report.automorphisms == (report.triples[0].automorphisms
-                                    + report.triples[1].automorphisms)
     # one combine: the key-wise worst, None for a check that no factor ran
     assert list(report.checks) == list(report.triples[0].checks)
     for key, value in report.checks.items():
@@ -246,12 +246,12 @@ def test_product_report_is_its_factors_triples():
 def test_not_admissible_report_holds_no_triple():
     report = S.build_coset_triple(Spec((("A", 3),), 0))
     assert report.triples == () and report.dimension == 0
-    assert report.nodes == report.automorphisms == ()
+    assert report.nodes == ()
     assert report.checks == {} and report.residuals == {}
     doc = report.to_json_dict()
     # "inf" is a check of the triple as a whole that was not measured
-    whole = ("quaternion", "invariance_leak", "k_mismatch", "coset_closure")
-    assert [doc[k] for k in whole] == [float("inf")] * 4
+    whole = ("quaternion", "invariance_leak", "coset_closure")
+    assert [doc[k] for k in whole] == [float("inf")] * 3
     assert doc["basic_roots"] == doc["automorphisms"] == [] and doc["residuals"] == {}
 
 
@@ -411,6 +411,50 @@ def test_library_refuses_the_tolerances_the_cli_refuses(capsys, tol):
         with pytest.raises(ValueError) as exc:
             build()
         assert err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("value", ["1e-9", None])
+def test_library_refuses_a_tolerance_that_is_no_real_number(value):
+    """A tolerance or step that is no real number once ended in a bare
+    TypeError from a comparison; None for fd_step is the check not run."""
+    spec, rep = Spec((("A", 2),), 0), L.build_matrix_rep("A", 2)
+    for build in (lambda: S.build_coset_triple(spec, tol=value),
+                  lambda: A.build_quaternion_triple(rep, tol=value)):
+        with pytest.raises(ValueError, match=f"^tolerance must be a real number, got {value!r}$"):
+            build()
+    step = value or "x"
+    for build in (lambda: S.build_coset_triple(spec, fd_step=step),
+                  lambda: A.build_quaternion_triple(rep, fd_step=step)):
+        with pytest.raises(ValueError, match=f"^fd-step must be a real number, got {step!r}$"):
+            build()
+
+
+#: records built with a field of the wrong type, and the ValueError each raises
+WRONG_TYPES = {
+    "level 1.0": (lambda: Sel(1.0, (), True), "level must be an int, got 1.0"),
+    "level True": (lambda: Sel(True, ("A1",)), "level must be an int, got True"),
+    "summands str": (lambda: Sel(1, "A1:gamma"),
+                     "summands must be a tuple of str, got 'A1:gamma'"),
+    "summands list": (lambda: Sel(1, ["A1"]), "summands must be a tuple of str, got ['A1']"),
+    "summand int": (lambda: Sel(1, (1,)), "summands must be a tuple of str, got (1,)"),
+    "include_abelian str": (lambda: Sel(1, ("A1",), "yes"),
+                            "include_abelian must be a bool, got 'yes'"),
+    "max_level 1.5": (lambda: S.enumerate_quotients(("A", 3), 1.5),
+                      "max_level must be a non-negative int, got 1.5"),
+    "max_level True": (lambda: S.enumerate_quotients(("A", 3), True),
+                       "max_level must be a non-negative int, got True"),
+}
+
+
+@pytest.mark.parametrize("probe", WRONG_TYPES)
+def test_a_field_of_the_wrong_type_is_refused_by_name(probe):
+    """`LevelSelection(1.0, (), True)` ended in a bare TypeError,
+    `LevelSelection(True, ("A1",))` certified and wrote "level": true, and a
+    string of summands was read letter by letter; `enumerate_quotients`
+    read True as level 1."""
+    build, message = WRONG_TYPES[probe]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_enumerate_quotients_refuses_a_negative_max_level(capsys):
