@@ -8,7 +8,10 @@ tensor contractions:
 
   * integrability:  f_ABC - (IIf)_ABC - (IIf)_BCA - (IIf)_CAB = 0,
   * Bismut constancy at the origin (an identity for any antisymmetric I),
-  * the torsion of the Bismut connection equals f itself,
+  * the torsion of the Bismut connection equals f itself (for an orthogonal
+    I with I I = -1 the hull torsion minus f is exactly minus the
+    integrability tensor, so this restates integrability through its own
+    kernel, a runtime cross-check like Bismut's),
   * the Nijenhuis tensor, evaluated by Richardson-extrapolated central
     differences of the coordinate field I_M^N(x) = (e I e^-1)_M^N built
     from the second-order vielbein e, along every direction x = +-h e_m.

@@ -10,8 +10,9 @@ Nothing above this module reads a matrix, only f and the root table.
 
 Nothing is solved for: each Chevalley root vector is a closed form in its
 root's integer coordinates (Fulton and Harris, Representation Theory,
-sections 15-20), and the Cartan axes are orthonormalised as rank-sized
-functionals, since Tr(h(u) h(v)) / C = kappa u . v in every representation.
+sections 15-20), and every Cartan axis is a closed form, a basic coroot or
+a node's `abelian_axis`, scaled to unit length as a rank-sized functional,
+since Tr(h(u) h(v)) / C = kappa u . v in every representation.
 
 One representation per family: defining for A_n (dim n+1) and C_n (dim 2n),
 vector for B_n (dim 2n+1) and D_n (dim 2n).
@@ -67,9 +68,8 @@ class CsaAxis(_Frozen):
                              root=root, functional=functional)
 
 
-#: entries of f_ABC and of the generators at or below this magnitude are
-#: rounding: up to A13 and D10 it stays below 1e-15 in both, and the smallest
-#: true entry of f is 0.091
+#: entries of f_ABC at or below this magnitude are rounding: up to A13 and
+#: D10 it stays below 1e-15, and the smallest true entry of f is 0.091
 F_ZERO = 1e-12
 
 #: the largest |[t_a, t_b] - i f_abc t_c| of a built algebra
@@ -161,12 +161,10 @@ def _eij(d, i, j):
 
 def _raw_basis(family: str, rank: int) -> tuple:
     """The family's one representation, in closed form, as the tuple
-    (d, embed, root_vector, candidates, kind): the matrix size d; `embed`,
-    the Cartan matrix h of a functional w, with alpha(h) = w . alpha;
-    `root_vector`, E_alpha up to a positive scale from a positive root's
-    coordinates; `candidates`, the deterministic seeds of the leftover Cartan
-    axes; and `kind`, "defining" or "vector".  `root_chain` has checked the
-    family."""
+    (d, embed, root_vector, kind): the matrix size d; `embed`, the Cartan
+    matrix h of a functional w, with alpha(h) = w . alpha; `root_vector`,
+    E_alpha up to a positive scale from a positive root's coordinates; and
+    `kind`, "defining" or "vector".  `root_chain` has checked the family."""
     if family == "A":
         d = rank + 1
 
@@ -176,13 +174,7 @@ def _raw_basis(family: str, rank: int) -> tuple:
         def root_vector(a):             # e_i - e_j -> E_ij
             return _eij(d, a.index(1), a.index(-1))
 
-        cands = []
-        for k in range(1, d):
-            v = np.zeros(d)
-            v[:k] = 1.0
-            v[k] = -float(k)
-            cands.append(v)
-        return d, embed, root_vector, cands, "defining"
+        return d, embed, root_vector, "defining"
 
     if family == "C":
         n = rank
@@ -199,7 +191,7 @@ def _raw_basis(family: str, rank: int) -> tuple:
                 return _eij(d, i, j) - _eij(d, n + j, n + i)
             return _eij(d, i, n + j) + _eij(d, j, n + i)
 
-        return d, embed, root_vector, list(np.eye(n)), "defining"
+        return d, embed, root_vector, "defining"
 
     # B and D, so(d) on C^d: the Cartan matrix of w rotates plane (2k, 2k+1)
     # by w_k; the root vector of e_k +- e_l is v w^T - w v^T for the weight
@@ -225,55 +217,36 @@ def _raw_basis(family: str, rank: int) -> tuple:
         w = weight(l, a[l]) if l != k else np.eye(d)[2 * rank]
         return np.outer(v, w) - np.outer(w, v)
 
-    return d, embed, root_vector, list(np.eye(rank)), "vector"
+    return d, embed, root_vector, "vector"
 
 
 # ---------------------------------------------------------------------------
 # adapted Cartan axes and Chevalley root vectors
 
-def _gram_schmidt(vectors, kappa: float) -> list:
-    """Orthonormalize functionals under kappa u . v, dropping null vectors."""
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = v - kappa * (b @ v) * b
-        norm = np.sqrt(kappa * (v @ v))
-        if norm > 1e-10:
-            basis.append(v / norm)
-    return basis
-
-
-def _adapted_csa(levels, embed, candidates, C: float, first_index: int) -> tuple:
-    """Cartan axes numbered from `first_index`, their functionals orthonormal
-    under Tr(embed(u) embed(v)) / C = kappa u . v: unit basic-coroot axes,
-    then leftover axes per node, each seeded by one of `candidates`."""
-    h = embed(np.eye(candidates[0].size)[0])
-    kappa = np.real(np.trace(h @ h)) / C
+def _adapted_csa(levels, embed, C: float, first_index: int) -> tuple:
+    """Cartan axes numbered from `first_index`, their functionals unit
+    under Tr(embed(u) embed(v)) / C = kappa u . v: the basic-coroot axes,
+    then each node's `abelian_axis`, all mutually orthogonal by the chain."""
     nodes = chain_nodes(levels)
+    h = embed(np.eye(len(nodes[0].theta.coords))[0])
+    kappa = np.real(np.trace(h @ h)) / C
     axes = []
 
     def add(kind, node, root, w):
+        w = _np_coords(w)
         axes.append(CsaAxis(first_index + len(axes), kind, node.level, node.label, root,
                             w / np.sqrt(kappa * (w @ w))))
 
     for node in nodes:
-        add("coroot", node, node.theta, _np_coords(coroot(node.theta)))
+        add("coroot", node, node.theta, coroot(node.theta))
     for node in nodes:
-        span = _gram_schmidt([_np_coords(s.coords) for s in node.simple_roots], kappa)
-        forbidden = [_np_coords(coroot(node.theta))]
-        for child in node.children:
-            forbidden += [_np_coords(s.coords) for s in child.simple_roots]
-        forbidden = _gram_schmidt(forbidden, kappa)
-        before = len(axes)
-        for cand in candidates:
-            w = sum((kappa * (b @ cand) * b for b in span), np.zeros_like(cand))
-            for b in forbidden + [ax.functional for ax in axes]:
-                w = w - kappa * (b @ w) * b
-            if np.sqrt(kappa * (w @ w)) > 1e-9:
-                add("abelian", node, None, w)
-        if len(axes) - before != node.abelian_dim:
+        w = node.abelian_axis
+        found = 0 if w is None else 1
+        if found != node.abelian_dim:
             raise ConstructionError(f"expected {node.abelian_dim} leftover Cartan directions "
-                                    f"at {node.label}, found {len(axes) - before}")
+                                    f"at {node.label}, found {found}")
+        if found:
+            add("abelian", node, None, w)
     return tuple(axes)
 
 
@@ -303,16 +276,18 @@ def _flat_transposes(gens: np.ndarray) -> np.ndarray:
 # public constructors
 
 @functools.lru_cache(maxsize=64)
-def _cached_rep(family, rank):
+def _cached_rep(family, rank, u1_count):
+    if u1_count:
+        return _zero_extend(_cached_rep(family, rank, 0), u1_count)
     return _build_matrix_rep(family, rank)
 
 
 def build_matrix_rep(family: str, rank: int, u1_count: int = 0) -> AlgebraRep:
     """Orthonormal root-adapted generator basis for family/rank, plus u(1)s:
-    one build per (family, rank) and process, zero-extended."""
+    one build per (family, rank) and process, zero-extended once per
+    padding."""
     _check_u1_count(u1_count)
-    rep = _cached_rep(*_algebra_key(family, rank))
-    return _zero_extend(rep, u1_count) if u1_count else rep
+    return _cached_rep(*_algebra_key(family, rank), u1_count)
 
 
 def _zero_extend(rep: AlgebraRep, u: int) -> AlgebraRep:
@@ -341,11 +316,11 @@ def _build_matrix_rep(family, rank, raw: tuple | None = None):
     """The family's own representation, or the one `raw` writes out in the
     form `_raw_basis` returns."""
     rs, levels = root_chain(family, rank)
-    d, embed, root_vector, candidates, kind = raw or _raw_basis(family, rank)
+    d, embed, root_vector, kind = raw or _raw_basis(family, rank)
     C = NORM_CONST[family]
     npos = len(rs.positive_roots)
     D = 2 * npos + rank
-    csa_axes = _adapted_csa(levels, embed, candidates, C, 2 * npos)
+    csa_axes = _adapted_csa(levels, embed, C, 2 * npos)
     W = np.stack([ax.functional for ax in csa_axes])
 
     gens = np.zeros((D, d, d), dtype=complex)
@@ -360,7 +335,6 @@ def _build_matrix_rep(family, rank, raw: tuple | None = None):
         table[root.coords] = RootVectorEntry(2 * i, 2 * i + 1, nu)
 
     gens[2 * npos:] = [embed(w) for w in W]
-    _snap_to_zero(gens)
     gram = gens.reshape(D, -1) @ _flat_transposes(gens)
     dev = np.abs(gram - C * np.eye(D))
     if dev.max() > 1e-9:
@@ -380,13 +354,6 @@ def _build_matrix_rep(family, rank, raw: tuple | None = None):
         csa_axes=csa_axes, _structure=structure)
     _check_chain(rep)
     return rep
-
-
-def _snap_to_zero(gens: np.ndarray) -> None:
-    """Set the real and imaginary parts at or below F_ZERO to exact zero, so
-    the generators carry their sparsity exactly."""
-    for part in (gens.real, gens.imag):
-        part[np.abs(part) <= F_ZERO] = 0.0
 
 
 def _reduce_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:

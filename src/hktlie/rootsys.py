@@ -381,6 +381,28 @@ class ChainNode(_Frozen):
         """Commuting Cartan directions of this node not used by its children."""
         return self.rank - 1 - sum(c.rank for c in self.children)
 
+    @property
+    def abelian_axis(self) -> Coords | None:
+        """The leftover Cartan axis, as a functional in root coordinates, of
+        a node with two simple roots beta and gamma not orthogonal to theta
+        (the A_n shapes, D3 included), else None.  Along the path
+        alpha_1 = beta, ..., alpha_n = gamma of the node's simple roots it is
+        sum_k (n + 1 - 2k) alpha_k = (n + 1) (omega_1 - omega_n) (Bourbaki,
+        Lie Groups and Lie Algebras, ch. VI, plate I): orthogonal to
+        theta = alpha_1 + ... + alpha_n and to the children's roots
+        alpha_2 .. alpha_(n-1), with beta the first such root in
+        `simple_roots`."""
+        ends = [s for s in self.simple_roots if s.dot(self.theta)]
+        if len(ends) != 2:
+            return None
+        path = [ends[0]]
+        while path[-1] != ends[1]:
+            path.append(next(s for s in self.simple_roots
+                             if s not in path and s.dot(path[-1])))
+        n = len(path)
+        return tuple(sum((n - 1 - 2 * k) * c for k, c in enumerate(column))
+                     for column in zip(*(s.coords for s in path)))
+
 
 def _grow_chain(rs: RootSystem, positive: tuple, simple: tuple, family: str, rank: int,
                 label: str, level: int) -> ChainNode:

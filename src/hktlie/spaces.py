@@ -46,15 +46,24 @@ class LevelSelection(_Value):
         self.__dict__.update(level=level, summands=summands, include_abelian=include_abelian)
 
 
+def _factor(factor) -> tuple:
+    """A simple factor as the (family, rank) pair that every cache keys it
+    by.  Anything but a tuple or list of two raises ValueError naming what
+    the caller wrote, and a pair that `_algebra_key` refuses raises its
+    UnsupportedAlgebraError."""
+    if not isinstance(factor, (tuple, list)) or len(factor) != 2:
+        raise ValueError(f"a simple factor is a (family, rank) pair, got {factor!r}")
+    return _algebra_key(*factor)
+
+
 class SpaceSpec(_Value):
     """A (possibly quotiented) product of simple factors and u(1) circles;
     `factors` holds the (family, rank) pairs, a string family read
-    upper-case; `_resolve_spec` refuses any other."""
+    upper-case; `_factor` refuses any other."""
 
     def __init__(self, factors: tuple, u1_count: int, selections: tuple = ()):
-        self.__dict__.update(factors=tuple((f.upper() if isinstance(f, str) else f, r)
-                                           for f, r in factors),
-                             u1_count=u1_count, selections=selections)
+        self.__dict__.update(factors=tuple(map(_factor, factors)), u1_count=u1_count,
+                             selections=selections)
 
     @property
     def name(self) -> str:
@@ -138,7 +147,7 @@ def enumerate_quotients(factor, max_level: int = 8) -> list:
     """
     if isinstance(max_level, bool) or not isinstance(max_level, int) or max_level < 0:
         raise ValueError(f"max_level must be a non-negative int, got {max_level!r}")
-    family, rank = factor
+    family, rank = _factor(factor)
     _, levels = root_chain(family, rank)
     group_dim = levels[0][0].dimension
 

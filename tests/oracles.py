@@ -112,7 +112,7 @@ def rotation_basis(rank: int, n: int, rotations: dict, kind: str) -> tuple:
     """so(n) in the representation whose rotation generators T_ab (a < b) are
     `rotations`: i(E_ab - E_ba) in the vector representation, i gamma_a
     gamma_b / 2 in the spinor one, with the same brackets; the tuple is the
-    (d, embed, root_vector, candidates, kind) of `liealg._raw_basis`.
+    (d, embed, root_vector, kind) of `liealg._raw_basis`.
 
     The root vector of e_k +- e_l is v w^T - w v^T for the weight vectors
     (e_2k -+ i e_2k+1)/sqrt2 of +-e_k, and w = e_(2 rank), the zero weight,
@@ -138,7 +138,7 @@ def rotation_basis(rank: int, n: int, rotations: dict, kind: str) -> tuple:
         c = np.outer(v, w) - np.outer(w, v)
         return -1j * np.tensordot(c[tuple(pairs)], stack, 1)
 
-    return stack.shape[-1], embed, root_vector, list(np.eye(rank)), kind
+    return stack.shape[-1], embed, root_vector, kind
 
 
 def build_rotation_vector_rep(family: str, rank: int) -> AlgebraRep:

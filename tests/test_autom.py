@@ -273,15 +273,36 @@ def test_chain_cross_checks_numerically(family, rank):
 
 def test_chain_node_with_a_missing_child_is_refused(monkeypatch):
     """D4 with one of the three level-1 children dropped from the top node:
-    the roots that commute with E_{+-theta} by f are no longer the
-    children's, and the build raises."""
+    its rank 4 less its coroot and two A1 children asks for one leftover
+    Cartan axis, D4's top node has none, and the build raises before its
+    chain check."""
     rs, levels = R.root_chain("D", 4)
     [top] = levels[0]
     assert len(top.children) == 3 and len(levels) == 2
     pruned = R.ChainNode(top.positive_roots, top.simple_roots, top.family, top.rank, top.label,
                          top.theta, top.level, top.children[1:])
     monkeypatch.setattr(L, "root_chain", lambda family, rank: (rs, ((pruned,), pruned.children)))
-    with pytest.raises(L.ConstructionError, match="chain node D4: centralizer and children"):
+    with pytest.raises(L.ConstructionError,
+                       match="^expected 1 leftover Cartan directions at D4, found 0$"):
+        L._build_matrix_rep("D", 4)
+
+
+def test_chain_child_that_lost_a_root_is_refused(monkeypatch):
+    """D4 with the positive root of its child A1:alpha dropped, every rank
+    kept: the Cartan axes still add up, and the chain check finds by f a
+    root that commutes with E_{+-theta} and belongs to no child."""
+    rs, levels = R.root_chain("D", 4)
+    [top] = levels[0]
+    [alpha] = [c for c in top.children if c.label == "A1:alpha"]
+    assert [r.coords for r in alpha.positive_roots] == [(1, -1, 0, 0)]
+    bare = R.ChainNode((), alpha.simple_roots, alpha.family, alpha.rank, alpha.label,
+                       alpha.theta, alpha.level, alpha.children)
+    children = tuple(bare if c is alpha else c for c in top.children)
+    tampered = R.ChainNode(top.positive_roots, top.simple_roots, top.family, top.rank,
+                           top.label, top.theta, top.level, children)
+    monkeypatch.setattr(L, "root_chain", lambda family, rank: (rs, ((tampered,), children)))
+    with pytest.raises(L.ConstructionError, match=re.escape(
+            "chain node D4: centralizer and children differ on roots [(1, -1, 0, 0)]")):
         L._build_matrix_rep("D", 4)
 
 

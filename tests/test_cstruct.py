@@ -222,6 +222,22 @@ def test_torsion_zero_for_abelian():
     assert np.abs(oracles.coo_torsion_via_hull(I, f)).max() == 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_torsion_match_restates_integrability(seed):
+    """For an orthogonal I with I I = -1 the hull torsion minus f is exactly
+    -R, with R_ABC = f_ABC - (IIf)_ABC - (IIf)_BCA - (IIf)_CAB the
+    integrability tensor: on random structures of A3xU1^1, where |R| is of
+    order 1, the two agree to rounding, so `torsion_match` reads 0 exactly
+    when `integrability` does."""
+    rep = L.build_matrix_rep("A", 3, 1)
+    f = rep.structure_constants().f
+    I = oracles.random_complex_structure(rep.dim, np.random.default_rng(seed))
+    iif = np.einsum("ad,be,dec->abc", I, I, f, optimize=True)
+    R = f - iif - iif.transpose(2, 0, 1) - iif.transpose(1, 2, 0)
+    assert np.abs(R).max() > 0.5
+    assert np.abs(oracles.hull_torsion(I, f) - f + R).max() < 1e-14
+
+
 def test_torsion_refuses_non_integrable():
     rep = L.build_matrix_rep("A", 2)
     f = rep.structure_constants()

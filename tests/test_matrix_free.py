@@ -108,6 +108,22 @@ def test_catalog_checks_the_chain_once(monkeypatch):
     assert checked == [4]
 
 
+def test_each_padding_is_built_once(monkeypatch):
+    """A repeated (family, rank, u1_count) returns the same rep object:
+    `catalog A 3 --verify`, whose four quotients take the paddings 1, 2, 0
+    and 1, then extends nothing more."""
+    extended = []
+    extend = L._zero_extend
+    monkeypatch.setattr(L, "_zero_extend", lambda rep, u: extended.append(u) or extend(rep, u))
+    L._cached_rep.cache_clear()
+    reps = [L.build_matrix_rep("A", 3, u) for u in (0, 1, 2, 1, 0, 2)]
+    assert reps[3] is reps[1] and reps[4] is reps[0] and reps[5] is reps[2]
+    assert extended == [1, 2]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--json", "catalog", "A", "3", "--verify"]) == cli.EXIT_OK
+    assert extended == [1, 2]
+
+
 @pytest.mark.parametrize("family,rank", CLI_RANGE)
 def test_padded_rep_is_the_zero_extension_of_its_build(family, rank):
     """The padded generators hold the unpadded ones in their top-left

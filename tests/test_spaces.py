@@ -443,6 +443,10 @@ WRONG_TYPES = {
                       "max_level must be a non-negative int, got 1.5"),
     "max_level True": (lambda: S.enumerate_quotients(("A", 3), True),
                        "max_level must be a non-negative int, got True"),
+    "factor of three": (lambda: S.enumerate_quotients(("A", 3, 1)),
+                        "a simple factor is a (family, rank) pair, got ('A', 3, 1)"),
+    "factor str": (lambda: S.build_coset_triple(Spec(("A3",), 1)),
+                   "a simple factor is a (family, rank) pair, got 'A3'"),
 }
 
 
@@ -451,7 +455,9 @@ def test_a_field_of_the_wrong_type_is_refused_by_name(probe):
     """`LevelSelection(1.0, (), True)` ended in a bare TypeError,
     `LevelSelection(True, ("A1",))` certified and wrote "level": true, and a
     string of summands was read letter by letter; `enumerate_quotients`
-    read True as level 1."""
+    read True as level 1.  A factor that is no pair ended in "too many
+    values to unpack", or, as the string "A3", in "rank must be an int,
+    got '3'"."""
     build, message = WRONG_TYPES[probe]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
